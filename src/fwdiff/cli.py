@@ -214,7 +214,7 @@ def cmd_regular(args, out):
 def cmd_oracle(args, out):
     ring_pres = _load_ring(args)
     fw = present_fw(ring_pres)
-    result = cross_check(ring_pres, max_size=args.max_size)
+    result = cross_check(fw, max_size=args.max_size)
     doc = _document("oracle", args.seed, ring_pres, fw, result)
     _emit(doc, args, out)
     return 0 if result["match"] else 1

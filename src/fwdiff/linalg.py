@@ -1,12 +1,12 @@
 """Exact linear algebra: Gaussian elimination over the small fields,
-fraction-free elimination over quotient domains, and a numpy-backed row
+fraction-free elimination over quotient domains, and an int64 numpy row
 space mod p for the brute-force oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ZeroDivisorError
+from .errors import SizeRefusalError, ZeroDivisorError
 
 
 def rank_over_field(rows):
@@ -86,11 +86,14 @@ def rank_fraction_free(rows, nf):
 class ModPSpan:
     """A growing row space over F_p, kept in reduced row-echelon form.
 
-    Rows are numpy vectors; reduction against the current basis is one
-    matrix product in float64, which is exact for the sizes involved
-    (p < 256, dimension < 2^40)."""
+    Rows are int64 numpy vectors with entries in [0, p), and elimination
+    forms one product of two entries at a time before reducing mod p.
+    For p < 2^31 such a product is below 2^62, so every step is exact;
+    larger primes are refused."""
 
     def __init__(self, p, ncols):
+        if p >= 1 << 31:
+            raise SizeRefusalError(f"F_p row spaces need p < 2^31, not {p}")
         self.p = p
         self.ncols = ncols
         self.basis = np.zeros((0, ncols), dtype=np.int64)
@@ -105,35 +108,34 @@ class ModPSpan:
         rows = np.asarray(rows, dtype=np.int64) % self.p
         if rows.ndim == 1:
             rows = rows[None, :]
-        if self.pivots:
-            coeff = rows[:, self.pivots].astype(np.float64)
-            rows = rows - (coeff @ self.basis.astype(np.float64)).astype(np.int64)
-            rows %= self.p
+        for piv, brow in zip(self.pivots, self.basis):
+            rows = (rows - np.outer(rows[:, piv], brow)) % self.p
         return rows
 
     def add_rows(self, rows):
-        """Insert rows, growing the echelon basis; returns the new rank."""
-        rows = self.reduce(rows)
-        for row in rows:
-            row = self.reduce(row)[0]  # catch components on pivots added below
-            nz = np.flatnonzero(row)
-            if nz.size == 0:
+        """Insert rows by Gauss-Jordan on the basis and the rows together,
+        one pivot column at a time, touching only the rows nonzero in it;
+        returns the new rank."""
+        if self.rank == self.ncols:
+            return self.rank
+        p = self.p
+        rows = np.asarray(rows, dtype=np.int64) % p
+        m = np.vstack([self.basis, rows.reshape(-1, self.ncols)])
+        pivots = []
+        for col in np.flatnonzero(m.any(axis=0)):
+            r = len(pivots)
+            below = np.flatnonzero(m[r:, col])
+            if below.size == 0:
                 continue
-            piv = int(nz[0])
-            inv = pow(int(row[piv]), -1, self.p)
-            row = (row * inv) % self.p
-            # clear the new pivot column in the existing basis
-            if self.pivots:
-                col = self.basis[:, piv].copy()
-                if col.any():
-                    self.basis = (self.basis - np.outer(col, row)) % self.p
-            self.basis = np.vstack([self.basis, row[None, :]])
-            self.pivots.append(piv)
-            order = np.argsort(self.pivots)
-            self.basis = self.basis[order]
-            self.pivots = [self.pivots[i] for i in order]
-            if self.rank == self.ncols:
-                break
+            m[[r, r + below[0]]] = m[[r + below[0], r]]
+            m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
+            hit = np.flatnonzero(m[:, col])
+            hit = hit[hit != r]
+            m[hit, col:] = (m[hit, col:]
+                            - np.outer(m[hit, col], m[r, col:])) % p
+            pivots.append(int(col))
+        self.basis = m[:len(pivots)].copy()
+        self.pivots = pivots
         return self.rank
 
     def contains(self, row):

@@ -2,9 +2,26 @@
 
 The universal module is the quotient of the free module on one symbol
 [a] per ring element by the submodule generated by the two derivation
-relations, over all ordered pairs:
+relations
 
-    [a+b] - [a] - [b] + P(a,b)[p]      and      [ab] - b^p[a] - a^p[b]
+    R(a,b) = [a+b] - [a] - [b] + P(a,b)[p]
+    D(a,b) = [ab] - b^p[a] - a^p[b]
+
+over all pairs.  Relations on additive generators g, h of A (the basis
+lifts: F_p-basis lifts in characteristic p, standard monomials over
+Z/p^2) already span them all:
+
+  * The Witt carry is a 2-cocycle, P(a,b) + P(a+b,c) = P(b,c) + P(a,b+c)
+    as integer polynomials, so R(a,b+c) = R(a,b) + R(a+b,c) - R(b,c).
+    R(0,g) = -[0] gives [0] = 0, and induction on b = g_1 + ... + g_k
+    puts every R(a,b) in the span of the R(a,g).
+  * Modulo those, D is biadditive: expanding [a(b+c)] and [b+c] with R,
+    (b+c)^p = b^p + c^p + p P(b,c) and P(ab,ac) = a^p P(b,c) leave
+    D(a,b+c) - D(a,b) - D(a,c) = -p P(b,c)[a], which is 0 over A/pA.
+    With D(a,0) = (1 - a^p)[0] = 0 and D symmetric, the D(g,h) suffice.
+
+So n*g + g(g+1)/2 pairs replace the n(n+1)/2 pairs of the definition,
+with n = |A| and g generators.
 
 Because p annihilates the universal module, the free module can be taken
 over A/pA, and realizing A/pA-coordinates over an F_p-basis turns the
@@ -31,19 +48,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PresentationError, SizeRefusalError
-from .fwcore import RingPresentation, present_fw
+from .fwcore import FWPresentation, RingPresentation
 from .linalg import ModPSpan
 from .modarith import (
     GaloisField,
-    PrimeField,
-    PrimeSquareRing,
     Residue,
     lift_to_p2,
     reduce_mod_p,
 )
 from .mpoly import (
     GroebnerBasis,
-    SparsePoly,
     divide,
     groebner,
     groebner_extended,
@@ -75,9 +89,11 @@ def _field_digits(c: Residue):
 class FiniteRing:
     """A finite ring of p-power order with verified operation tables.
 
-    Elements are canonical-form polynomials; operations go through
-    supplied closures and are tabulated by index at construction, then
-    every ring axiom is checked exhaustively on the tables.
+    Elements are canonical-form polynomials.  The supplied closures are
+    evaluated only against the additive generators (the basis lifts);
+    every other column is filled by gathers, breadth-first from zero,
+    through x + (y + g) = (x + y) + g and x(y + g) = xy + xg.  Every ring
+    axiom is then checked exhaustively on the finished tables.
     """
 
     def __init__(self, p, elements, add_fn, mul_fn, basis_lifts, reduce_vec,
@@ -90,7 +106,7 @@ class FiniteRing:
         self._mul_fn = mul_fn
         self.basis_lifts = list(basis_lifts)
         self._reduce_vec = reduce_vec
-        k, n = 1, self.size
+        n = self.size
         while n % p == 0:
             n //= p
         if n != 1:
@@ -100,28 +116,48 @@ class FiniteRing:
             if a in self.index:
                 raise PresentationError("duplicate elements in enumeration")
             self.index[a] = i
-        n = self.size
-        add = np.zeros((n, n), dtype=np.int64)
-        mul = np.zeros((n, n), dtype=np.int64)
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                add[i, j] = self.index[add_fn(a, b)]
-                mul[i, j] = self.index[mul_fn(a, b)]
-        self.add = add
-        self.mul = mul
-        self.zero_idx = self._find_identity(add)
-        self.one_idx = self._find_identity(mul)
-        self._verify_axioms()
-        self.neg = np.argmax(add == self.zero_idx, axis=1)
         self.basis_idx = [self.index[b] for b in self.basis_lifts]
+        self.add, self.mul = self._tables()
+        self.zero_idx = self._find_identity(self.add)
+        self.one_idx = self._find_identity(self.mul)
+        self._verify_axioms()
         self.p_one_idx = self.int_mult_idx(p, self.one_idx)
-        self.frob = np.array([self.pow_idx(i, p) for i in range(n)],
-                             dtype=np.int64)
+        self.frob = self.pow_idx(np.arange(self.size), p)
         self.reduce_mat = np.array(
             [list(reduce_vec(a)) for a in self.elements], dtype=np.int64) % p
         ident = self.reduce_mat[self.basis_idx]
         if not (ident == np.eye(self.carrier_dim, dtype=np.int64)).all():
             raise PresentationError("basis lifts do not reduce to unit vectors")
+
+    def _tables(self):
+        elems, n = self.elements, self.size
+        gens = np.array(self.basis_idx, dtype=np.int64)
+        addg, mulg = (
+            np.array([[self.index[fn(a, elems[u])] for a in elems]
+                      for u in gens], dtype=np.int64).reshape(len(gens), n)
+            for fn in (self._add_fn, self._mul_fn))
+        zero = np.flatnonzero((addg == gens[:, None]).all(axis=0))
+        if zero.size == 0:
+            raise PresentationError("operation table has no identity element")
+        zero = int(zero[0])
+        steps, seen = [(zero, None, None)], {zero}
+        for y, _, _ in steps:  # breadth-first: steps grows as it is read
+            for u in range(len(gens)):
+                z = int(addg[u, y])
+                if z not in seen:
+                    seen.add(z)
+                    steps.append((z, y, u))
+        if len(seen) < n:
+            raise PresentationError(
+                f"the basis lifts do not generate {self.label} additively")
+        add, mul = np.empty((2, n, n), dtype=np.int64)
+        add[:, zero] = np.arange(n)
+        mul[:, zero] = zero
+        for z, y, u in steps[1:]:
+            add[:, z] = addg[u, add[:, y]]
+        for z, y, u in steps[1:]:
+            mul[:, z] = add[mul[:, y], mulg[u]]
+        return add, mul
 
     def _find_identity(self, table):
         n = self.size
@@ -132,15 +168,18 @@ class FiniteRing:
         raise PresentationError("operation table has no identity element")
 
     def _verify_axioms(self):
+        """Commutativity, inverses, associativity and distributivity; the
+        n^3 laws run on slabs of the first index, ~2^20 entries a slab."""
         add, mul, n = self.add, self.mul, self.size
-        ok = (
-            (add == add.T).all()
-            and (mul == mul.T).all()
-            and (add[add, :] == add[:, add]).all()
-            and (mul[mul, :] == mul[:, mul]).all()
-            and (mul[:, add] == add[mul[:, :, None], mul[:, None, :]]).all()
-            and (add == self.zero_idx).any(axis=1).all()
-        )
+        ok = ((add == add.T).all() and (mul == mul.T).all()
+              and (add == self.zero_idx).any(axis=1).all())
+        step = max(1, (1 << 20) // (n * n))
+        for lo in range(0, n, step):
+            a, m = add[lo:lo + step], mul[lo:lo + step]
+            ok = ok and ((add[a] == a[:, add]).all()
+                         and (mul[m] == m[:, mul]).all()
+                         and (m[:, add] == add[m[:, :, None],
+                                               m[:, None, :]]).all())
         if not ok:
             raise PresentationError(
                 f"operation tables of {self.label} violate the ring axioms")
@@ -344,42 +383,40 @@ def relation_rows(ring: FiniteRing, families=("add", "mul")):
     One block of e coordinates per ring element, e = dim of A/pA.  Each
     relation is instantiated once per A/pA-basis multiplier beta_k: a
     term c*[x] of the relation places the basis decomposition of
-    beta_k * c into the block of x.  Both families are symmetric in
-    (a, b), so ordered pairs with b >= a suffice.
+    beta_k * c into the block of x.  The Leibniz family runs over the
+    generator pairs g <= h and the additive family over the pairs
+    (a, g), a in A; the module docstring shows that these span all.
     """
-    p, n, e = ring.p, ring.size, ring.carrier_dim
-    red = ring.reduce_mat
-    mul = ring.mul
-    bidx = ring.basis_idx
-    p1 = ring.p_one_idx
-    batch = []
-    for a in range(n):
-        for b in range(a, n):
-            if "add" in families:
-                s = ring.add[a, b]
-                carry = ring.witt_carry_idx(a, b)
-                for k in range(e):
-                    row = np.zeros(e * n, dtype=np.int64)
-                    beta = bidx[k]
-                    row[s * e:(s + 1) * e] += red[beta]
-                    row[a * e:(a + 1) * e] -= red[beta]
-                    row[b * e:(b + 1) * e] -= red[beta]
-                    row[p1 * e:(p1 + 1) * e] += red[mul[beta, carry]]
-                    batch.append(row % p)
-            if "mul" in families:
-                m = mul[a, b]
-                for k in range(e):
-                    row = np.zeros(e * n, dtype=np.int64)
-                    beta = bidx[k]
-                    row[m * e:(m + 1) * e] += red[beta]
-                    row[a * e:(a + 1) * e] -= red[mul[beta, ring.frob[b]]]
-                    row[b * e:(b + 1) * e] -= red[mul[beta, ring.frob[a]]]
-                    batch.append(row % p)
-            if len(batch) >= 1024:
-                yield np.array(batch)
-                batch = []
-    if batch:
-        yield np.array(batch)
+    gens = np.array(ring.basis_idx, dtype=np.int64)
+    if "mul" in families:
+        a, b = (gens[t] for t in np.triu_indices(len(gens)))
+        yield _relation_block(ring, [(1, ring.mul[a, b], ring.one_idx),
+                                     (-1, a, ring.frob[b]),
+                                     (-1, b, ring.frob[a])])
+    if "add" in families:
+        step = max(1, 1024 // (ring.carrier_dim * len(gens)))
+        for lo in range(0, ring.size, step):
+            a = np.repeat(np.arange(lo, min(lo + step, ring.size)), len(gens))
+            b = np.resize(gens, a.size)
+            yield _relation_block(ring, [(1, ring.add[a, b], ring.one_idx),
+                                         (-1, a, ring.one_idx),
+                                         (-1, b, ring.one_idx),
+                                         (1, ring.p_one_idx,
+                                          ring.witt_carry_idx(a, b))])
+
+
+def _relation_block(ring, terms):
+    """e rows per relation, one relation per entry of the index arrays:
+    a term (sign, x, c) adds sign * (beta_k * c) to the block of x."""
+    e, n = ring.carrier_dim, ring.size
+    m = np.size(terms[0][1])
+    out = np.zeros((m, e, n, e), dtype=np.int64)
+    pair, k = np.arange(m)[:, None], np.arange(e)[None, :]
+    for sign, x, c in terms:
+        x, c = np.broadcast_to(x, (m,)), np.broadcast_to(c, (m,))
+        coeff = ring.reduce_mat[ring.mul[ring.basis_idx, c[:, None]]]
+        np.add.at(out, (pair, k, x[:, None]), sign * coeff)
+    return (out % ring.p).reshape(m * e, n * e)
 
 
 @dataclass
@@ -447,14 +484,13 @@ def brute_fw(ring: FiniteRing) -> UniversalModule:
 # ---------------------------------------------------------------------------
 # cross-checking the presentation pipeline
 
-def presented_fp_dimension(ring_pres: RingPresentation) -> int:
+def presented_fp_dimension(fw: FWPresentation) -> int:
     """Total F_p-dimension of the presented module, for finite carriers.
 
     The carrier is expanded as an F_p-space on (field basis) x (standard
     monomials); the module relations are all basis multiples of the
     presented columns.
     """
-    fw = present_fw(ring_pres)
     gb = fw.carrier
     k = fw.carrier_ring.coeff
     if gb.is_trivial():
@@ -477,7 +513,7 @@ def presented_fp_dimension(ring_pres: RingPresentation) -> int:
         return out
 
     total = e * len(S) * fw.ngens
-    span = ModPSpan(ring_pres.p, total)
+    span = ModPSpan(fw.ring.p, total)
     rows = []
     for col in fw.columns:
         for m in S:
@@ -492,11 +528,11 @@ def presented_fp_dimension(ring_pres: RingPresentation) -> int:
     return total - span.rank
 
 
-def cross_check(ring_pres: RingPresentation, max_size=None) -> dict:
+def cross_check(fw: FWPresentation, max_size=None) -> dict:
     """Compare the brute-force dimension with the presented dimension."""
-    fr = FiniteRing.from_presentation(ring_pres, max_size=max_size)
+    fr = FiniteRing.from_presentation(fw.ring, max_size=max_size)
     um = brute_fw(fr)
-    pres = presented_fp_dimension(ring_pres)
+    pres = presented_fp_dimension(fw)
     return {
         "ring": fr.label,
         "size": fr.size,

@@ -118,7 +118,7 @@ def test_criterion_03_oracle_cross_checks(capsys):
             (_pres(GaloisField(3, 2), (), ()), fq_zero),
         ]
         for pres, bucket in cases:
-            rep = cross_check(pres)
+            rep = cross_check(present_fw(pres))
             assert rep["match"], rep
             if bucket is not None:
                 bucket.append(rep["brute_dim"])

@@ -107,6 +107,24 @@ def test_oracle_max_size_flag(tmp_path):
     assert code == 0 and "match: yes" in out
 
 
+def test_oracle_builds_the_presentation_once(monkeypatch):
+    from fwdiff import cli, fwcore, localalg, oracle
+
+    real = fwcore.present_fw
+    calls = []
+
+    def counted(ring_pres):
+        calls.append(ring_pres)
+        return real(ring_pres)
+
+    for mod in (fwcore, cli, localalg, oracle):
+        if getattr(mod, "present_fw", None) is real:
+            monkeypatch.setattr(mod, "present_fw", counted)
+    code, _, _ = _run(["oracle", "-i", _ring("zp2.ring"), "--json"])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_fiber_at_prime():
     code, out, _ = _run(["fiber", "-i", _ring("cusp.ring"),
                          "--prime", "x - 1; y - 1"])

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from fwdiff.errors import ZeroDivisorError
+from fwdiff.errors import FWDiffError, ZeroDivisorError
 from fwdiff.linalg import ModPSpan, rank_fraction_free, rank_over_field
 from fwdiff.modarith import PrimeField
 from fwdiff.mpoly import PolyRing, groebner
@@ -57,6 +57,43 @@ def test_span_full_rank_early_stop():
     span = ModPSpan(2, 3)
     rows = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
     assert span.add_rows(rows) == 3
+
+
+def _combination(rng, p, vectors):
+    coeffs = [rng.randrange(p) for _ in vectors]
+    return [sum(c * v[j] for c, v in zip(coeffs, vectors)) % p
+            for j in range(len(vectors[0]))]
+
+
+def test_span_is_exact_below_2_31():
+    """At p = 2^31 - 1 entry products reach 2^62; rank and membership of
+    rank-deficient random rows must still match elimination on Residues."""
+    p = 2**31 - 1
+    k = PrimeField(p)
+    rng = random.Random(31)
+    for _ in range(20):
+        ncols = rng.randint(3, 8)
+        gens = [[rng.randrange(p) for _ in range(ncols)]
+                for _ in range(rng.randint(1, ncols - 1))]
+        rows = [_combination(rng, p, gens) for _ in range(ncols + 2)]
+        span = ModPSpan(p, ncols)
+        span.add_rows(np.array(rows, dtype=np.int64))
+        field_rows = [[k.of_int(v) for v in row] for row in rows]
+        rank = rank_over_field(field_rows)
+        assert span.rank == rank
+        inside = _combination(rng, p, rows)
+        outside = [rng.randrange(p) for _ in range(ncols)]
+        for vec in (inside, outside):
+            grows = rank_over_field(field_rows + [[k.of_int(v) for v in vec]])
+            assert span.contains(np.array(vec, dtype=np.int64)) == \
+                (grows == rank)
+
+
+def test_span_refuses_primes_past_int64_exactness():
+    with pytest.raises(FWDiffError):
+        ModPSpan(2**31, 4)
+    with pytest.raises(FWDiffError):
+        ModPSpan(2**61 - 1, 4)
 
 
 def _nf_for(rels, ring):

@@ -1,16 +1,23 @@
 """Brute-force universal module on small finite rings.
 
-The oracle enumerates every element, instantiates both relation families
-for every pair, and row-reduces; the tests here check the oracle against
-itself (permutation invariance, span memberships forced by the axioms)
-and pin the dimensions it must report on the standard small rings.
+The oracle enumerates every element, tabulates the operations from the
+closures on the additive generators, instantiates the additive relations
+on the pairs (element, generator) and the Leibniz relations on generator
+pairs, and row-reduces.  The tests here check the oracle against itself
+(permutation invariance, span memberships forced by the axioms), against
+an all-pairs reference built here from the definition (closures on every
+pair, both relation families on every pair), and pin the dimensions it
+must report on the standard small rings.
 """
+
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fwdiff.errors import PresentationError, SizeRefusalError
-from fwdiff.fwcore import RingPresentation
+from fwdiff.fwcore import RingPresentation, present_fw
 from fwdiff.linalg import ModPSpan
 from fwdiff.modarith import GaloisField, PrimeField, PrimeSquareRing
 from fwdiff.mpoly import PolyRing
@@ -21,7 +28,7 @@ from fwdiff.oracle import (
     presented_fp_dimension,
     relation_rows,
 )
-from fwdiff.ringfile import parse_poly
+from fwdiff.ringfile import parse_poly, parse_ring
 
 
 def _pres(base, varnames, relstrs):
@@ -52,7 +59,7 @@ F9 = _pres(GaloisField(3, 2), (), [])
     (F9, 9, 0),
 ])
 def test_cross_check_small_rings(pres, size, dim):
-    rep = cross_check(pres)
+    rep = cross_check(present_fw(pres))
     assert rep["match"], rep
     assert rep["size"] == size
     assert rep["brute_dim"] == dim == rep["presented_dim"]
@@ -144,7 +151,7 @@ def test_size_cap_refusals():
     assert fr.size == 32
     with pytest.raises(SizeRefusalError):  # no default bound for p = 7
         FiniteRing.from_presentation(_pres(PrimeField(7), (), []))
-    rep = cross_check(_pres(PrimeField(7), (), []), max_size=7)
+    rep = cross_check(present_fw(_pres(PrimeField(7), (), [])), max_size=7)
     assert rep["match"] and rep["brute_dim"] == 0
 
 
@@ -153,12 +160,12 @@ def test_zero_and_infinite_rings_are_rejected():
     with pytest.raises(PresentationError):
         FiniteRing.from_presentation(zero)
     with pytest.raises(PresentationError):
-        presented_fp_dimension(zero)
+        presented_fp_dimension(present_fw(zero))
     infinite = _pres(PrimeField(2), ("x",), [])
     with pytest.raises(SizeRefusalError):
         FiniteRing.from_presentation(infinite)
     with pytest.raises(PresentationError):
-        presented_fp_dimension(infinite)
+        presented_fp_dimension(present_fw(infinite))
     zero2 = _pres(PrimeSquareRing(2), ("x",), ["x", "x + 1"])
     with pytest.raises(PresentationError):
         FiniteRing.from_presentation(zero2)
@@ -174,5 +181,115 @@ def test_more_zp2_quotients_cross_check():
         _pres(PrimeSquareRing(2), ("x", "y"), ["x^2", "y^2", "x*y", "2*x", "2*y"]),
     ]
     for pres in cases:
-        rep = cross_check(pres, max_size=81)
+        rep = cross_check(present_fw(pres), max_size=81)
         assert rep["match"], rep
+
+
+def test_table_build_memory_is_bounded():
+    """The exhaustive axiom check runs in slabs: at 243 elements an
+    n x n x n int64 array alone would be 115 MB."""
+    big = _pres(PrimeField(3), ("x",), ["x^5"])
+    tracemalloc.start()
+    try:
+        fr = FiniteRing.from_presentation(big, max_size=243)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fr.size == 243
+    assert peak < 64 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# the all-pairs reference: the universal module straight from its definition
+
+def _all_pairs_tables(fr):
+    """Both operation tables from the closures on all n^2 pairs."""
+    els, idx = fr.elements, fr.index
+    return tuple(
+        np.array([[idx[fn(a, b)] for b in els] for a in els], dtype=np.int64)
+        for fn in (fr._add_fn, fr._mul_fn))
+
+
+def _all_pairs_rank(fr):
+    """Rank of both relation families over every pair a <= b, one row
+    per basis multiplier, assembled term by term."""
+    p, n, e = fr.p, fr.size, fr.carrier_dim
+    one = fr.one_idx
+    span = ModPSpan(p, e * n)
+    rows = []
+
+    def relation(terms):
+        for beta in fr.basis_idx:
+            row = np.zeros(e * n, dtype=np.int64)
+            for sign, x, c in terms:
+                row[x * e:(x + 1) * e] += sign * fr.reduce_mat[fr.mul[beta, c]]
+            rows.append(row % p)
+
+    for a in range(n):
+        for b in range(a, n):
+            relation([(1, fr.add[a, b], one), (-1, a, one), (-1, b, one),
+                      (1, fr.p_one_idx, fr.witt_carry_idx(a, b))])
+            relation([(1, fr.mul[a, b], one), (-1, a, fr.frob[b]),
+                      (-1, b, fr.frob[a])])
+            if len(rows) >= 1024:
+                span.add_rows(np.array(rows))
+                rows = []
+    if rows:
+        span.add_rows(np.array(rows))
+    return span.rank
+
+
+RINGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "rings")
+
+
+def _ring_file(name):
+    with open(os.path.join(RINGS_DIR, name), encoding="utf-8") as fh:
+        return parse_ring(fh.read())
+
+
+REFERENCE_RINGS = [
+    (Z4, None), (Z9, None), (F2_EPS, None), (F2_EPS3, None), (F3_EPS, None),
+    (Z4_MIXED, None), (F4, None), (F9, None),
+    (_pres(PrimeField(5), (), []), None),
+    (_pres(PrimeField(7), (), []), 7),
+    (_pres(PrimeField(2), ("x",), ["x^5"]), 32),
+    (_pres(PrimeSquareRing(2), ("x",), ["x^2 - 2"]), 81),
+    (_pres(PrimeSquareRing(2), ("x",), ["x^2 - 2*x"]), 81),
+    (_pres(PrimeSquareRing(3), ("x",), ["x^2", "3*x"]), 81),
+    (_pres(PrimeSquareRing(2), ("x", "y"),
+           ["x^2", "y^2", "x*y", "2*x", "2*y"]), 81),
+    (_pres(PrimeField(2), ("x", "y"), ["x^2", "y^2"]), None),
+    (parse_ring("base: Fq(2,2)\nvars: x\nrel: x^2 + x + t\n"), None),
+    (_pres(PrimeField(5), ("x",), ["x^2"]), None),
+    (_pres(PrimeSquareRing(5), (), []), None),
+    (_pres(PrimeField(3), ("x", "y"), ["x^2", "y^2"]), None),
+    (_pres(PrimeSquareRing(3), ("x",), ["x^2"]), None),
+    (_ring_file("zp2.ring"), None),
+]
+
+
+def _ring_id(pres):
+    d = pres.describe()
+    return f"{d['base']}[{','.join(d['vars'])}]/({';'.join(d['relations'])})"
+
+
+@pytest.mark.parametrize("pres,max_size", REFERENCE_RINGS,
+                         ids=[_ring_id(pres) for pres, _ in REFERENCE_RINGS])
+def test_generator_oracle_matches_all_pairs_reference(pres, max_size):
+    fr = FiniteRing.from_presentation(pres, max_size=max_size)
+    add, mul = _all_pairs_tables(fr)
+    assert (fr.add == add).all() and (fr.mul == mul).all()
+    um = brute_fw(fr)
+    rank = _all_pairs_rank(fr)
+    assert um.rank == rank
+    assert um.dimension == um.ncols - rank
+
+
+def test_reference_covers_every_finite_ring_file():
+    for name in sorted(os.listdir(RINGS_DIR)):
+        pres = _ring_file(name)
+        if name == "zp2.ring":
+            assert FiniteRing.from_presentation(pres).size == 9
+            continue
+        with pytest.raises(SizeRefusalError, match="infinite"):
+            FiniteRing.from_presentation(pres)
