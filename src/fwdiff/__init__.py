@@ -11,7 +11,6 @@ fiber dimension = local dimension + residue-field imperfection.
 """
 
 from .errors import (
-    FlatnessRequiredError,
     FWDiffError,
     OffSchemeError,
     PresentationError,
@@ -29,20 +28,14 @@ from .fwcore import (
     check_axioms,
     present_fw,
     relative_cokernel,
-    twisted_relative_kahler,
     w_poly,
-    w_poly_charp,
 )
 from .localalg import (
     PointSpec,
     PrimeSpec,
     RegularityVerdict,
-    check_prdx,
-    check_split_sequence,
-    cotangent_dim,
     fiber_dim_point,
     fiber_dim_prime,
-    local_dim,
     rational_points,
     regularity,
     residue_p_rank,
@@ -53,9 +46,7 @@ from .modarith import (
     PrimeField,
     PrimeSquareRing,
     Residue,
-    ZZ,
     w_base,
-    witt_P,
 )
 from .mpoly import (
     GroebnerBasis,
@@ -67,7 +58,6 @@ from .mpoly import (
     normal_form,
     witt_P_pair,
     witt_Q,
-    witt_R,
 )
 from .oracle import FiniteRing, UniversalModule, brute_fw, cross_check
 from .ringfile import parse_ring, render_ring
@@ -79,7 +69,6 @@ __all__ = [
     "FWDiffError",
     "FWPresentation",
     "FiniteRing",
-    "FlatnessRequiredError",
     "GaloisField",
     "GaloisRing",
     "GroebnerBasis",
@@ -99,21 +88,16 @@ __all__ = [
     "SparsePoly",
     "UniversalModule",
     "UnsupportedClassError",
-    "ZZ",
     "ZeroDivisorError",
     "base_change_map",
     "brute_fw",
     "check_axioms",
-    "check_prdx",
-    "check_split_sequence",
-    "cotangent_dim",
     "cross_check",
     "fiber_dim_point",
     "fiber_dim_prime",
     "frobenius_twist",
     "groebner",
     "krull_dim",
-    "local_dim",
     "normal_form",
     "parse_ring",
     "present_fw",
@@ -122,12 +106,8 @@ __all__ = [
     "relative_cokernel",
     "render_ring",
     "residue_p_rank",
-    "twisted_relative_kahler",
     "w_base",
     "w_poly",
-    "w_poly_charp",
-    "witt_P",
     "witt_P_pair",
     "witt_Q",
-    "witt_R",
 ]

@@ -19,7 +19,6 @@ import sys
 
 from . import __version__
 from .errors import (
-    FlatnessRequiredError,
     OffSchemeError,
     PresentationError,
     RingFileError,
@@ -38,10 +37,20 @@ from .localalg import (
 from .oracle import cross_check
 from .ringfile import parse_point_coords, parse_prime_gens, parse_ring
 
-REFUSAL_ERRORS = (SizeRefusalError, UnsupportedClassError,
-                  FlatnessRequiredError)
+REFUSAL_ERRORS = (SizeRefusalError, UnsupportedClassError)
 INPUT_ERRORS = (RingFileError, PresentationError, OffSchemeError,
                 ZeroDivisorError, OSError)
+
+
+def _int_at_least(lo):
+    """An argparse type: an integer no smaller than lo."""
+    def parse(text):
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, not {n}")
+        return n
+    parse.__name__ = "int"  # argparse reports "invalid int value: ..."
+    return parse
 
 
 def build_parser():
@@ -76,13 +85,13 @@ def build_parser():
     ring_flags(p, locus=True)
     p = sub.add_parser("oracle", help="brute-force cross-check")
     ring_flags(p)
-    p.add_argument("--max-size", type=int, default=None,
+    p.add_argument("--max-size", type=_int_at_least(1), default=None,
                    help="override the ring-size bound for the brute force")
     p = sub.add_parser("axioms", help="randomized derivation-axiom check")
     p.add_argument("--p", type=int, required=True, help="the prime")
-    p.add_argument("--nvars", type=int, default=2,
+    p.add_argument("--nvars", type=_int_at_least(0), default=2,
                    help="number of variables (default 2)")
-    p.add_argument("--trials", type=int, default=500,
+    p.add_argument("--trials", type=_int_at_least(1), default=500,
                    help="number of random trials (default 500)")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed (default 0)")

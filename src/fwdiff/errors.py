@@ -45,7 +45,3 @@ class SizeRefusalError(FWDiffError):
 
 class UnsupportedClassError(FWDiffError):
     """The input is valid but outside the class the method can decide."""
-
-
-class FlatnessRequiredError(FWDiffError):
-    """A mixed-characteristic dimension needs the user to assert flatness."""

@@ -14,14 +14,14 @@ in closed form:
 where Q is the multivariate Witt carry of mpoly.witt_Q.  Bases of
 characteristic p are handled by the same formula through the flat cover
 Z/p^2 or GR(p^2, e): the relation "p" turns the w(p) coordinate into a
-unit column, so it is dropped.  The direct twisted-gradient formula
-w_poly_charp is kept as an independent route and compared in the tests.
+unit column, so it is dropped.  (There the column is the twisted
+gradient of f; the tests compare it with that direct formula.)
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import PresentationError
 from .modarith import (
@@ -42,7 +42,6 @@ from .mpoly import (
     SparsePoly,
     frobenius_twist,
     groebner,
-    normal_form,
     witt_P_pair,
     witt_Q,
 )
@@ -99,10 +98,6 @@ class RingPresentation:
     def carrier_basis(self):
         return groebner(self.relations_mod_p(), ring=self.carrier_ring)
 
-    def with_extra_relations(self, extra):
-        return RingPresentation(self.base, self.variables,
-                                self.relations + tuple(extra))
-
     def describe(self):
         return {
             "base": self.base.tag(),
@@ -125,12 +120,6 @@ class FWPresentation:
     @property
     def ngens(self):
         return len(self.generators)
-
-    def rows(self):
-        """Matrix rows (one per generator) over the carrier."""
-        return [
-            [col[i] for col in self.columns] for i in range(self.ngens)
-        ]
 
     def describe(self):
         return {
@@ -166,13 +155,6 @@ def w_poly(f):
     wp_poly = kring.poly(wp) - witt_Q(f).map_coeffs(k, reduce_mod_p)
     out.append(wp_poly)
     return out
-
-
-def w_poly_charp(f):
-    """Frobenius-twisted gradient: the direct characteristic-p formula."""
-    if not f.ring.coeff.is_field:
-        raise PresentationError("w_poly_charp needs field coefficients")
-    return [frobenius_twist(f.derivative(j)) for j in range(f.ring.nvars)]
 
 
 def _lift_poly(f):
@@ -247,9 +229,7 @@ class AxiomReport:
 def random_scalar(rng, R):
     if isinstance(R, (GaloisField, GaloisRing)):
         return Residue(R, tuple(rng.randrange(R.modulus) for _ in range(R.degree)))
-    if hasattr(R, "modulus"):
-        return R.of_int(rng.randrange(R.modulus))
-    return R.of_int(rng.randint(-9, 9))
+    return R.of_int(rng.randrange(R.modulus))
 
 
 def random_poly(rng, ring, max_terms=3, max_degree=2):
@@ -412,40 +392,4 @@ def base_change_map(morph: PresentationMorphism) -> BaseChangeMap:
 def relative_cokernel(morph: PresentationMorphism) -> FWPresentation:
     """Coker(FW(A) tensor B -> FW(B)): append the base-change columns."""
     bc = base_change_map(morph)
-    tgt = bc.target_fw
-    return FWPresentation(
-        ring=tgt.ring,
-        carrier_ring=tgt.carrier_ring,
-        carrier=tgt.carrier,
-        generators=tgt.generators,
-        columns=tgt.columns + bc.columns,
-        has_wp=tgt.has_wp,
-    )
-
-
-def twisted_relative_kahler(morph: PresentationMorphism) -> FWPresentation:
-    """Frobenius-twisted relative Kaehler differentials of the carriers.
-
-    Independent route for the cokernel: generators are the twisted dY_k
-    of the target carrier, with twisted Jacobian columns of the target
-    relations and of the images of the source variables.
-    """
-    tgt = morph.target
-    k = tgt.residue_field
-    gb = tgt.carrier_basis()
-    cols = []
-    for g in tgt.relations_mod_p():
-        cols.append(tuple(gb.normal_form(e) for e in w_poly_charp(g)))
-    for j in range(len(morph.source.variables)):
-        img = morph.push(morph.source.poly_ring.gen(j))
-        if not tgt.is_charp:
-            img = img.map_coeffs(k, reduce_mod_p)
-        cols.append(tuple(gb.normal_form(e) for e in w_poly_charp(img)))
-    return FWPresentation(
-        ring=tgt,
-        carrier_ring=tgt.carrier_ring,
-        carrier=gb,
-        generators=tuple(f"F*d({v})" for v in tgt.variables),
-        columns=tuple(cols),
-        has_wp=False,
-    )
+    return replace(bc.target_fw, columns=bc.target_fw.columns + bc.columns)

@@ -1,40 +1,12 @@
-"""Exact linear algebra: Gaussian elimination over the small fields,
-fraction-free elimination over quotient domains, and an int64 numpy row
-space mod p for the brute-force oracle."""
+"""Exact linear algebra: fraction-free elimination over fields and
+quotient domains, and an int64 numpy row space mod p for the brute-force
+oracle."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import SizeRefusalError, ZeroDivisorError
-
-
-def rank_over_field(rows):
-    """Rank of a matrix of field Residues by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if not rows[r][col].is_zero():
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [inv * x for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and not rows[r][col].is_zero():
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
 
 
 def rank_fraction_free(rows, nf):
@@ -45,6 +17,8 @@ def rank_fraction_free(rows, nf):
     as invertible otherwise.  Elimination is by cross-multiplication, so
     no inverses are ever formed.  If two nonzero residues multiply to
     zero, the quotient was not a domain and ZeroDivisorError names them.
+    Over a field, pass the identity as nf: cross-multiplication is exact
+    there and no zero divisor exists.
     """
     rows = [[nf(e) for e in r] for r in rows]
     if not rows:
@@ -103,15 +77,6 @@ class ModPSpan:
     def rank(self):
         return len(self.pivots)
 
-    def reduce(self, rows):
-        """Reduce rows against the basis; returns the reduced array."""
-        rows = np.asarray(rows, dtype=np.int64) % self.p
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        for piv, brow in zip(self.pivots, self.basis):
-            rows = (rows - np.outer(rows[:, piv], brow)) % self.p
-        return rows
-
     def add_rows(self, rows):
         """Insert rows by Gauss-Jordan on the basis and the rows together,
         one pivot column at a time, touching only the rows nonzero in it;
@@ -137,6 +102,3 @@ class ModPSpan:
         self.basis = m[:len(pivots)].copy()
         self.pivots = pivots
         return self.rank
-
-    def contains(self, row):
-        return not self.reduce(row).any()

@@ -27,23 +27,13 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
-    FlatnessRequiredError,
     OffSchemeError,
     PresentationError,
     UnsupportedClassError,
 )
 from .fwcore import FWPresentation, RingPresentation, present_fw
-from .linalg import rank_fraction_free, rank_over_field
-from .modarith import (
-    GaloisField,
-    PrimeField,
-    PrimeSquareRing,
-    Residue,
-    embed,
-    lift_to_p2,
-    p2_cover_of,
-    reduce_mod_p,
-)
+from .linalg import rank_fraction_free
+from .modarith import GaloisField, PrimeField, Residue, embed
 from .mpoly import (
     PolyRing,
     SparsePoly,
@@ -90,9 +80,8 @@ class PointSpec:
 
     @classmethod
     def of(cls, ring_pres, values):
-        k = ring_pres.residue_field
         coords = []
-        fld = k
+        fld = ring_pres.residue_field
         for v in values:
             if isinstance(v, Residue):
                 fld = _common_field(fld, v.ring)
@@ -209,15 +198,23 @@ class PrimeSpec:
 # ---------------------------------------------------------------------------
 # fibers
 
+def _same_ring(M: FWPresentation, locus):
+    if M.ring != locus.ring:
+        raise PresentationError(
+            "the locus belongs to a different presentation than the module")
+
+
+def _point_matrix(M: FWPresentation, x: PointSpec):
+    """The relation matrix evaluated at x, one row per generator."""
+    fld = x.field
+    return [[col[i].evaluate(x.coordinates, fld) for col in M.columns]
+            for i in range(M.ngens)]
+
+
 def fiber_dim_point(M: FWPresentation, x: PointSpec) -> int:
     """dim over k(x) of the module fiber: generators minus matrix rank."""
-    assert M.ring == x.ring, "point belongs to a different presentation"
-    fld = x.field
-    rows = [
-        [col[i].evaluate(x.coordinates, fld) for col in M.columns]
-        for i in range(M.ngens)
-    ]
-    return M.ngens - rank_over_field(rows)
+    _same_ring(M, x)
+    return M.ngens - rank_fraction_free(_point_matrix(M, x), lambda e: e)
 
 
 def fiber_dim_prime(M: FWPresentation, P: PrimeSpec) -> int:
@@ -227,7 +224,7 @@ def fiber_dim_prime(M: FWPresentation, P: PrimeSpec) -> int:
     fraction-freely; any zero divisor the elimination trips over is
     reported as a primality counterexample.
     """
-    assert M.ring == P.ring, "prime belongs to a different presentation"
+    _same_ring(M, P)
     gb = P.total_basis
     rows = [[col[i] for col in M.columns] for i in range(M.ngens)]
     return M.ngens - rank_fraction_free(rows, gb.normal_form)
@@ -248,14 +245,18 @@ def residue_p_rank(ring_pres: RingPresentation, locus) -> int:
 # ---------------------------------------------------------------------------
 # local dimension
 
+def _relations_over(ring_pres, k):
+    """The carrier relations with coefficients embedded into the field k."""
+    return [f if f.ring.coeff == k else f.map_coeffs(k, lambda c: embed(c, k))
+            for f in ring_pres.relations_mod_p()]
+
+
 def _tangent_cone_dim(ring_pres, x: PointSpec) -> int:
     k = x.field
     n = len(ring_pres.variables)
-    ring = PolyRing(k, ring_pres.variables)
     shifted = []
-    for f in ring_pres.relations_mod_p():
-        g = f if f.ring == ring else f.map_coeffs(k, lambda c: embed(c, k))
-        g = g.shift(x.coordinates)
+    for f in _relations_over(ring_pres, k):
+        g = f.shift(x.coordinates)
         if not g.is_zero():
             shifted.append(g)
     if not shifted:
@@ -321,97 +322,6 @@ def _carrier_local_dim_certified(ring_pres, locus):
     return d, _ambient_equidimensional(ring_pres)
 
 
-def carrier_local_dim(ring_pres: RingPresentation, locus) -> int:
-    """Dimension of the carrier's local ring at the locus."""
-    return _carrier_local_dim_certified(ring_pres, locus)[0]
-
-
-def local_dim(ring_pres: RingPresentation, locus, flat=False) -> int:
-    """Krull dimension of the local ring of the presented ring at the locus.
-
-    Over a Z/p^2 base the presentation only determines the ring modulo
-    p^2; the dimension of the mixed-characteristic local ring is carrier
-    dimension + 1 only when the user asserts flatness over Z_(p).
-    """
-    d1 = carrier_local_dim(ring_pres, locus)
-    if ring_pres.is_charp:
-        return d1
-    if not flat:
-        raise FlatnessRequiredError(
-            "local dimension over a Z/p^2 base needs the flatness assertion "
-            "(--flat): it is not determined by the mod-p^2 presentation")
-    return d1 + 1
-
-
-# ---------------------------------------------------------------------------
-# cotangent space
-
-def _div_p(val: Residue, k):
-    """(val / p) in the residue field, for val divisible by p in the cover."""
-    ring = val.ring
-    p = ring.p
-    if isinstance(ring, PrimeSquareRing):
-        assert val.value % p == 0
-        return k.of_int(val.value // p)
-    assert all(v % p == 0 for v in val.value)
-    return Residue(k, tuple((v // p) % p for v in val.value))
-
-
-def _cotangent_rows(ring_pres, polys, x: PointSpec):
-    """One row per polynomial: its class in m/m^2 of the ambient at x.
-
-    Over a characteristic-p base the row is the evaluated (untwisted)
-    gradient; over Z/p^2 a leading column f(x~)/p is prepended, the
-    coordinate along the generator p of the maximal ideal.  The value
-    f(x~)/p is well defined up to the gradient columns, so ranks of row
-    collections are lift-independent.
-    """
-    k = x.field
-    n = len(ring_pres.variables)
-    rows = []
-    charp = ring_pres.is_charp
-    cover = None if charp else p2_cover_of(k)
-    lifts = None if charp else [lift_to_p2(c) for c in x.coordinates]
-    for f in polys:
-        fbar = f if charp else f.map_coeffs(ring_pres.residue_field,
-                                            reduce_mod_p)
-        grad = [fbar.derivative(j).evaluate(x.coordinates, k) for j in range(n)]
-        if charp:
-            rows.append(grad)
-        else:
-            val = f.evaluate(lifts, cover)
-            rows.append([_div_p(val, k)] + grad)
-    return rows
-
-
-def cotangent_dim(ring_pres: RingPresentation, x: PointSpec) -> int:
-    """dim_k m/m^2 of the local ring at x (the embedding dimension)."""
-    n = len(ring_pres.variables)
-    ambient = n if ring_pres.is_charp else n + 1
-    rows = _cotangent_rows(ring_pres, ring_pres.relations, x)
-    return ambient - rank_over_field(rows)
-
-
-def check_prdx(ring_pres: RingPresentation, x: PointSpec) -> dict:
-    """Exactness-of-dimensions check at a closed point.
-
-    The cotangent sequence forces dim fiber = dim m/m^2 at points (the
-    residue field is finite, hence perfect, so its differential term
-    vanishes).  The two sides come from independent matrices: the fiber
-    from the twisted relation columns, the cotangent space from the
-    untwisted Jacobian with the p-column.
-    """
-    fw = present_fw(ring_pres)
-    fiber = fiber_dim_point(fw, x)
-    cot = cotangent_dim(ring_pres, x)
-    return {
-        "point": x.describe(),
-        "fiber_dim": fiber,
-        "cotangent_dim": cot,
-        "consistent": fiber == cot,
-    }
-
-
 # ---------------------------------------------------------------------------
 # regularity
 
@@ -440,11 +350,7 @@ class RegularityVerdict:
 
 
 def _point_certificate(fw, x):
-    fld = x.field
-    rows = [
-        [str(col[i].evaluate(x.coordinates, fld)) for col in fw.columns]
-        for i in range(fw.ngens)
-    ]
+    rows = [[str(e) for e in row] for row in _point_matrix(fw, x)]
     return {"generators": list(fw.generators), "evaluated_matrix": rows}
 
 
@@ -498,50 +404,13 @@ def regularity(ring_pres: RingPresentation, locus, flat=False) -> RegularityVerd
                     "guaranteed class (non-equidimensional ambient at a prime)")
 
 
-def check_split_sequence(ring_pres: RingPresentation, quotient_rels, x,
-                         flat=False) -> dict:
-    """Rank additivity for a regular quotient pair at a point.
-
-    For B = A/(g_1..g_s) with A and B both regular at x, the conormal
-    classes of the g_i split off: dim fiber_A = s' + dim fiber_B, where
-    s' is the dimension of the span of the g_i in m/m^2 of A at x.  The
-    left side uses twisted matrices, the right side untwisted ones, so
-    agreement is a genuine cross-check.
-    """
-    quotient_rels = tuple(quotient_rels)
-    target = ring_pres.with_extra_relations(quotient_rels)
-    xA = x if x.ring == ring_pres else PointSpec(ring_pres, x.coordinates)
-    xB = PointSpec(target, xA.coordinates)
-    verdict_A = regularity(ring_pres, xA, flat=flat)
-    verdict_B = regularity(target, xB, flat=flat)
-    base_rows = _cotangent_rows(ring_pres, ring_pres.relations, xA)
-    quot_rows = _cotangent_rows(ring_pres, quotient_rels, xA)
-    s_prime = rank_over_field(base_rows + quot_rows) - rank_over_field(base_rows)
-    fiber_A = fiber_dim_point(present_fw(ring_pres), xA)
-    fiber_B = fiber_dim_point(present_fw(target), xB)
-    return {
-        "point": xA.describe(),
-        "regular_A": verdict_A.verdict,
-        "regular_B": verdict_B.verdict,
-        "hypothesis_ok": verdict_A.verdict == "Regular"
-                         and verdict_B.verdict == "Regular",
-        "fiber_A": fiber_A,
-        "fiber_B": fiber_B,
-        "s_prime": s_prime,
-        "consistent": fiber_A == s_prime + fiber_B,
-    }
-
-
 # ---------------------------------------------------------------------------
 # point enumeration (sweeps and oracles)
 
 def rational_points(ring_pres: RingPresentation, field=None):
     """All points of the carrier with coordinates in the given field."""
     k = field if field is not None else ring_pres.residue_field
-    rels = []
-    for f in ring_pres.relations_mod_p():
-        rels.append(f if f.ring.coeff == k
-                    else f.map_coeffs(k, lambda c: embed(c, k)))
+    rels = _relations_over(ring_pres, k)
     out = []
     for combo in itertools.product(list(k.elements()),
                                    repeat=len(ring_pres.variables)):

@@ -1,17 +1,16 @@
 """Exact arithmetic for the coefficient rings of the kernel.
 
-Five rings appear: the integers Z (used for exact lifts), the prime field
-F_p, the ring Z/p^2, the field F_{p^e} presented as F_p[t]/(m), and the
-Galois ring GR(p^2, e) = (Z/p^2)[t]/(m~) obtained by lifting m coefficient
-by coefficient.  Elements are stored as canonical least-nonnegative
-representatives: plain ints for Z, F_p and Z/p^2, coefficient tuples of
-fixed length e for the extensions.  Every operation reduces eagerly.
+Four rings appear: the prime field F_p, the ring Z/p^2, the field
+F_{p^e} presented as F_p[t]/(m), and the Galois ring GR(p^2, e) =
+(Z/p^2)[t]/(m~) obtained by lifting m coefficient by coefficient.
+Elements are stored as canonical least-nonnegative representatives:
+plain ints for F_p and Z/p^2, coefficient tuples of fixed length e for
+the extensions.  Every operation reduces eagerly.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 from .errors import PresentationError
 
@@ -69,7 +68,9 @@ class Residue:
         return Residue(self.ring, self.ring._neg(self.value))
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise PresentationError(
+                f"exponent must be a nonnegative integer, not {n!r}")
         return Residue(self.ring, self.ring._pow(self.value, n))
 
     def inv(self):
@@ -138,48 +139,6 @@ class _BaseRing:
 
     def __repr__(self):
         return self.tag()
-
-
-class IntegerRing(_BaseRing):
-    """Exact integers, used for flat lifts of Z/p^2 data."""
-
-    p = 0
-    is_field = False
-
-    def tag(self):
-        return "ZZ"
-
-    def _of_int(self, n):
-        return n
-
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
-    def _mul(self, a, b):
-        return a * b
-
-    def _neg(self, a):
-        return -a
-
-    def _inv(self, a):
-        if a in (1, -1):
-            return a
-        raise PresentationError(f"{a} is not invertible in ZZ")
-
-    def _to_str(self, a):
-        return str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("ZZ")
-
-
-ZZ = IntegerRing()
 
 
 class _ModRing(_BaseRing):
@@ -260,9 +219,6 @@ class PrimeSquareRing(_ModRing):
             raise ZeroDivisionError(f"{a} is not a unit in Z/{self.modulus}")
         return pow(a, -1, self.modulus)
 
-    def residue_field(self):
-        return PrimeField(self.p)
-
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers over Z/m, used for extension-ring arithmetic and
@@ -304,6 +260,15 @@ def _upoly_rem(a, b, m):
     return a
 
 
+def _base_p_digits(n, p, count):
+    """The count lowest base-p digits of n, least significant first."""
+    out = []
+    for _ in range(count):
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
+
+
 def _is_irreducible(coeffs, p):
     """Brute-force factor search for a monic polynomial over F_p."""
     e = len(coeffs) - 1
@@ -312,12 +277,7 @@ def _is_irreducible(coeffs, p):
         return True
     for d in range(1, e // 2 + 1):
         for k in range(p**d):
-            cand = []
-            kk = k
-            for _ in range(d):
-                cand.append(kk % p)
-                kk //= p
-            cand.append(1)  # monic
+            cand = _base_p_digits(k, p, d) + [1]  # monic
             if not _upoly_rem(coeffs, cand, p):
                 return False
     return True
@@ -333,12 +293,7 @@ def default_minpoly(p, e):
     _require_prime(p)
     assert 1 <= e <= 8, "extension degree limited to 8"
     for k in range(p**e):
-        coeffs = []
-        kk = k
-        for _ in range(e):
-            coeffs.append(kk % p)
-            kk //= p
-        coeffs.append(1)
+        coeffs = _base_p_digits(k, p, e) + [1]
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -443,11 +398,7 @@ class GaloisField(_ExtensionRing):
     def elements(self):
         e, p = self.degree, self.p
         for k in range(p**e):
-            v, kk = [], k
-            for _ in range(e):
-                v.append(kk % p)
-                kk //= p
-            yield Residue(self, tuple(v))
+            yield Residue(self, tuple(_base_p_digits(k, p, e)))
 
 
 class GaloisRing(_ExtensionRing):
@@ -470,11 +421,7 @@ class GaloisRing(_ExtensionRing):
         if all(x % self.p == 0 for x in a):
             raise ZeroDivisionError(f"{a} is not a unit in {self.tag()}")
         # lift the inverse of the residue through one Hensel step
-        k = self.residue_field()
-        abar = tuple(x % self.p for x in a)
-        ibar = k._inv(abar)
-        i0 = tuple(ibar) if isinstance(ibar, tuple) else ibar
-        x = tuple(c % self.modulus for c in i0)
+        x = self.residue_field()._inv(tuple(c % self.p for c in a))
         # x <- x * (2 - a x)
         t = self._sub(self._of_int(2), self._mul(a, x))
         return self._mul(x, t)
@@ -542,24 +489,9 @@ def embed(a: Residue, target) -> Residue:
 # ---------------------------------------------------------------------------
 # Witt data
 
-def witt_P(p):
-    """The carry polynomial of Witt-vector addition.
-
-    P = ((X+Y)^p - X^p - Y^p)/p, an integer polynomial with coefficients
-    binom(p, i)/p = (p-1)!/(i!(p-i)!) on X^i Y^(p-i), 0 < i < p.
-    """
-    from .mpoly import PolyRing  # deferred: mpoly imports this module
-
-    _require_prime(p)
-    ring = PolyRing(ZZ, ("X", "Y"))
-    terms = {}
-    for i in range(1, p):
-        terms[(i, p - i)] = ZZ.of_int(math.comb(p, i) // p)
-    return ring.poly(terms)
-
-
 def witt_P_scalars(a: Residue, b: Residue) -> Residue:
-    """P(a, b) evaluated on two elements of the same ring."""
+    """The Witt carry P(a, b) = ((a + b)^p - a^p - b^p)/p, that is the sum
+    of binom(p, i)/p * a^i * b^(p-i) over 0 < i < p, on one ring."""
     ring = a.ring
     b = ring.coerce(b)
     p = ring.p

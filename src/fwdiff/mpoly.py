@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials, monomial orders, Buchberger bases.
 
 Monomials are exponent tuples; polynomials are dicts from monomial to
-nonzero coefficient, kept canonical at all times.  Three monomial orders
-are provided: grevlex (default), lex, and a homogenized-local order used
-by the tangent-cone computation, in which the first variable is the
+nonzero coefficient, kept canonical at all times.  Two monomial orders
+are provided: grevlex (default) and a homogenized-local order used by
+the tangent-cone computation, in which the first variable is the
 homogenizer and ties are broken by negative degree on the rest.
 """
 
@@ -14,14 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import PresentationError
-from .modarith import (
-    ZZ,
-    GaloisRing,
-    PrimeSquareRing,
-    Residue,
-    embed,
-    witt_P_scalars,
-)
+from .modarith import GaloisRing, PrimeSquareRing, Residue, embed
 
 
 def mono_mul(a, b):
@@ -50,10 +43,6 @@ def _key_grevlex(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def _key_lex(m):
-    return m
-
-
 def _key_homoglocal(m):
     # first exponent is the homogenizer; ties on total degree are broken
     # by negative degree then grevlex on the remaining variables
@@ -63,7 +52,6 @@ def _key_homoglocal(m):
 
 _ORDERS = {
     "grevlex": _key_grevlex,
-    "lex": _key_lex,
     "homoglocal": _key_homoglocal,
 }
 
@@ -91,7 +79,10 @@ class PolyRing:
         for m, c in terms.items():
             c = self.coeff.coerce(c)
             if not c.is_zero():
-                assert len(m) == self.nvars
+                if len(m) != self.nvars:
+                    raise PresentationError(
+                        f"monomial {m} has {len(m)} exponents, the ring "
+                        f"has {self.nvars} variables")
                 clean[m] = c
         return SparsePoly(self, clean)
 
@@ -104,10 +95,6 @@ class PolyRing:
     def constant(self, c):
         return self.poly({(0,) * self.nvars: self.coeff.coerce(c)})
 
-    def var(self, name):
-        i = self.variables.index(name)
-        return self.gen(i)
-
     def gen(self, i):
         m = [0] * self.nvars
         m[i] = 1
@@ -118,9 +105,6 @@ class PolyRing:
 
     def with_coeff(self, coeff):
         return PolyRing(coeff, self.variables, self.order)
-
-    def with_order(self, order):
-        return PolyRing(self.coeff, self.variables, order)
 
     def __eq__(self, other):
         return (
@@ -200,7 +184,9 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise PresentationError(
+                f"exponent must be a nonnegative integer, not {n!r}")
         result = self.ring.one()
         base = self
         while n:
@@ -228,8 +214,7 @@ class SparsePoly:
 
     def __hash__(self):
         return hash((self.ring, frozenset(
-            (m, c.value if isinstance(c.value, (int, tuple)) else str(c))
-            for m, c in self.terms.items())))
+            (m, c.value) for m, c in self.terms.items())))
 
     def sorted_terms(self):
         """Terms in descending monomial order; the canonical reading."""
@@ -247,11 +232,6 @@ class SparsePoly:
         if not self.terms:
             return -1
         return max(mono_deg(m) for m in self.terms)
-
-    def degree_in(self, i):
-        if not self.terms:
-            return -1
-        return max(m[i] for m in self.terms)
 
     def monic(self):
         if self.is_zero():
@@ -290,7 +270,7 @@ class SparsePoly:
         """
         if target is None:
             target = coords[0].ring if coords else self.ring.coeff
-        assert len(coords) == self.ring.nvars
+        self._check_arity(coords)
         total = target.zero()
         for m, c in self.terms.items():
             v = embed(c, target)
@@ -300,10 +280,16 @@ class SparsePoly:
             total = total + v
         return total
 
+    def _check_arity(self, coords):
+        if len(coords) != self.ring.nvars:
+            raise PresentationError(
+                f"{len(coords)} coordinates given, the ring has "
+                f"{self.ring.nvars} variables")
+
     def shift(self, coords):
         """Substitute X_j -> X_j + c_j (translation of the origin)."""
         ring = self.ring
-        assert len(coords) == ring.nvars
+        self._check_arity(coords)
         cache = {}
 
         def binom_pow(j, e):
@@ -405,9 +391,6 @@ class GroebnerBasis:
     def normal_form(self, f):
         return normal_form(f, list(self.polys))
 
-    def contains(self, f):
-        return self.normal_form(f).is_zero()
-
     def is_trivial(self):
         """True when the ideal is the unit ideal (empty scheme)."""
         return any(p.total_degree() == 0 for p in self.polys)
@@ -415,32 +398,22 @@ class GroebnerBasis:
     def lead_monomials(self):
         return [p.lead_monomial() for p in self.polys]
 
-    def verify(self):
-        """Post-hoc Buchberger criterion: every S-polynomial reduces to 0."""
-        polys = list(self.polys)
-        for i in range(len(polys)):
-            for j in range(i + 1, len(polys)):
-                if not normal_form(spoly(polys[i], polys[j]), polys).is_zero():
-                    return False
-        return True
 
-    def __iter__(self):
-        return iter(self.polys)
-
-
-def groebner(gens, ring=None, verify=False):
+def groebner(gens, ring=None):
     """Buchberger's algorithm with sugar-strategy pair selection.
 
     Returns the reduced basis (monic, interreduced, deterministically
-    sorted).  With verify=True the Buchberger criterion is re-checked on
-    the final basis.
+    sorted).
     """
     gens = [g for g in gens if not g.is_zero()]
     if ring is None:
         if not gens:
             raise PresentationError("empty generator list needs an explicit ring")
         ring = gens[0].ring
-    assert ring.coeff.is_field, "Groebner bases are computed over fields only"
+    if not ring.coeff.is_field:
+        raise PresentationError(
+            f"Groebner bases are computed over fields only, not over "
+            f"{ring.coeff.tag()}")
     basis = []
     sugars = []
     pairs = []
@@ -492,10 +465,7 @@ def groebner(gens, ring=None, verify=False):
         if not r.is_zero():
             reduced.append(r.monic())
     reduced.sort(key=lambda f: ring.key(f.lead_monomial()))
-    gb = GroebnerBasis(ring, tuple(reduced))
-    if verify:
-        assert gb.verify(), "Buchberger criterion failed"
-    return gb
+    return GroebnerBasis(ring, tuple(reduced))
 
 
 def groebner_extended(gens):
@@ -626,7 +596,6 @@ def frobenius_twist(f):
     """Sum of c^p X^(p*m) over the terms of f: the p-th power when the
     coefficients live in characteristic p, the twist f^(p) otherwise."""
     p = f.ring.coeff.p
-    assert p, "frobenius_twist needs a characteristic-p or p^2 coefficient ring"
     out = {}
     for m, c in f.terms.items():
         v = c**p
@@ -671,7 +640,6 @@ def witt_Q(f):
     R = f.ring.coeff
     terms = f.sorted_terms()
     if isinstance(R, PrimeSquareRing):
-        zring = f.ring.with_coeff(ZZ)
         lifted = [(m, c.value) for m, c in terms]
         acc = {}
         for combo, coef in _multinomial_tuples(R.p, len(lifted)):
@@ -695,21 +663,6 @@ def witt_Q(f):
             total = total + part
         return total
     raise PresentationError(f"witt_Q needs p^2-torsion coefficients, got {R.tag()}")
-
-
-def witt_R(f, g):
-    """Matched-monomial carry R(f, g) = sum_m P(a_m, b_m) X^(p*m)."""
-    assert f.ring == g.ring
-    R = f.ring.coeff
-    p = R.p
-    out = {}
-    for m in set(f.terms) | set(g.terms):
-        a = f.terms.get(m, R.zero())
-        b = g.terms.get(m, R.zero())
-        v = witt_P_scalars(a, b)
-        if not v.is_zero():
-            out[tuple(p * e for e in m)] = v
-    return SparsePoly(f.ring, out)
 
 
 def witt_P_pair(f, g):

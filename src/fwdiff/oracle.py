@@ -50,12 +50,7 @@ import numpy as np
 from .errors import PresentationError, SizeRefusalError
 from .fwcore import FWPresentation, RingPresentation
 from .linalg import ModPSpan
-from .modarith import (
-    GaloisField,
-    Residue,
-    lift_to_p2,
-    reduce_mod_p,
-)
+from .modarith import lift_to_p2, reduce_mod_p
 from .mpoly import (
     GroebnerBasis,
     divide,
@@ -80,10 +75,22 @@ def _size_cap(p, max_size):
     return cap
 
 
-def _field_digits(c: Residue):
-    if isinstance(c.value, tuple):
-        return list(c.value)
-    return [c.value]
+def _field_basis(k):
+    """The F_p-basis 1, t, .., t^(e-1) of a residue field of degree e."""
+    basis = [k.one()]
+    for _ in range(1, k.degree):
+        basis.append(basis[-1] * k.generator())
+    return basis
+
+
+def _fp_digits(poly, S, k):
+    """F_p-coordinates of a carrier element with standard monomials S,
+    on the basis (standard monomial) x (field basis)."""
+    out = []
+    for m in S:
+        c = poly.terms.get(m, k.zero())
+        out.extend(c.value if isinstance(c.value, tuple) else [c.value])
+    return out
 
 
 class FiniteRing:
@@ -105,7 +112,6 @@ class FiniteRing:
         self._add_fn = add_fn
         self._mul_fn = mul_fn
         self.basis_lifts = list(basis_lifts)
-        self._reduce_vec = reduce_vec
         n = self.size
         while n % p == 0:
             n //= p
@@ -218,12 +224,6 @@ class FiniteRing:
             total = self.add[total, self.int_mult_idx(math.comb(p, k) // p, term)]
         return total
 
-    def reordered(self, perm):
-        """The same ring with elements listed in a different order."""
-        elems = [self.elements[t] for t in perm]
-        return FiniteRing(self.p, elems, self._add_fn, self._mul_fn,
-                          self.basis_lifts, self._reduce_vec, self.label)
-
     @classmethod
     def from_presentation(cls, ring_pres: RingPresentation, max_size=None):
         if ring_pres.is_charp:
@@ -250,29 +250,12 @@ def _finite_ring_charp(ring_pres, max_size):
     elems = []
     for combo in itertools.product(list(k.elements()), repeat=len(S)):
         elems.append(cring.poly(dict(zip(S, combo))))
-    gens = []
-    e = getattr(k, "degree", 1)
-    t = k.generator() if isinstance(k, GaloisField) else k.one()
-    for m in S:
-        c = k.one()
-        for _ in range(e):
-            gens.append(cring.poly({m: c}))
-            c = c * t
-    if len(gens) != e * len(S):
-        raise AssertionError("basis size mismatch")
-
-    def reduce_vec(a):
-        out = []
-        for m in S:
-            c = a.terms.get(m, k.zero())
-            out.extend(_field_digits(c))
-        return out
-
+    gens = [cring.poly({m: c}) for m in S for c in _field_basis(k)]
     return FiniteRing(
         ring_pres.p, elems,
         add_fn=lambda a, b: a + b,
         mul_fn=lambda a, b: gb.normal_form(a * b),
-        basis_lifts=gens, reduce_vec=reduce_vec,
+        basis_lifts=gens, reduce_vec=lambda a: _fp_digits(a, S, k),
         label=_label_of(ring_pres),
     )
 
@@ -429,40 +412,6 @@ class UniversalModule:
     rank: int
     span: ModPSpan = field(repr=False)
 
-    def free_coords(self):
-        """Coordinates (element index, basis index) spanning the quotient."""
-        taken = set(self.span.pivots)
-        e = self.ring.carrier_dim
-        return [(c // e, c % e) for c in range(self.ncols) if c not in taken]
-
-    def basis_certificates(self):
-        out = []
-        for a, k in self.free_coords():
-            beta = self.ring.elements[self.ring.basis_idx[k]]
-            out.append(f"({beta}) * w({self.ring.elements[a]})")
-        return out
-
-    def action_matrix(self, r_idx):
-        """Matrix of multiplication by a ring element on the free coords."""
-        free = self.free_coords()
-        e = self.ring.carrier_dim
-        cols = []
-        for a, k in free:
-            prod = self.ring.mul[r_idx, self.ring.basis_idx[k]]
-            vec = np.zeros(self.ncols, dtype=np.int64)
-            vec[a * e:(a + 1) * e] = self.ring.reduce_mat[prod]
-            vec = self.span.reduce(vec)[0]
-            cols.append([vec[x * e + t] for (x, t) in free])
-        return np.array(cols, dtype=np.int64).T
-
-    def describe(self):
-        return {
-            "ring": self.ring.label,
-            "size": self.ring.size,
-            "dimension": self.dimension,
-            "basis": self.basis_certificates(),
-        }
-
 
 def brute_fw(ring: FiniteRing) -> UniversalModule:
     """The universal module, by one big F_p rank computation."""
@@ -498,21 +447,8 @@ def presented_fp_dimension(fw: FWPresentation) -> int:
     if krull_dim(gb) > 0:
         raise PresentationError("carrier is infinite; no total F_p-dimension")
     S = standard_monomials(gb)
-    e = getattr(k, "degree", 1)
-    t = k.generator() if isinstance(k, GaloisField) else k.one()
-    scalars = []
-    c = k.one()
-    for _ in range(e):
-        scalars.append(c)
-        c = c * t
-
-    def digits(poly):
-        out = []
-        for m in S:
-            out.extend(_field_digits(poly.terms.get(m, k.zero())))
-        return out
-
-    total = e * len(S) * fw.ngens
+    scalars = _field_basis(k)
+    total = len(scalars) * len(S) * fw.ngens
     span = ModPSpan(fw.ring.p, total)
     rows = []
     for col in fw.columns:
@@ -521,7 +457,7 @@ def presented_fp_dimension(fw: FWPresentation) -> int:
                 u = fw.carrier_ring.poly({m: sc})
                 row = []
                 for entry in col:
-                    row.extend(digits(gb.normal_form(u * entry)))
+                    row.extend(_fp_digits(gb.normal_form(u * entry), S, k))
                 rows.append(row)
     if rows:
         span.add_rows(np.array(rows, dtype=np.int64))

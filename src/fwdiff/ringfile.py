@@ -28,7 +28,7 @@ from .modarith import (
     PrimeSquareRing,
     default_minpoly,
 )
-from .mpoly import PolyRing, SparsePoly
+from .mpoly import PolyRing
 
 _BASE_TAGS = ("Fp", "Fq", "Zp2")
 
@@ -264,7 +264,8 @@ def _parse_minpoly(tokens, p, e, where):
     return tuple(coeffs)
 
 
-def parse_ring_file(text) -> RingPresentation:
+def parse_ring(text) -> RingPresentation:
+    """Parse a ring file into a validated presentation."""
     base = None
     variables = None
     rel_lines = []
@@ -344,11 +345,6 @@ def _parse_vars(text, base, line, col):
         raise RingFileError("trailing comma in vars line", line,
                             col + len(text) - 1)
     return tuple(out)
-
-
-def parse_ring(text) -> RingPresentation:
-    """Parse a ring file into a validated presentation."""
-    return parse_ring_file(text)
 
 
 # ---------------------------------------------------------------------------

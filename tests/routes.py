@@ -1,0 +1,257 @@
+"""Test-only code: reference routes that compute by independent formulas
+what the library computes another way (Witt carries, twisted Jacobians,
+cotangent spaces), and helpers that inspect library objects."""
+
+import numpy as np
+
+from fwdiff.errors import PresentationError
+from fwdiff.fwcore import FWPresentation, RingPresentation, present_fw
+from fwdiff.linalg import rank_fraction_free
+from fwdiff.localalg import PointSpec, fiber_dim_point, regularity
+from fwdiff.modarith import (
+    PrimeSquareRing,
+    Residue,
+    lift_to_p2,
+    p2_cover_of,
+    reduce_mod_p,
+    witt_P_scalars,
+)
+from fwdiff.mpoly import PolyRing, SparsePoly, frobenius_twist
+from fwdiff.oracle import FiniteRing
+from fwdiff.ringfile import parse_poly
+
+
+def ring_of(base, varnames, relstrs):
+    """The presentation base[varnames]/(relstrs), relations as text."""
+    ring = PolyRing(base, tuple(varnames))
+    names = dict(zip(ring.variables, ring.gens()))
+    rels = tuple(parse_poly(r, ring, names) for r in relstrs)
+    return RingPresentation(base, tuple(varnames), rels)
+
+
+def field_rank(rows):
+    """Rank of a matrix of field Residues."""
+    return rank_fraction_free(rows, lambda e: e)
+
+
+# ---------------------------------------------------------------------------
+# Witt carries and twisted Jacobians
+
+def witt_R(f, g):
+    """Matched-monomial carry R(f, g) = sum_m P(a_m, b_m) X^(p*m)."""
+    assert f.ring == g.ring
+    R = f.ring.coeff
+    p = R.p
+    out = {}
+    for m in set(f.terms) | set(g.terms):
+        a = f.terms.get(m, R.zero())
+        b = g.terms.get(m, R.zero())
+        v = witt_P_scalars(a, b)
+        if not v.is_zero():
+            out[tuple(p * e for e in m)] = v
+    return SparsePoly(f.ring, out)
+
+
+def w_poly_charp(f):
+    """Frobenius-twisted gradient: the direct characteristic-p formula."""
+    if not f.ring.coeff.is_field:
+        raise PresentationError("w_poly_charp needs field coefficients")
+    return [frobenius_twist(f.derivative(j)) for j in range(f.ring.nvars)]
+
+
+def twisted_relative_kahler(morph) -> FWPresentation:
+    """Frobenius-twisted relative Kaehler differentials of the carriers.
+
+    Independent route for the cokernel: generators are the twisted dY_k
+    of the target carrier, with twisted Jacobian columns of the target
+    relations and of the images of the source variables.
+    """
+    tgt = morph.target
+    k = tgt.residue_field
+    gb = tgt.carrier_basis()
+    cols = []
+    for g in tgt.relations_mod_p():
+        cols.append(tuple(gb.normal_form(e) for e in w_poly_charp(g)))
+    for j in range(len(morph.source.variables)):
+        img = morph.push(morph.source.poly_ring.gen(j))
+        if not tgt.is_charp:
+            img = img.map_coeffs(k, reduce_mod_p)
+        cols.append(tuple(gb.normal_form(e) for e in w_poly_charp(img)))
+    return FWPresentation(
+        ring=tgt,
+        carrier_ring=tgt.carrier_ring,
+        carrier=gb,
+        generators=tuple(f"F*d({v})" for v in tgt.variables),
+        columns=tuple(cols),
+        has_wp=False,
+    )
+
+
+# ---------------------------------------------------------------------------
+# cotangent spaces
+
+def with_extra_relations(ring_pres, extra):
+    """The quotient of ring_pres by the extra relations."""
+    return RingPresentation(ring_pres.base, ring_pres.variables,
+                            ring_pres.relations + tuple(extra))
+
+
+def _div_p(val: Residue, k):
+    """(val / p) in the residue field, for val divisible by p in the cover."""
+    ring = val.ring
+    p = ring.p
+    if isinstance(ring, PrimeSquareRing):
+        assert val.value % p == 0
+        return k.of_int(val.value // p)
+    assert all(v % p == 0 for v in val.value)
+    return Residue(k, tuple((v // p) % p for v in val.value))
+
+
+def _cotangent_rows(ring_pres, polys, x: PointSpec):
+    """One row per polynomial: its class in m/m^2 of the ambient at x.
+
+    Over a characteristic-p base the row is the evaluated (untwisted)
+    gradient; over Z/p^2 a leading column f(x~)/p is prepended, the
+    coordinate along the generator p of the maximal ideal.  The value
+    f(x~)/p is well defined up to the gradient columns, so ranks of row
+    collections are lift-independent.
+    """
+    k = x.field
+    n = len(ring_pres.variables)
+    rows = []
+    charp = ring_pres.is_charp
+    cover = None if charp else p2_cover_of(k)
+    lifts = None if charp else [lift_to_p2(c) for c in x.coordinates]
+    for f in polys:
+        fbar = f if charp else f.map_coeffs(ring_pres.residue_field,
+                                            reduce_mod_p)
+        grad = [fbar.derivative(j).evaluate(x.coordinates, k) for j in range(n)]
+        if charp:
+            rows.append(grad)
+        else:
+            val = f.evaluate(lifts, cover)
+            rows.append([_div_p(val, k)] + grad)
+    return rows
+
+
+def cotangent_dim(ring_pres: RingPresentation, x: PointSpec) -> int:
+    """dim_k m/m^2 of the local ring at x (the embedding dimension)."""
+    n = len(ring_pres.variables)
+    ambient = n if ring_pres.is_charp else n + 1
+    rows = _cotangent_rows(ring_pres, ring_pres.relations, x)
+    return ambient - field_rank(rows)
+
+
+def check_prdx(ring_pres: RingPresentation, x: PointSpec) -> dict:
+    """Exactness-of-dimensions check at a closed point.
+
+    The cotangent sequence forces dim fiber = dim m/m^2 at points (the
+    residue field is finite, hence perfect, so its differential term
+    vanishes).  The two sides come from independent matrices: the fiber
+    from the twisted relation columns, the cotangent space from the
+    untwisted Jacobian with the p-column.
+    """
+    fw = present_fw(ring_pres)
+    fiber = fiber_dim_point(fw, x)
+    cot = cotangent_dim(ring_pres, x)
+    return {
+        "point": x.describe(),
+        "fiber_dim": fiber,
+        "cotangent_dim": cot,
+        "consistent": fiber == cot,
+    }
+
+
+def check_split_sequence(ring_pres: RingPresentation, quotient_rels, x,
+                         flat=False) -> dict:
+    """Rank additivity for a regular quotient pair at a point.
+
+    For B = A/(g_1..g_s) with A and B both regular at x, the conormal
+    classes of the g_i split off: dim fiber_A = s' + dim fiber_B, where
+    s' is the dimension of the span of the g_i in m/m^2 of A at x.  The
+    left side uses twisted matrices, the right side untwisted ones, so
+    agreement is a genuine cross-check.
+    """
+    quotient_rels = tuple(quotient_rels)
+    target = with_extra_relations(ring_pres, quotient_rels)
+    xA = x if x.ring == ring_pres else PointSpec(ring_pres, x.coordinates)
+    xB = PointSpec(target, xA.coordinates)
+    verdict_A = regularity(ring_pres, xA, flat=flat)
+    verdict_B = regularity(target, xB, flat=flat)
+    base_rows = _cotangent_rows(ring_pres, ring_pres.relations, xA)
+    quot_rows = _cotangent_rows(ring_pres, quotient_rels, xA)
+    s_prime = field_rank(base_rows + quot_rows) - field_rank(base_rows)
+    fiber_A = fiber_dim_point(present_fw(ring_pres), xA)
+    fiber_B = fiber_dim_point(present_fw(target), xB)
+    return {
+        "point": xA.describe(),
+        "regular_A": verdict_A.verdict,
+        "regular_B": verdict_B.verdict,
+        "hypothesis_ok": verdict_A.verdict == "Regular"
+                         and verdict_B.verdict == "Regular",
+        "fiber_A": fiber_A,
+        "fiber_B": fiber_B,
+        "s_prime": s_prime,
+        "consistent": fiber_A == s_prime + fiber_B,
+    }
+
+
+# ---------------------------------------------------------------------------
+# membership in a row space or an ideal
+
+def span_reduce(span, rows):
+    """Reduce rows against the basis of a ModPSpan; returns the array."""
+    rows = np.asarray(rows, dtype=np.int64) % span.p
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    for piv, brow in zip(span.pivots, span.basis):
+        rows = (rows - np.outer(rows[:, piv], brow)) % span.p
+    return rows
+
+
+def span_contains(span, row):
+    return not span_reduce(span, row).any()
+
+
+def ideal_contains(gb, f):
+    """Membership of f in the ideal of a Groebner basis."""
+    return gb.normal_form(f).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# finite rings and their universal modules
+
+def reordered(fr: FiniteRing, perm):
+    """The same ring with elements listed in a different order."""
+    elems = [fr.elements[t] for t in perm]
+    return FiniteRing(fr.p, elems, fr._add_fn, fr._mul_fn, fr.basis_lifts,
+                      lambda a: fr.reduce_mat[fr.index[a]], fr.label)
+
+
+def free_coords(um):
+    """Coordinates (element index, basis index) spanning the quotient."""
+    taken = set(um.span.pivots)
+    e = um.ring.carrier_dim
+    return [(c // e, c % e) for c in range(um.ncols) if c not in taken]
+
+
+def basis_certificates(um):
+    out = []
+    for a, k in free_coords(um):
+        beta = um.ring.elements[um.ring.basis_idx[k]]
+        out.append(f"({beta}) * w({um.ring.elements[a]})")
+    return out
+
+
+def action_matrix(um, r_idx):
+    """Matrix of multiplication by a ring element on the free coords."""
+    free = free_coords(um)
+    e = um.ring.carrier_dim
+    cols = []
+    for a, k in free:
+        prod = um.ring.mul[r_idx, um.ring.basis_idx[k]]
+        vec = np.zeros(um.ncols, dtype=np.int64)
+        vec[a * e:(a + 1) * e] = um.ring.reduce_mat[prod]
+        vec = span_reduce(um.span, vec)[0]
+        cols.append([vec[x * e + t] for (x, t) in free])
+    return np.array(cols, dtype=np.int64).T

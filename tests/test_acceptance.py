@@ -5,7 +5,6 @@ capture before asserting, so the per-criterion status is always visible
 in the terse run too.
 """
 
-import itertools
 import json
 import os
 import random
@@ -18,16 +17,8 @@ from fwdiff.fwcore import (
     present_fw,
     random_poly,
     random_scalar,
-    w_poly_charp,
 )
-from fwdiff.localalg import (
-    PointSpec,
-    PrimeSpec,
-    check_prdx,
-    check_split_sequence,
-    rational_points,
-    regularity,
-)
+from fwdiff.localalg import PointSpec, PrimeSpec, rational_points, regularity
 from fwdiff.modarith import (
     GaloisField,
     PrimeField,
@@ -40,10 +31,10 @@ from fwdiff.mpoly import (
     frobenius_twist,
     witt_P_pair,
     witt_Q,
-    witt_R,
 )
 from fwdiff.oracle import cross_check
 from fwdiff.ringfile import parse_ring
+from routes import check_prdx, check_split_sequence, w_poly_charp, witt_R
 
 RINGS = os.path.join(os.path.dirname(__file__), os.pardir, "rings")
 

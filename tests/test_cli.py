@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +140,20 @@ def test_argparse_failures_raise_system_exit():
     assert e.value.code == 2
     with pytest.raises(SystemExit):
         _run(["present"])  # missing -i
+
+
+@pytest.mark.parametrize("argv", [
+    ["axioms", "--p", "3", "--nvars", "-1"],
+    ["axioms", "--p", "3", "--trials", "-5"],
+    ["axioms", "--p", "3", "--trials", "0"],
+    ["oracle", "-i", _ring("zp2.ring"), "--max-size", "0"],
+])
+def test_numeric_flags_out_of_range_are_usage_errors(argv):
+    r = subprocess.run([sys.executable, "-m", "fwdiff.cli"] + argv,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2, (r.stdout, r.stderr)
+    assert "usage:" in r.stderr and "must be at least" in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
 
 
 def test_version_flag(capsys):

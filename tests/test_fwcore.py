@@ -10,7 +10,6 @@ from fwdiff.errors import OffSchemeError, PresentationError
 from fwdiff.fwcore import (
     BaseChangeMap,
     PresentationMorphism,
-    RingPresentation,
     base_change_map,
     check_axioms,
     column_of,
@@ -18,9 +17,7 @@ from fwdiff.fwcore import (
     random_poly,
     random_scalar,
     relative_cokernel,
-    twisted_relative_kahler,
     w_poly,
-    w_poly_charp,
 )
 from fwdiff.localalg import PointSpec, fiber_dim_point
 from fwdiff.modarith import (
@@ -31,14 +28,12 @@ from fwdiff.modarith import (
     reduce_mod_p,
 )
 from fwdiff.mpoly import PolyRing
-
-
-def _pres(base, varnames, relstrs):
-    from fwdiff.ringfile import parse_poly
-    ring = PolyRing(base, tuple(varnames))
-    names = dict(zip(ring.variables, ring.gens()))
-    rels = tuple(parse_poly(r, ring, names) for r in relstrs)
-    return RingPresentation(base, tuple(varnames), rels)
+from routes import (
+    ring_of,
+    twisted_relative_kahler,
+    w_poly_charp,
+    with_extra_relations,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +142,25 @@ def test_random_generators_deterministic():
 # presentations
 
 def test_present_fw_shapes():
-    cusp = _pres(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
+    cusp = ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
     fw = present_fw(cusp)
     assert fw.generators == ("w(x)", "w(y)")
     assert len(fw.columns) == 1
     assert not fw.has_wp
 
-    free = _pres(PrimeSquareRing(2), ("x",), [])
+    free = ring_of(PrimeSquareRing(2), ("x",), [])
     fw2 = present_fw(free)
     assert fw2.generators == ("w(x)", "w(p)")
     assert fw2.columns == ()
     assert fw2.has_wp
 
-    point = _pres(PrimeSquareRing(3), (), [])
+    point = ring_of(PrimeSquareRing(3), (), [])
     fw3 = present_fw(point)
     assert fw3.generators == ("w(p)",)
 
 
 def test_columns_are_normal_forms():
-    cusp = _pres(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
+    cusp = ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
     fw = present_fw(cusp)
     gb = cusp.carrier_basis()
     raw = column_of(cusp, cusp.relations[0])
@@ -176,11 +171,11 @@ def test_quotient_functoriality():
     """Adding a relation appends its column and re-reduces the old ones."""
     rng = random.Random(31)
     base = PrimeField(3)
-    pres = _pres(base, ("x", "y"), ["x*y - 1"])
+    pres = ring_of(base, ("x", "y"), ["x*y - 1"])
     ring = pres.poly_ring
     for _ in range(8):
         g = random_poly(rng, ring, max_terms=2, max_degree=2)
-        bigger = pres.with_extra_relations([g])
+        bigger = with_extra_relations(pres, [g])
         if bigger.carrier_basis().is_trivial():
             continue
         fw_small = present_fw(pres)
@@ -197,8 +192,8 @@ def test_quotient_functoriality():
 # morphisms and base change
 
 def test_morphism_validation():
-    A = _pres(PrimeField(3), ("x",), ["x^2"])
-    B = _pres(PrimeField(3), ("u",), [])
+    A = ring_of(PrimeField(3), ("x",), ["x^2"])
+    B = ring_of(PrimeField(3), ("u",), [])
     u = B.poly_ring.gen(0)
     with pytest.raises(PresentationError):  # x^2 not sent to 0
         PresentationMorphism(A, B, (u,))
@@ -206,29 +201,29 @@ def test_morphism_validation():
 
 
 def test_morphism_relation_check_is_real():
-    A = _pres(PrimeField(3), ("x",), ["x^2"])
-    B = _pres(PrimeField(3), ("u",), ["u^4"])
+    A = ring_of(PrimeField(3), ("x",), ["x^2"])
+    B = ring_of(PrimeField(3), ("u",), ["u^4"])
     u = B.poly_ring.gen(0)
     m = PresentationMorphism(A, B, (u * u,))
     assert m.push(A.poly_ring.gen(0)) == u * u
 
 
 def test_morphism_mixed_characteristic_rules():
-    A2 = _pres(PrimeSquareRing(3), ("x",), [])
-    B3 = _pres(PrimeField(3), ("x",), [])
+    A2 = ring_of(PrimeSquareRing(3), ("x",), [])
+    B3 = ring_of(PrimeField(3), ("x",), [])
     # Z/9 algebra -> char 3 algebra is fine; the reverse is not a ring map
     PresentationMorphism(A2, B3, (B3.poly_ring.gen(0),))
     with pytest.raises(PresentationError):
         PresentationMorphism(B3, A2, (A2.poly_ring.gen(0),))
     with pytest.raises(PresentationError):  # p must match
-        PresentationMorphism(_pres(PrimeField(2), ("x",), []), B3,
+        PresentationMorphism(ring_of(PrimeField(2), ("x",), []), B3,
                              (B3.poly_ring.gen(0),))
     with pytest.raises(PresentationError):  # arity
         PresentationMorphism(A2, B3, ())
 
 
 def test_identity_base_change_is_identity_matrix():
-    pres = _pres(PrimeSquareRing(3), ("x", "y"), ["y^2 - 3*x"])
+    pres = ring_of(PrimeSquareRing(3), ("x", "y"), ["y^2 - 3*x"])
     ident = PresentationMorphism(pres, pres, tuple(pres.poly_ring.gens()))
     bc = base_change_map(ident)
     assert isinstance(bc, BaseChangeMap)
@@ -244,8 +239,8 @@ def test_identity_base_change_is_identity_matrix():
 
 
 def test_free_adjunction_cokernel_is_free_rank_one():
-    A = _pres(PrimeSquareRing(3), (), [])
-    B = _pres(PrimeSquareRing(3), ("x",), [])
+    A = ring_of(PrimeSquareRing(3), (), [])
+    B = ring_of(PrimeSquareRing(3), ("x",), [])
     m = PresentationMorphism(A, B, ())
     cok = relative_cokernel(m)
     tw = twisted_relative_kahler(m)
@@ -261,16 +256,16 @@ def test_relative_cokernel_matches_twisted_kahler_fibers():
     agree fiberwise: cokernel route vs twisted relative differentials."""
     cases = []
     # char p: cusp over its x-line
-    A = _pres(PrimeField(5), ("s",), [])
-    B = _pres(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
+    A = ring_of(PrimeField(5), ("s",), [])
+    B = ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
     cases.append((PresentationMorphism(A, B, (B.poly_ring.gen(0),)), B))
     # char p: plane over a point
-    A0 = _pres(PrimeField(2), (), [])
-    B0 = _pres(PrimeField(2), ("x", "y"), [])
+    A0 = ring_of(PrimeField(2), (), [])
+    B0 = ring_of(PrimeField(2), ("x", "y"), [])
     cases.append((PresentationMorphism(A0, B0, ()), B0))
     # Z/p^2: parabola over the base
-    Az = _pres(PrimeSquareRing(3), (), [])
-    Bz = _pres(PrimeSquareRing(3), ("x", "y"), ["y^2 - 3*x"])
+    Az = ring_of(PrimeSquareRing(3), (), [])
+    Bz = ring_of(PrimeSquareRing(3), ("x", "y"), ["y^2 - 3*x"])
     cases.append((PresentationMorphism(Az, Bz, ()), Bz))
     for morph, B in cases:
         cok = relative_cokernel(morph)

@@ -2,46 +2,32 @@
 
 Regularity answers are cross-checked against the classical Jacobian
 criterion for plane curves, and the prime route against the point route
-at every maximal ideal of a rational point.
+at every maximal ideal of a rational point.  Cotangent spaces and split
+sequences come from the untwisted reference routes in routes.py.
 """
-
-import itertools
 
 import pytest
 
 from fwdiff.errors import (
-    FlatnessRequiredError,
     OffSchemeError,
     PresentationError,
     UnsupportedClassError,
     ZeroDivisorError,
 )
-from fwdiff.fwcore import RingPresentation, present_fw
+from fwdiff.fwcore import present_fw
 from fwdiff.localalg import (
     PointSpec,
     PrimeSpec,
-    carrier_local_dim,
-    check_prdx,
-    check_split_sequence,
-    cotangent_dim,
     fiber_dim_point,
     fiber_dim_prime,
-    local_dim,
     rational_points,
     regularity,
     residue_p_rank,
     _ambient_equidimensional,
 )
 from fwdiff.modarith import GaloisField, PrimeField, PrimeSquareRing
-from fwdiff.mpoly import PolyRing
 from fwdiff.ringfile import parse_poly
-
-
-def _pres(base, varnames, relstrs):
-    ring = PolyRing(base, tuple(varnames))
-    names = dict(zip(ring.variables, ring.gens()))
-    rels = tuple(parse_poly(r, ring, names) for r in relstrs)
-    return RingPresentation(base, tuple(varnames), rels)
+from routes import check_prdx, check_split_sequence, cotangent_dim, ring_of
 
 
 def _cpoly(pres, text):
@@ -50,11 +36,11 @@ def _cpoly(pres, text):
     return parse_poly(text, ring, names)
 
 
-CUSP = _pres(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
-NODE = _pres(PrimeField(5), ("x", "y"), ["x*y"])
-LINE = _pres(PrimeField(5), ("x",), [])
-PARABOLA = _pres(PrimeSquareRing(3), ("x", "y"), ["y^2 - 3*x"])
-ZP2X = _pres(PrimeSquareRing(2), ("x",), [])
+CUSP = ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
+NODE = ring_of(PrimeField(5), ("x", "y"), ["x*y"])
+LINE = ring_of(PrimeField(5), ("x",), [])
+PARABOLA = ring_of(PrimeSquareRing(3), ("x", "y"), ["y^2 - 3*x"])
+ZP2X = ring_of(PrimeSquareRing(2), ("x",), [])
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +101,8 @@ def test_node_regularity_frozen():
 def test_plane_curve_sweep_vs_jacobian_oracle():
     """Verdicts at every rational point match the smoothness Jacobian."""
     curves = [CUSP, NODE,
-              _pres(PrimeField(5), ("x", "y"), ["y^2 - x^3 - x^2"]),
-              _pres(PrimeField(3), ("x", "y"), ["y^2 - x^3 + x"])]
+              ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3 - x^2"]),
+              ring_of(PrimeField(3), ("x", "y"), ["y^2 - x^3 + x"])]
     fields = {5: [PrimeField(5), GaloisField(5, 2)],
               3: [PrimeField(3), GaloisField(3, 2)]}
     for pres in curves:
@@ -149,9 +135,7 @@ def test_zp2_without_flat_is_unknown():
     v = regularity(ZP2X, x)
     assert v.verdict == "Unknown" and v.d is None
     assert "flat" in v.explanation
-    with pytest.raises(FlatnessRequiredError):
-        local_dim(ZP2X, x)
-    assert local_dim(ZP2X, x, flat=True) == 2
+    assert regularity(ZP2X, x, flat=True).d == 2
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +162,7 @@ def test_generic_point_of_cusp_is_regular():
 
 def test_curve_in_plane_prime_frozen():
     """The height-one prime (y) of F_5[x,y]: d = 1, r = 1, fiber 2."""
-    plane = _pres(PrimeField(5), ("x", "y"), [])
+    plane = ring_of(PrimeField(5), ("x", "y"), [])
     P = PrimeSpec(plane, (_cpoly(plane, "y"),))
     assert residue_p_rank(plane, P) == 1
     v = regularity(plane, P)
@@ -186,7 +170,7 @@ def test_curve_in_plane_prime_frozen():
 
 
 def test_prime_validation_errors():
-    plane = _pres(PrimeField(5), ("x", "y"), [])
+    plane = ring_of(PrimeField(5), ("x", "y"), [])
     # proven non-prime: the nonlinear part factors
     with pytest.raises(PresentationError):
         PrimeSpec(plane, (_cpoly(plane, "x*y"),))
@@ -206,7 +190,7 @@ def test_prime_validation_errors():
 def test_asserted_prime_caught_by_zero_divisor():
     """An asserted 'prime' that is secretly a product is detected the
     moment elimination multiplies the two factors."""
-    pres = _pres(PrimeField(5), ("x", "y"),
+    pres = ring_of(PrimeField(5), ("x", "y"),
                  ["x^2*y^2 + 2*x^2 + 2*y^2 + 4"])  # (x^2+2)(y^2+2)
     P = PrimeSpec(pres, (), assert_prime=True)
     with pytest.raises(ZeroDivisorError):
@@ -222,12 +206,12 @@ def test_prime_needs_carrier_polynomials():
 # local dimension soundness
 
 def test_equidimensionality_certificates():
-    plane = _pres(PrimeField(5), ("x", "y"), [])
+    plane = ring_of(PrimeField(5), ("x", "y"), [])
     assert _ambient_equidimensional(plane)
     assert _ambient_equidimensional(CUSP)  # hypersurface
-    ci = _pres(PrimeField(5), ("x", "y", "z"), ["x^2 - z", "y^2 - z"])
+    ci = ring_of(PrimeField(5), ("x", "y", "z"), ["x^2 - z", "y^2 - z"])
     assert _ambient_equidimensional(ci)  # 2 relations, codim 2
-    mixed = _pres(PrimeField(5), ("x", "y", "z"), ["x*z", "y*z"])
+    mixed = ring_of(PrimeField(5), ("x", "y", "z"), ["x*z", "y*z"])
     assert not _ambient_equidimensional(mixed)  # plane union line
 
 
@@ -235,7 +219,7 @@ def test_mixed_dimension_prime_is_conservative():
     """At P = (x, y) of F_5[x,y,z]/(xz, yz) the bound d = 1 with r = 1
     exceeds the fiber (1), and the carrier is not certified
     equidimensional, so the verdict stays Unknown rather than guessing."""
-    mixed = _pres(PrimeField(5), ("x", "y", "z"), ["x*z", "y*z"])
+    mixed = ring_of(PrimeField(5), ("x", "y", "z"), ["x*z", "y*z"])
     P = PrimeSpec(mixed, (_cpoly(mixed, "x"), _cpoly(mixed, "y")))
     v = regularity(mixed, P)
     assert v.fiber_dim == 1 and (v.d, v.r) == (1, 1)
@@ -249,7 +233,7 @@ def test_nonequidimensional_trap_is_not_misjudged():
     the fiber and return Regular; the tangent cone at the rational point
     gives the true local dimension 1 and the verdict NotRegular."""
     base = PrimeField(5)
-    pres = _pres(base, ("x", "y", "u", "v"), [
+    pres = ring_of(base, ("x", "y", "u", "v"), [
         "(y-1)^2*x - (x-1)^3*x",
         "(y-1)^2*y - (x-1)^3*y",
         "u*x", "u*y", "v*x", "v*y",
@@ -265,15 +249,18 @@ def test_nonequidimensional_trap_is_not_misjudged():
 
 
 def test_carrier_local_dim_tangent_cone():
-    assert carrier_local_dim(CUSP, PointSpec.of(CUSP, (0, 0))) == 1
-    assert carrier_local_dim(CUSP, PointSpec.of(CUSP, (1, 1))) == 1
-    mixed = _pres(PrimeField(5), ("x", "y", "z"), ["x*z", "y*z"])
+    def d(pres, coords):
+        return regularity(pres, PointSpec.of(pres, coords)).d
+
+    assert d(CUSP, (0, 0)) == 1
+    assert d(CUSP, (1, 1)) == 1
+    mixed = ring_of(PrimeField(5), ("x", "y", "z"), ["x*z", "y*z"])
     # origin lies on both components: local dimension is the larger one
-    assert carrier_local_dim(mixed, PointSpec.of(mixed, (0, 0, 0))) == 2
+    assert d(mixed, (0, 0, 0)) == 2
     # a point on the line only
-    assert carrier_local_dim(mixed, PointSpec.of(mixed, (0, 0, 1))) == 1
+    assert d(mixed, (0, 0, 1)) == 1
     # a point inside the plane only
-    assert carrier_local_dim(mixed, PointSpec.of(mixed, (1, 1, 0))) == 2
+    assert d(mixed, (1, 1, 0)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +296,8 @@ def test_prdx_consistency_sweeps():
 # split sequences
 
 def test_split_sequence_plane_modulo_line():
-    plane = _pres(PrimeField(5), ("x", "y"), [])
-    yrel = parse_poly("y", plane.poly_ring,
-                      dict(zip(plane.variables, plane.poly_ring.gens())))
+    plane = ring_of(PrimeField(5), ("x", "y"), [])
+    yrel = plane.poly_ring.gen(1)
     for a in range(5):
         rep = check_split_sequence(plane, (yrel,), PointSpec.of(plane, (a, 0)))
         assert rep["hypothesis_ok"] and rep["consistent"]
@@ -319,9 +305,8 @@ def test_split_sequence_plane_modulo_line():
 
 
 def test_split_sequence_zp2_flat():
-    free = _pres(PrimeSquareRing(3), ("x", "y"), [])
-    yrel = parse_poly("y", free.poly_ring,
-                      dict(zip(free.variables, free.poly_ring.gens())))
+    free = ring_of(PrimeSquareRing(3), ("x", "y"), [])
+    yrel = free.poly_ring.gen(1)
     rep = check_split_sequence(free, (yrel,), PointSpec.of(free, (1, 0)),
                                flat=True)
     assert rep["hypothesis_ok"] and rep["consistent"]
@@ -329,7 +314,7 @@ def test_split_sequence_zp2_flat():
 
 
 def test_split_sequence_reports_failed_hypothesis():
-    plane = _pres(PrimeField(5), ("x", "y"), [])
+    plane = ring_of(PrimeField(5), ("x", "y"), [])
     cusprel = parse_poly("y^2 - x^3", plane.poly_ring,
                          dict(zip(plane.variables, plane.poly_ring.gens())))
     rep = check_split_sequence(plane, (cusprel,), PointSpec.of(plane, (0, 0)))

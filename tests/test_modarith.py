@@ -1,9 +1,6 @@
 """Coefficient rings: Z/p^2, F_q, Galois rings, and the base Witt data."""
 
-import math
-
 import pytest
-from hypothesis import given, strategies as st
 
 from fwdiff.errors import PresentationError
 from fwdiff.modarith import (
@@ -12,7 +9,6 @@ from fwdiff.modarith import (
     PrimeField,
     PrimeSquareRing,
     Residue,
-    ZZ,
     default_minpoly,
     embed,
     lift_to_p2,
@@ -20,7 +16,6 @@ from fwdiff.modarith import (
     reduce_mod_p,
     residue_field_of,
     w_base,
-    witt_P,
     witt_P_scalars,
 )
 
@@ -144,32 +139,17 @@ def test_lift_reduce_round_trip():
 # ---------------------------------------------------------------------------
 # Witt data
 
-@pytest.mark.parametrize("p", PRIMES)
-def test_witt_P_defining_identity(p):
-    """(X+Y)^p = X^p + Y^p + p*P(X,Y) exactly over the integers."""
-    P = witt_P(p)
-    ring = P.ring
-    X, Y = ring.gens()
-    assert (X + Y) ** p == X**p + Y**p + p * P
-
-
-def test_witt_P_known_small_cases():
-    assert str(witt_P(2)) == "X*Y"
-    assert str(witt_P(3)) in ("X^2*Y + X*Y^2", "X*Y^2 + X^2*Y")
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_witt_P_scalars_matches_polynomial(p):
+    """P(a, b) = ((a~ + b~)^p - a~^p - b~^p) / p mod p on integer lifts."""
     R = PrimeSquareRing(p)
     k = PrimeField(p)
-    P = witt_P(p)
     for a in R.elements():
         for b in R.elements():
-            got = witt_P_scalars(reduce_mod_p(a), reduce_mod_p(b))
-            want = k.zero()
-            for (i, j), c in P.terms.items():
-                want = want + k.of_int(c.value) \
-                    * reduce_mod_p(a)**i * reduce_mod_p(b)**j
+            abar, bbar = reduce_mod_p(a), reduce_mod_p(b)
+            got = witt_P_scalars(abar, bbar)
+            x, y = abar.value, bbar.value
+            want = k.of_int(((x + y)**p - x**p - y**p) // p)
             assert got == want
 
 
@@ -224,15 +204,6 @@ def test_w_base_normalization(p):
     assert w_base(R.of_int(p)) == PrimeField(p).one()
     assert w_base(R.zero()).is_zero()
     assert w_base(R.one()).is_zero()
-
-
-@given(st.integers(min_value=-50, max_value=50),
-       st.integers(min_value=-50, max_value=50))
-def test_integer_ring_arithmetic(a, b):
-    x, y = ZZ.of_int(a), ZZ.of_int(b)
-    assert (x + y).value == a + b
-    assert (x * y).value == a * b
-    assert (x - y).value == a - b
 
 
 def test_mixed_ring_arithmetic_rejected():

@@ -1,0 +1,77 @@
+"""The public surface: every exported name resolves, the README's library
+example runs as printed, and input guards hold under `python -O`."""
+
+import contextlib
+import io
+import os
+import re
+import subprocess
+import sys
+import textwrap
+
+import fwdiff
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_every_exported_name_resolves():
+    assert len(set(fwdiff.__all__)) == len(fwdiff.__all__)
+    for name in fwdiff.__all__:
+        assert getattr(fwdiff, name) is not None, name
+
+
+def test_readme_python_example_runs():
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(blocks[0], {})
+    assert out.getvalue().splitlines() == ["('w(x)', 'w(y)')", "Regular"]
+
+
+# Each case must raise PresentationError.  The script stops at the first
+# case that does not, so the negative powers, which never terminate
+# without their guard, run only once every earlier guard has held.
+GUARDS = textwrap.dedent("""
+    from fwdiff import (PointSpec, PolyRing, PresentationError, PrimeField,
+                        PrimeSpec, PrimeSquareRing, RingPresentation,
+                        fiber_dim_point, fiber_dim_prime, groebner,
+                        present_fw)
+
+    k = PrimeField(5)
+    ring = PolyRing(k, ("x", "y"))
+    x, y = ring.gens()
+    cusp = RingPresentation(k, ("x", "y"), (y**2 - x**3,))
+    node = RingPresentation(k, ("x", "y"), (x * y,))
+    zring = PolyRing(PrimeSquareRing(5), ("x",))
+    cases = {
+        "point of another presentation": lambda: fiber_dim_point(
+            present_fw(cusp), PointSpec.of(node, (0, 0))),
+        "prime of another presentation": lambda: fiber_dim_prime(
+            present_fw(cusp), PrimeSpec(node, (x, y))),
+        "groebner over Z/p^2": lambda: groebner([zring.gen(0)]),
+        "evaluate arity": lambda: x.evaluate((k.one(),)),
+        "shift arity": lambda: x.shift((k.one(), k.one(), k.one())),
+        "monomial length": lambda: ring.poly({(1,): k.one()}),
+        "negative power of a scalar": lambda: k.of_int(2) ** -1,
+        "negative power of a polynomial": lambda: (x + 1) ** -1,
+    }
+    for name, case in cases.items():
+        try:
+            case()
+        except PresentationError:
+            print("raised:", name)
+        else:
+            print("silent:", name)
+            break
+""")
+
+
+def test_input_guards_hold_without_asserts():
+    r = subprocess.run([sys.executable, "-O", "-c", GUARDS],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 8 and all(
+        line.startswith("raised:") for line in lines), r.stdout
