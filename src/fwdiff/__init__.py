@@ -8,6 +8,9 @@ it has a finite presentation with one generator per variable (plus w(p)
 in the mixed case) and one relation column per defining relation; fibers
 of that presentation decide regularity through the rank criterion
 fiber dimension = local dimension + residue-field imperfection.
+
+The oracle names (FiniteRing, UniversalModule, brute_fw, cross_check)
+are imported on first access, so that numpy loads only for the oracle.
 """
 
 from .errors import (
@@ -59,10 +62,18 @@ from .mpoly import (
     witt_P_pair,
     witt_Q,
 )
-from .oracle import FiniteRing, UniversalModule, brute_fw, cross_check
 from .ringfile import parse_ring, render_ring
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = ("FiniteRing", "UniversalModule", "brute_fw", "cross_check")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AxiomReport",

@@ -8,7 +8,8 @@ Subcommands:
     axioms    randomized check of the derivation axioms over Z/p^2
 
 Exit codes: 0 success, 1 computational refusal (Unknown verdict, size
-bound, undecidable primality class, failed check), 2 input error.
+bound, undecidable primality class, failed check), 2 input error, 3
+internal error (any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     UnsupportedClassError,
     ZeroDivisorError,
 )
-from .fwcore import check_axioms, present_fw
+from .fwcore import check_axioms
 from .localalg import (
     PointSpec,
     PrimeSpec,
@@ -34,7 +35,6 @@ from .localalg import (
     fiber_dim_prime,
     regularity,
 )
-from .oracle import cross_check
 from .ringfile import parse_point_coords, parse_prime_gens, parse_ring
 
 REFUSAL_ERRORS = (SizeRefusalError, UnsupportedClassError)
@@ -181,7 +181,7 @@ def _emit_text(doc, out):
 
 def cmd_present(args, out):
     ring_pres = _load_ring(args)
-    fw = present_fw(ring_pres)
+    fw = ring_pres.fw
     free = fw.ngens if not fw.columns else None
     doc = _document("present", args.seed, ring_pres, fw,
                     {"generators": list(fw.generators),
@@ -194,7 +194,7 @@ def cmd_present(args, out):
 def cmd_fiber(args, out):
     ring_pres = _load_ring(args)
     locus = _locus_of(args, ring_pres)
-    fw = present_fw(ring_pres)
+    fw = ring_pres.fw
     if isinstance(locus, PointSpec):
         dim = fiber_dim_point(fw, locus)
         kind = "point"
@@ -211,18 +211,19 @@ def cmd_fiber(args, out):
 def cmd_regular(args, out):
     ring_pres = _load_ring(args)
     locus = _locus_of(args, ring_pres)
-    fw = present_fw(ring_pres)
     verdict = regularity(ring_pres, locus, flat=args.flat)
     result = verdict.describe()
     result["locus"] = locus.describe()
-    doc = _document("regular", args.seed, ring_pres, fw, result)
+    doc = _document("regular", args.seed, ring_pres, ring_pres.fw, result)
     _emit(doc, args, out)
     return 0 if verdict.verdict != "Unknown" else 1
 
 
 def cmd_oracle(args, out):
+    from .oracle import cross_check  # numpy loads only for the oracle
+
     ring_pres = _load_ring(args)
-    fw = present_fw(ring_pres)
+    fw = ring_pres.fw
     result = cross_check(fw, max_size=args.max_size)
     doc = _document("oracle", args.seed, ring_pres, fw, result)
     _emit(doc, args, out)
@@ -258,6 +259,9 @@ def run(argv=None, out=None, err=None):
     except INPUT_ERRORS as e:
         err.write(f"error: {e}\n")
         return 2
+    except Exception as e:  # a fault of fwdiff itself, not of the input
+        err.write(f"internal error: {e!r}\n")
+        return 3
 
 
 def main():

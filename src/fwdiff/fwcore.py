@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .errors import PresentationError
 from .modarith import (
@@ -51,7 +52,13 @@ BASE_RINGS = (PrimeField, GaloisField, PrimeSquareRing)
 
 @dataclass(frozen=True)
 class RingPresentation:
-    """base[X_1..X_n]/(f_1..f_m) with the f_i over the base ring."""
+    """base[X_1..X_n]/(f_1..f_m) with the f_i over the base ring.
+
+    The carrier basis and the module presentation depend only on the
+    ring, so each instance computes them once, on first use, and keeps
+    them (outside the dataclass fields: equality, hashing and
+    dataclasses.replace see only base, variables and relations).
+    """
 
     base: object
     variables: tuple
@@ -96,7 +103,16 @@ class RingPresentation:
         return [f.map_coeffs(k, reduce_mod_p) for f in self.relations]
 
     def carrier_basis(self):
+        return self._carrier_basis
+
+    @cached_property
+    def _carrier_basis(self):
         return groebner(self.relations_mod_p(), ring=self.carrier_ring)
+
+    @cached_property
+    def fw(self):
+        """The presentation of FW(A), built by present_fw on first use."""
+        return present_fw(self)
 
     def describe(self):
         return {
@@ -180,7 +196,8 @@ def present_fw(ring_pres: RingPresentation) -> FWPresentation:
 
     Generators are w of each variable, plus w(p) for a Z/p^2 base; there
     is exactly one column per listed relation, each entry reduced to
-    normal form modulo the carrier basis.
+    normal form modulo the carrier basis.  Every call builds a new
+    presentation; ring_pres.fw keeps the one the library reuses.
     """
     gb = ring_pres.carrier_basis()
     labels = tuple(f"w({v})" for v in ring_pres.variables)
@@ -373,8 +390,8 @@ def base_change_map(morph: PresentationMorphism) -> BaseChangeMap:
     w(X_j) goes to w(image_j); w(p) goes to w(p) when the target is a
     Z/p^2 algebra and to zero when the target has characteristic p.
     """
-    src_fw = present_fw(morph.source)
-    tgt_fw = present_fw(morph.target)
+    src_fw = morph.source.fw
+    tgt_fw = morph.target.fw
     gb = tgt_fw.carrier
     cols = []
     for img in morph.images:

@@ -1,10 +1,9 @@
 """Exact linear algebra: fraction-free elimination over fields and
 quotient domains, and an int64 numpy row space mod p for the brute-force
-oracle."""
+oracle.  numpy is imported by ModPSpan alone, so the verdict path never
+loads it."""
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import SizeRefusalError, ZeroDivisorError
 
@@ -68,6 +67,8 @@ class ModPSpan:
     def __init__(self, p, ncols):
         if p >= 1 << 31:
             raise SizeRefusalError(f"F_p row spaces need p < 2^31, not {p}")
+        import numpy as np
+
         self.p = p
         self.ncols = ncols
         self.basis = np.zeros((0, ncols), dtype=np.int64)
@@ -83,6 +84,8 @@ class ModPSpan:
         returns the new rank."""
         if self.rank == self.ncols:
             return self.rank
+        import numpy as np
+
         p = self.p
         rows = np.asarray(rows, dtype=np.int64) % p
         m = np.vstack([self.basis, rows.reshape(-1, self.ncols)])

@@ -31,7 +31,7 @@ from .errors import (
     PresentationError,
     UnsupportedClassError,
 )
-from .fwcore import FWPresentation, RingPresentation, present_fw
+from .fwcore import FWPresentation, RingPresentation
 from .linalg import rank_fraction_free
 from .modarith import GaloisField, PrimeField, Residue, embed
 from .mpoly import (
@@ -211,10 +211,16 @@ def _point_matrix(M: FWPresentation, x: PointSpec):
             for i in range(M.ngens)]
 
 
+def _point_fiber(M: FWPresentation, x: PointSpec):
+    """(fiber dimension at x, the evaluated matrix it was read from)."""
+    _same_ring(M, x)
+    mat = _point_matrix(M, x)
+    return M.ngens - rank_fraction_free(mat, lambda e: e), mat
+
+
 def fiber_dim_point(M: FWPresentation, x: PointSpec) -> int:
     """dim over k(x) of the module fiber: generators minus matrix rank."""
-    _same_ring(M, x)
-    return M.ngens - rank_fraction_free(_point_matrix(M, x), lambda e: e)
+    return _point_fiber(M, x)[0]
 
 
 def fiber_dim_prime(M: FWPresentation, P: PrimeSpec) -> int:
@@ -349,11 +355,6 @@ class RegularityVerdict:
         return out
 
 
-def _point_certificate(fw, x):
-    rows = [[str(e) for e in row] for row in _point_matrix(fw, x)]
-    return {"generators": list(fw.generators), "evaluated_matrix": rows}
-
-
 def _prime_certificate(fw, P):
     nf = P.total_basis.normal_form
     rows = [[str(nf(col[i])) for col in fw.columns] for i in range(fw.ngens)]
@@ -368,10 +369,11 @@ def regularity(ring_pres: RingPresentation, locus, flat=False) -> RegularityVerd
     user-asserted flatness flag; without it the verdict is Unknown, since
     the mod-p^2 presentation cannot distinguish flat lifts.
     """
-    fw = present_fw(ring_pres)
+    fw = ring_pres.fw
     if isinstance(locus, PointSpec):
-        fiber = fiber_dim_point(fw, locus)
-        cert = _point_certificate(fw, locus)
+        fiber, mat = _point_fiber(fw, locus)
+        cert = {"generators": list(fw.generators),
+                "evaluated_matrix": [[str(e) for e in row] for row in mat]}
     else:
         fiber = fiber_dim_prime(fw, locus)
         cert = _prime_certificate(fw, locus)
@@ -408,12 +410,37 @@ def regularity(ring_pres: RingPresentation, locus, flat=False) -> RegularityVerd
 # point enumeration (sweeps and oracles)
 
 def rational_points(ring_pres: RingPresentation, field=None):
-    """All points of the carrier with coordinates in the given field."""
+    """All points of the carrier with coordinates in the given field.
+
+    Candidates run through k^n in itertools.product order.  The relations
+    are embedded into k once, and every monomial is read off a table of
+    the powers x^e of each element x, up to the largest exponent any
+    relation uses; a candidate is dropped at its first nonzero relation.
+    """
     k = field if field is not None else ring_pres.residue_field
-    rels = _relations_over(ring_pres, k)
+    rels = [[(c, [(i, e) for i, e in enumerate(m) if e])
+             for m, c in f.terms.items()]
+            for f in _relations_over(ring_pres, k)]
+    top = max((e for f in rels for _c, m in f for _i, e in m), default=0)
+    elems = list(k.elements())
+    powers = []
+    for x in elems:
+        row = [k.one()]
+        for _ in range(top):
+            row.append(row[-1] * x)
+        powers.append(row)
+
+    def vanishes(f, idx):
+        total = k.zero()
+        for c, mono in f:
+            for i, e in mono:
+                c = c * powers[idx[i]][e]
+            total = total + c
+        return total.is_zero()
+
     out = []
-    for combo in itertools.product(list(k.elements()),
-                                   repeat=len(ring_pres.variables)):
-        if all(f.evaluate(list(combo), k).is_zero() for f in rels):
-            out.append(PointSpec(ring_pres, tuple(combo)))
+    for idx in itertools.product(range(len(elems)),
+                                 repeat=len(ring_pres.variables)):
+        if all(vanishes(f, idx) for f in rels):
+            out.append(PointSpec(ring_pres, tuple(elems[i] for i in idx)))
     return out

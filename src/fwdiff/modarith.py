@@ -36,6 +36,11 @@ def _require_prime(p):
         raise PresentationError(f"{p!r} is not a prime number")
 
 
+def _require_degree(e):
+    if not isinstance(e, int) or not 1 <= e <= 8:
+        raise PresentationError("extension degree limited to 8")
+
+
 class Residue:
     """An element of one of the coefficient rings: a ring tag plus value."""
 
@@ -291,7 +296,7 @@ def default_minpoly(p, e):
     and documented.
     """
     _require_prime(p)
-    assert 1 <= e <= 8, "extension degree limited to 8"
+    _require_degree(e)
     for k in range(p**e):
         coeffs = _base_p_digits(k, p, e) + [1]
         if _is_irreducible(coeffs, p):
@@ -304,7 +309,7 @@ class _ExtensionRing(_BaseRing):
 
     def __init__(self, p, e, minpoly=None):
         _require_prime(p)
-        assert 1 <= e <= 8, "extension degree limited to 8"
+        _require_degree(e)
         self.p = p
         self.degree = e
         if minpoly is None:

@@ -2,6 +2,8 @@
 what the library computes another way (Witt carries, twisted Jacobians,
 cotangent spaces), and helpers that inspect library objects."""
 
+import itertools
+
 import numpy as np
 
 from fwdiff.errors import PresentationError
@@ -11,6 +13,7 @@ from fwdiff.localalg import PointSpec, fiber_dim_point, regularity
 from fwdiff.modarith import (
     PrimeSquareRing,
     Residue,
+    embed,
     lift_to_p2,
     p2_cover_of,
     reduce_mod_p,
@@ -85,6 +88,21 @@ def twisted_relative_kahler(morph) -> FWPresentation:
         columns=tuple(cols),
         has_wp=False,
     )
+
+
+# ---------------------------------------------------------------------------
+# point enumeration
+
+def rational_points_by_evaluate(ring_pres, k):
+    """Every point of the carrier over the field k, in itertools.product
+    order, each candidate tested by SparsePoly.evaluate relation by
+    relation, with no table of powers."""
+    rels = [f.map_coeffs(k, lambda c: embed(c, k))
+            for f in ring_pres.relations_mod_p()]
+    return [PointSpec(ring_pres, combo)
+            for combo in itertools.product(list(k.elements()),
+                                           repeat=len(ring_pres.variables))
+            if all(f.evaluate(list(combo), k).is_zero() for f in rels)]
 
 
 # ---------------------------------------------------------------------------

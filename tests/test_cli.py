@@ -109,7 +109,7 @@ def test_oracle_max_size_flag(tmp_path):
     assert code == 0 and "match: yes" in out
 
 
-def test_oracle_builds_the_presentation_once(monkeypatch):
+def _count_presentations(monkeypatch):
     from fwdiff import cli, fwcore, localalg, oracle
 
     real = fwcore.present_fw
@@ -122,9 +122,35 @@ def test_oracle_builds_the_presentation_once(monkeypatch):
     for mod in (fwcore, cli, localalg, oracle):
         if getattr(mod, "present_fw", None) is real:
             monkeypatch.setattr(mod, "present_fw", counted)
+    return calls
+
+
+def test_oracle_builds_the_presentation_once(monkeypatch):
+    calls = _count_presentations(monkeypatch)
     code, _, _ = _run(["oracle", "-i", _ring("zp2.ring"), "--json"])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_regular_builds_the_presentation_once(monkeypatch):
+    calls = _count_presentations(monkeypatch)
+    code, _, _ = _run(["regular", "-i", _ring("cusp.ring"), "--point", "0,0",
+                       "--json"])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_unexpected_exceptions_exit_three(monkeypatch):
+    from fwdiff import cli
+
+    def broken(args, out):
+        raise KeyError("no such\ntable")
+
+    monkeypatch.setitem(cli.DISPATCH, "present", broken)
+    code, out, err = _run(["present", "-i", _ring("cusp.ring")])
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: ") and "KeyError" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_fiber_at_prime():

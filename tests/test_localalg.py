@@ -3,11 +3,18 @@
 Regularity answers are cross-checked against the classical Jacobian
 criterion for plane curves, and the prime route against the point route
 at every maximal ideal of a rational point.  Cotangent spaces and split
-sequences come from the untwisted reference routes in routes.py.
+sequences come from the untwisted reference routes in routes.py, and
+point enumeration is compared with its evaluate-based route there.
+Call counts pin the work done once per ring and once per point.
 """
+
+import dataclasses
+import glob
+import os
 
 import pytest
 
+from fwdiff import fwcore, localalg
 from fwdiff.errors import (
     OffSchemeError,
     PresentationError,
@@ -26,8 +33,19 @@ from fwdiff.localalg import (
     _ambient_equidimensional,
 )
 from fwdiff.modarith import GaloisField, PrimeField, PrimeSquareRing
-from fwdiff.ringfile import parse_poly
-from routes import check_prdx, check_split_sequence, cotangent_dim, ring_of
+from fwdiff.ringfile import parse_poly, parse_ring
+from routes import (
+    check_prdx,
+    check_split_sequence,
+    cotangent_dim,
+    rational_points_by_evaluate,
+    ring_of,
+)
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+RING_FILES = sorted(
+    glob.glob(os.path.join(ROOT, "rings", "*.ring"))
+    + glob.glob(os.path.join(ROOT, "fwbench", "rings", "sweep", "*.ring")))
 
 
 def _cpoly(pres, text):
@@ -72,6 +90,77 @@ def test_rational_points_zp2_base_uses_carrier():
     coords = {tuple(c.value for c in p.coordinates) for p in pts}
     # carrier relation is y^2: y = 0, x free
     assert coords == {(0, 0), (1, 0), (2, 0)}
+
+
+@pytest.mark.parametrize("path", RING_FILES, ids=os.path.basename)
+def test_rational_points_match_evaluate_route(path):
+    with open(path, encoding="utf-8") as fh:
+        pres = parse_ring(fh.read())
+    for fld in (PrimeField(pres.p), GaloisField(pres.p, 2)):
+        if isinstance(pres.residue_field, GaloisField) \
+                and isinstance(fld, PrimeField):
+            # F_p holds no F_q coefficient: both routes refuse alike
+            with pytest.raises(PresentationError):
+                rational_points_by_evaluate(pres, fld)
+            with pytest.raises(PresentationError):
+                rational_points(pres, fld)
+            continue
+        assert rational_points(pres, fld) == \
+            rational_points_by_evaluate(pres, fld), fld.tag()
+
+
+# ---------------------------------------------------------------------------
+# work done once: per ring, per point
+
+def _count_calls(monkeypatch, module, name):
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_repeated_verdicts_reuse_one_presentation(monkeypatch):
+    pres = ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
+    calls = _count_calls(monkeypatch, fwcore, "present_fw")
+    verdicts = [regularity(pres, x).verdict for x in rational_points(pres)]
+    assert verdicts == ["NotRegular"] + ["Regular"] * 4
+    assert len(calls) == 1
+    assert pres.fw is pres.fw
+    assert pres.carrier_basis() is pres.fw.carrier
+
+
+def test_kept_presentation_leaves_equality_alone():
+    pres = ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
+    twin = ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
+    pres.fw  # kept on pres, not on twin
+    assert pres == twin and hash(pres) == hash(twin)
+    assert "fw" not in vars(twin)
+    node = dataclasses.replace(pres, relations=NODE.relations)
+    assert node == NODE and node.fw.columns == present_fw(NODE).columns
+    assert node.fw.columns != pres.fw.columns
+
+
+def test_prime_verdict_computes_the_carrier_basis_once(monkeypatch):
+    pres = ring_of(PrimeField(5), ("x", "y", "z"), ["x*z", "y*z"])
+    P = PrimeSpec(pres, (_cpoly(pres, "x"), _cpoly(pres, "y")))
+    calls = _count_calls(monkeypatch, fwcore, "groebner")
+    regularity(pres, P)
+    assert len(calls) == 1
+
+
+def test_point_verdict_evaluates_the_matrix_once(monkeypatch):
+    pres = ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
+    x = PointSpec.of(pres, (1, 1))
+    calls = _count_calls(monkeypatch, localalg, "_point_matrix")
+    v = regularity(pres, x)
+    assert len(calls) == 1
+    assert v.fiber_dim == fiber_dim_point(pres.fw, x) == 1
+    assert v.certificate["evaluated_matrix"] == [["2"], ["2"]]
 
 
 # ---------------------------------------------------------------------------

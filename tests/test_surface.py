@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves, the README's library
-example runs as printed, and input guards hold under `python -O`."""
+example runs as printed, input guards hold under `python -O`, and
+verdicts run without loading numpy."""
 
 import contextlib
 import io
@@ -34,10 +35,11 @@ def test_readme_python_example_runs():
 # case that does not, so the negative powers, which never terminate
 # without their guard, run only once every earlier guard has held.
 GUARDS = textwrap.dedent("""
-    from fwdiff import (PointSpec, PolyRing, PresentationError, PrimeField,
-                        PrimeSpec, PrimeSquareRing, RingPresentation,
-                        fiber_dim_point, fiber_dim_prime, groebner,
-                        present_fw)
+    from fwdiff import (GaloisField, GaloisRing, PointSpec, PolyRing,
+                        PresentationError, PrimeField, PrimeSpec,
+                        PrimeSquareRing, RingPresentation, fiber_dim_point,
+                        fiber_dim_prime, groebner, present_fw)
+    from fwdiff.modarith import default_minpoly
 
     k = PrimeField(5)
     ring = PolyRing(k, ("x", "y"))
@@ -54,6 +56,11 @@ GUARDS = textwrap.dedent("""
         "evaluate arity": lambda: x.evaluate((k.one(),)),
         "shift arity": lambda: x.shift((k.one(), k.one(), k.one())),
         "monomial length": lambda: ring.poly({(1,): k.one()}),
+        "extension degree of a minimal polynomial": lambda: default_minpoly(2, 9),
+        # x^9 + x^4 + 1 is irreducible over F_2: only the degree bound refuses
+        "extension degree of a field": lambda: GaloisField(
+            2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
+        "extension degree of a Galois ring": lambda: GaloisRing(3, 0, (1,)),
         "negative power of a scalar": lambda: k.of_int(2) ** -1,
         "negative power of a polynomial": lambda: (x + 1) ** -1,
     }
@@ -73,5 +80,31 @@ def test_input_guards_hold_without_asserts():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
-    assert len(lines) == 8 and all(
+    assert len(lines) == 11 and all(
         line.startswith("raised:") for line in lines), r.stdout
+
+
+ORACLE_FREE_VERDICT = textwrap.dedent("""
+    import io, sys
+    import fwdiff, fwdiff.cli, fwdiff.localalg
+    from fwdiff import PointSpec, PolyRing, PrimeField, RingPresentation
+
+    k = PrimeField(5)
+    x, y = PolyRing(k, ("x", "y")).gens()
+    cusp = RingPresentation(k, ("x", "y"), (y**2 - x**3,))
+    print(fwdiff.regularity(cusp, PointSpec.of(cusp, (0, 0))).verdict)
+    print("numpy" in sys.modules)
+    print(callable(fwdiff.cross_check), "numpy" in sys.modules)
+    out = io.StringIO()
+    print(fwdiff.cli.run(["oracle", "-i", sys.argv[1]], out=out),
+          out.getvalue().splitlines()[-1])
+""")
+
+
+def test_verdicts_do_not_load_numpy():
+    ring = os.path.join(os.path.dirname(README), "rings", "zp2.ring")
+    r = subprocess.run([sys.executable, "-c", ORACLE_FREE_VERDICT, ring],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == [
+        "NotRegular", "False", "True True", "0 match: yes"]
