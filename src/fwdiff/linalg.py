@@ -11,15 +11,16 @@ from .errors import SizeRefusalError, ZeroDivisorError
 def rank_fraction_free(rows, nf):
     """Rank over the fraction field of a quotient domain.
 
-    Entries are polynomials read modulo a Groebner basis through nf; a
-    residue is treated as zero exactly when its normal form vanishes, and
+    Entries are polynomials read modulo a Groebner basis through nf and
+    must already be normal forms under nf; the rows passed in are left as
+    they are.  A residue is treated as zero exactly when it vanishes, and
     as invertible otherwise.  Elimination is by cross-multiplication, so
     no inverses are ever formed.  If two nonzero residues multiply to
     zero, the quotient was not a domain and ZeroDivisorError names them.
     Over a field, pass the identity as nf: cross-multiplication is exact
     there and no zero divisor exists.
     """
-    rows = [[nf(e) for e in r] for r in rows]
+    rows = [list(r) for r in rows]
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -49,7 +50,7 @@ def rank_fraction_free(rows, nf):
                 nf(checked_mul(a, rows[r][j]) - checked_mul(b, rows[rank][j]))
                 for j in range(ncols)
             ]
-            assert rows[r][col].is_zero()
+            assert rows[r][col].is_zero()  # internal invariant, not input
         rank += 1
         if rank == len(rows):
             break

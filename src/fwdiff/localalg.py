@@ -59,7 +59,7 @@ def _common_field(kbase, kcoord):
         "extension points of extension-field bases must reuse the base field")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointSpec:
     """A rational point of the carrier, coordinates in a finite field."""
 
@@ -91,6 +91,15 @@ class PointSpec:
             else:
                 coords.append(embed(v, fld) if v.ring != fld else v)
         return cls(ring_pres, tuple(coords))
+
+    @classmethod
+    def _checked(cls, ring_pres, coordinates):
+        """A point whose coordinates are known to share one field and to
+        satisfy every relation, built without checking them again."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "ring", ring_pres)
+        object.__setattr__(point, "coordinates", coordinates)
+        return point
 
     @property
     def field(self):
@@ -223,6 +232,14 @@ def fiber_dim_point(M: FWPresentation, x: PointSpec) -> int:
     return _point_fiber(M, x)[0]
 
 
+def _prime_fiber(M: FWPresentation, P: PrimeSpec):
+    """(fiber dimension at P, the reduced matrix it was read from)."""
+    _same_ring(M, P)
+    nf = P.total_basis.normal_form
+    rows = [[nf(col[i]) for col in M.columns] for i in range(M.ngens)]
+    return M.ngens - rank_fraction_free(rows, nf), rows
+
+
 def fiber_dim_prime(M: FWPresentation, P: PrimeSpec) -> int:
     """Rank of the module over the residue field of P.
 
@@ -230,10 +247,7 @@ def fiber_dim_prime(M: FWPresentation, P: PrimeSpec) -> int:
     fraction-freely; any zero divisor the elimination trips over is
     reported as a primality counterexample.
     """
-    _same_ring(M, P)
-    gb = P.total_basis
-    rows = [[col[i] for col in M.columns] for i in range(M.ngens)]
-    return M.ngens - rank_fraction_free(rows, gb.normal_form)
+    return _prime_fiber(M, P)[0]
 
 
 def residue_p_rank(ring_pres: RingPresentation, locus) -> int:
@@ -355,12 +369,6 @@ class RegularityVerdict:
         return out
 
 
-def _prime_certificate(fw, P):
-    nf = P.total_basis.normal_form
-    rows = [[str(nf(col[i])) for col in fw.columns] for i in range(fw.ngens)]
-    return {"generators": list(fw.generators), "reduced_matrix": rows}
-
-
 def regularity(ring_pres: RingPresentation, locus, flat=False) -> RegularityVerdict:
     """The rank criterion: regular iff the fiber has dimension d + r.
 
@@ -372,12 +380,13 @@ def regularity(ring_pres: RingPresentation, locus, flat=False) -> RegularityVerd
     fw = ring_pres.fw
     if isinstance(locus, PointSpec):
         fiber, mat = _point_fiber(fw, locus)
-        cert = {"generators": list(fw.generators),
-                "evaluated_matrix": [[str(e) for e in row] for row in mat]}
+        key = "evaluated_matrix"
     else:
-        fiber = fiber_dim_prime(fw, locus)
-        cert = _prime_certificate(fw, locus)
-    cert["rank"] = fw.ngens - fiber
+        fiber, mat = _prime_fiber(fw, locus)
+        key = "reduced_matrix"
+    cert = {"generators": list(fw.generators),
+            key: [[str(e) for e in row] for row in mat],
+            "rank": fw.ngens - fiber}
     r = residue_p_rank(ring_pres, locus)
     if not ring_pres.is_charp and not flat:
         return RegularityVerdict(
@@ -416,6 +425,8 @@ def rational_points(ring_pres: RingPresentation, field=None):
     are embedded into k once, and every monomial is read off a table of
     the powers x^e of each element x, up to the largest exponent any
     relation uses; a candidate is dropped at its first nonzero relation.
+    A kept candidate has passed every check of PointSpec, so it is not
+    checked again.
     """
     k = field if field is not None else ring_pres.residue_field
     rels = [[(c, [(i, e) for i, e in enumerate(m) if e])
@@ -442,5 +453,6 @@ def rational_points(ring_pres: RingPresentation, field=None):
     for idx in itertools.product(range(len(elems)),
                                  repeat=len(ring_pres.variables)):
         if all(vanishes(f, idx) for f in rels):
-            out.append(PointSpec(ring_pres, tuple(elems[i] for i in idx)))
+            out.append(PointSpec._checked(ring_pres,
+                                          tuple(elems[i] for i in idx)))
     return out

@@ -277,7 +277,7 @@ def _base_p_digits(n, p, count):
 def _is_irreducible(coeffs, p):
     """Brute-force factor search for a monic polynomial over F_p."""
     e = len(coeffs) - 1
-    assert e >= 1 and coeffs[-1] == 1
+    assert e >= 1 and coeffs[-1] == 1  # internal invariant: callers pass monic
     if e == 1:
         return True
     for d in range(1, e // 2 + 1):
@@ -528,7 +528,7 @@ def w_base(a: Residue) -> Residue:
         u = abar ** (p ** (k.degree - 1))
         ulift = lift_to_p2(u)
         diff = a - ulift**p
-        assert all(x % p == 0 for x in diff.value)
+        assert all(x % p == 0 for x in diff.value)  # internal invariant
         v = Residue(k, tuple((x // p) % p for x in diff.value))
         return v.frobenius()
     raise PresentationError(f"w_base needs a p^2-torsion ring, got {ring.tag()}")

@@ -222,7 +222,8 @@ class SparsePoly:
                       reverse=True)
 
     def lead_monomial(self):
-        assert self.terms, "zero polynomial has no leading monomial"
+        if not self.terms:
+            raise PresentationError("zero polynomial has no leading monomial")
         return max(self.terms, key=self.ring.key)
 
     def lead_coeff(self):
@@ -476,7 +477,8 @@ def groebner_extended(gens):
     No minimalization is performed; every S-pair is reduced explicitly so
     the collected syzygies generate the whole syzygy module.
     """
-    assert gens
+    if not gens:
+        raise PresentationError("groebner_extended needs generators")
     ring = gens[0].ring
     m = len(gens)
     unit = lambda j: [ring.one() if t == j else ring.zero() for t in range(m)]
@@ -527,7 +529,7 @@ def groebner_extended(gens):
         if g.is_zero():
             continue
         rem, rrep = track_divide(g, unit(j))
-        assert rem.is_zero()
+        assert rem.is_zero()  # internal invariant: the basis holds every input
         if any(not r.is_zero() for r in rrep):
             syzygies.append(rrep)
     return basis, reps, syzygies
@@ -567,7 +569,8 @@ def standard_monomials(gb: GroebnerBasis):
     """All monomials outside the leading ideal; requires dimension <= 0."""
     if gb.is_trivial():
         return []
-    assert krull_dim(gb) <= 0, "staircase is infinite"
+    if krull_dim(gb) > 0:
+        raise PresentationError("staircase is infinite")
     ring = gb.ring
     leads = gb.lead_monomials()
     seen = set()
@@ -667,7 +670,8 @@ def witt_Q(f):
 
 def witt_P_pair(f, g):
     """P(f, g) as polynomials: sum of binom(p,i)/p * f^i g^(p-i)."""
-    assert f.ring == g.ring
+    if f.ring != g.ring:
+        raise PresentationError("witt_P_pair needs two polynomials of one ring")
     p = f.ring.coeff.p
     total = f.ring.zero()
     fp = [f.ring.one()]
@@ -682,7 +686,9 @@ def witt_P_pair(f, g):
 
 def homogenize(f, target_ring):
     """Homogenize with the first variable of target_ring as the new one."""
-    assert target_ring.variables[1:] == f.ring.variables
+    if target_ring.variables[1:] != f.ring.variables:
+        raise PresentationError(
+            "homogenize needs the variables of f after one new first variable")
     d = f.total_degree()
     out = {}
     for m, c in f.terms.items():

@@ -25,12 +25,59 @@ with n = |A| and g generators.
 
 Because p annihilates the universal module, the free module can be taken
 over A/pA, and realizing A/pA-coordinates over an F_p-basis turns the
-whole computation into one F_p rank: with e = dim_Fp(A/pA), the free
-space has e * |A| coordinates, each relation contributes e rows (one per
-basis multiplier, products decomposed in the basis), and the dimension
-is e * |A| minus the rank.  When A/pA = F_p this is the plain |A| - rank
-count.  The result is the ground truth against which the presentation
-pipeline is cross-checked.
+whole computation into one F_p rank: with e = dim_Fp(A/pA), a free
+module on s symbols has e * s coordinates, each relation contributes e
+rows (one per basis multiplier, products decomposed in the basis), and
+the dimension is e * s minus the rank.  The result is the ground truth
+against which the presentation pipeline is cross-checked.
+
+Tables from generator products.  The closures are called only for
+a + g_u (every element a, every generator u) and for the g^2 products
+g_u g_w.  Breadth-first search from 0 along a -> a + g_u reaches every
+element z by a tree edge z = y + g_w, y reached earlier.  Along the
+edges x + z = (x + y) + g_w fills the addition table a column at a time,
+then g_u z = g_u y + g_u g_w the products with generators, and
+x z = x y + x g_w the multiplication table.  In a ring these are
+identities, so a ring gets its own tables, and whatever the closures
+did, the tables satisfy 0 + x = x + 0 = x.
+
+The table check, O(n^2 g) instead of the O(n^3) axioms.  It asks
+
+  (c) + and . are commutative, and every row of + contains 0;
+  (t) y + g_w = z on every tree edge;
+  (a) (x + y) + g = x + (y + g);
+  (d) x(y + g) = xy + xg;
+  (m) (xy)g = x(yg);
+
+for all x, y and every generator g.  The ring axioms follow by induction
+on z along the tree, writing z = z' + g by (t):
+
+  * (x + y) + z = ((x + y) + z') + g = (x + (y + z')) + g
+    = x + ((y + z') + g) = x + (y + z), by (a), induction, (a) and (a);
+    with 0 and (c) the elements form an abelian group.
+  * (d) at y = 0 reads xg = x0 + xg, so x0 = 0, and x(y + z) =
+    x((y + z') + g) = x(y + z') + xg = (xy + xz') + xg
+    = xy + (xz' + xg) = xy + xz, by associativity, (d), induction,
+    associativity and (d).
+  * (xy)0 = 0 = x(y0), and (xy)z = (xy)z' + (xy)g = x(yz') + x(yg)
+    = x(yz' + yg) = x(yz), by distributivity, induction and (m).
+
+With (c) every law holds on both sides; the identity of . is looked up.
+
+Spanning-tree elimination.  The tree edge z = y + g_w carries the
+relation R(y, g_w): [z] = [y] + [g_w] - P(y, g_w)[p], with [p] the symbol
+of p*1 and [0] = 0.  Keep [g_1], .., [g_g] as free symbols, and [p] too
+unless p*1 is 0 (always in characteristic p) or a generator; then
+induction along the tree writes every [a] as a vector T[a] of
+coefficients in A on these s = g or g + 1 symbols (Schreier's lemma;
+Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005).
+The map [a] -> T[a] is onto, and [z] - T[z] = R(y, g_w) + ([y] - T[y])
+(with [0] = -R(0, g_1)) puts its kernel inside the relations.  So the
+universal module is the free module on the s symbols modulo the images
+of the relations.  The tree relations map to 0 by the choice of T (and
+R(0, g) = -[0] too), except the one of p*1 when [p] is kept free: the
+[p] row.  What remains is that row, the additive relations off the tree
+and the Leibniz relations D(g_v, g_w): e * s columns instead of e * n.
 
 Finite rings over a Z/p^2 base are enumerated exactly: with I the
 relation ideal, U = (I : p) mod p equals I_1 + the sigma-image of the
@@ -64,15 +111,31 @@ from .mpoly import (
 # |A| caps keeping the relation matrix at desk scale
 DEFAULT_SIZE_CAP = {2: 16, 3: 81, 5: 25}
 
+# entries in one slab of the table check
+SLAB = 1 << 20
+# bytes the two n x n int64 operation tables and the table check's slab
+# temporaries may take together; a larger ring is refused before any of
+# its elements is enumerated.  This bounds the tables, not the process:
+# the n x n boolean temporaries of the check, the interpreter and numpy
+# come on top (F_3[x]/(x^7), 2187 elements: 108 MB counted, 194 MB peak RSS)
+TABLE_MEMORY_BOUND = 1 << 28
 
-def _size_cap(p, max_size):
-    if max_size is not None:
-        return max_size
-    cap = DEFAULT_SIZE_CAP.get(p)
+
+def _refuse_oversized(p, size, max_size):
+    """Refuse a ring over the size cap, or one whose tables would not fit
+    TABLE_MEMORY_BOUND, before anything of its size is allocated."""
+    cap = max_size if max_size is not None else DEFAULT_SIZE_CAP.get(p)
     if cap is None:
         raise SizeRefusalError(
             f"no default oracle bound for p = {p}; pass an explicit max size")
-    return cap
+    if size > cap:
+        raise SizeRefusalError(f"ring has {size} elements, over the bound {cap}")
+    need = 16 * size * size + 4 * 8 * SLAB  # two tables, four int64 slabs
+    if need > TABLE_MEMORY_BOUND:
+        raise SizeRefusalError(
+            f"ring has {size} elements: its operation tables need "
+            f"{need >> 20} MB, over the oracle's {TABLE_MEMORY_BOUND >> 20} MB "
+            "table bound")
 
 
 def _field_basis(k):
@@ -97,10 +160,12 @@ class FiniteRing:
     """A finite ring of p-power order with verified operation tables.
 
     Elements are canonical-form polynomials.  The supplied closures are
-    evaluated only against the additive generators (the basis lifts);
-    every other column is filled by gathers, breadth-first from zero,
-    through x + (y + g) = (x + y) + g and x(y + g) = xy + xg.  Every ring
-    axiom is then checked exhaustively on the finished tables.
+    evaluated only on the additive generators (the basis lifts): a + g for
+    every element a and the products of two generators.  Every other
+    entry is filled by gathers along a breadth-first tree from zero, and
+    the finished tables pass the O(n^2 g) check that implies every ring
+    axiom (module docstring).  The tree edges are kept in steps, one row
+    (z, y, w) per element z = y + g_w other than zero, in BFS order.
     """
 
     def __init__(self, p, elements, add_fn, mul_fn, basis_lifts, reduce_vec,
@@ -123,10 +188,9 @@ class FiniteRing:
                 raise PresentationError("duplicate elements in enumeration")
             self.index[a] = i
         self.basis_idx = [self.index[b] for b in self.basis_lifts]
-        self.add, self.mul = self._tables()
-        self.zero_idx = self._find_identity(self.add)
-        self.one_idx = self._find_identity(self.mul)
+        self.add, self.mul = self._tables(*self._generator_tables())
         self._verify_axioms()
+        self.one_idx = self._find_identity(self.mul)
         self.p_one_idx = self.int_mult_idx(p, self.one_idx)
         self.frob = self.pow_idx(np.arange(self.size), p)
         self.reduce_mat = np.array(
@@ -135,17 +199,24 @@ class FiniteRing:
         if not (ident == np.eye(self.carrier_dim, dtype=np.int64)).all():
             raise PresentationError("basis lifts do not reduce to unit vectors")
 
-    def _tables(self):
-        elems, n = self.elements, self.size
+    def _generator_tables(self):
+        """The closure calls: a + g_u as addg[u, a], g_u g_w as prods[u, w]."""
+        elems, gens, idx = self.elements, self.basis_lifts, self.index
+        addg = np.array([[idx[self._add_fn(a, g)] for a in elems]
+                         for g in gens], dtype=np.int64)
+        prods = np.array([[idx[self._mul_fn(g, h)] for h in gens]
+                          for g in gens], dtype=np.int64)
+        return addg.reshape(len(gens), self.size), prods
+
+    def _tables(self, addg, prods):
+        """Both tables from the generator tables, along the BFS tree; sets
+        zero_idx and steps on the way."""
+        n = self.size
         gens = np.array(self.basis_idx, dtype=np.int64)
-        addg, mulg = (
-            np.array([[self.index[fn(a, elems[u])] for a in elems]
-                      for u in gens], dtype=np.int64).reshape(len(gens), n)
-            for fn in (self._add_fn, self._mul_fn))
         zero = np.flatnonzero((addg == gens[:, None]).all(axis=0))
         if zero.size == 0:
             raise PresentationError("operation table has no identity element")
-        zero = int(zero[0])
+        self.zero_idx = zero = int(zero[0])
         steps, seen = [(zero, None, None)], {zero}
         for y, _, _ in steps:  # breadth-first: steps grows as it is read
             for u in range(len(gens)):
@@ -156,13 +227,18 @@ class FiniteRing:
         if len(seen) < n:
             raise PresentationError(
                 f"the basis lifts do not generate {self.label} additively")
+        tree = steps[1:]
+        self.steps = np.array(tree, dtype=np.int64).reshape(-1, 3)
         add, mul = np.empty((2, n, n), dtype=np.int64)
+        mulg = np.empty((len(gens), n), dtype=np.int64)  # mulg[u, x] = g_u x
         add[:, zero] = np.arange(n)
-        mul[:, zero] = zero
-        for z, y, u in steps[1:]:
-            add[:, z] = addg[u, add[:, y]]
-        for z, y, u in steps[1:]:
-            mul[:, z] = add[mul[:, y], mulg[u]]
+        mulg[:, zero] = mul[:, zero] = zero
+        for z, y, w in tree:
+            add[:, z] = addg[w, add[:, y]]
+        for z, y, w in tree:
+            mulg[:, z] = add[mulg[:, y], prods[:, w]]
+        for z, y, w in tree:
+            mul[:, z] = add[mul[:, y], mulg[w]]
         return add, mul
 
     def _find_identity(self, table):
@@ -174,18 +250,22 @@ class FiniteRing:
         raise PresentationError("operation table has no identity element")
 
     def _verify_axioms(self):
-        """Commutativity, inverses, associativity and distributivity; the
-        n^3 laws run on slabs of the first index, ~2^20 entries a slab."""
+        """Checks (c), (t), (a), (d) and (m) of the module docstring; the
+        n^2 g laws run on slabs of the first index, ~SLAB entries a slab."""
         add, mul, n = self.add, self.mul, self.size
+        gens = np.array(self.basis_idx, dtype=np.int64)
+        z, y, w = self.steps.T
         ok = ((add == add.T).all() and (mul == mul.T).all()
-              and (add == self.zero_idx).any(axis=1).all())
-        step = max(1, (1 << 20) // (n * n))
+              and (add == self.zero_idx).any(axis=1).all()
+              and (add[y, gens[w]] == z).all())
+        add_g, mul_g = add[:, gens], mul[:, gens]
+        step = max(1, SLAB // max(1, n * len(gens)))
         for lo in range(0, n, step):
             a, m = add[lo:lo + step], mul[lo:lo + step]
-            ok = ok and ((add[a] == a[:, add]).all()
-                         and (mul[m] == m[:, mul]).all()
-                         and (m[:, add] == add[m[:, :, None],
-                                               m[:, None, :]]).all())
+            ok = ok and ((add_g[a] == a[:, add_g]).all()
+                         and (m[:, add_g] == add[m[:, :, None],
+                                                 m[:, None, gens]]).all()
+                         and (mul_g[m] == m[:, mul_g]).all())
         if not ok:
             raise PresentationError(
                 f"operation tables of {self.label} violate the ring axioms")
@@ -244,9 +324,7 @@ def _finite_ring_charp(ring_pres, max_size):
         raise SizeRefusalError("the presented ring is infinite")
     S = standard_monomials(gb)
     size = k.order() ** len(S)
-    cap = _size_cap(ring_pres.p, max_size)
-    if size > cap:
-        raise SizeRefusalError(f"ring has {size} elements, over the bound {cap}")
+    _refuse_oversized(ring_pres.p, size, max_size)
     elems = []
     for combo in itertools.product(list(k.elements()), repeat=len(S)):
         elems.append(cring.poly(dict(zip(S, combo))))
@@ -272,6 +350,7 @@ def _finite_ring_zp2(ring_pres, max_size):
     def over_p(g):
         """g with every coefficient divided by p, landing mod p."""
         def div(c):
+            # internal invariant: callers pass multiples of p
             assert c.value % p == 0, "expected a p-divisible coefficient"
             return kfield.of_int(c.value // p)
         return g.map_coeffs(kfield, div)
@@ -308,9 +387,7 @@ def _finite_ring_zp2(ring_pres, max_size):
     S = standard_monomials(gb1)
     stairU = [] if gbU.is_trivial() else standard_monomials(gbU)
     size = p ** (len(S) + len(stairU))
-    cap = _size_cap(p, max_size)
-    if size > cap:
-        raise SizeRefusalError(f"ring has {size} elements, over the bound {cap}")
+    _refuse_oversized(p, size, max_size)
 
     def canonicalize(g):
         gbar = g.map_coeffs(kfield, reduce_mod_p)
@@ -360,51 +437,91 @@ def _label_of(ring_pres):
 # ---------------------------------------------------------------------------
 # the universal module
 
-def relation_rows(ring: FiniteRing, families=("add", "mul")):
+def _free_symbols(ring: FiniteRing):
+    """Elements whose symbols stay free: the generators, and p*1 unless it
+    is 0 or a generator."""
+    free = list(ring.basis_idx)
+    if ring.p_one_idx != ring.zero_idx and ring.p_one_idx not in free:
+        free.append(ring.p_one_idx)
+    return free
+
+
+def _tree_coordinates(ring: FiniteRing):
+    """(T, pairs): every symbol [a] in tree coordinates, and the
+    (element, generator) pairs whose additive relation is not a tree row.
+
+    T[a] lists the coefficients of [a], as element indices, on the free
+    symbols (module docstring).  A BFS level is filled from the ones
+    before it."""
+    gens = np.array(ring.basis_idx, dtype=np.int64)
+    free = _free_symbols(ring)
+    T = np.full((ring.size, len(free)), ring.zero_idx, dtype=np.int64)
+    T[free, np.arange(len(free))] = ring.one_idx
+    neg = np.argmax(ring.add == ring.zero_idx, axis=1)
+    depth = np.zeros(ring.size, dtype=np.int64)
+    for z, y, _ in ring.steps.tolist():
+        depth[z] = depth[y] + 1
+    z, y, w = ring.steps.T
+    inner = ~np.isin(z, free)
+    for d in range(1, int(depth.max()) + 1):
+        at = inner & (depth[z] == d)
+        zz, yy, gw = z[at], y[at], gens[w[at]]
+        carry = neg[ring.witt_carry_idx(yy, gw)]
+        T[zz] = ring.add[ring.add[T[yy], T[gw]],
+                         ring.mul[carry[:, None], T[ring.p_one_idx]]]
+    off_tree = np.ones((ring.size, gens.size), dtype=bool)
+    tree = z != ring.p_one_idx  # the tree row of p*1 is the [p] row
+    off_tree[y[tree], w[tree]] = False
+    return T, np.nonzero(off_tree)
+
+
+def relation_rows(ring: FiniteRing):
     """Yield numpy relation rows of the universal module, in batches.
 
-    One block of e coordinates per ring element, e = dim of A/pA.  Each
-    relation is instantiated once per A/pA-basis multiplier beta_k: a
-    term c*[x] of the relation places the basis decomposition of
-    beta_k * c into the block of x.  The Leibniz family runs over the
-    generator pairs g <= h and the additive family over the pairs
-    (a, g), a in A; the module docstring shows that these span all.
+    Columns are tree coordinates: one block of e coordinates, e = dim of
+    A/pA, per free symbol.  Each relation is instantiated once per
+    A/pA-basis multiplier beta_k: a term c*[x] of the relation places the
+    basis decompositions of beta_k * c * T[x] into the blocks.  The Leibniz family runs over the generator pairs
+    g <= h, the additive family over the pairs (a, g) off the tree, the
+    [p] row among them; the module docstring shows that these span all.
     """
+    T, (a_all, u_all) = _tree_coordinates(ring)
     gens = np.array(ring.basis_idx, dtype=np.int64)
-    if "mul" in families:
-        a, b = (gens[t] for t in np.triu_indices(len(gens)))
-        yield _relation_block(ring, [(1, ring.mul[a, b], ring.one_idx),
-                                     (-1, a, ring.frob[b]),
-                                     (-1, b, ring.frob[a])])
-    if "add" in families:
-        step = max(1, 1024 // (ring.carrier_dim * len(gens)))
-        for lo in range(0, ring.size, step):
-            a = np.repeat(np.arange(lo, min(lo + step, ring.size)), len(gens))
-            b = np.resize(gens, a.size)
-            yield _relation_block(ring, [(1, ring.add[a, b], ring.one_idx),
-                                         (-1, a, ring.one_idx),
-                                         (-1, b, ring.one_idx),
-                                         (1, ring.p_one_idx,
-                                          ring.witt_carry_idx(a, b))])
+    one = ring.one_idx
+    a, b = (gens[t] for t in np.triu_indices(len(gens)))
+    yield _relation_block(ring, T, [(1, ring.mul[a, b], one),
+                                    (-1, a, ring.frob[b]),
+                                    (-1, b, ring.frob[a])])
+    step = max(1, 1024 // ring.carrier_dim)
+    for lo in range(0, a_all.size, step):
+        a, b = a_all[lo:lo + step], gens[u_all[lo:lo + step]]
+        yield _relation_block(ring, T, [(1, ring.add[a, b], one),
+                                        (-1, a, one),
+                                        (-1, b, one),
+                                        (1, ring.p_one_idx,
+                                         ring.witt_carry_idx(a, b))])
 
 
-def _relation_block(ring, terms):
+def _relation_block(ring, T, terms):
     """e rows per relation, one relation per entry of the index arrays:
-    a term (sign, x, c) adds sign * (beta_k * c) to the block of x."""
-    e, n = ring.carrier_dim, ring.size
-    m = np.size(terms[0][1])
-    out = np.zeros((m, e, n, e), dtype=np.int64)
-    pair, k = np.arange(m)[:, None], np.arange(e)[None, :]
+    a term (sign, x, c) adds sign * (beta_k * c * T[x]) to every block."""
+    e = ring.carrier_dim
+    m, s = np.size(terms[0][1]), T.shape[1]
+    beta = np.array(ring.basis_idx, dtype=np.int64)[None, :, None]
+    out = np.zeros((m, e, s, e), dtype=np.int64)
     for sign, x, c in terms:
         x, c = np.broadcast_to(x, (m,)), np.broadcast_to(c, (m,))
-        coeff = ring.reduce_mat[ring.mul[ring.basis_idx, c[:, None]]]
-        np.add.at(out, (pair, k, x[:, None]), sign * coeff)
-    return (out % ring.p).reshape(m * e, n * e)
+        coeff = ring.mul[c[:, None], T[x]]
+        out += sign * ring.reduce_mat[ring.mul[beta, coeff[:, None, :]]]
+    return (out % ring.p).reshape(m * e, s * e)
 
 
 @dataclass
 class UniversalModule:
-    """The brute-force differential module of a finite ring."""
+    """The brute-force differential module of a finite ring.
+
+    ncols and rank count tree coordinates, e per free symbol, not the
+    e * n coordinates of the definition; the dimension is the same."""
 
     ring: FiniteRing
     dimension: int
@@ -414,8 +531,8 @@ class UniversalModule:
 
 
 def brute_fw(ring: FiniteRing) -> UniversalModule:
-    """The universal module, by one big F_p rank computation."""
-    ncols = ring.carrier_dim * ring.size
+    """The universal module, by one F_p rank in tree coordinates."""
+    ncols = ring.carrier_dim * len(_free_symbols(ring))
     span = ModPSpan(ring.p, ncols)
     for batch in relation_rows(ring):
         span.add_rows(batch)

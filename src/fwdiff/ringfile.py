@@ -392,7 +392,10 @@ def render_ring(ring_pres: RingPresentation) -> str:
 # loci given on the command line
 
 def parse_point_coords(text, ring_pres):
-    """Comma-separated constant expressions, one per variable."""
+    """Comma-separated constant expressions, one per variable; empty text
+    is the point of a ring without variables."""
+    if not text.strip():
+        return []
     ring = ring_pres.carrier_ring
     names = {}
     if isinstance(ring.coeff, GaloisField):

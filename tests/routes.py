@@ -1,6 +1,7 @@
 """Test-only code: reference routes that compute by independent formulas
 what the library computes another way (Witt carries, twisted Jacobians,
-cotangent spaces), and helpers that inspect library objects."""
+cotangent spaces, the universal module on one symbol per element), and
+helpers that inspect library objects."""
 
 import itertools
 
@@ -8,7 +9,7 @@ import numpy as np
 
 from fwdiff.errors import PresentationError
 from fwdiff.fwcore import FWPresentation, RingPresentation, present_fw
-from fwdiff.linalg import rank_fraction_free
+from fwdiff.linalg import ModPSpan, rank_fraction_free
 from fwdiff.localalg import PointSpec, fiber_dim_point, regularity
 from fwdiff.modarith import (
     PrimeSquareRing,
@@ -20,7 +21,7 @@ from fwdiff.modarith import (
     witt_P_scalars,
 )
 from fwdiff.mpoly import PolyRing, SparsePoly, frobenius_twist
-from fwdiff.oracle import FiniteRing
+from fwdiff.oracle import FiniteRing, UniversalModule
 from fwdiff.ringfile import parse_poly
 
 
@@ -246,8 +247,81 @@ def reordered(fr: FiniteRing, perm):
                       lambda a: fr.reduce_mat[fr.index[a]], fr.label)
 
 
+def verify_axioms(fr: FiniteRing):
+    """Commutativity, inverses, associativity and distributivity; the
+    n^3 laws run on slabs of the first index, ~2^20 entries a slab."""
+    add, mul, n = fr.add, fr.mul, fr.size
+    ok = ((add == add.T).all() and (mul == mul.T).all()
+          and (add == fr.zero_idx).any(axis=1).all())
+    step = max(1, (1 << 20) // (n * n))
+    for lo in range(0, n, step):
+        a, m = add[lo:lo + step], mul[lo:lo + step]
+        ok = ok and ((add[a] == a[:, add]).all()
+                     and (mul[m] == m[:, mul]).all()
+                     and (m[:, add] == add[m[:, :, None],
+                                           m[:, None, :]]).all())
+    if not ok:
+        raise PresentationError(
+            f"operation tables of {fr.label} violate the ring axioms")
+
+
+def element_relation_rows(ring: FiniteRing, families=("add", "mul")):
+    """Yield numpy relation rows of the universal module, in batches.
+
+    One block of e coordinates per ring element, e = dim of A/pA.  Each
+    relation is instantiated once per A/pA-basis multiplier beta_k: a
+    term c*[x] of the relation places the basis decomposition of
+    beta_k * c into the block of x.  The Leibniz family runs over the
+    generator pairs g <= h and the additive family over the pairs
+    (a, g), a in A.
+    """
+    gens = np.array(ring.basis_idx, dtype=np.int64)
+    if "mul" in families:
+        a, b = (gens[t] for t in np.triu_indices(len(gens)))
+        yield _element_block(ring, [(1, ring.mul[a, b], ring.one_idx),
+                                    (-1, a, ring.frob[b]),
+                                    (-1, b, ring.frob[a])])
+    if "add" in families:
+        step = max(1, 1024 // (ring.carrier_dim * len(gens)))
+        for lo in range(0, ring.size, step):
+            a = np.repeat(np.arange(lo, min(lo + step, ring.size)), len(gens))
+            b = np.resize(gens, a.size)
+            yield _element_block(ring, [(1, ring.add[a, b], ring.one_idx),
+                                        (-1, a, ring.one_idx),
+                                        (-1, b, ring.one_idx),
+                                        (1, ring.p_one_idx,
+                                         ring.witt_carry_idx(a, b))])
+
+
+def _element_block(ring, terms):
+    """e rows per relation, one relation per entry of the index arrays:
+    a term (sign, x, c) adds sign * (beta_k * c) to the block of x."""
+    e, n = ring.carrier_dim, ring.size
+    m = np.size(terms[0][1])
+    out = np.zeros((m, e, n, e), dtype=np.int64)
+    pair, k = np.arange(m)[:, None], np.arange(e)[None, :]
+    for sign, x, c in terms:
+        x, c = np.broadcast_to(x, (m,)), np.broadcast_to(c, (m,))
+        coeff = ring.reduce_mat[ring.mul[ring.basis_idx, c[:, None]]]
+        np.add.at(out, (pair, k, x[:, None]), sign * coeff)
+    return (out % ring.p).reshape(m * e, n * e)
+
+
+def element_brute_fw(ring: FiniteRing) -> UniversalModule:
+    """The universal module on one block of coordinates per element."""
+    ncols = ring.carrier_dim * ring.size
+    span = ModPSpan(ring.p, ncols)
+    for batch in element_relation_rows(ring):
+        span.add_rows(batch)
+        if span.rank == ncols:
+            break
+    return UniversalModule(ring=ring, dimension=ncols - span.rank,
+                           ncols=ncols, rank=span.rank, span=span)
+
+
 def free_coords(um):
-    """Coordinates (element index, basis index) spanning the quotient."""
+    """Coordinates (element index, basis index) spanning the quotient of
+    a module from element_brute_fw."""
     taken = set(um.span.pivots)
     e = um.ring.carrier_dim
     return [(c // e, c % e) for c in range(um.ncols) if c not in taken]
@@ -262,7 +336,8 @@ def basis_certificates(um):
 
 
 def action_matrix(um, r_idx):
-    """Matrix of multiplication by a ring element on the free coords."""
+    """Matrix of multiplication by a ring element on the free coords of
+    a module from element_brute_fw."""
     free = free_coords(um)
     e = um.ring.carrier_dim
     cols = []

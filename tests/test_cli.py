@@ -93,6 +93,22 @@ def test_refusals_exit_one(tmp_path):
     assert code == 1 and "refused:" in err
 
 
+def test_empty_point_names_the_point_of_a_ring_without_variables():
+    code, out, err = _run(["regular", "-i", _ring("zp2.ring"), "--point", "",
+                           "--flat"])
+    assert code == 0 and err == ""
+    assert "locus: ()" in out and "verdict: Regular" in out
+    code, _, err = _run(["regular", "-i", _ring("cusp.ring"), "--point", ""])
+    assert code == 2 and "one coordinate per variable" in err
+
+
+def test_oracle_refuses_tables_past_the_memory_bound(tmp_path):
+    huge = tmp_path / "huge.ring"
+    huge.write_text("base: Fp(3)\nvars: x\nrel: x^10\n")
+    code, _, err = _run(["oracle", "-i", str(huge), "--max-size", "59049"])
+    assert code == 1 and "refused:" in err and "operation tables" in err
+
+
 def test_oracle_command_on_small_rings(tmp_path):
     z4 = tmp_path / "z4.ring"
     z4.write_text("base: Zp2(2)\nvars:\n")

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from fwdiff import fwcore, localalg
+from fwdiff import fwcore, localalg, mpoly
 from fwdiff.errors import (
     OffSchemeError,
     PresentationError,
@@ -161,6 +161,36 @@ def test_point_verdict_evaluates_the_matrix_once(monkeypatch):
     assert len(calls) == 1
     assert v.fiber_dim == fiber_dim_point(pres.fw, x) == 1
     assert v.certificate["evaluated_matrix"] == [["2"], ["2"]]
+
+
+def test_prime_verdict_reduces_each_entry_once(monkeypatch):
+    pres = ring_of(PrimeField(5), ("x", "y", "z"), ["x*z", "y*z"])
+    P = PrimeSpec(pres, (_cpoly(pres, "x"), _cpoly(pres, "y")))
+    pres.fw  # the presentation is built before counting
+    calls = _count_calls(monkeypatch, mpoly, "normal_form")
+    v = regularity(pres, P)
+    assert len(calls) == 6  # a 3 x 2 matrix; 12 when the rank reduced again
+    assert v.fiber_dim == fiber_dim_prime(pres.fw, P) == 1
+    assert v.certificate["reduced_matrix"] == [["z^5", "0"], ["0", "z^5"],
+                                               ["0", "0"]]
+    assert v.certificate["rank"] == 2
+
+
+def test_enumerated_points_are_checked_once(monkeypatch):
+    """rational_points has tested every relation at the points it keeps,
+    so it does not run PointSpec's checks again; the public constructor
+    still runs them."""
+    calls = []
+    real = PointSpec.__post_init__
+    monkeypatch.setattr(PointSpec, "__post_init__",
+                        lambda self: calls.append(self) or real(self))
+    points = rational_points(CUSP)
+    assert len(points) == 5 and not calls
+    assert [PointSpec(CUSP, x.coordinates) for x in points] == points
+    assert len(calls) == 5
+    with pytest.raises(OffSchemeError):
+        PointSpec.of(CUSP, (1, 2))
+    assert not hasattr(points[0], "__dict__")  # slots: no per-point dict
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Brute-force universal module on small finite rings.
 
 The oracle enumerates every element, tabulates the operations from the
-closures on the additive generators, instantiates the additive relations
-on the pairs (element, generator) and the Leibniz relations on generator
-pairs, and row-reduces.  The tests here check the oracle against itself
-(permutation invariance, span memberships forced by the axioms), against
-an all-pairs reference built here from the definition (closures on every
-pair, both relation families on every pair), and pin the dimensions it
-must report on the standard small rings.
+closures on the additive generators (a + g and the generator products),
+checks the tables in O(n^2 g), eliminates every symbol along the
+breadth-first tree, and row-reduces the remaining relations in tree
+coordinates.  The tests here check the oracle against itself
+(permutation invariance), against the exhaustive axiom check and the
+per-element module of tests/routes.py (span memberships forced by the
+axioms, the action on the quotient), against an all-pairs reference
+built here from the definition (closures on every pair, both relation
+families on every pair), and pin the dimensions it must report on the
+standard small rings.
 """
 
 import os
@@ -22,6 +25,7 @@ from fwdiff.linalg import ModPSpan
 from fwdiff.modarith import GaloisField, PrimeField, PrimeSquareRing
 from fwdiff.oracle import (
     FiniteRing,
+    _refuse_oversized,
     brute_fw,
     cross_check,
     presented_fp_dimension,
@@ -31,9 +35,12 @@ from fwdiff.ringfile import parse_ring
 from routes import (
     action_matrix,
     basis_certificates,
+    element_brute_fw,
+    element_relation_rows,
     reordered,
     ring_of,
     span_contains,
+    verify_axioms,
 )
 
 
@@ -74,8 +81,9 @@ def test_table_construction_and_axioms():
     fr = FiniteRing.from_presentation(Z4_MIXED)
     assert fr.size == 8
     assert fr.carrier_dim == 2  # carrier F_2[x]/(x^2) has basis 1, x
-    # the tables went through the exhaustive axiom check in the
-    # constructor; spot-check commutativity and the frobenius table
+    # the tables went through the O(n^2 g) check in the constructor;
+    # run the exhaustive one, spot-check commutativity and the frobenius
+    verify_axioms(fr)
     assert (fr.add == fr.add.T).all()
     for i in range(fr.size):
         assert fr.frob[i] == fr.pow_idx(i, 2)
@@ -98,7 +106,7 @@ def test_p_multiples_lie_in_additive_span(pres):
     fr = FiniteRing.from_presentation(pres)
     p, n, e = fr.p, fr.size, fr.carrier_dim
     span = ModPSpan(p, e * n)
-    for batch in relation_rows(fr, families=("add",)):
+    for batch in element_relation_rows(fr, families=("add",)):
         span.add_rows(batch)
     for a in range(n):
         pa = fr.int_mult_idx(p, a)
@@ -116,9 +124,9 @@ def test_p_multiples_lie_in_additive_span(pres):
 
 def test_action_matrix_sanity():
     fr = FiniteRing.from_presentation(Z4_MIXED)
-    um = brute_fw(fr)
+    um = element_brute_fw(fr)
     d = um.dimension
-    assert d == 4
+    assert d == 4 == brute_fw(fr).dimension
     ident = action_matrix(um, fr.one_idx)
     assert (ident == np.eye(d, dtype=np.int64)).all()
     zero = action_matrix(um, fr.zero_idx)
@@ -132,7 +140,7 @@ def test_action_matrix_sanity():
 
 def test_basis_certificates_name_free_coordinates():
     fr = FiniteRing.from_presentation(Z4)
-    um = brute_fw(fr)
+    um = element_brute_fw(fr)
     certs = basis_certificates(um)
     assert len(certs) == um.dimension == 1
     assert "w(" in certs[0]
@@ -186,8 +194,9 @@ def test_more_zp2_quotients_cross_check():
 
 
 def test_table_build_memory_is_bounded():
-    """The exhaustive axiom check runs in slabs: at 243 elements an
-    n x n x n int64 array alone would be 115 MB."""
+    """The table check runs in slabs: at 243 elements an n x n x g int64
+    array is 2.4 MB, where the n x n x n array of an exhaustive check
+    alone would be 115 MB."""
     big = ring_of(PrimeField(3), ("x",), ["x^5"])
     tracemalloc.start()
     try:
@@ -197,6 +206,38 @@ def test_table_build_memory_is_bounded():
         tracemalloc.stop()
     assert fr.size == 243
     assert peak < 64 * 2**20, peak
+
+
+def test_oversized_tables_are_refused_before_enumeration():
+    """F_3[x]/(x^10) has 59049 elements: its two tables alone would take
+    55.8 GB, so the refusal comes before any element is built."""
+    huge = ring_of(PrimeField(3), ("x",), ["x^10"])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeRefusalError, match="operation tables"):
+            FiniteRing.from_presentation(huge, max_size=59049)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    for size in (729, 2187):  # below the bound
+        _refuse_oversized(3, size, size)
+    with pytest.raises(SizeRefusalError, match="over the bound 81"):
+        _refuse_oversized(3, 729, None)
+
+
+def test_cross_check_at_729_elements():
+    """The tables, the check and the tree-coordinate rank of a 729-element
+    ring stay far below the n^3 and n * e scale."""
+    pres = ring_of(PrimeField(3), ("x",), ["x^6"])
+    tracemalloc.start()
+    try:
+        rep = cross_check(present_fw(pres), max_size=729)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["match"] and rep["size"] == 729 and rep["brute_dim"] == 6
+    assert peak < 100 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +320,102 @@ def test_generator_oracle_matches_all_pairs_reference(pres, max_size):
     fr = FiniteRing.from_presentation(pres, max_size=max_size)
     add, mul = _all_pairs_tables(fr)
     assert (fr.add == add).all() and (fr.mul == mul).all()
+    verify_axioms(fr)
     um = brute_fw(fr)
+    # Leibniz rows on generator pairs, additive rows off the tree, and
+    # the [p] row when p*1 != 0; e rows each, e per free symbol wide
+    n, g, e = fr.size, len(fr.basis_idx), fr.carrier_dim
+    with_p = fr.p_one_idx != fr.zero_idx
+    rows = [batch.shape for batch in relation_rows(fr)]
+    assert {width for _, width in rows} == {e * (g + with_p)} == {um.ncols}
+    assert sum(h for h, _ in rows) == e * (g * (g + 1) // 2 + n * g
+                                           - (n - 1) + with_p)
     rank = _all_pairs_rank(fr)
-    assert um.rank == rank
-    assert um.dimension == um.ncols - rank
+    # the ranks are taken in different coordinates: compare dimensions
+    assert um.dimension == fr.size * fr.carrier_dim - rank
+    assert element_brute_fw(fr).dimension == um.dimension
+
+
+BENCH_RINGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "fwbench", "rings", "oracle")
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(BENCH_RINGS_DIR)))
+def test_generator_oracle_matches_references_on_bench_rings(name):
+    with open(os.path.join(BENCH_RINGS_DIR, name), encoding="utf-8") as fh:
+        fr = FiniteRing.from_presentation(parse_ring(fh.read()))
+    add, mul = _all_pairs_tables(fr)
+    assert (fr.add == add).all() and (fr.mul == mul).all()
+    verify_axioms(fr)
+    assert brute_fw(fr).dimension == element_brute_fw(fr).dimension
+
+
+class _Checked(Exception):
+    """Stops a probe ring after its tables were checked both ways."""
+
+
+def _check_both_ways(fr, table, entry, value):
+    """(O(n^2 g) check, exhaustive check) on the tables that fr's
+    construction yields once one entry of addg or of the generator
+    products is replaced by value; None when no tables come out."""
+
+    class Probe(FiniteRing):
+        def _generator_tables(self):
+            addg, prods = super()._generator_tables()
+            (addg if table == "addg" else prods)[entry] = value
+            return addg, prods
+
+        def _verify_axioms(self):
+            verdicts = []
+            for check in (super()._verify_axioms, lambda: verify_axioms(self)):
+                try:
+                    check()
+                    verdicts.append(True)
+                except PresentationError:
+                    verdicts.append(False)
+            raise _Checked(*verdicts)
+
+    try:
+        Probe(fr.p, fr.elements, fr._add_fn, fr._mul_fn, fr.basis_lifts,
+              lambda a: fr.reduce_mat[fr.index[a]], fr.label)
+    except _Checked as done:
+        return done.args
+    except PresentationError:  # the corrupted addg no longer generates
+        return None
+    raise AssertionError("the probe skipped the table check")
+
+
+@pytest.mark.parametrize("pres", [Z4, Z9, F2_EPS3, F3_EPS, Z4_MIXED, F4,
+                                  ring_of(PrimeField(2), ("x", "y"),
+                                          ["x^2", "y^2"])],
+                         ids=_ring_id)
+def test_table_check_rejects_what_the_exhaustive_check_rejects(pres):
+    """Corrupt one entry of the generator products or of addg: the
+    O(n^2 g) check and the exhaustive O(n^3) one must agree on every
+    resulting pair of tables.  Some corruptions still give a ring, such
+    as 1 * 1 = 3 over Z/4 (a ring with identity 3), and both accept."""
+    fr = FiniteRing.from_presentation(pres)
+    assert _check_both_ways(fr, "prods", (0, 0), fr.mul[
+        fr.basis_idx[0], fr.basis_idx[0]]) == (True, True)
+    rng = np.random.RandomState(11)
+    g, n = len(fr.basis_idx), fr.size
+    outcomes = []
+    for _ in range(12):
+        table = ("prods", "addg")[rng.randint(2)]
+        if table == "prods":
+            entry = (rng.randint(g), rng.randint(g))
+            old = fr.mul[fr.basis_idx[entry[0]], fr.basis_idx[entry[1]]]
+        else:
+            a = rng.choice([i for i in range(n) if i != fr.zero_idx])
+            entry = (rng.randint(g), a)
+            old = fr.add[a, fr.basis_idx[entry[0]]]
+        value = rng.choice([i for i in range(n) if i != old])
+        verdicts = _check_both_ways(fr, table, entry, value)
+        if verdicts is not None:
+            fast, exhaustive = verdicts
+            assert fast == exhaustive, (table, entry, value)
+            outcomes.append(fast)
+    assert False in outcomes, outcomes
 
 
 def test_reference_covers_every_finite_ring_file():

@@ -40,6 +40,8 @@ GUARDS = textwrap.dedent("""
                         PrimeSquareRing, RingPresentation, fiber_dim_point,
                         fiber_dim_prime, groebner, present_fw)
     from fwdiff.modarith import default_minpoly
+    from fwdiff.mpoly import (groebner_extended, homogenize, standard_monomials,
+                              witt_P_pair)
 
     k = PrimeField(5)
     ring = PolyRing(k, ("x", "y"))
@@ -61,6 +63,11 @@ GUARDS = textwrap.dedent("""
         "extension degree of a field": lambda: GaloisField(
             2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
         "extension degree of a Galois ring": lambda: GaloisRing(3, 0, (1,)),
+        "carry of two rings": lambda: witt_P_pair(x, zring.gen(0)),
+        "homogenize into other variables": lambda: homogenize(x, ring),
+        "extended basis of nothing": lambda: groebner_extended([]),
+        "infinite staircase": lambda: standard_monomials(groebner([x])),
+        "lead monomial of zero": lambda: ring.zero().lead_monomial(),
         "negative power of a scalar": lambda: k.of_int(2) ** -1,
         "negative power of a polynomial": lambda: (x + 1) ** -1,
     }
@@ -80,7 +87,7 @@ def test_input_guards_hold_without_asserts():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
-    assert len(lines) == 11 and all(
+    assert len(lines) == 16 and all(
         line.startswith("raised:") for line in lines), r.stdout
 
 
