@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Sweep the rational points of a ring over small field extensions and
-tabulate the regularity verdicts at each one."""
+tabulate the regularity verdicts at each one.
+
+An input the library rejects (a ring file it cannot read, a field the
+base does not embed into) ends the sweep with one "error: ..." line on
+stderr and exit code 2, as in the fwdiff command line tool."""
 
 import argparse
+import sys
 from dataclasses import dataclass
 
+from fwdiff.errors import FWDiffError
 from fwdiff.localalg import rational_points, regularity
 from fwdiff.modarith import GaloisField, PrimeField
 from fwdiff.ringfile import parse_ring
@@ -46,7 +52,11 @@ def main(argv=None):
     ap.add_argument("--flat", action="store_true",
                     help="assert flatness for a Z/p^2 base")
     ns = ap.parse_args(argv)
-    return run(SweepConfig(ns.ring, ns.max_degree, ns.flat))
+    try:
+        return run(SweepConfig(ns.ring, ns.max_degree, ns.flat))
+    except (FWDiffError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

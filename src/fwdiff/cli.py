@@ -15,6 +15,7 @@ internal error (any other exception, reported in one line).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,7 +54,9 @@ def _int_at_least(lo):
     return parse
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it."""
     top = argparse.ArgumentParser(
         prog="fwdiff",
         description="Frobenius-Witt differentials of finitely presented "

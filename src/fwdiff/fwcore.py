@@ -11,7 +11,9 @@ in closed form:
     w(f) = sum_j (df/dX_j)^p e_{w(X_j)}
          + [ sum_m X^(p m) w_base(c_m) - Q(f) mod p ] e_{w(p)}
 
-where Q is the multivariate Witt carry of mpoly.witt_Q.  Bases of
+where Q is the multivariate Witt carry of mpoly.witt_Q, one p-th power
+over a p^3 lift.  w_poly makes one pass over the raw coefficient values
+of f and builds one polynomial per coordinate, at the end.  Bases of
 characteristic p are handled by the same formula through the flat cover
 Z/p^2 or GR(p^2, e): the relation "p" turns the w(p) coordinate into a
 unit column, so it is dropped.  (There the column is the twisted
@@ -41,6 +43,7 @@ from .mpoly import (
     GroebnerBasis,
     PolyRing,
     SparsePoly,
+    _raw_poly,
     frobenius_twist,
     groebner,
     witt_P_pair,
@@ -149,28 +152,43 @@ def w_poly(f):
     """Coordinates of w(f) in the free module on w(X_1..X_n), w(p).
 
     f has coefficients in Z/p^2 or GR(p^2, e); the coordinates are
-    polynomials over the residue field (the module is p-torsion).
+    polynomials over the residue field k (the module is p-torsion).  One
+    pass over the terms c X^m of f, on raw values, gives the twisted
+    derivatives (e c mod p)^p X^(p(m - e_j)) for e = m_j and the w(p)
+    terms w_base(c) X^(p m); Q(f) is then read mod p.
     """
     R = f.ring.coeff
     if not isinstance(R, (PrimeSquareRing, GaloisRing)):
         raise PresentationError("w_poly needs Z/p^2 or GR(p^2,e) coefficients")
     p = R.p
     k = residue_field_of(R)
-    kring = f.ring.with_coeff(k)
-    out = []
-    for j in range(f.ring.nvars):
-        dbar = f.derivative(j).map_coeffs(k, reduce_mod_p)
-        out.append(frobenius_twist(dbar))
+    if isinstance(R, PrimeSquareRing):
+        def mod_p(a):
+            return a % p
+
+        def twisted(a, e):  # x^p = x on F_p
+            return a * e % p
+    else:
+        def mod_p(a):
+            return tuple([x % p for x in a])
+
+        def twisted(a, e):
+            return k._pow(tuple([x * e % p for x in a]), p)
+    grads = [{} for _ in f.ring.variables]
     wp = {}
     for m, c in f.terms.items():
-        wb = w_base(c)
-        if not wb.is_zero():
-            mm = tuple(p * e for e in m)
-            prev = wp.get(mm)
-            wp[mm] = wb if prev is None else prev + wb
-    wp_poly = kring.poly(wp) - witt_Q(f).map_coeffs(k, reduce_mod_p)
-    out.append(wp_poly)
-    return out
+        pm = tuple([p * e for e in m])
+        for j, e in enumerate(m):
+            if e % p:
+                dm = list(pm)
+                dm[j] -= p
+                grads[j][tuple(dm)] = twisted(c.value, e)
+        wp[pm] = w_base(c).value
+    zero = k._of_int(0)
+    for m, q in witt_Q(f).terms.items():
+        wp[m] = k._sub(wp.get(m, zero), mod_p(q.value))
+    kring = f.ring.with_coeff(k)
+    return [_raw_poly(kring, raw) for raw in grads + [wp]]
 
 
 def _lift_poly(f):
@@ -375,13 +393,6 @@ class BaseChangeMap:
     source_fw: FWPresentation
     target_fw: FWPresentation
     columns: tuple  # one per source generator, entries over target carrier
-
-    def describe(self):
-        return {
-            "source_generators": list(self.source_fw.generators),
-            "target_generators": list(self.target_fw.generators),
-            "columns": [[str(e) for e in col] for col in self.columns],
-        }
 
 
 def base_change_map(morph: PresentationMorphism) -> BaseChangeMap:

@@ -10,8 +10,6 @@ the extensions.  Every operation reduces eagerly.
 
 from __future__ import annotations
 
-import math
-
 from .errors import PresentationError
 
 
@@ -493,19 +491,6 @@ def embed(a: Residue, target) -> Residue:
 
 # ---------------------------------------------------------------------------
 # Witt data
-
-def witt_P_scalars(a: Residue, b: Residue) -> Residue:
-    """The Witt carry P(a, b) = ((a + b)^p - a^p - b^p)/p, that is the sum
-    of binom(p, i)/p * a^i * b^(p-i) over 0 < i < p, on one ring."""
-    ring = a.ring
-    b = ring.coerce(b)
-    p = ring.p
-    total = ring.zero()
-    for i in range(1, p):
-        c = math.comb(p, i) // p
-        total = total + ring.of_int(c) * a**i * b ** (p - i)
-    return total
-
 
 def w_base(a: Residue) -> Residue:
     """The derivation constant of the base ring: w(a) = w_base(a) * w(p).

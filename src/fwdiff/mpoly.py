@@ -5,16 +5,30 @@ nonzero coefficient, kept canonical at all times.  Two monomial orders
 are provided: grevlex (default) and a homogenized-local order used by
 the tangent-cone computation, in which the first variable is the
 homogenizer and ties are broken by negative degree on the rest.
+
+The Witt operations (frobenius_twist, witt_Q, witt_P_pair) work on raw
+{monomial: value} dicts through the coefficient ring's value methods and
+make Residues only for the terms of their result.  witt_Q reads the
+carry off one p-th power over a lift modulo p^3 (the argument is in its
+docstring), so its cost is polynomial in the number of terms.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import PresentationError
-from .modarith import GaloisRing, PrimeSquareRing, Residue, embed
+from .modarith import (
+    GaloisRing,
+    PrimeSquareRing,
+    Residue,
+    _upoly_mul,
+    _upoly_rem,
+    embed,
+)
 
 
 def mono_mul(a, b):
@@ -593,95 +607,126 @@ def standard_monomials(gb: GroebnerBasis):
 
 
 # ---------------------------------------------------------------------------
-# Witt operations on polynomials
+# Witt operations on polynomials, on raw {monomial: value} dicts
+
+def _raw_mul(a, b, mul, add, out=None):
+    """Add the product of the raw polynomials a and b, under the value
+    operations mul and add, into out (a new dict when None); zero values
+    are kept."""
+    out = {} if out is None else out
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(operator.add, m1, m2))
+            v = mul(c1, c2)
+            s = get(m)
+            out[m] = v if s is None else add(s, v)
+    return out
+
+
+def _raw_poly(ring, raw):
+    """The SparsePoly over ring of a raw polynomial whose values are
+    canonical for ring.coeff; zero values are dropped."""
+    R = ring.coeff
+    zero = R._of_int(0)
+    return SparsePoly(ring, {m: Residue(R, v) for m, v in raw.items()
+                             if v != zero})
+
 
 def frobenius_twist(f):
     """Sum of c^p X^(p*m) over the terms of f: the p-th power when the
     coefficients live in characteristic p, the twist f^(p) otherwise."""
-    p = f.ring.coeff.p
-    out = {}
-    for m, c in f.terms.items():
-        v = c**p
-        if not v.is_zero():
-            out[tuple(p * e for e in m)] = v
-    return SparsePoly(f.ring, out)
+    R = f.ring.coeff
+    p = R.p
+    return _raw_poly(f.ring, {tuple([p * e for e in m]): R._pow(c.value, p)
+                              for m, c in f.terms.items()})
 
 
-def _multinomial_tuples(p, nparts):
-    """Tuples (k_1..k_n), 0 <= k_t < p, sum p, with (p-1)!/prod(k_t!)."""
-    fact = math.factorial
+def _cube_lift(R):
+    """Value operations (mul, add, zero, carry) of the lift of R mod p^3.
 
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            if remaining == 0:
-                yield tuple(prefix)
-            return
-        if remaining > (p - 1) * slots:
-            return
-        for k in range(min(p - 1, remaining) + 1):
-            prefix.append(k)
-            yield from rec(prefix, remaining - k, slots - 1)
-            prefix.pop()
+    Z/p^2 lifts to Z/p^3, and GR(p^2, e) = (Z/p^2)[t]/(m~) to
+    (Z/p^3)[t]/(m~); a value of R, a least nonnegative representative, is
+    read verbatim as a value of the lift.  carry(v, w) is (v - w)/p mod
+    p^2, a value of R, for v = w mod p.  Over Z/p^3, mul and add are the
+    integer operations and carry reduces.
+    """
+    p = R.p
+    M = p**3
+    if isinstance(R, PrimeSquareRing):
+        return operator.mul, operator.add, 0, lambda v, w: (v - w) % M // p
+    if isinstance(R, GaloisRing):
+        e, red = R.degree, R._red
 
-    for combo in rec([], p, nparts):
-        denom = 1
-        for k in combo:
-            denom *= fact(k)
-        yield combo, fact(p - 1) // denom
+        def mul(a, b):
+            r = _upoly_rem(_upoly_mul(a, b, M), red, M)
+            return tuple(r) + (0,) * (e - len(r))
+
+        def add(a, b):
+            return tuple([(x + y) % M for x, y in zip(a, b)])
+
+        def carry(v, w):
+            return tuple([(x - y) % M // p for x, y in zip(v, w)])
+
+        return mul, add, (0,) * e, carry
+    raise PresentationError(f"witt_Q needs p^2-torsion coefficients, got {R.tag()}")
 
 
 def witt_Q(f):
     """The multivariate carry Q(f) with f^p = f^(p) + p*Q(f).
 
-    Q is the sum over exponent tuples (k_t), 0 <= k_t < p, sum k_t = p,
-    of (p-1)!/(prod k_t!) times the corresponding product of terms of f.
-    Over Z/p^2 the sum is evaluated on the exact integer lift and reduced
-    at the end; over GR(p^2, e) it is evaluated in ring arithmetic (the
-    scalars are integers).  A single-term f has no admissible tuple, so
-    Q(f) = 0.
+    Q(f) is the sum, over exponent tuples (k_t) with 0 <= k_t < p and
+    sum k_t = p, of (p-1)!/prod(k_t!) times the product of the terms of f
+    raised to the k_t.  It is read off one p-th power in a lift.  Let L be
+    Z/p^3 for Z/p^2 coefficients and (Z/p^3)[t]/(m~) for GR(p^2, e), and
+    F the polynomial over L with the coefficients of f read verbatim.  By
+    the multinomial theorem F^p is the sum over all tuples with sum p of
+    p!/prod(k_t!) times the product.  The tuples with one k_t = p give
+    sum c^p X^(p*m); every other coefficient p!/prod(k_t!) is p times
+    (p-1)!/prod(k_t!).  So F^p - sum c^p X^(p*m) = p*Q~, with Q~ the
+    same sum over L.  Every coefficient of the left side thus lies in pL,
+    and since p*x = 0 in L exactly when x lies in p^2 L, dividing by p
+    determines Q~ mod p^2.  Reduction L -> R is a ring map, so it takes
+    Q~ to Q(f): the result is exactly the multinomial sum.
+
+    The cost is p - 1 sparse products of F^k by F, at most |F^k| * t
+    value products each for t terms, instead of one product of up to p
+    terms for each of the C(t + p - 1, p) tuples.  A single-term f gives 0.
     """
     R = f.ring.coeff
-    terms = f.sorted_terms()
-    if isinstance(R, PrimeSquareRing):
-        lifted = [(m, c.value) for m, c in terms]
-        acc = {}
-        for combo, coef in _multinomial_tuples(R.p, len(lifted)):
-            mono = (0,) * f.ring.nvars
-            val = coef
-            for k, (m, c) in zip(combo, lifted):
-                if k:
-                    mono = mono_mul(mono, tuple(k * e for e in m))
-                    val *= c**k
-            acc[mono] = acc.get(mono, 0) + val
-        out = {m: R.of_int(v) for m, v in acc.items()}
-        return f.ring.poly(out)
-    if isinstance(R, GaloisRing):
-        total = f.ring.zero()
-        for combo, coef in _multinomial_tuples(R.p, len(terms)):
-            part = f.ring.constant(coef)
-            for k, (m, c) in zip(combo, terms):
-                if k:
-                    part = part * SparsePoly(
-                        f.ring, {tuple(k * e for e in m): c**k})
-            total = total + part
-        return total
-    raise PresentationError(f"witt_Q needs p^2-torsion coefficients, got {R.tag()}")
+    mul, add, zero, carry = _cube_lift(R)
+    p = R.p
+    raw = {m: c.value for m, c in f.terms.items()}
+    power = raw
+    for _ in range(p - 1):
+        power = _raw_mul(power, raw, mul, add)
+    twist = {}
+    for m, c in raw.items():
+        v = c
+        for _ in range(p - 1):
+            v = mul(v, c)
+        twist[tuple([p * e for e in m])] = v
+    return _raw_poly(f.ring, {m: carry(v, twist.get(m, zero))
+                              for m, v in power.items()})
 
 
 def witt_P_pair(f, g):
-    """P(f, g) as polynomials: sum of binom(p,i)/p * f^i g^(p-i)."""
+    """P(f, g) as polynomials: sum of binom(p,i)/p * f^i g^(p-i), 0 < i < p."""
     if f.ring != g.ring:
         raise PresentationError("witt_P_pair needs two polynomials of one ring")
-    p = f.ring.coeff.p
-    total = f.ring.zero()
-    fp = [f.ring.one()]
-    gp = [g.ring.one()]
-    for i in range(1, p + 1):
-        fp.append(fp[-1] * f)
-        gp.append(gp[-1] * g)
+    R = f.ring.coeff
+    p, mul, add = R.p, R._mul, R._add
+    fpow = [None, {m: c.value for m, c in f.terms.items()}]
+    gpow = [None, {m: c.value for m, c in g.terms.items()}]
+    for _ in range(2, p):
+        fpow.append(_raw_mul(fpow[-1], fpow[1], mul, add))
+        gpow.append(_raw_mul(gpow[-1], gpow[1], mul, add))
+    total = {}
     for i in range(1, p):
-        total = total + (fp[i] * gp[p - i]) * (math.comb(p, i) // p)
-    return total
+        c = R._of_int(math.comb(p, i) // p)
+        scaled = {m: mul(c, v) for m, v in fpow[i].items()}
+        _raw_mul(scaled, gpow[p - i], mul, add, total)
+    return _raw_poly(f.ring, total)
 
 
 def homogenize(f, target_ring):

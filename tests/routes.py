@@ -4,6 +4,7 @@ cotangent spaces, the universal module on one symbol per element), and
 helpers that inspect library objects."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -12,13 +13,15 @@ from fwdiff.fwcore import FWPresentation, RingPresentation, present_fw
 from fwdiff.linalg import ModPSpan, rank_fraction_free
 from fwdiff.localalg import PointSpec, fiber_dim_point, regularity
 from fwdiff.modarith import (
+    GaloisRing,
     PrimeSquareRing,
     Residue,
     embed,
     lift_to_p2,
     p2_cover_of,
     reduce_mod_p,
-    witt_P_scalars,
+    residue_field_of,
+    w_base,
 )
 from fwdiff.mpoly import PolyRing, SparsePoly, frobenius_twist
 from fwdiff.oracle import FiniteRing, UniversalModule
@@ -40,6 +43,107 @@ def field_rank(rows):
 
 # ---------------------------------------------------------------------------
 # Witt carries and twisted Jacobians
+
+def witt_P_scalars(a: Residue, b: Residue) -> Residue:
+    """The Witt carry P(a, b) = ((a + b)^p - a^p - b^p)/p, that is the sum
+    of binom(p, i)/p * a^i * b^(p-i) over 0 < i < p, on one ring."""
+    ring = a.ring
+    b = ring.coerce(b)
+    p = ring.p
+    total = ring.zero()
+    for i in range(1, p):
+        c = math.comb(p, i) // p
+        total = total + ring.of_int(c) * a**i * b ** (p - i)
+    return total
+
+
+def frobenius_twist_by_terms(f):
+    """Sum of c^p X^(p*m) over the terms of f, in Residue arithmetic."""
+    p = f.ring.coeff.p
+    out = {}
+    for m, c in f.terms.items():
+        v = c**p
+        if not v.is_zero():
+            out[tuple(p * e for e in m)] = v
+    return SparsePoly(f.ring, out)
+
+
+def _multinomial_tuples(p, nparts):
+    """Tuples (k_1..k_n), 0 <= k_t < p, sum p, with (p-1)!/prod(k_t!)."""
+    fact = math.factorial
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            if remaining == 0:
+                yield tuple(prefix)
+            return
+        if remaining > (p - 1) * slots:
+            return
+        for k in range(min(p - 1, remaining) + 1):
+            prefix.append(k)
+            yield from rec(prefix, remaining - k, slots - 1)
+            prefix.pop()
+
+    for combo in rec([], p, nparts):
+        denom = 1
+        for k in combo:
+            denom *= fact(k)
+        yield combo, fact(p - 1) // denom
+
+
+def witt_Q_multinomial(f):
+    """Q(f) as the sum over exponent tuples (k_t), 0 <= k_t < p, sum p,
+    of (p-1)!/prod(k_t!) times the product of the terms of f raised to
+    the k_t: on integers for Z/p^2, in SparsePoly arithmetic for GR."""
+    R = f.ring.coeff
+    terms = f.sorted_terms()
+    if isinstance(R, PrimeSquareRing):  # on the integer lift, reduced once
+        acc = {}
+        for combo, coef in _multinomial_tuples(R.p, len(terms)):
+            mono = (0,) * f.ring.nvars
+            val = coef
+            for k, (m, c) in zip(combo, terms):
+                if k:
+                    mono = tuple(x + k * e for x, e in zip(mono, m))
+                    val *= c.value**k
+            acc[mono] = acc.get(mono, 0) + val
+        return f.ring.poly({m: R.of_int(v) for m, v in acc.items()})
+    if not isinstance(R, GaloisRing):
+        raise PresentationError("witt_Q_multinomial needs Z/p^2 or GR(p^2,e)")
+    total = f.ring.zero()
+    for combo, coef in _multinomial_tuples(R.p, len(terms)):
+        part = f.ring.constant(coef)
+        for k, (m, c) in zip(combo, terms):
+            if k:
+                part = part * SparsePoly(f.ring, {tuple(k * e for e in m): c**k})
+        total = total + part
+    return total
+
+
+def witt_P_pair_by_powers(f, g):
+    """P(f, g) = sum of binom(p,i)/p * f^i g^(p-i), in SparsePoly arithmetic."""
+    p = f.ring.coeff.p
+    total = f.ring.zero()
+    for i in range(1, p):
+        total = total + (f**i * g ** (p - i)) * (math.comb(p, i) // p)
+    return total
+
+
+def w_poly_by_polys(f):
+    """w(f) by its closed formula in SparsePoly arithmetic: twisted
+    derivatives mod p, then sum X^(p*m) w_base(c_m) - Q(f) mod p."""
+    R = f.ring.coeff
+    p = R.p
+    k = residue_field_of(R)
+    out = [frobenius_twist_by_terms(f.derivative(j).map_coeffs(k, reduce_mod_p))
+           for j in range(f.ring.nvars)]
+    wp = {}
+    for m, c in f.terms.items():
+        wp[tuple(p * e for e in m)] = w_base(c)
+    q = witt_Q_multinomial(f).map_coeffs(k, reduce_mod_p)
+    out.append(f.ring.with_coeff(k).poly(wp) - q)
+    return out
+
 
 def witt_R(f, g):
     """Matched-monomial carry R(f, g) = sum_m P(a_m, b_m) X^(p*m)."""

@@ -1,5 +1,6 @@
 """Command line: exit codes, output documents, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -12,6 +13,8 @@ import fwdiff
 from fwdiff.cli import build_parser, run
 
 RINGS = os.path.join(os.path.dirname(__file__), os.pardir, "rings")
+SWEEP_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                            "sweep_points.py")
 
 
 def _ring(name):
@@ -203,6 +206,54 @@ def test_version_flag(capsys):
         build_parser().parse_args(["--version"])
     assert e.value.code == 0
     assert fwdiff.__version__ in capsys.readouterr().out
+
+
+def test_two_runs_build_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    try:
+        assert _run(["present", "-i", _ring("cusp.ring")])[0] == 0
+        first = len(built)
+        assert _run(["present", "-i", _ring("cusp.ring")])[0] == 0
+    finally:
+        build_parser.cache_clear()
+    assert first > 0 and len(built) == first
+
+
+def test_shared_parser_keeps_usage_errors_and_version(capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as e:
+            run(["present"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: fwdiff present")
+        assert err.endswith("error: the following arguments are required: "
+                            "-i/--input\n")
+        with pytest.raises(SystemExit) as e:
+            run(["--version"])
+        assert e.value.code == 0
+        assert capsys.readouterr().out == fwdiff.__version__ + "\n"
+
+
+def test_sweep_script_reports_rejected_input_without_traceback():
+    """The F_9 conic has no F_3-points to enumerate: the script ends with one
+    error line and exit code 2, after the ring line it has printed."""
+    r = subprocess.run([sys.executable, SWEEP_SCRIPT, _ring("conic_f9.ring")],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2
+    assert r.stderr == "error: no embedding of Fq(3,2) into Fp(3)\n"
+    assert r.stdout.startswith("# {'base': 'Fq(3,2)'")
+    r = subprocess.run([sys.executable, SWEEP_SCRIPT, _ring("no_such.ring")],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from fwdiff.modarith import (
     reduce_mod_p,
     residue_field_of,
     w_base,
-    witt_P_scalars,
 )
+from routes import witt_P_scalars
 
 PRIMES = [2, 3, 5, 7]
 

@@ -12,13 +12,13 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from fwdiff.fwcore import random_scalar
+from fwdiff.errors import PresentationError
+from fwdiff.fwcore import random_poly, random_scalar, w_poly
 from fwdiff.modarith import (
     GaloisField,
     GaloisRing,
     PrimeField,
     PrimeSquareRing,
-    witt_P_scalars,
 )
 from fwdiff.mpoly import (
     PolyRing,
@@ -38,7 +38,15 @@ from fwdiff.mpoly import (
     witt_P_pair,
     witt_Q,
 )
-from routes import ideal_contains, witt_R
+from routes import (
+    frobenius_twist_by_terms,
+    ideal_contains,
+    w_poly_by_polys,
+    witt_P_pair_by_powers,
+    witt_P_scalars,
+    witt_Q_multinomial,
+    witt_R,
+)
 
 
 def _random_poly(rng, ring, max_terms=4, max_exp=2):
@@ -398,6 +406,60 @@ def test_single_term_has_no_carry():
     ring = PolyRing(PrimeSquareRing(3), ("X",))
     f = ring.poly({(2,): ring.coeff.of_int(5)})
     assert witt_Q(f).is_zero()
+
+
+WITT_RINGS = [PrimeSquareRing(p) for p in (2, 3, 5, 7)] + [
+    GaloisRing(p, e) for p in (2, 3, 5, 7) for e in (2, 3)]
+
+
+def _witt_samples(R, seed, count, max_terms=9):
+    """Polynomials over R in 1, 2 and 3 variables: zero, a single term, p
+    times a variable, then count random ones of up to max_terms terms with
+    exponents at most 2."""
+    rng = random.Random(seed)
+    for nvars in (1, 2, 3):
+        ring = PolyRing(R, tuple(f"x{i}" for i in range(nvars)))
+        yield ring.zero()
+        yield ring.poly({(2,) * nvars: random_scalar(rng, R)})
+        yield ring.gen(0) * R.p
+        for _ in range(count):
+            yield random_poly(rng, ring, max_terms, 2)
+
+
+@pytest.mark.parametrize("R", WITT_RINGS, ids=lambda R: R.tag())
+def test_witt_routines_match_references(R):
+    """witt_Q (one p-th power over the p^3 lift), frobenius_twist and
+    w_poly on raw values give exactly the terms of the references: the
+    multinomial sum and the SparsePoly-level closed formula."""
+    for f in _witt_samples(R, seed=R.tag(), count=4):
+        q = witt_Q(f)
+        assert q.ring == f.ring
+        assert q.terms == witt_Q_multinomial(f).terms, str(f)
+        assert frobenius_twist(f).terms == frobenius_twist_by_terms(f).terms
+        got, want = w_poly(f), w_poly_by_polys(f)
+        assert [v.ring for v in got] == [v.ring for v in want]
+        assert [v.terms for v in got] == [v.terms for v in want], str(f)
+
+
+@pytest.mark.parametrize("R", WITT_RINGS, ids=lambda R: R.tag())
+def test_witt_P_pair_matches_reference(R):
+    """witt_P_pair on raw values equals the sum of binom(p,i)/p f^i g^(p-i)
+    in SparsePoly arithmetic, term for term."""
+    fs = list(_witt_samples(R, seed=R.tag(), count=2))
+    gs = list(_witt_samples(R, seed=R.tag() + "g", count=2, max_terms=3))
+    for f, g in zip(fs, gs):
+        for a, b in ((f, g), (g, f)):
+            assert witt_P_pair(a, b).terms == witt_P_pair_by_powers(a, b).terms, \
+                (str(a), str(b))
+
+
+@pytest.mark.parametrize("k", [PrimeField(5), GaloisField(3, 2), GaloisField(2, 3)],
+                         ids=lambda k: k.tag())
+def test_frobenius_twist_over_fields_matches_reference(k):
+    for f in _witt_samples(k, seed=k.p, count=5):
+        assert frobenius_twist(f).terms == frobenius_twist_by_terms(f).terms
+        with pytest.raises(PresentationError, match="p\\^2-torsion"):
+            witt_Q(f)
 
 
 def test_twist_in_char_p_is_frobenius():
