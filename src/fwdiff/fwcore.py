@@ -12,12 +12,12 @@ in closed form:
          + [ sum_m X^(p m) w_base(c_m) - Q(f) mod p ] e_{w(p)}
 
 where Q is the multivariate Witt carry of mpoly.witt_Q, one p-th power
-over a p^3 lift.  w_poly makes one pass over the raw coefficient values
-of f and builds one polynomial per coordinate, at the end.  Bases of
+over a p^3 lift.  w_poly works on the raw coefficient values of f and
+builds one polynomial per coordinate, at the end.  Bases of
 characteristic p are handled by the same formula through the flat cover
 Z/p^2 or GR(p^2, e): the relation "p" turns the w(p) coordinate into a
-unit column, so it is dropped.  (There the column is the twisted
-gradient of f; the tests compare it with that direct formula.)
+unit column, so it is dropped, and what is left is the twisted gradient
+of f.  column_of computes that directly, with no Witt carry.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .modarith import (
     PrimeField,
     PrimeSquareRing,
     Residue,
-    lift_to_p2,
-    p2_cover_of,
     reduce_mod_p,
     residue_field_of,
     w_base,
@@ -152,10 +150,10 @@ def w_poly(f):
     """Coordinates of w(f) in the free module on w(X_1..X_n), w(p).
 
     f has coefficients in Z/p^2 or GR(p^2, e); the coordinates are
-    polynomials over the residue field k (the module is p-torsion).  One
-    pass over the terms c X^m of f, on raw values, gives the twisted
-    derivatives (e c mod p)^p X^(p(m - e_j)) for e = m_j and the w(p)
-    terms w_base(c) X^(p m); Q(f) is then read mod p.
+    polynomials over the residue field k (the module is p-torsion).  On
+    raw values, the terms c X^m of f give the twisted derivatives
+    (e c mod p)^p X^(p(m - e_j)) for e = m_j and the w(p) terms
+    w_base(c) X^(p m); Q(f) is then read mod p.
     """
     R = f.ring.coeff
     if not isinstance(R, (PrimeSquareRing, GaloisRing)):
@@ -165,25 +163,12 @@ def w_poly(f):
     if isinstance(R, PrimeSquareRing):
         def mod_p(a):
             return a % p
-
-        def twisted(a, e):  # x^p = x on F_p
-            return a * e % p
     else:
         def mod_p(a):
             return tuple([x % p for x in a])
-
-        def twisted(a, e):
-            return k._pow(tuple([x * e % p for x in a]), p)
-    grads = [{} for _ in f.ring.variables]
-    wp = {}
-    for m, c in f.terms.items():
-        pm = tuple([p * e for e in m])
-        for j, e in enumerate(m):
-            if e % p:
-                dm = list(pm)
-                dm[j] -= p
-                grads[j][tuple(dm)] = twisted(c.value, e)
-        wp[pm] = w_base(c).value
+    grads = _twisted_gradient(f, k)
+    wp = {tuple([p * e for e in m]): w_base(c).value
+          for m, c in f.terms.items()}
     zero = k._of_int(0)
     for m, q in witt_Q(f).terms.items():
         wp[m] = k._sub(wp.get(m, zero), mod_p(q.value))
@@ -191,21 +176,38 @@ def w_poly(f):
     return [_raw_poly(kring, raw) for raw in grads + [wp]]
 
 
-def _lift_poly(f):
-    """Lift a characteristic-p polynomial into the flat p^2-cover."""
-    cover = p2_cover_of(f.ring.coeff)
-    return f.map_coeffs(cover, lift_to_p2)
+def _twisted_gradient(f, k):
+    """The raw twisted derivatives of f, one dict per variable: the term
+    (e c mod p)^p X^(p(m - e_j)) for each term c X^m of f with p not
+    dividing e = m_j, valued in the residue field k."""
+    p = k.p
+    if isinstance(k, PrimeField):
+        def twisted(a, e):  # x^p = x on F_p
+            return a * e % p
+    else:
+        def twisted(a, e):
+            return k._pow(tuple([x * e % p for x in a]), p)
+    grads = [{} for _ in f.ring.variables]
+    for m, c in f.terms.items():
+        pm = [p * e for e in m]
+        for j, e in enumerate(m):
+            if e % p:
+                dm = list(pm)
+                dm[j] -= p
+                grads[j][tuple(dm)] = twisted(c.value, e)
+    return grads
 
 
 def column_of(ring_pres: RingPresentation, f):
     """The relation column of f, in the generator labels of present_fw.
 
-    For characteristic-p bases the column is computed through the flat
-    cover and the w(p) coordinate (killed by the relation p = 0) is
-    dropped; entries are returned un-normalized.
+    For characteristic-p bases the column is the twisted gradient of f
+    (module docstring), with no Witt carry; entries are returned
+    un-normalized.
     """
     if ring_pres.is_charp:
-        return w_poly(_lift_poly(f))[:-1]
+        return [_raw_poly(f.ring, raw)
+                for raw in _twisted_gradient(f, f.ring.coeff)]
     return w_poly(f)
 
 

@@ -10,6 +10,8 @@ the extensions.  Every operation reduces eagerly.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import PresentationError
 
 
@@ -222,6 +224,14 @@ class PrimeSquareRing(_ModRing):
             raise ZeroDivisionError(f"{a} is not a unit in Z/{self.modulus}")
         return pow(a, -1, self.modulus)
 
+    def residue_field(self):
+        """The residue field, built on first use and kept with the ring."""
+        return self._residue_field
+
+    @cached_property
+    def _residue_field(self):
+        return PrimeField(self.p)
+
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers over Z/m, used for extension-ring arithmetic and
@@ -430,6 +440,11 @@ class GaloisRing(_ExtensionRing):
         return self._mul(x, t)
 
     def residue_field(self):
+        """The residue field, built on first use and kept with the ring."""
+        return self._residue_field
+
+    @cached_property
+    def _residue_field(self):
         return GaloisField(self.p, self.degree, self.minpoly)
 
 
@@ -437,9 +452,7 @@ def residue_field_of(ring):
     """The residue field of a p^2-torsion base ring (identity on fields)."""
     if isinstance(ring, (PrimeField, GaloisField)):
         return ring
-    if isinstance(ring, PrimeSquareRing):
-        return PrimeField(ring.p)
-    if isinstance(ring, GaloisRing):
+    if isinstance(ring, (PrimeSquareRing, GaloisRing)):
         return ring.residue_field()
     raise PresentationError(f"no residue field for {ring!r}")
 
@@ -504,7 +517,7 @@ def w_base(a: Residue) -> Residue:
     if isinstance(ring, PrimeSquareRing):
         p = ring.p
         lift = a.value  # canonical representative in [0, p^2)
-        return PrimeField(p).of_int((lift - lift**p) // p)
+        return ring.residue_field().of_int((lift - lift**p) // p)
     if isinstance(ring, GaloisRing):
         p = ring.p
         k = ring.residue_field()

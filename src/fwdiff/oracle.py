@@ -31,12 +31,27 @@ rows (one per basis multiplier, products decomposed in the basis), and
 the dimension is e * s minus the rank.  The result is the ground truth
 against which the presentation pipeline is cross-checked.
 
-Tables from generator products.  The closures are called only for
-a + g_u (every element a, every generator u) and for the g^2 products
-g_u g_w.  Breadth-first search from 0 along a -> a + g_u reaches every
-element z by a tree edge z = y + g_w, y reached earlier.  Along the
-edges x + z = (x + y) + g_w fills the addition table a column at a time,
-then g_u z = g_u y + g_u g_w the products with generators, and
+Tables in coordinates.  Element i is its digit vector D[i], entries in
+[0, p), over an additive digit basis b_1, .., b_d: in characteristic p
+the F_p-basis t^j x^m, m a standard monomial; over Z/p^2 the x^m for
+m in S, then the p x^m for m in stairU (canonical forms, below).  So
+n = p^d, and an element's index is read off its base-p key through one
+lookup array.  The generators g_u are the first g digit-basis elements.
+Adding g_u adds 1 to digit u; where that digit was p - 1 it becomes 0
+and the carry c_u = digits(p g_u) is added digit by digit mod p.  In
+characteristic p the carry is 0.  Over Z/p^2, adding x^m to r + p h
+with r_m = p - 1 gives r' + p(h + x^m), r'_m = 0; as p u~ lies in I
+for every u in U, its canonical form is r' + p(h + NF_U(x^m)), and
+c_u = digits(p NF_U(x^m)) lies on the p x^m digits, where addition is
+mod p and carries no further.  So the closures run only for the g
+carries (never in characteristic p, where p g_u = 0) and for the g^2
+products g_u g_w, and every result must be a canonical form, or the
+ring is refused.
+
+Breadth-first search from 0 along a -> a + g_u reaches every element z
+by a tree edge z = y + g_w, y reached earlier.  Along the edges
+x + z = (x + y) + g_w fills the addition table a column at a time, then
+g_u z = g_u y + g_u g_w the products with generators, and
 x z = x y + x g_w the multiplication table.  In a ring these are
 identities, so a ring gets its own tables, and whatever the closures
 did, the tables satisfy 0 + x = x + 0 = x.
@@ -88,7 +103,6 @@ standard monomials of I_1 and h reduced modulo U.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -146,67 +160,104 @@ def _field_basis(k):
     return basis
 
 
-def _fp_digits(poly, S, k):
-    """F_p-coordinates of a carrier element with standard monomials S,
-    on the basis (standard monomial) x (field basis)."""
-    out = []
-    for m in S:
-        c = poly.terms.get(m, k.zero())
-        out.extend(c.value if isinstance(c.value, tuple) else [c.value])
-    return out
+def _field_digits(S, k, label):
+    """digits_of for polynomials over the field k on the standard
+    monomials S: F_p-coordinates on the basis (standard monomial) x
+    (field basis), refusing a monomial off S."""
+    e = k.degree
+    start = {m: j * e for j, m in enumerate(S)}
+
+    def digits_of(f):
+        out = [0] * (len(S) * e)
+        for m, c in f.terms.items():
+            if m not in start:
+                raise PresentationError(f"{f} is not a canonical form of {label}")
+            out[start[m]:start[m] + e] = \
+                c.value if isinstance(c.value, tuple) else (c.value,)
+        return out
+    return digits_of
 
 
 class FiniteRing:
     """A finite ring of p-power order with verified operation tables.
 
-    Elements are canonical-form polynomials.  The supplied closures are
-    evaluated only on the additive generators (the basis lifts): a + g for
-    every element a and the products of two generators.  Every other
-    entry is filled by gathers along a breadth-first tree from zero, and
-    the finished tables pass the O(n^2 g) check that implies every ring
-    axiom (module docstring).  The tree edges are kept in steps, one row
-    (z, y, w) per element z = y + g_w other than zero, in BFS order.
+    Element i is the digit vector digits[i] over digit_basis, whose first
+    carrier_dim entries are the additive generators (the basis lifts).
+    canon maps a polynomial to its canonical form and digits_of reads the
+    digits of a canonical form, raising PresentationError on anything
+    else.  canon runs only for the carries and the generator products;
+    every other entry is filled by gathers along a breadth-first tree
+    from zero, and the finished tables pass the O(n^2 g) check that
+    implies every ring axiom (module docstring).  The tree edges are kept
+    in steps, one row (z, y, w) per element z = y + g_w other than zero,
+    in BFS order.
     """
 
-    def __init__(self, p, elements, add_fn, mul_fn, basis_lifts, reduce_vec,
+    def __init__(self, p, digits, digit_basis, ngens, canon, digits_of,
                  label):
         self.p = p
-        self.elements = list(elements)
-        self.size = len(self.elements)
         self.label = label
-        self._add_fn = add_fn
-        self._mul_fn = mul_fn
-        self.basis_lifts = list(basis_lifts)
-        n = self.size
-        while n % p == 0:
-            n //= p
-        if n != 1:
-            raise PresentationError("finite ring must have p-power order")
-        self.index = {}
-        for i, a in enumerate(self.elements):
-            if a in self.index:
-                raise PresentationError("duplicate elements in enumeration")
-            self.index[a] = i
-        self.basis_idx = [self.index[b] for b in self.basis_lifts]
+        self.digits = np.asarray(digits, dtype=np.int64)
+        self.size, d = self.digits.shape
+        self.digit_basis = list(digit_basis)
+        self.carrier_dim = ngens
+        self.canon = canon
+        self.digits_of = digits_of
+        if self.size != p ** d or len(self.digit_basis) != d:
+            raise PresentationError(
+                f"a ring on {d} digits must list p^{d} elements")
+        self._weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        self._pos = np.full(self.size, -1, dtype=np.int64)
+        if ((self.digits < 0) | (self.digits >= p)).any():
+            raise PresentationError("element digits must lie in [0, p)")
+        self._pos[self.digits @ self._weights] = np.arange(self.size)
+        if (self._pos < 0).any():
+            raise PresentationError("duplicate elements in enumeration")
+        self.basis_idx = [self.index_of(b) for b in self.digit_basis[:ngens]]
+        if not (self.digits[self.basis_idx]
+                == np.eye(ngens, d, dtype=np.int64)).all():
+            raise PresentationError("basis lifts are not unit digit vectors")
         self.add, self.mul = self._tables(*self._generator_tables())
         self._verify_axioms()
         self.one_idx = self._find_identity(self.mul)
         self.p_one_idx = self.int_mult_idx(p, self.one_idx)
-        self.frob = self.pow_idx(np.arange(self.size), p)
-        self.reduce_mat = np.array(
-            [list(reduce_vec(a)) for a in self.elements], dtype=np.int64) % p
-        ident = self.reduce_mat[self.basis_idx]
-        if not (ident == np.eye(self.carrier_dim, dtype=np.int64)).all():
-            raise PresentationError("basis lifts do not reduce to unit vectors")
+        # pows[k, a] = a^k for k <= p: the Frobenius and the Witt carries
+        self.pows = np.empty((p + 1, self.size), dtype=np.int64)
+        self.pows[0] = self.one_idx
+        self.pows[1] = np.arange(self.size)
+        for k in range(2, p + 1):
+            self.pows[k] = self.mul[self.pows[k - 1], self.pows[1]]
+        self.frob = self.pows[p]
+        self.reduce_mat = self.digits[:, :ngens]
+
+    def index_of(self, poly):
+        """Index of a canonical form."""
+        return int(self._pos[np.dot(self.digits_of(poly), self._weights)])
 
     def _generator_tables(self):
-        """The closure calls: a + g_u as addg[u, a], g_u g_w as prods[u, w]."""
-        elems, gens, idx = self.elements, self.basis_lifts, self.index
-        addg = np.array([[idx[self._add_fn(a, g)] for a in elems]
-                         for g in gens], dtype=np.int64)
-        prods = np.array([[idx[self._mul_fn(g, h)] for h in gens]
+        """a + g_u as addg[u, a], by digit carries; g_u g_w as prods[u, w],
+        the closure calls."""
+        p, n, d = self.p, self.size, len(self.digit_basis)
+        gens = self.digit_basis[:self.carrier_dim]
+        carries = np.zeros((len(gens), d), dtype=np.int64)
+        for u, g in enumerate(gens):
+            pg = g * p
+            if not pg.is_zero():
+                carries[u] = self.digits_of(self.canon(pg))
+        if carries[:, :len(gens)].any():
+            raise PresentationError(
+                f"p times a generator of {self.label} has a generator digit")
+        addg = np.empty((len(gens), n), dtype=np.int64)
+        for u in range(len(gens)):
+            nxt = self.digits.copy()
+            nxt[:, u] += 1
+            over = nxt[:, u] == p
+            nxt[over, u] = 0
+            nxt[over] = (nxt[over] + carries[u]) % p
+            addg[u] = self._pos[nxt @ self._weights]
+        prods = np.array([[self.index_of(self.canon(g * h)) for h in gens]
                           for g in gens], dtype=np.int64)
-        return addg.reshape(len(gens), self.size), prods
+        return addg, prods.reshape(len(gens), len(gens))
 
     def _tables(self, addg, prods):
         """Both tables from the generator tables, along the BFS tree; sets
@@ -270,10 +321,6 @@ class FiniteRing:
             raise PresentationError(
                 f"operation tables of {self.label} violate the ring axioms")
 
-    @property
-    def carrier_dim(self):
-        return len(self.basis_lifts)
-
     def int_mult_idx(self, c, i):
         """Index of c*a for a nonnegative integer c."""
         total = self.zero_idx
@@ -285,22 +332,12 @@ class FiniteRing:
             c >>= 1
         return total
 
-    def pow_idx(self, i, k):
-        total = self.one_idx
-        cur = i
-        while k:
-            if k & 1:
-                total = self.mul[total, cur]
-            cur = self.mul[cur, cur]
-            k >>= 1
-        return total
-
     def witt_carry_idx(self, i, j):
         """Index of P(a_i, a_j) = sum binom(p,k)/p a_i^k a_j^(p-k)."""
         p = self.p
         total = self.zero_idx
         for k in range(1, p):
-            term = self.mul[self.pow_idx(i, k), self.pow_idx(j, p - k)]
+            term = self.mul[self.pows[k, i], self.pows[p - k, j]]
             total = self.add[total, self.int_mult_idx(math.comb(p, k) // p, term)]
         return total
 
@@ -325,17 +362,14 @@ def _finite_ring_charp(ring_pres, max_size):
     S = standard_monomials(gb)
     size = k.order() ** len(S)
     _refuse_oversized(ring_pres.p, size, max_size)
-    elems = []
-    for combo in itertools.product(list(k.elements()), repeat=len(S)):
-        elems.append(cring.poly(dict(zip(S, combo))))
-    gens = [cring.poly({m: c}) for m in S for c in _field_basis(k)]
-    return FiniteRing(
-        ring_pres.p, elems,
-        add_fn=lambda a, b: a + b,
-        mul_fn=lambda a, b: gb.normal_form(a * b),
-        basis_lifts=gens, reduce_vec=lambda a: _fp_digits(a, S, k),
-        label=_label_of(ring_pres),
-    )
+    label = _label_of(ring_pres)
+    field_digits = np.array([c.value if isinstance(c.value, tuple)
+                             else (c.value,) for c in k.elements()],
+                            dtype=np.int64)
+    digits = field_digits[_counting(k.order(), len(S))].reshape(size, -1)
+    basis = [cring.poly({m: c}) for m in S for c in _field_basis(k)]
+    return FiniteRing(ring_pres.p, digits, basis, len(basis),
+                      gb.normal_form, _field_digits(S, k, label), label)
 
 
 def _finite_ring_zp2(ring_pres, max_size):
@@ -404,27 +438,33 @@ def _finite_ring_zp2(ring_pres, max_size):
         h = normal_form(h, gbU)
         return rlift + lift(h) * p
 
-    elems = []
-    hpos = [S.index(m) for m in stairU]
-    for rdigits in itertools.product(range(p), repeat=len(S)):
-        for hdigits in itertools.product(range(p), repeat=len(stairU)):
-            terms = dict(zip(S, rdigits))
-            for pos, hd in zip(hpos, hdigits):
-                terms[S[pos]] = terms[S[pos]] + p * hd
-            elems.append(zring.poly({m: base.of_int(c)
-                                     for m, c in terms.items()}))
+    label = _label_of(ring_pres)
+    rpos = {m: j for j, m in enumerate(S)}
+    hpos = {m: len(S) + j for j, m in enumerate(stairU)}
 
-    def reduce_vec(a):
-        return [a.terms.get(m, base.zero()).value % p for m in S]
+    def digits_of(f):
+        out = [0] * (len(S) + len(stairU))
+        for m, c in f.terms.items():
+            h, r = divmod(c.value, p)
+            if m not in rpos or (h and m not in hpos):
+                raise PresentationError(f"{f} is not a canonical form of {label}")
+            out[rpos[m]] = r
+            if h:
+                out[hpos[m]] = h
+        return out
 
-    return FiniteRing(
-        p, elems,
-        add_fn=lambda a, b: canonicalize(a + b),
-        mul_fn=lambda a, b: canonicalize(a * b),
-        basis_lifts=[zring.poly({m: base.one()}) for m in S],
-        reduce_vec=reduce_vec,
-        label=_label_of(ring_pres),
-    )
+    basis = ([zring.poly({m: 1}) for m in S]
+             + [zring.poly({m: p}) for m in stairU])
+    return FiniteRing(p, _counting(p, len(S) + len(stairU)), basis, len(S),
+                      canonicalize, digits_of, label)
+
+
+def _counting(radix, places):
+    """Every vector of places base-radix digits, most significant first,
+    in counting order."""
+    n = radix ** places
+    return (np.arange(n)[:, None]
+            // radix ** np.arange(places - 1, -1, -1)) % radix
 
 
 def _label_of(ring_pres):
@@ -451,8 +491,8 @@ def _tree_coordinates(ring: FiniteRing):
     (element, generator) pairs whose additive relation is not a tree row.
 
     T[a] lists the coefficients of [a], as element indices, on the free
-    symbols (module docstring).  A BFS level is filled from the ones
-    before it."""
+    symbols (module docstring).  The Witt carries of all tree edges come
+    in one call; a BFS level is filled from the ones before it."""
     gens = np.array(ring.basis_idx, dtype=np.int64)
     free = _free_symbols(ring)
     T = np.full((ring.size, len(free)), ring.zero_idx, dtype=np.int64)
@@ -463,12 +503,12 @@ def _tree_coordinates(ring: FiniteRing):
         depth[z] = depth[y] + 1
     z, y, w = ring.steps.T
     inner = ~np.isin(z, free)
+    carry = neg[ring.witt_carry_idx(y, gens[w])]
     for d in range(1, int(depth.max()) + 1):
         at = inner & (depth[z] == d)
         zz, yy, gw = z[at], y[at], gens[w[at]]
-        carry = neg[ring.witt_carry_idx(yy, gw)]
         T[zz] = ring.add[ring.add[T[yy], T[gw]],
-                         ring.mul[carry[:, None], T[ring.p_one_idx]]]
+                         ring.mul[carry[at][:, None], T[ring.p_one_idx]]]
     off_tree = np.ones((ring.size, gens.size), dtype=bool)
     tree = z != ring.p_one_idx  # the tree row of p*1 is the [p] row
     off_tree[y[tree], w[tree]] = False
@@ -564,6 +604,7 @@ def presented_fp_dimension(fw: FWPresentation) -> int:
     if krull_dim(gb) > 0:
         raise PresentationError("carrier is infinite; no total F_p-dimension")
     S = standard_monomials(gb)
+    digits_of = _field_digits(S, k, "the carrier")
     scalars = _field_basis(k)
     total = len(scalars) * len(S) * fw.ngens
     span = ModPSpan(fw.ring.p, total)
@@ -574,7 +615,7 @@ def presented_fp_dimension(fw: FWPresentation) -> int:
                 u = fw.carrier_ring.poly({m: sc})
                 row = []
                 for entry in col:
-                    row.extend(_fp_digits(gb.normal_form(u * entry), S, k))
+                    row.extend(digits_of(gb.normal_form(u * entry)))
                 rows.append(row)
     if rows:
         span.add_rows(np.array(rows, dtype=np.int64))

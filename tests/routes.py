@@ -344,11 +344,31 @@ def ideal_contains(gb, f):
 # ---------------------------------------------------------------------------
 # finite rings and their universal modules
 
+def rebuilt(fr: FiniteRing, cls=FiniteRing, digits=None):
+    """fr's constructor run again, as cls, on the given digit rows."""
+    return cls(fr.p, fr.digits if digits is None else digits, fr.digit_basis,
+               fr.carrier_dim, fr.canon, fr.digits_of, fr.label)
+
+
 def reordered(fr: FiniteRing, perm):
-    """The same ring with elements listed in a different order."""
-    elems = [fr.elements[t] for t in perm]
-    return FiniteRing(fr.p, elems, fr._add_fn, fr._mul_fn, fr.basis_lifts,
-                      lambda a: fr.reduce_mat[fr.index[a]], fr.label)
+    """The same ring with elements listed in a different order: the rows
+    of its digit matrix permuted."""
+    return rebuilt(fr, digits=fr.digits[list(perm)])
+
+
+def element_polys(fr: FiniteRing):
+    """Every element as a polynomial, sum_j digits[i, j] * digit_basis[j]."""
+    zero = fr.digit_basis[0].ring.zero()
+    return [sum((b * c for c, b in zip(row, fr.digit_basis) if c), zero)
+            for row in fr.digits.tolist()]
+
+
+def pow_idx(fr: FiniteRing, i, k):
+    """Index of a_i^k, by k - 1 multiplications in the table."""
+    total = i
+    for _ in range(k - 1):
+        total = fr.mul[total, i]
+    return total
 
 
 def verify_axioms(fr: FiniteRing):
@@ -432,10 +452,11 @@ def free_coords(um):
 
 
 def basis_certificates(um):
+    elements = element_polys(um.ring)
     out = []
     for a, k in free_coords(um):
-        beta = um.ring.elements[um.ring.basis_idx[k]]
-        out.append(f"({beta}) * w({um.ring.elements[a]})")
+        beta = elements[um.ring.basis_idx[k]]
+        out.append(f"({beta}) * w({elements[a]})")
     return out
 
 

@@ -1,6 +1,7 @@
 """Command line: exit codes, output documents, determinism."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -302,3 +303,29 @@ def test_json_output_is_deterministic():
     assert runs[0].startswith('{\n  "command"')
     argv2 = ["present", "-i", _ring("conic_f9.ring"), "--json"]
     assert _run(argv2)[1] == _run(argv2)[1]
+
+
+# ---------------------------------------------------------------------------
+# pinned output bytes
+
+PINS = os.path.join(os.path.dirname(__file__), "output_pins.json")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def test_output_bytes_are_pinned():
+    """`oracle --json --seed 11` and `present --json --seed 11` on every
+    ring file of rings/ and fwbench/rings/oracle/: the exit code and the
+    sha256 of standard output are those recorded in output_pins.json."""
+    with open(PINS, encoding="utf-8") as fh:
+        pins = json.load(fh)
+    names = sorted(
+        f"{folder}/{name}"
+        for folder in ("rings", "fwbench/rings/oracle")
+        for name in os.listdir(os.path.join(ROOT, folder)))
+    assert sorted(pins) == names
+    for name in names:
+        for command, (code, digest) in sorted(pins[name].items()):
+            got, out, _ = _run([command, "-i", os.path.join(ROOT, name),
+                                "--json", "--seed", "11"])
+            assert (got, hashlib.sha256(out.encode()).hexdigest()) \
+                == (code, digest), (command, name)

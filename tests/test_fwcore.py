@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from fwdiff import fwcore
 from fwdiff.errors import OffSchemeError, PresentationError
 from fwdiff.fwcore import (
     BaseChangeMap,
@@ -31,6 +32,7 @@ from fwdiff.modarith import (
     reduce_mod_p,
 )
 from fwdiff.mpoly import PolyRing, frobenius_twist, witt_Q
+from fwdiff.ringfile import parse_ring
 from routes import (
     ring_of,
     twisted_relative_kahler,
@@ -43,10 +45,10 @@ from routes import (
 # w_poly on concrete polynomials
 
 def test_present_binomial_power_in_polynomial_time():
-    """(x+1)^20 over F_7 has 21 terms; its column passes through witt_Q
-    of the Z/49 lift, which took 18.9 s of CPU as a multinomial sum over
-    about 888 000 exponent tuples.  The column is the twisted gradient,
-    and the carry of the lift satisfies F^7 = F^(7) + 7 Q(F)."""
+    """(x+1)^20 over F_7 has 21 terms; witt_Q of its Z/49 lift took
+    18.9 s of CPU as a multinomial sum over about 888 000 exponent
+    tuples.  The column is the twisted gradient, and the carry of the
+    lift satisfies F^7 = F^(7) + 7 Q(F)."""
     pres = ring_of(PrimeField(7), ["x"], ["(x+1)^20"])
     start = time.process_time()
     fw = present_fw(pres)
@@ -56,6 +58,22 @@ def test_present_binomial_power_in_polynomial_time():
     assert fw.columns == (tuple(gb.normal_form(e) for e in w_poly_charp(f)),)
     lift = f.map_coeffs(p2_cover_of(f.ring.coeff), lift_to_p2)
     assert lift**7 == frobenius_twist(lift) + witt_Q(lift) * 7
+
+
+def test_charp_columns_compute_no_witt_carry(monkeypatch):
+    """Over F_p and F_q the w(p) coordinate is dropped, so presenting the
+    ring makes no witt_Q call; a Z/p^2 relation still makes one."""
+    calls = []
+    real = fwcore.witt_Q
+    monkeypatch.setattr(fwcore, "witt_Q", lambda f: calls.append(f) or real(f))
+    for pres in (ring_of(PrimeField(7), ["x"], ["(x+1)^20"]),
+                 ring_of(PrimeField(3), ["x", "y"], ["y^2 - x^3", "x*y"]),
+                 parse_ring("base: Fq(2,2)\nvars: x, y\n"
+                            "rel: x^3 + t*y^2 + y\n")):
+        present_fw(pres)
+    assert calls == []
+    present_fw(ring_of(PrimeSquareRing(3), ["x"], ["x^2 + 3*x"]))
+    assert len(calls) == 1
 
 
 def test_w_of_square_p3():

@@ -3,6 +3,7 @@
 import pytest
 
 from fwdiff.errors import PresentationError
+from fwdiff.fwcore import check_axioms
 from fwdiff.modarith import (
     GaloisField,
     GaloisRing,
@@ -211,3 +212,33 @@ def test_mixed_ring_arithmetic_rejected():
         PrimeField(3).one() + PrimeField(5).one()
     with pytest.raises(PresentationError):
         PrimeField(3).coerce(PrimeSquareRing(3).one())
+
+
+def test_residue_field_is_built_once_per_ring(monkeypatch):
+    """Z/p^2 and GR(p^2, e) keep their residue field: a check_axioms block
+    constructs as many fields at 40 trials as at 5, and a Galois ring
+    hands back the same field on every call."""
+    built = []
+    for cls in (PrimeField, GaloisField):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, **kwargs):
+            built.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    counts = []
+    for trials in (5, 40):
+        built.clear()
+        check_axioms(3, 2, trials=trials, seed=1)
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
+    R = GaloisRing(2, 3)
+    assert R.residue_field() is R.residue_field() is residue_field_of(R)
+    built.clear()
+    a = Residue(R, (1, 2, 3))
+    for _ in range(4):
+        a.inv()
+        reduce_mod_p(a)
+        w_base(a)
+    assert built == []

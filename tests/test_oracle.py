@@ -1,28 +1,34 @@
 """Brute-force universal module on small finite rings.
 
-The oracle enumerates every element, tabulates the operations from the
-closures on the additive generators (a + g and the generator products),
-checks the tables in O(n^2 g), eliminates every symbol along the
-breadth-first tree, and row-reduces the remaining relations in tree
+The oracle lists every element as a digit vector, tabulates the
+operations from digit carries and the closure products of the additive
+generators, checks the tables in O(n^2 g), eliminates every symbol along
+the breadth-first tree, and row-reduces the remaining relations in tree
 coordinates.  The tests here check the oracle against itself
 (permutation invariance), against the exhaustive axiom check and the
 per-element module of tests/routes.py (span memberships forced by the
 axioms, the action on the quotient), against an all-pairs reference
-built here from the definition (closures on every pair, both relation
-families on every pair), and pin the dimensions it must report on the
-standard small rings.
+built here from the definition (closures on every pair of element
+polynomials, both relation families on every pair), on fixed and on
+generated rings, and pin the dimensions it must report on the standard
+small rings.
 """
 
+import math
+import operator
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fwdiff import oracle
 from fwdiff.errors import PresentationError, SizeRefusalError
-from fwdiff.fwcore import present_fw
+from fwdiff.fwcore import RingPresentation, present_fw
 from fwdiff.linalg import ModPSpan
 from fwdiff.modarith import GaloisField, PrimeField, PrimeSquareRing
+from fwdiff.mpoly import PolyRing
 from fwdiff.oracle import (
     FiniteRing,
     _refuse_oversized,
@@ -36,7 +42,10 @@ from routes import (
     action_matrix,
     basis_certificates,
     element_brute_fw,
+    element_polys,
     element_relation_rows,
+    pow_idx,
+    rebuilt,
     reordered,
     ring_of,
     span_contains,
@@ -86,7 +95,7 @@ def test_table_construction_and_axioms():
     verify_axioms(fr)
     assert (fr.add == fr.add.T).all()
     for i in range(fr.size):
-        assert fr.frob[i] == fr.pow_idx(i, 2)
+        assert fr.frob[i] == pow_idx(fr, i, 2)
 
 
 def test_brute_dim_is_order_invariant():
@@ -144,6 +153,38 @@ def test_basis_certificates_name_free_coordinates():
     certs = basis_certificates(um)
     assert len(certs) == um.dimension == 1
     assert "w(" in certs[0]
+
+
+def test_closures_run_only_for_carries_and_generator_products(monkeypatch):
+    """Z/9[x]/(x^2) has 81 elements on d = 4 digits with g = 2
+    generators: building it canonicalizes at most d + g^2 times (each
+    canonical form ends in one normal form modulo U), where closures on
+    every a + g_u would take n g + g^2 = 166."""
+    calls = []
+    real = oracle.normal_form
+    monkeypatch.setattr(oracle, "normal_form",
+                        lambda f, gb: calls.append(f) or real(f, gb))
+    fr = FiniteRing.from_presentation(
+        ring_of(PrimeSquareRing(3), ("x",), ["x^2"]))
+    d, g = fr.digits.shape[1], fr.carrier_dim
+    assert (fr.size, d, g) == (81, 4, 2)
+    assert 0 < len(calls) <= d + g * g
+
+
+def test_non_canonical_closure_results_are_refused():
+    """A closure whose result is not a canonical form (a monomial off the
+    staircase, or a p-digit where U allows none) is refused."""
+    for pres in (F2_EPS3, Z4_MIXED):
+        fr = FiniteRing.from_presentation(pres)
+        x = fr.digit_basis[1]
+        with pytest.raises(PresentationError, match="canonical form"):
+            fr.index_of(x * x * x)
+        with pytest.raises(PresentationError, match="canonical form"):
+            FiniteRing(fr.p, fr.digits, fr.digit_basis, fr.carrier_dim,
+                       lambda f: f * x, fr.digits_of, fr.label)
+    # fr is Z4_MIXED, where U = (x): 2*x has a p-digit off stairU
+    with pytest.raises(PresentationError, match="canonical form"):
+        fr.index_of(fr.digit_basis[1] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +285,14 @@ def test_cross_check_at_729_elements():
 # the all-pairs reference: the universal module straight from its definition
 
 def _all_pairs_tables(fr):
-    """Both operation tables from the closures on all n^2 pairs."""
-    els, idx = fr.elements, fr.index
+    """Both operation tables from the closures on all n^2 pairs: canon of
+    a + b and of a * b, looked up among the element polynomials."""
+    els = element_polys(fr)
+    idx = {a: i for i, a in enumerate(els)}
     return tuple(
-        np.array([[idx[fn(a, b)] for b in els] for a in els], dtype=np.int64)
-        for fn in (fr._add_fn, fr._mul_fn))
+        np.array([[idx[fr.canon(fn(a, b))] for b in els] for a in els],
+                 dtype=np.int64)
+        for fn in (operator.add, operator.mul))
 
 
 def _all_pairs_rank(fr):
@@ -376,8 +420,7 @@ def _check_both_ways(fr, table, entry, value):
             raise _Checked(*verdicts)
 
     try:
-        Probe(fr.p, fr.elements, fr._add_fn, fr._mul_fn, fr.basis_lifts,
-              lambda a: fr.reduce_mat[fr.index[a]], fr.label)
+        rebuilt(fr, cls=Probe)
     except _Checked as done:
         return done.args
     except PresentationError:  # the corrupted addg no longer generates
@@ -426,3 +469,47 @@ def test_reference_covers_every_finite_ring_file():
             continue
         with pytest.raises(SizeRefusalError, match="infinite"):
             FiniteRing.from_presentation(pres)
+
+
+# ---------------------------------------------------------------------------
+# generated rings: base[x] or base[x, y] modulo x^a (and y^b) and one
+# random relation
+
+GENERATED_BASES = [PrimeField(2), PrimeField(3), GaloisField(2, 2),
+                   PrimeSquareRing(2), PrimeSquareRing(3)]
+GENERATED_LIMIT = 243  # cross_check up to here; all-pairs tables up to 27
+
+
+@st.composite
+def generated_rings(draw):
+    base = draw(st.sampled_from(GENERATED_BASES))
+    elems = list(base.elements())
+    # x^a, y^b leave at most |base|^(a b) elements
+    places = int(math.log(GENERATED_LIMIT, len(elems)) + 1e-9)
+    a = draw(st.integers(1, places))
+    exps = [a] if draw(st.booleans()) else [a, draw(st.integers(1, places // a))]
+    ring = PolyRing(base, ("x", "y")[:len(exps)])
+    monos = st.tuples(*(st.integers(0, e) for e in exps))
+    rel = ring.poly(draw(st.dictionaries(monos, st.sampled_from(elems),
+                                         max_size=3)))
+    powers = [ring.gen(i) ** e for i, e in enumerate(exps)]
+    return RingPresentation(base, ring.variables,
+                            tuple(powers + ([rel] if not rel.is_zero() else [])))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(generated_rings())
+def test_generated_rings_match_the_references(pres):
+    """Zero rings are refused; otherwise the coordinate tables equal the
+    all-pairs closure tables (up to 27 elements) and cross_check matches
+    (up to 243)."""
+    if pres.carrier_basis().is_trivial():
+        with pytest.raises(PresentationError, match="zero ring"):
+            FiniteRing.from_presentation(pres, max_size=GENERATED_LIMIT)
+        return
+    fr = FiniteRing.from_presentation(pres, max_size=GENERATED_LIMIT)
+    if fr.size <= 27:
+        add, mul = _all_pairs_tables(fr)
+        assert (fr.add == add).all() and (fr.mul == mul).all()
+    rep = cross_check(present_fw(pres), max_size=GENERATED_LIMIT)
+    assert rep["match"] and rep["size"] == fr.size, rep
