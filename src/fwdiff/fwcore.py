@@ -269,7 +269,12 @@ def random_scalar(rng, R):
     return R.of_int(rng.randrange(R.modulus))
 
 
-def random_poly(rng, ring, max_terms=3, max_degree=2):
+# the support bounds of the polynomials check_axioms samples
+SAMPLE_TERMS = 3
+SAMPLE_DEGREE = 2
+
+
+def random_poly(rng, ring, max_terms=SAMPLE_TERMS, max_degree=SAMPLE_DEGREE):
     """A random sparse polynomial with bounded support, for fuzzing."""
     nterms = rng.randint(0, max_terms)
     terms = {}
@@ -279,7 +284,7 @@ def random_poly(rng, ring, max_terms=3, max_degree=2):
     return ring.poly(terms)
 
 
-def check_axioms(p, nvars, trials=500, seed=0, max_terms=3, max_degree=2):
+def check_axioms(p, nvars, trials=500, seed=0):
     """Randomized check of the two derivation axioms on Z/p^2[X].
 
     For sampled f, g the vectors of w_poly must satisfy, exactly, in the
@@ -298,8 +303,8 @@ def check_axioms(p, nvars, trials=500, seed=0, max_terms=3, max_degree=2):
     k = residue_field_of(base)
     report = AxiomReport(p=p, nvars=nvars, trials=trials, seed=seed)
     for t in range(trials):
-        f = random_poly(rng, ring, max_terms, max_degree)
-        g = random_poly(rng, ring, max_terms, max_degree)
+        f = random_poly(rng, ring)
+        g = random_poly(rng, ring)
         wf, wg = w_poly(f), w_poly(g)
         # additivity, with the Witt carry on the w(p) coordinate
         ws = w_poly(f + g)

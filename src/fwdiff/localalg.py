@@ -37,10 +37,10 @@ from .modarith import GaloisField, PrimeField, Residue, embed
 from .mpoly import (
     PolyRing,
     SparsePoly,
-    divide,
     groebner,
     homogenize,
     krull_dim,
+    normal_form,
     staircase_dim,
 )
 
@@ -133,7 +133,7 @@ def _has_linear_factor(f):
     # a divisor can only involve variables of f
     var_idxs = sorted({i for m in f.terms for i, e in enumerate(m) if e})
     for lin in _linear_polys(f.ring, var_idxs):
-        if divide(f, [lin])[1].is_zero():
+        if normal_form(f, [lin]).is_zero():
             return True
     return False
 

@@ -168,6 +168,9 @@ class _ModRing(_BaseRing):
     def _neg(self, a):
         return (-a) % self.modulus
 
+    def _is_unit(self, a):
+        return a % self.p != 0
+
     def _to_str(self, a):
         return str(a)
 
@@ -205,6 +208,10 @@ class PrimeField(_ModRing):
     @property
     def degree(self):
         return 1
+
+    @cached_property
+    def _p2_cover(self):
+        return PrimeSquareRing(self.p)
 
 
 class PrimeSquareRing(_ModRing):
@@ -358,6 +365,9 @@ class _ExtensionRing(_BaseRing):
     def _is_zero(self, a):
         return all(x == 0 for x in a)
 
+    def _is_unit(self, a):
+        return any(x % self.p for x in a)
+
     def _to_str(self, a):
         parts = []
         for i in range(self.degree - 1, -1, -1):
@@ -413,6 +423,10 @@ class GaloisField(_ExtensionRing):
         for k in range(p**e):
             yield Residue(self, tuple(_base_p_digits(k, p, e)))
 
+    @cached_property
+    def _p2_cover(self):
+        return GaloisRing(self.p, self.degree, self.minpoly)
+
 
 class GaloisRing(_ExtensionRing):
     """GR(p^2, e) = (Z/p^2)[t]/(m~), the unramified degree-e cover of Z/p^2.
@@ -458,13 +472,12 @@ def residue_field_of(ring):
 
 
 def p2_cover_of(ring):
-    """The flat Z/p^2-cover of a base ring (identity on p^2-torsion rings)."""
+    """The flat Z/p^2-cover of a base ring (identity on p^2-torsion rings);
+    a field builds its cover on first use and keeps it."""
     if isinstance(ring, (PrimeSquareRing, GaloisRing)):
         return ring
-    if isinstance(ring, PrimeField):
-        return PrimeSquareRing(ring.p)
-    if isinstance(ring, GaloisField):
-        return GaloisRing(ring.p, ring.degree, ring.minpoly)
+    if isinstance(ring, (PrimeField, GaloisField)):
+        return ring._p2_cover
     raise PresentationError(f"no Z/p^2 cover for {ring!r}")
 
 
@@ -524,8 +537,7 @@ def w_base(a: Residue) -> Residue:
         abar = reduce_mod_p(a)
         # abar^(p^(e-1)) is the inverse of Frobenius on F_{p^e}
         u = abar ** (p ** (k.degree - 1))
-        ulift = lift_to_p2(u)
-        diff = a - ulift**p
+        diff = a - Residue(ring, u.value) ** p
         assert all(x % p == 0 for x in diff.value)  # internal invariant
         v = Residue(k, tuple((x // p) % p for x in diff.value))
         return v.frobenius()

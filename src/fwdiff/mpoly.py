@@ -5,6 +5,9 @@ nonzero coefficient, kept canonical at all times.  Two monomial orders
 are provided: grevlex (default) and a homogenized-local order used by
 the tangent-cone computation, in which the first variable is the
 homogenizer and ties are broken by negative degree on the rest.
+groebner and normal_form, the one Buchberger and the one division, run
+over a field or over Z/p^2 and GR(p^2, e), where leading terms are taken
+among the unit terms (groebner's docstring says what that gives).
 
 The Witt operations (frobenius_twist, witt_Q, witt_P_pair) work on raw
 {monomial: value} dicts through the coefficient ring's value methods and
@@ -236,9 +239,15 @@ class SparsePoly:
                       reverse=True)
 
     def lead_monomial(self):
-        if not self.terms:
-            raise PresentationError("zero polynomial has no leading monomial")
-        return max(self.terms, key=self.ring.key)
+        """The largest monomial whose coefficient is a unit: over Z/p^2
+        and GR(p^2, e) the terms in p are passed over."""
+        monos = self.terms
+        R = self.ring.coeff
+        if not R.is_field:
+            monos = [m for m, c in monos.items() if R._is_unit(c.value)]
+        if not monos:
+            raise PresentationError(f"{self} has no unit term to lead")
+        return max(monos, key=self.ring.key)
 
     def lead_coeff(self):
         return self.terms[self.lead_monomial()]
@@ -252,20 +261,6 @@ class SparsePoly:
         if self.is_zero():
             return self
         return self * self.lead_coeff().inv()
-
-    def derivative(self, i):
-        out = {}
-        for m, c in self.terms.items():
-            e = m[i]
-            if e == 0:
-                continue
-            v = c * e
-            if v.is_zero():
-                continue
-            mm = list(m)
-            mm[i] = e - 1
-            out[tuple(mm)] = v
-        return SparsePoly(self.ring, out)
 
     def map_coeffs(self, target_ring, fn):
         """Apply fn to every coefficient, landing in target_ring."""
@@ -351,41 +346,35 @@ class SparsePoly:
 # ---------------------------------------------------------------------------
 # division and Buchberger
 
-def divide(f, basis):
-    """Multivariate division: f = sum q_i b_i + r with no term of r
-    divisible by any leading monomial.  Ties go to the first-listed
-    divisor.  Returns (quotients, remainder)."""
-    ring = f.ring
-    quots = [ring.zero() for _ in basis]
-    rem = ring.zero()
-    h = f
-    leads = [(b.lead_monomial(), b.lead_coeff()) for b in basis]
-    while not h.is_zero():
-        lm = h.lead_monomial()
-        lc = h.terms[lm]
-        for i, (blm, blc) in enumerate(leads):
-            q = mono_div(lm, blm)
-            if q is not None:
-                coef = lc * blc.inv()
-                qpoly = SparsePoly(ring, {q: coef})
-                quots[i] = quots[i] + qpoly
-                h = h - qpoly * basis[i]
-                break
-        else:
-            t = SparsePoly(ring, {lm: lc})
-            rem = rem + t
-            h = h - t
-    return quots, rem
-
-
 def normal_form(f, basis):
-    """Remainder of f on division by the listed polynomials."""
+    """Remainder of f on division by the listed polynomials: no term of it,
+    unit or not, is divisible by a leading monomial of the list.  Terms are
+    reduced from the largest down, ties going to the first-listed divisor.
+    Over Z/p^2 reducing a unit term may bring in larger terms in p, even at
+    a monomial already in the remainder, where they add up.  The unit
+    terms are divided as over the residue field, and a term in p is
+    replaced by terms in p below it, so the division ends."""
     if isinstance(basis, GroebnerBasis):
         basis = basis.polys
-    basis = [b for b in basis if not b.is_zero()]
-    if not basis:
+    leads = [(b.lead_monomial(), b.lead_coeff().inv(), b)
+             for b in basis if not b.is_zero()]
+    if not leads:
         return f
-    return divide(f, basis)[1]
+    ring, key = f.ring, f.ring.key
+    rem = {}
+    h = f
+    while h.terms:
+        lm = max(h.terms, key=key)
+        lc = h.terms[lm]
+        for blm, binv, b in leads:
+            q = mono_div(lm, blm)
+            if q is not None:
+                h = h - SparsePoly(ring, {q: lc * binv}) * b
+                break
+        else:
+            rem[lm] = rem[lm] + lc if lm in rem else lc
+            h = SparsePoly(ring, {m: c for m, c in h.terms.items() if m != lm})
+    return SparsePoly(ring, {m: c for m, c in rem.items() if not c.is_zero()})
 
 
 def spoly(f, g):
@@ -398,17 +387,22 @@ def spoly(f, g):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis, sorted by ascending leading monomial."""
+    """A reduced Groebner basis, sorted by ascending leading monomial.
+
+    Over Z/p^2 or GR(p^2, e), torsion lists the h, over the residue field,
+    of every input or S-pair that reduced to p*h (groebner); over a field
+    it is empty."""
 
     ring: PolyRing
     polys: tuple
+    torsion: tuple = ()
 
     def normal_form(self, f):
-        return normal_form(f, list(self.polys))
+        return normal_form(f, self.polys)
 
     def is_trivial(self):
         """True when the ideal is the unit ideal (empty scheme)."""
-        return any(p.total_degree() == 0 for p in self.polys)
+        return any(not any(m) for m in self.lead_monomials())
 
     def lead_monomials(self):
         return [p.lead_monomial() for p in self.polys]
@@ -418,22 +412,28 @@ def groebner(gens, ring=None):
     """Buchberger's algorithm with sugar-strategy pair selection.
 
     Returns the reduced basis (monic, interreduced, deterministically
-    sorted).
+    sorted).  Over Z/p^2 or GR(p^2, e) leading terms are taken among the
+    unit terms only: every member lies in the ideal I, and their images
+    mod p are the reduced basis of I mod p.  An input or S-pair that
+    reduces to p*h, with no unit term left, puts h in the torsion of the
+    result instead of the basis.
     """
     gens = [g for g in gens if not g.is_zero()]
     if ring is None:
         if not gens:
             raise PresentationError("empty generator list needs an explicit ring")
         ring = gens[0].ring
-    if not ring.coeff.is_field:
-        raise PresentationError(
-            f"Groebner bases are computed over fields only, not over "
-            f"{ring.coeff.tag()}")
+    R = ring.coeff
     basis = []
     sugars = []
     pairs = []
+    torsion = []
 
     def add_poly(f, sugar):
+        if not R.is_field and not any(R._is_unit(c.value)
+                                      for c in f.terms.values()):
+            torsion.append(_over_p(f))
+            return
         f = f.monic()
         k = len(basis)
         lm = f.lead_monomial()
@@ -480,73 +480,20 @@ def groebner(gens, ring=None):
         if not r.is_zero():
             reduced.append(r.monic())
     reduced.sort(key=lambda f: ring.key(f.lead_monomial()))
-    return GroebnerBasis(ring, tuple(reduced))
+    return GroebnerBasis(ring, tuple(reduced), tuple(torsion))
 
 
-def groebner_extended(gens):
-    """Buchberger with representation tracking and syzygy collection.
+def _over_p(f):
+    """The h over the residue field with f = p*h~, for f with no unit term:
+    every coefficient value, coordinatewise over GR(p^2, e), divided by p."""
+    R = f.ring.coeff
+    p, k = R.p, R.residue_field()
 
-    Returns (basis, reps, syzygies) where basis[i] = sum_j reps[i][j] *
-    gens[j] exactly, and each syzygy s satisfies sum_j s[j] * gens[j] = 0.
-    No minimalization is performed; every S-pair is reduced explicitly so
-    the collected syzygies generate the whole syzygy module.
-    """
-    if not gens:
-        raise PresentationError("groebner_extended needs generators")
-    ring = gens[0].ring
-    m = len(gens)
-    unit = lambda j: [ring.one() if t == j else ring.zero() for t in range(m)]
-    basis, reps = [], []
-    syzygies = []
-
-    def track_divide(f, frep):
-        quots, rem = divide(f, basis) if basis else ([], f)
-        rrep = list(frep)
-        for q, brep in zip(quots, reps):
-            if q.is_zero():
-                continue
-            for t in range(m):
-                rrep[t] = rrep[t] - q * brep[t]
-        return rem, rrep
-
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            syzygies.append(unit(j))
-            continue
-        rep = unit(j)
-        lc = g.lead_coeff()
-        basis.append(g.monic())
-        reps.append([r * lc.inv() for r in rep])
-
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop(0)
-        fi, fj = basis[i], basis[j]
-        l = mono_lcm(fi.lead_monomial(), fj.lead_monomial())
-        ui = SparsePoly(ring, {mono_div(l, fi.lead_monomial()): ring.coeff.one()})
-        uj = SparsePoly(ring, {mono_div(l, fj.lead_monomial()): ring.coeff.one()})
-        sp = ui * fi - uj * fj
-        sprep = [ui * a - uj * b for a, b in zip(reps[i], reps[j])]
-        rem, rrep = track_divide(sp, sprep)
-        if rem.is_zero():
-            if any(not r.is_zero() for r in rrep):
-                syzygies.append(rrep)
-        else:
-            lc = rem.lead_coeff()
-            k = len(basis)
-            basis.append(rem.monic())
-            reps.append([r * lc.inv() for r in rrep])
-            pairs.extend((t, k) for t in range(k))
-
-    # relations coming from re-dividing the inputs by the completed basis
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        rem, rrep = track_divide(g, unit(j))
-        assert rem.is_zero()  # internal invariant: the basis holds every input
-        if any(not r.is_zero() for r in rrep):
-            syzygies.append(rrep)
-    return basis, reps, syzygies
+    def div(c):
+        v = c.value
+        return Residue(k, tuple([x // p for x in v]) if isinstance(v, tuple)
+                       else v // p)
+    return f.map_coeffs(k, div)
 
 
 # ---------------------------------------------------------------------------

@@ -94,11 +94,26 @@ R(0, g) = -[0] too), except the one of p*1 when [p] is kept free: the
 [p] row.  What remains is that row, the additive relations off the tree
 and the Leibniz relations D(g_v, g_w): e * s columns instead of e * n.
 
-Finite rings over a Z/p^2 base are enumerated exactly: with I the
-relation ideal, U = (I : p) mod p equals I_1 + the sigma-image of the
-syzygies of the reduced relations (sigma(h) = (sum h~_i f_i)/p), and an
-element has a unique canonical form r + p*h with r supported on the
-standard monomials of I_1 and h reduced modulo U.
+Finite rings over a Z/p^2 base are enumerated exactly.  Let I be the
+relation ideal, I_1 its image mod p and U = (I : p) mod p, the u with
+p u~ in I; an element has a unique canonical form r + p*h with r
+supported on the standard monomials of I_1 and h reduced modulo U.
+groebner over Z/p^2 returns G in I whose images G_1 are a Groebner basis
+of I_1, and the torsion T: the h of every input or S-pair that reduced
+to p*h.  Then U = I_1 + (T).  The inputs lie in (G) + p(T), so p u~ in I
+reads p u~ = sum a_i g_i + p(an element of (T)), and mod p the a_i give
+a syzygy of G_1.  Write sigma(s) = (sum s~_i g_i)/p mod p for a syzygy s
+of G_1; changing the lifts s~_i changes it by an element of I_1, so u
+lies in I_1 + (T) + sigma(syzygies).  By Schreyer's theorem the syzygies
+of G_1 are generated by one per pair (i, j) of G whose leading term is
+that of x^(l/lm_i) e_i - x^(l/lm_j) e_j, l the lcm of the leads; any
+syzygies with those leading terms will do.  For a pair groebner reduced,
+take the S-pair minus its division: sigma of it is h if the S-pair
+reduced to p*h, and 0 if the remainder joined G (count it in the sum
+too).  For a pair skipped as coprime, take the Koszul syzygy
+g_j e_i - g_i e_j: sigma of it is (g_j g_i - g_i g_j)/p = 0.  So U =
+I_1 + (T), and canon reduces a polynomial modulo G, splits each
+coefficient c = r + p h with r < p, and reduces the h part modulo U.
 """
 
 from __future__ import annotations
@@ -111,16 +126,8 @@ import numpy as np
 from .errors import PresentationError, SizeRefusalError
 from .fwcore import FWPresentation, RingPresentation
 from .linalg import ModPSpan
-from .modarith import lift_to_p2, reduce_mod_p
-from .mpoly import (
-    GroebnerBasis,
-    divide,
-    groebner,
-    groebner_extended,
-    krull_dim,
-    normal_form,
-    standard_monomials,
-)
+from .modarith import reduce_mod_p
+from .mpoly import groebner, krull_dim, normal_form, standard_monomials
 
 # |A| caps keeping the relation matrix at desk scale
 DEFAULT_SIZE_CAP = {2: 16, 3: 81, 5: 25}
@@ -374,69 +381,27 @@ def _finite_ring_charp(ring_pres, max_size):
 
 def _finite_ring_zp2(ring_pres, max_size):
     p = ring_pres.p
-    base = ring_pres.base
     zring = ring_pres.poly_ring
-    kfield = ring_pres.residue_field
     cring = ring_pres.carrier_ring
-    relations = list(ring_pres.relations)
-    fbars = ring_pres.relations_mod_p()
-
-    def over_p(g):
-        """g with every coefficient divided by p, landing mod p."""
-        def div(c):
-            # internal invariant: callers pass multiples of p
-            assert c.value % p == 0, "expected a p-divisible coefficient"
-            return kfield.of_int(c.value // p)
-        return g.map_coeffs(kfield, div)
-
-    def lift(g):
-        return g.map_coeffs(base, lift_to_p2)
-
-    if relations:
-        basis, reps, syzygies = groebner_extended(fbars)
-        gb1 = GroebnerBasis(cring, tuple(basis))
-        exact = []
-        for rep in reps:
-            acc = zring.zero()
-            for c, f in zip(rep, relations):
-                acc = acc + lift(c) * f
-            exact.append(acc)
-        ugens = list(basis)
-        for s in syzygies:
-            acc = zring.zero()
-            for c, f in zip(s, relations):
-                acc = acc + lift(c) * f
-            u = over_p(acc)
-            if not u.is_zero():
-                ugens.append(u)
-        gbU = groebner(ugens, ring=cring)
-    else:
-        gb1 = GroebnerBasis(cring, ())
-        exact = []
-        gbU = GroebnerBasis(cring, ())
-    if gb1.is_trivial():
+    gb = groebner(ring_pres.relations, ring=zring)
+    if gb.is_trivial():
         raise PresentationError("the presented ring is the zero ring")
-    if krull_dim(gb1) > 0:
+    if krull_dim(gb) > 0:
         raise SizeRefusalError("the presented ring is infinite")
-    S = standard_monomials(gb1)
+    gbU = groebner([f.map_coeffs(cring.coeff, reduce_mod_p) for f in gb.polys]
+                   + list(gb.torsion), ring=cring)
+    S = standard_monomials(gb)
     stairU = [] if gbU.is_trivial() else standard_monomials(gbU)
     size = p ** (len(S) + len(stairU))
     _refuse_oversized(p, size, max_size)
 
     def canonicalize(g):
-        gbar = g.map_coeffs(kfield, reduce_mod_p)
-        if gb1.polys:
-            quots, r = divide(gbar, list(gb1.polys))
-        else:
-            quots, r = [], gbar
-        acc = g
-        for q, bt in zip(quots, exact):
-            if not q.is_zero():
-                acc = acc - lift(q) * bt
-        rlift = lift(r)
-        h = over_p(acc - rlift)
-        h = normal_form(h, gbU)
-        return rlift + lift(h) * p
+        low, high = {}, {}
+        for m, c in gb.normal_form(g).terms.items():
+            high[m], low[m] = divmod(c.value, p)
+        for m, c in normal_form(cring.poly(high), gbU).terms.items():
+            low[m] = low.get(m, 0) + p * c.value
+        return zring.poly(low)
 
     label = _label_of(ring_pres)
     rpos = {m: j for j, m in enumerate(S)}

@@ -1,14 +1,15 @@
 """Test-only code: reference routes that compute by independent formulas
 what the library computes another way (Witt carries, twisted Jacobians,
-cotangent spaces, the universal module on one symbol per element), and
-helpers that inspect library objects."""
+cotangent spaces, division with quotients, finite Z/p^2-algebras from the
+syzygies of the reduced relations, the universal module on one symbol per
+element), and helpers that inspect library objects."""
 
 import itertools
 import math
 
 import numpy as np
 
-from fwdiff.errors import PresentationError
+from fwdiff.errors import PresentationError, SizeRefusalError
 from fwdiff.fwcore import FWPresentation, RingPresentation, present_fw
 from fwdiff.linalg import ModPSpan, rank_fraction_free
 from fwdiff.localalg import PointSpec, fiber_dim_point, regularity
@@ -23,8 +24,25 @@ from fwdiff.modarith import (
     residue_field_of,
     w_base,
 )
-from fwdiff.mpoly import PolyRing, SparsePoly, frobenius_twist
-from fwdiff.oracle import FiniteRing, UniversalModule
+from fwdiff.mpoly import (
+    GroebnerBasis,
+    PolyRing,
+    SparsePoly,
+    frobenius_twist,
+    groebner,
+    krull_dim,
+    mono_div,
+    mono_lcm,
+    normal_form,
+    standard_monomials,
+)
+from fwdiff.oracle import (
+    FiniteRing,
+    UniversalModule,
+    _counting,
+    _label_of,
+    _refuse_oversized,
+)
 from fwdiff.ringfile import parse_poly
 
 
@@ -39,6 +57,119 @@ def ring_of(base, varnames, relstrs):
 def field_rank(rows):
     """Rank of a matrix of field Residues."""
     return rank_fraction_free(rows, lambda e: e)
+
+
+def derivative(f, i):
+    """The partial derivative of f in its i-th variable."""
+    out = {}
+    for m, c in f.terms.items():
+        e = m[i]
+        if e == 0:
+            continue
+        v = c * e
+        if v.is_zero():
+            continue
+        mm = list(m)
+        mm[i] = e - 1
+        out[tuple(mm)] = v
+    return SparsePoly(f.ring, out)
+
+
+# ---------------------------------------------------------------------------
+# division with quotients, Buchberger with representations
+
+def divide(f, basis):
+    """Multivariate division over a field: f = sum q_i b_i + r with no term
+    of r divisible by any leading monomial.  Ties go to the first-listed
+    divisor.  Returns (quotients, remainder)."""
+    ring = f.ring
+    quots = [ring.zero() for _ in basis]
+    rem = ring.zero()
+    h = f
+    leads = [(b.lead_monomial(), b.lead_coeff()) for b in basis]
+    while not h.is_zero():
+        lm = h.lead_monomial()
+        lc = h.terms[lm]
+        for i, (blm, blc) in enumerate(leads):
+            q = mono_div(lm, blm)
+            if q is not None:
+                coef = lc * blc.inv()
+                qpoly = SparsePoly(ring, {q: coef})
+                quots[i] = quots[i] + qpoly
+                h = h - qpoly * basis[i]
+                break
+        else:
+            t = SparsePoly(ring, {lm: lc})
+            rem = rem + t
+            h = h - t
+    return quots, rem
+
+
+def groebner_extended(gens):
+    """Buchberger over a field with representation tracking and syzygy
+    collection.
+
+    Returns (basis, reps, syzygies) where basis[i] = sum_j reps[i][j] *
+    gens[j] exactly, and each syzygy s satisfies sum_j s[j] * gens[j] = 0.
+    No minimalization is performed; every S-pair is reduced explicitly so
+    the collected syzygies generate the whole syzygy module.
+    """
+    if not gens:
+        raise PresentationError("groebner_extended needs generators")
+    ring = gens[0].ring
+    m = len(gens)
+    unit = lambda j: [ring.one() if t == j else ring.zero() for t in range(m)]
+    basis, reps = [], []
+    syzygies = []
+
+    def track_divide(f, frep):
+        quots, rem = divide(f, basis) if basis else ([], f)
+        rrep = list(frep)
+        for q, brep in zip(quots, reps):
+            if q.is_zero():
+                continue
+            for t in range(m):
+                rrep[t] = rrep[t] - q * brep[t]
+        return rem, rrep
+
+    for j, g in enumerate(gens):
+        if g.is_zero():
+            syzygies.append(unit(j))
+            continue
+        rep = unit(j)
+        lc = g.lead_coeff()
+        basis.append(g.monic())
+        reps.append([r * lc.inv() for r in rep])
+
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        i, j = pairs.pop(0)
+        fi, fj = basis[i], basis[j]
+        l = mono_lcm(fi.lead_monomial(), fj.lead_monomial())
+        ui = SparsePoly(ring, {mono_div(l, fi.lead_monomial()): ring.coeff.one()})
+        uj = SparsePoly(ring, {mono_div(l, fj.lead_monomial()): ring.coeff.one()})
+        sp = ui * fi - uj * fj
+        sprep = [ui * a - uj * b for a, b in zip(reps[i], reps[j])]
+        rem, rrep = track_divide(sp, sprep)
+        if rem.is_zero():
+            if any(not r.is_zero() for r in rrep):
+                syzygies.append(rrep)
+        else:
+            lc = rem.lead_coeff()
+            k = len(basis)
+            basis.append(rem.monic())
+            reps.append([r * lc.inv() for r in rrep])
+            pairs.extend((t, k) for t in range(k))
+
+    # relations coming from re-dividing the inputs by the completed basis
+    for j, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        rem, rrep = track_divide(g, unit(j))
+        assert rem.is_zero()  # the basis holds every input
+        if any(not r.is_zero() for r in rrep):
+            syzygies.append(rrep)
+    return basis, reps, syzygies
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +266,7 @@ def w_poly_by_polys(f):
     R = f.ring.coeff
     p = R.p
     k = residue_field_of(R)
-    out = [frobenius_twist_by_terms(f.derivative(j).map_coeffs(k, reduce_mod_p))
+    out = [frobenius_twist_by_terms(derivative(f, j).map_coeffs(k, reduce_mod_p))
            for j in range(f.ring.nvars)]
     wp = {}
     for m, c in f.terms.items():
@@ -164,7 +295,7 @@ def w_poly_charp(f):
     """Frobenius-twisted gradient: the direct characteristic-p formula."""
     if not f.ring.coeff.is_field:
         raise PresentationError("w_poly_charp needs field coefficients")
-    return [frobenius_twist(f.derivative(j)) for j in range(f.ring.nvars)]
+    return [frobenius_twist(derivative(f, j)) for j in range(f.ring.nvars)]
 
 
 def twisted_relative_kahler(morph) -> FWPresentation:
@@ -248,7 +379,8 @@ def _cotangent_rows(ring_pres, polys, x: PointSpec):
     for f in polys:
         fbar = f if charp else f.map_coeffs(ring_pres.residue_field,
                                             reduce_mod_p)
-        grad = [fbar.derivative(j).evaluate(x.coordinates, k) for j in range(n)]
+        grad = [derivative(fbar, j).evaluate(x.coordinates, k)
+                for j in range(n)]
         if charp:
             rows.append(grad)
         else:
@@ -343,6 +475,98 @@ def ideal_contains(gb, f):
 
 # ---------------------------------------------------------------------------
 # finite rings and their universal modules
+
+def finite_ring_zp2_by_syzygies(ring_pres, max_size, cls=FiniteRing):
+    """The finite Z/p^2-algebra of ring_pres as cls, by the route that
+    tracks representations: with I the relation ideal, U = (I : p) mod p
+    is I_1 plus the sigma-image of the syzygies of the reduced relations
+    (sigma(h) = (sum h~_i f_i)/p), and a polynomial's canonical form is
+    r + p*h, r its normal form modulo I_1 lifted verbatim, and h what is
+    left over p, reduced modulo U."""
+    p = ring_pres.p
+    base = ring_pres.base
+    zring = ring_pres.poly_ring
+    kfield = ring_pres.residue_field
+    cring = ring_pres.carrier_ring
+    relations = list(ring_pres.relations)
+    fbars = ring_pres.relations_mod_p()
+
+    def over_p(g):
+        """g with every coefficient divided by p, landing mod p."""
+        def div(c):
+            assert c.value % p == 0, "expected a p-divisible coefficient"
+            return kfield.of_int(c.value // p)
+        return g.map_coeffs(kfield, div)
+
+    def lift(g):
+        return g.map_coeffs(base, lift_to_p2)
+
+    if relations:
+        basis, reps, syzygies = groebner_extended(fbars)
+        gb1 = GroebnerBasis(cring, tuple(basis))
+        exact = []
+        for rep in reps:
+            acc = zring.zero()
+            for c, f in zip(rep, relations):
+                acc = acc + lift(c) * f
+            exact.append(acc)
+        ugens = list(basis)
+        for s in syzygies:
+            acc = zring.zero()
+            for c, f in zip(s, relations):
+                acc = acc + lift(c) * f
+            u = over_p(acc)
+            if not u.is_zero():
+                ugens.append(u)
+        gbU = groebner(ugens, ring=cring)
+    else:
+        gb1 = GroebnerBasis(cring, ())
+        exact = []
+        gbU = GroebnerBasis(cring, ())
+    if gb1.is_trivial():
+        raise PresentationError("the presented ring is the zero ring")
+    if krull_dim(gb1) > 0:
+        raise SizeRefusalError("the presented ring is infinite")
+    S = standard_monomials(gb1)
+    stairU = [] if gbU.is_trivial() else standard_monomials(gbU)
+    size = p ** (len(S) + len(stairU))
+    _refuse_oversized(p, size, max_size)
+
+    def canonicalize(g):
+        gbar = g.map_coeffs(kfield, reduce_mod_p)
+        if gb1.polys:
+            quots, r = divide(gbar, list(gb1.polys))
+        else:
+            quots, r = [], gbar
+        acc = g
+        for q, bt in zip(quots, exact):
+            if not q.is_zero():
+                acc = acc - lift(q) * bt
+        rlift = lift(r)
+        h = over_p(acc - rlift)
+        h = normal_form(h, gbU)
+        return rlift + lift(h) * p
+
+    label = _label_of(ring_pres)
+    rpos = {m: j for j, m in enumerate(S)}
+    hpos = {m: len(S) + j for j, m in enumerate(stairU)}
+
+    def digits_of(f):
+        out = [0] * (len(S) + len(stairU))
+        for m, c in f.terms.items():
+            h, r = divmod(c.value, p)
+            if m not in rpos or (h and m not in hpos):
+                raise PresentationError(f"{f} is not a canonical form of {label}")
+            out[rpos[m]] = r
+            if h:
+                out[hpos[m]] = h
+        return out
+
+    basis = ([zring.poly({m: 1}) for m in S]
+             + [zring.poly({m: p}) for m in stairU])
+    return cls(p, _counting(p, len(S) + len(stairU)), basis, len(S),
+               canonicalize, digits_of, label)
+
 
 def rebuilt(fr: FiniteRing, cls=FiniteRing, digits=None):
     """fr's constructor run again, as cls, on the given digit rows."""

@@ -16,6 +16,8 @@ from fwdiff.cli import build_parser, run
 RINGS = os.path.join(os.path.dirname(__file__), os.pardir, "rings")
 SWEEP_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
                             "sweep_points.py")
+FUZZ_SCRIPT = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                           "axiom_fuzz.py")
 
 
 def _ring(name):
@@ -255,6 +257,35 @@ def test_sweep_script_reports_rejected_input_without_traceback():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
+def test_fuzz_script_reports_rejected_input_without_traceback():
+    r = subprocess.run([sys.executable, FUZZ_SCRIPT, "--p", "4"],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: 4 is not a prime number\n"
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--nvars", "-1"), ("--trials", "-2"), ("--trials", "0"),
+    ("--rounds", "0"),
+])
+def test_fuzz_script_counts_out_of_range_are_usage_errors(flag, value):
+    r = subprocess.run([sys.executable, FUZZ_SCRIPT, "--p", "3", flag, value],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "usage:" in r.stderr and "must be at least" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_fuzz_script_runs_its_rounds():
+    r = subprocess.run([sys.executable, FUZZ_SCRIPT, "--p", "3", "--nvars", "1",
+                        "--trials", "5", "--rounds", "2"],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0 and r.stderr == ""
+    lines = r.stdout.splitlines()
+    assert [line.split()[-1] for line in lines[:2]] == ["5/5", "5/5"]
+    assert lines[2].endswith("0 failing")
 
 
 # ---------------------------------------------------------------------------

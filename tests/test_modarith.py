@@ -1,9 +1,14 @@
 """Coefficient rings: Z/p^2, F_q, Galois rings, and the base Witt data."""
 
+import glob
+import io
+import os
+
 import pytest
 
+from fwdiff.cli import run
 from fwdiff.errors import PresentationError
-from fwdiff.fwcore import check_axioms
+from fwdiff.fwcore import check_axioms, w_poly
 from fwdiff.modarith import (
     GaloisField,
     GaloisRing,
@@ -18,6 +23,7 @@ from fwdiff.modarith import (
     residue_field_of,
     w_base,
 )
+from fwdiff.mpoly import PolyRing
 from routes import witt_P_scalars
 
 PRIMES = [2, 3, 5, 7]
@@ -135,6 +141,44 @@ def test_lift_reduce_round_trip():
     assert residue_field_of(G) == F
     for a in F.elements():
         assert reduce_mod_p(lift_to_p2(a)) == a
+
+
+def _count_builds(monkeypatch, cls):
+    built = []
+    init = cls.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
+def test_fields_keep_their_cover(monkeypatch):
+    """A field builds its Z/p^2 cover once; w_poly over GR(3^2, 2) builds
+    no Galois ring, and an oracle job over Z/p^2 at most one Z/p^2 beyond
+    the one its ring file names."""
+    for k in (PrimeField(3), GaloisField(2, 3)):
+        assert p2_cover_of(k) is p2_cover_of(k)
+        assert lift_to_p2(k.one()).ring is p2_cover_of(k)
+    R = GaloisRing(3, 2)
+    ring = PolyRing(R, ("x", "y"))
+    f = ring.poly({(1, 0): Residue(R, (1, 2)), (0, 1): Residue(R, (4, 5)),
+                   (2, 1): Residue(R, (7, 3)), (0, 0): Residue(R, (2, 2))})
+    galois = _count_builds(monkeypatch, GaloisRing)
+    w_poly(f)
+    assert galois == []
+    squares = _count_builds(monkeypatch, PrimeSquareRing)
+    oracle_rings = os.path.join(os.path.dirname(__file__), os.pardir,
+                                "fwbench", "rings", "oracle")
+    jobs = 0
+    for path in sorted(glob.glob(os.path.join(oracle_rings, "z*.ring"))):
+        squares.clear()
+        assert run(["oracle", "--json", "-i", path], out=io.StringIO()) == 0
+        assert len(squares) <= 2, (path, len(squares))
+        jobs += 1
+    assert jobs == 12
 
 
 # ---------------------------------------------------------------------------

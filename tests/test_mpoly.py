@@ -19,13 +19,12 @@ from fwdiff.modarith import (
     GaloisRing,
     PrimeField,
     PrimeSquareRing,
+    reduce_mod_p,
 )
 from fwdiff.mpoly import (
     PolyRing,
-    divide,
     frobenius_twist,
     groebner,
-    groebner_extended,
     homogenize,
     krull_dim,
     mono_div,
@@ -39,7 +38,10 @@ from fwdiff.mpoly import (
     witt_Q,
 )
 from routes import (
+    derivative,
+    divide,
     frobenius_twist_by_terms,
+    groebner_extended,
     ideal_contains,
     w_poly_by_polys,
     witt_P_pair_by_powers,
@@ -112,8 +114,8 @@ def test_derivative_and_evaluate():
     ring = PolyRing(R, ("x", "y"))
     x, y = ring.gens()
     f = x**3 * y + 2 * x * y**2
-    assert f.derivative(0) == 3 * x**2 * y + 2 * y**2
-    assert f.derivative(1) == x**3 + 4 * x * y
+    assert derivative(f, 0) == 3 * x**2 * y + 2 * y**2
+    assert derivative(f, 1) == x**3 + 4 * x * y
     v = f.evaluate((R.of_int(2), R.of_int(5)))
     assert v == R.of_int(2**3 * 5 + 2 * 2 * 5**2)
 
@@ -135,6 +137,8 @@ def test_shift_agrees_with_evaluation():
 # division and Groebner bases
 
 def test_divide_is_exact_and_reduced():
+    """The reference division recomposes f and leaves a reduced remainder,
+    and normal_form, the library's one division, leaves the same one."""
     rng = random.Random(7)
     ring = PolyRing(PrimeField(5), ("x", "y", "z"))
     for _ in range(25):
@@ -150,6 +154,7 @@ def test_divide_is_exact_and_reduced():
         assert recomposed == f
         for m in rem.terms:
             assert all(mono_div(m, b.lead_monomial()) is None for b in basis)
+        assert normal_form(f, basis) == rem
 
 
 def _to_sympy(f, syms):
@@ -190,6 +195,7 @@ def test_groebner_matches_sympy(p):
         if not gens:
             continue
         ours = groebner(gens, ring=ring)
+        assert ours.torsion == ()
         # Buchberger's criterion: every S-polynomial reduces to zero
         for f, g in itertools.combinations(ours.polys, 2):
             assert normal_form(spoly(f, g), ours).is_zero()
@@ -199,6 +205,30 @@ def test_groebner_matches_sympy(p):
         else:
             assert _our_gb_dicts(ours) == theirs
         done += 1
+
+
+@pytest.mark.parametrize("R", [PrimeSquareRing(3), GaloisRing(2, 2)])
+def test_groebner_over_p2_coefficients(R):
+    """Over Z/p^2 and GR(p^2, e) the images mod p of the basis are the
+    reduced basis of the images of the inputs, and an input in p lands,
+    divided by p, in the torsion."""
+    rng = random.Random(R.tag())
+    k = R.residue_field()
+    ring = PolyRing(R, ("x", "y"))
+    x, y = ring.gens()
+    for _ in range(15):
+        gens = [random_poly(rng, ring, max_terms=3, max_degree=2)
+                for _ in range(rng.randint(1, 3))]
+        gb = groebner(gens, ring=ring)
+        images = groebner([g.map_coeffs(k, reduce_mod_p) for g in gens],
+                          ring=ring.with_coeff(k))
+        assert tuple(f.map_coeffs(k, reduce_mod_p) for f in gb.polys) \
+            == images.polys
+    u = R.generator() if isinstance(R, GaloisRing) else R.one()
+    gb = groebner([x**2, x * y * (u * R.p) + y * R.p], ring=ring)
+    assert [str(f) for f in gb.polys] == ["x^2"]
+    kx, ky = ring.with_coeff(k).gens()
+    assert gb.torsion == (kx * ky * reduce_mod_p(u) + ky,)
 
 
 def test_groebner_known_example():

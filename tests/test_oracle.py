@@ -18,6 +18,7 @@ import math
 import operator
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +28,13 @@ from fwdiff import oracle
 from fwdiff.errors import PresentationError, SizeRefusalError
 from fwdiff.fwcore import RingPresentation, present_fw
 from fwdiff.linalg import ModPSpan
-from fwdiff.modarith import GaloisField, PrimeField, PrimeSquareRing
-from fwdiff.mpoly import PolyRing
+from fwdiff.modarith import (
+    GaloisField,
+    PrimeField,
+    PrimeSquareRing,
+    reduce_mod_p,
+)
+from fwdiff.mpoly import PolyRing, groebner
 from fwdiff.oracle import (
     FiniteRing,
     _refuse_oversized,
@@ -44,6 +50,7 @@ from routes import (
     element_brute_fw,
     element_polys,
     element_relation_rows,
+    finite_ring_zp2_by_syzygies,
     pow_idx,
     rebuilt,
     reordered,
@@ -221,7 +228,7 @@ def test_zero_and_infinite_rings_are_rejected():
 
 def test_more_zp2_quotients_cross_check():
     """Quotients where (I : p) strictly exceeds I mod p exercise the
-    syzygy route for the canonical form."""
+    torsion of the Z/p^2 Groebner basis in the canonical form."""
     cases = [
         ring_of(PrimeSquareRing(2), ("x",), ["x^2 - 2"]),
         ring_of(PrimeSquareRing(2), ("x",), ["x^2 - 2*x"]),
@@ -513,3 +520,84 @@ def test_generated_rings_match_the_references(pres):
         assert (fr.add == add).all() and (fr.mul == mul).all()
     rep = cross_check(present_fw(pres), max_size=GENERATED_LIMIT)
     assert rep["match"] and rep["size"] == fr.size, rep
+
+
+# ---------------------------------------------------------------------------
+# the Z/p^2 route against the reference that tracks syzygies
+
+def test_s_pair_torsion_enters_the_canonical_form():
+    """In Z/4[x]/(x^2 + 2, x^3) the S-pair x(x^2 + 2) - x^3 = 2x reduces to
+    2x, so x lies in U = (I : 2) mod 2: the ring has 8 elements, not 16."""
+    pres = ring_of(PrimeSquareRing(2), ("x",), ["x^2 + 2", "x^3"])
+    gb = groebner(pres.relations, ring=pres.poly_ring)
+    assert pres.carrier_ring.gen(0) in gb.torsion
+    fr = FiniteRing.from_presentation(pres)
+    assert fr.size == 8
+    assert cross_check(present_fw(pres))["match"]
+
+
+class _RouteParts:
+    """What a Z/p^2 route hands to FiniteRing, kept without the tables."""
+
+    def __init__(self, p, digits, digit_basis, ngens, canon, digits_of,
+                 label):
+        self.size, self.digit_basis = len(digits), digit_basis
+        self.ngens, self.canon, self.digits = ngens, canon, digits
+
+
+ZP2_LIMIT = 3125
+
+
+def _route_or_refusal(route, *args, **kwargs):
+    try:
+        return route(*args, **kwargs)
+    except (PresentationError, SizeRefusalError) as e:
+        return type(e), str(e)
+
+
+@st.composite
+def zp2_presentations(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    base = PrimeSquareRing(p)
+    ring = PolyRing(base, ("x", "y")[:draw(st.integers(1, 2))])
+    monos = st.tuples(*(st.integers(0, 3) for _ in ring.variables))
+    rels = []
+    for _ in range(draw(st.integers(1, 4))):
+        f = ring.poly(draw(st.dictionaries(
+            monos, st.integers(1, p * p - 1), min_size=1, max_size=3)))
+        rels.append(f * draw(st.sampled_from([1, 1, p])))
+    return RingPresentation(base, ring.variables, tuple(rels))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(zp2_presentations())
+def test_zp2_route_matches_the_syzygy_reference(pres):
+    """The route on leading unit terms and torsion refuses what the
+    reference refuses, and otherwise lists the same digit basis (the
+    standard monomials S and stairU) and gives the same canonical form to
+    every product of two digit-basis elements and to p times every digit
+    basis element (every element, up to 81)."""
+    with mock.patch.object(oracle, "FiniteRing", _RouteParts):
+        got = _route_or_refusal(oracle._finite_ring_zp2, pres, ZP2_LIMIT)
+    want = _route_or_refusal(finite_ring_zp2_by_syzygies, pres, ZP2_LIMIT,
+                             cls=_RouteParts)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert (got.size, got.ngens) == (want.size, want.ngens)
+    assert got.digit_basis == want.digit_basis
+    basis = want.digit_basis
+    p = pres.p
+    for i, a in enumerate(basis):
+        assert got.canon(a * p) == want.canon(a * p)
+        for b in basis[i:]:
+            assert got.canon(a * b) == want.canon(a * b)
+    if want.size <= 81:
+        for row in want.digits.tolist():
+            e = sum((b * c for c, b in zip(row, basis) if c),
+                    pres.poly_ring.zero())
+            assert got.canon(e * p) == want.canon(e * p)
+    gb = groebner(pres.relations, ring=pres.poly_ring)
+    images = groebner(pres.relations_mod_p(), ring=pres.carrier_ring)
+    assert tuple(f.map_coeffs(pres.residue_field, reduce_mod_p)
+                 for f in gb.polys) == images.polys

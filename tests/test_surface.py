@@ -40,8 +40,7 @@ GUARDS = textwrap.dedent("""
                         PrimeSquareRing, RingPresentation, fiber_dim_point,
                         fiber_dim_prime, groebner, present_fw)
     from fwdiff.modarith import default_minpoly
-    from fwdiff.mpoly import (groebner_extended, homogenize, standard_monomials,
-                              witt_P_pair)
+    from fwdiff.mpoly import homogenize, standard_monomials, witt_P_pair
 
     k = PrimeField(5)
     ring = PolyRing(k, ("x", "y"))
@@ -54,7 +53,7 @@ GUARDS = textwrap.dedent("""
             present_fw(cusp), PointSpec.of(node, (0, 0))),
         "prime of another presentation": lambda: fiber_dim_prime(
             present_fw(cusp), PrimeSpec(node, (x, y))),
-        "groebner over Z/p^2": lambda: groebner([zring.gen(0)]),
+        "groebner of nothing in no ring": lambda: groebner([]),
         "evaluate arity": lambda: x.evaluate((k.one(),)),
         "shift arity": lambda: x.shift((k.one(), k.one(), k.one())),
         "monomial length": lambda: ring.poly({(1,): k.one()}),
@@ -65,7 +64,8 @@ GUARDS = textwrap.dedent("""
         "extension degree of a Galois ring": lambda: GaloisRing(3, 0, (1,)),
         "carry of two rings": lambda: witt_P_pair(x, zring.gen(0)),
         "homogenize into other variables": lambda: homogenize(x, ring),
-        "extended basis of nothing": lambda: groebner_extended([]),
+        "lead monomial with no unit term": lambda: (
+            5 * zring.gen(0)).lead_monomial(),
         "infinite staircase": lambda: standard_monomials(groebner([x])),
         "lead monomial of zero": lambda: ring.zero().lead_monomial(),
         "negative power of a scalar": lambda: k.of_int(2) ** -1,
