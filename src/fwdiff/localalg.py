@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from .errors import (
     OffSchemeError,
     PresentationError,
+    SizeRefusalError,
     UnsupportedClassError,
 )
 from .fwcore import FWPresentation, RingPresentation
@@ -129,9 +130,20 @@ def _linear_polys(ring, var_idxs):
                 yield f
 
 
+# trial divisions a primality certificate may take, counted in advance
+LINEAR_FACTOR_CANDIDATES = 10**4
+
+
 def _has_linear_factor(f):
     # a divisor can only involve variables of f
     var_idxs = sorted({i for m in f.terms for i, e in enumerate(m) if e})
+    # _linear_polys yields q^(k - lead) candidates for each leading variable
+    q = f.ring.coeff.order()
+    count = sum(q ** j for j in range(1, len(var_idxs) + 1))
+    if count > LINEAR_FACTOR_CANDIDATES:
+        raise SizeRefusalError(
+            f"certifying the prime takes {count} trial divisions, over the "
+            f"bound {LINEAR_FACTOR_CANDIDATES}")
     for lin in _linear_polys(f.ring, var_idxs):
         if normal_form(f, [lin]).is_zero():
             return True

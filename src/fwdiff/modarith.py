@@ -209,10 +209,6 @@ class PrimeField(_ModRing):
     def degree(self):
         return 1
 
-    @cached_property
-    def _p2_cover(self):
-        return PrimeSquareRing(self.p)
-
 
 class PrimeSquareRing(_ModRing):
     """The ring Z/p^2; p generates its nilradical."""
@@ -423,10 +419,6 @@ class GaloisField(_ExtensionRing):
         for k in range(p**e):
             yield Residue(self, tuple(_base_p_digits(k, p, e)))
 
-    @cached_property
-    def _p2_cover(self):
-        return GaloisRing(self.p, self.degree, self.minpoly)
-
 
 class GaloisRing(_ExtensionRing):
     """GR(p^2, e) = (Z/p^2)[t]/(m~), the unramified degree-e cover of Z/p^2.
@@ -471,16 +463,6 @@ def residue_field_of(ring):
     raise PresentationError(f"no residue field for {ring!r}")
 
 
-def p2_cover_of(ring):
-    """The flat Z/p^2-cover of a base ring (identity on p^2-torsion rings);
-    a field builds its cover on first use and keeps it."""
-    if isinstance(ring, (PrimeSquareRing, GaloisRing)):
-        return ring
-    if isinstance(ring, (PrimeField, GaloisField)):
-        return ring._p2_cover
-    raise PresentationError(f"no Z/p^2 cover for {ring!r}")
-
-
 def reduce_mod_p(a: Residue) -> Residue:
     """Push an element of Z/p^2 or GR(p^2, e) to the residue field."""
     ring = a.ring
@@ -490,15 +472,6 @@ def reduce_mod_p(a: Residue) -> Residue:
     if isinstance(ring, PrimeSquareRing):
         return Residue(k, a.value % ring.p)
     return Residue(k, tuple(x % ring.p for x in a.value))
-
-
-def lift_to_p2(a: Residue) -> Residue:
-    """Lift a residue-field element into Z/p^2 or GR(p^2, e) verbatim."""
-    ring = a.ring
-    cover = p2_cover_of(ring)
-    if cover == ring:
-        return a
-    return Residue(cover, a.value)
 
 
 def embed(a: Residue, target) -> Residue:

@@ -36,48 +36,59 @@ Tables in coordinates.  Element i is its digit vector D[i], entries in
 the F_p-basis t^j x^m, m a standard monomial; over Z/p^2 the x^m for
 m in S, then the p x^m for m in stairU (canonical forms, below).  So
 n = p^d, and an element's index is read off its base-p key through one
-lookup array.  The generators g_u are the first g digit-basis elements.
-Adding g_u adds 1 to digit u; where that digit was p - 1 it becomes 0
-and the carry c_u = digits(p g_u) is added digit by digit mod p.  In
-characteristic p the carry is 0.  Over Z/p^2, adding x^m to r + p h
-with r_m = p - 1 gives r' + p(h + x^m), r'_m = 0; as p u~ lies in I
-for every u in U, its canonical form is r' + p(h + NF_U(x^m)), and
-c_u = digits(p NF_U(x^m)) lies on the p x^m digits, where addition is
-mod p and carries no further.  So the closures run only for the g
-carries (never in characteristic p, where p g_u = 0) and for the g^2
-products g_u g_w, and every result must be a canonical form, or the
-ring is refused.
+lookup array.  The generators g_u are the first g digit-basis elements,
+and their carries c_u = digits(p g_u) have no generator digit.  In
+characteristic p the carry is 0.  Over Z/p^2, p x^m = p NF_U(x^m) in
+A, as p u~ lies in I for every u in U, so c_u lies on the p x^m digits,
+and for m in stairU it is exactly the digit of p x^m.  An integer
+vector x stands for sum x_i b_i, and the digit normalisation N(x) takes
+each generator digit x_u = q p + r (0 <= r < p) to r, adds q c_u, and
+takes every other digit mod p.  So a + g_u = N(D[a] + e_u) and
+c a = N(c D[a]) for every integer c, -a among them, and the closures
+run only for the g carries (never in characteristic p, where
+p g_u = 0), the g^2 products g_u g_w and canon(1).  Every result must
+be a canonical form, or the ring is refused.
 
-Breadth-first search from 0 along a -> a + g_u reaches every element z
-by a tree edge z = y + g_w, y reached earlier.  Along the edges
-x + z = (x + y) + g_w fills the addition table a column at a time, then
-g_u z = g_u y + g_u g_w the products with generators, and
-x z = x y + x g_w the multiplication table.  In a ring these are
-identities, so a ring gets its own tables, and whatever the closures
-did, the tables satisfy 0 + x = x + 0 = x.
+The structure-constant check, on d^3 triple products instead of the
+n^2 table entries.  Let s_ij be the digits of b_i b_j: for generators
+those of canon(g_u g_w), and for a p-digit b_v = p g_u, u the
+generator whose carry c_u is exactly e_v, p times those of g_u:
+s_vj = N(p s_uj) and s_jv = N(p s_ju) (a ring with a p-digit that is
+no such multiple is refused).  Let L be the lattice spanned by
+p e_u - c_u for the generators u and p e_v for the p-digits v.  Its
+basis matrix is triangular with p on the diagonal, as no c_u has a
+generator digit, so Z^d/L has p^d classes, N(x) - x lies in L, and N
+maps each class to its one digit vector: x lies in L iff N(x) = 0.
+The check asks
 
-The table check, O(n^2 g) instead of the O(n^3) axioms.  It asks
+  (s) s_ij = s_ji;
+  (l) N(sum_i l_i s_ij) = 0 for each of the d lattice vectors l;
+  (a) N((b_i b_j) b_k) = N((b_k b_i) b_j), where (b_i b_j) b_k is
+      sum_l s_ijl s_lk;
+  (1) N(sum_i D_i s_ij) = e_j, with D the digits of canon(1);
 
-  (c) + and . are commutative, and every row of + contains 0;
-  (t) y + g_w = z on every tree edge;
-  (a) (x + y) + g = x + (y + g);
-  (d) x(y + g) = xy + xg;
-  (m) (xy)g = x(yg);
+for all i, j, k.  Extend the product bilinearly to Z^d by
+x y = sum x_i y_j s_ij.  By (l) and bilinearity L y lies in L for
+every y, and by (s) so does y L, so the product passes to Z^d/L,
+where it is commutative by (s).  Under (s), (a) makes (b_i b_j) b_k
+invariant under all permutations of i, j, k (a 3-cycle and a
+transposition generate them), so (b_i b_j) b_k = (b_j b_k) b_i =
+b_i (b_j b_k), and by trilinearity the product is associative.  It
+distributes over + by bilinearity, and (1) makes canon(1) its
+identity.  So the digit vectors, with N(D[a] + D[b]) and the product
+through s, form a commutative ring of p^d elements with identity
+canon(1): the ring that the closures describe.  The g_u generate it
+additively, as e_v = p e_u - (p e_u - e_v) for each p-digit.  This is
+the structure-constant representation of a finite-dimensional algebra
+(W. A. de Graaf, Lie Algebras: Theory and Algorithms, 2000); the check
+takes O(d^5) multiply-adds, with d = 12 at 4096 elements.
 
-for all x, y and every generator g.  The ring axioms follow by induction
-on z along the tree, writing z = z' + g by (t):
-
-  * (x + y) + z = ((x + y) + z') + g = (x + (y + z')) + g
-    = x + ((y + z') + g) = x + (y + z), by (a), induction, (a) and (a);
-    with 0 and (c) the elements form an abelian group.
-  * (d) at y = 0 reads xg = x0 + xg, so x0 = 0, and x(y + z) =
-    x((y + z') + g) = x(y + z') + xg = (xy + xz') + xg
-    = xy + (xz' + xg) = xy + xz, by associativity, (d), induction,
-    associativity and (d).
-  * (xy)0 = 0 = x(y0), and (xy)z = (xy)z' + (xy)g = x(yz') + x(yg)
-    = x(yz' + yg) = x(yz), by distributivity, induction and (m).
-
-With (c) every law holds on both sides; the identity of . is looked up.
+Breadth-first search from 0 along a -> a + g_u therefore reaches every
+element z by a tree edge z = y + g_w, y reached earlier.  Along the
+edges x + z = (x + y) + g_w fills the addition table a column at a
+time, then g_u z = g_u y + g_u g_w the products with generators, and
+x z = x y + x g_w the multiplication table.  These are identities of
+the checked ring, so the tables are its tables.
 
 Spanning-tree elimination.  The tree edge z = y + g_w carries the
 relation R(y, g_w): [z] = [y] + [g_w] - P(y, g_w)[p], with [p] the symbol
@@ -132,13 +143,10 @@ from .mpoly import groebner, krull_dim, normal_form, standard_monomials
 # |A| caps keeping the relation matrix at desk scale
 DEFAULT_SIZE_CAP = {2: 16, 3: 81, 5: 25}
 
-# entries in one slab of the table check
-SLAB = 1 << 20
-# bytes the two n x n int64 operation tables and the table check's slab
-# temporaries may take together; a larger ring is refused before any of
-# its elements is enumerated.  This bounds the tables, not the process:
-# the n x n boolean temporaries of the check, the interpreter and numpy
-# come on top (F_3[x]/(x^7), 2187 elements: 108 MB counted, 194 MB peak RSS)
+# bytes the two n x n int64 operation tables may take together; a larger
+# ring is refused before any of its elements is enumerated.  This bounds
+# the tables, not the process: the interpreter, numpy and the gathers
+# that fill the tables come on top
 TABLE_MEMORY_BOUND = 1 << 28
 
 
@@ -151,7 +159,7 @@ def _refuse_oversized(p, size, max_size):
             f"no default oracle bound for p = {p}; pass an explicit max size")
     if size > cap:
         raise SizeRefusalError(f"ring has {size} elements, over the bound {cap}")
-    need = 16 * size * size + 4 * 8 * SLAB  # two tables, four int64 slabs
+    need = 16 * size * size
     if need > TABLE_MEMORY_BOUND:
         raise SizeRefusalError(
             f"ring has {size} elements: its operation tables need "
@@ -186,18 +194,18 @@ def _field_digits(S, k, label):
 
 
 class FiniteRing:
-    """A finite ring of p-power order with verified operation tables.
+    """A finite ring of p-power order with checked operation tables.
 
     Element i is the digit vector digits[i] over digit_basis, whose first
     carrier_dim entries are the additive generators (the basis lifts).
     canon maps a polynomial to its canonical form and digits_of reads the
     digits of a canonical form, raising PresentationError on anything
-    else.  canon runs only for the carries and the generator products;
-    every other entry is filled by gathers along a breadth-first tree
-    from zero, and the finished tables pass the O(n^2 g) check that
-    implies every ring axiom (module docstring).  The tree edges are kept
-    in steps, one row (z, y, w) per element z = y + g_w other than zero,
-    in BFS order.
+    else.  canon runs only for the carries, the generator products and
+    canon(1); the structure constants they give pass the check that
+    makes the digit vectors a ring with identity canon(1) (module
+    docstring), and then both tables are filled by gathers along a
+    breadth-first tree from zero.  The tree edges are kept in steps, one
+    row (z, y, w) per element z = y + g_w other than zero, in BFS order.
     """
 
     def __init__(self, p, digits, digit_basis, ngens, canon, digits_of,
@@ -224,10 +232,14 @@ class FiniteRing:
         if not (self.digits[self.basis_idx]
                 == np.eye(ngens, d, dtype=np.int64)).all():
             raise PresentationError("basis lifts are not unit digit vectors")
-        self.add, self.mul = self._tables(*self._generator_tables())
-        self._verify_axioms()
-        self.one_idx = self._find_identity(self.mul)
-        self.p_one_idx = self.int_mult_idx(p, self.one_idx)
+        self.zero_idx = int(self._pos[0])
+        self.one_idx = self.index_of(canon(self.digit_basis[0].ring.one()))
+        self._carries, prods = self._closures()
+        self._check_ring(prods)
+        addg = self._index(self.digits + self.digits[self.basis_idx][:, None])
+        self.add, self.mul = self._tables(addg,
+                                          self._pos[prods @ self._weights])
+        self.p_one_idx = int(self.int_mult_idx(p, self.one_idx))
         # pows[k, a] = a^k for k <= p: the Frobenius and the Witt carries
         self.pows = np.empty((p + 1, self.size), dtype=np.int64)
         self.pows[0] = self.one_idx
@@ -241,54 +253,73 @@ class FiniteRing:
         """Index of a canonical form."""
         return int(self._pos[np.dot(self.digits_of(poly), self._weights)])
 
-    def _generator_tables(self):
-        """a + g_u as addg[u, a], by digit carries; g_u g_w as prods[u, w],
-        the closure calls."""
-        p, n, d = self.p, self.size, len(self.digit_basis)
+    def _normal(self, x):
+        """N(x): the digits of sum_i x_i b_i, for integer vectors x along
+        the last axis (module docstring)."""
+        q = x[..., :self.carrier_dim] // self.p
+        return (x + q @ self._carries) % self.p
+
+    def _index(self, x):
+        """Index of the element sum_i x_i b_i."""
+        return self._pos[self._normal(x) @ self._weights]
+
+    def _closures(self):
+        """The carries c_u = digits(p g_u) as rows, and the digits of the
+        generator products g_u g_w: the closure calls."""
+        p, d = self.p, len(self.digit_basis)
         gens = self.digit_basis[:self.carrier_dim]
-        carries = np.zeros((len(gens), d), dtype=np.int64)
-        for u, g in enumerate(gens):
-            pg = g * p
-            if not pg.is_zero():
-                carries[u] = self.digits_of(self.canon(pg))
+        carries = np.array([[0] * d if (g * p).is_zero()
+                            else self.digits_of(self.canon(g * p))
+                            for g in gens], dtype=np.int64).reshape(-1, d)
         if carries[:, :len(gens)].any():
             raise PresentationError(
                 f"p times a generator of {self.label} has a generator digit")
-        addg = np.empty((len(gens), n), dtype=np.int64)
-        for u in range(len(gens)):
-            nxt = self.digits.copy()
-            nxt[:, u] += 1
-            over = nxt[:, u] == p
-            nxt[over, u] = 0
-            nxt[over] = (nxt[over] + carries[u]) % p
-            addg[u] = self._pos[nxt @ self._weights]
-        prods = np.array([[self.index_of(self.canon(g * h)) for h in gens]
+        prods = np.array([[self.digits_of(self.canon(g * h)) for h in gens]
                           for g in gens], dtype=np.int64)
-        return addg, prods.reshape(len(gens), len(gens))
+        return carries, prods.reshape(len(gens), len(gens), d)
+
+    def _check_ring(self, prods):
+        """Checks (s), (l), (a) and (1) of the module docstring on the
+        structure constants that the generator products prods give."""
+        p, g, d = self.p, self.carrier_dim, len(self.digit_basis)
+        eye = np.eye(d, dtype=np.int64)
+        # match[u, v - g]: the carry of g_u is the p-digit v
+        match = (self._carries[:, None, g:] == eye[g:, g:]).all(axis=2)
+        if not match.any(axis=0).all():
+            raise PresentationError(
+                f"a p-digit of {self.label} is not p times a generator")
+        lift = np.zeros((d, g), dtype=np.int64)  # b_i over the generators
+        lift[:g] = eye[:g, :g]
+        lift[np.arange(g, d), match.argmax(axis=0)] = p
+        s = self._normal(np.einsum("ia,jb,abk->ijk", lift, lift, prods))
+        lattice = p * eye
+        lattice[:g] -= self._carries
+        ideal = self._normal(np.einsum("ai,ijk->ajk", lattice, s))
+        triple = self._normal(np.einsum("ijl,lkm->ijkm", s, s))
+        unit = self.digits[self.one_idx]
+        one = self._normal(np.einsum("i,ijk->jk", unit, s))
+        if not ((s == s.transpose(1, 0, 2)).all() and not ideal.any()
+                and (triple == triple.transpose(1, 2, 0, 3)).all()
+                and (one == eye).all()):
+            raise PresentationError(
+                f"the structure constants of {self.label} violate the ring "
+                "axioms")
 
     def _tables(self, addg, prods):
-        """Both tables from the generator tables, along the BFS tree; sets
-        zero_idx and steps on the way."""
-        n = self.size
-        gens = np.array(self.basis_idx, dtype=np.int64)
-        zero = np.flatnonzero((addg == gens[:, None]).all(axis=0))
-        if zero.size == 0:
-            raise PresentationError("operation table has no identity element")
-        self.zero_idx = zero = int(zero[0])
+        """Both tables from the generator tables, addg[u, a] = a + g_u and
+        prods[u, w] = g_u g_w, along the BFS tree; sets steps on the way."""
+        n, zero = self.size, self.zero_idx
         steps, seen = [(zero, None, None)], {zero}
         for y, _, _ in steps:  # breadth-first: steps grows as it is read
-            for u in range(len(gens)):
+            for u in range(len(addg)):
                 z = int(addg[u, y])
                 if z not in seen:
                     seen.add(z)
                     steps.append((z, y, u))
-        if len(seen) < n:
-            raise PresentationError(
-                f"the basis lifts do not generate {self.label} additively")
         tree = steps[1:]
         self.steps = np.array(tree, dtype=np.int64).reshape(-1, 3)
         add, mul = np.empty((2, n, n), dtype=np.int64)
-        mulg = np.empty((len(gens), n), dtype=np.int64)  # mulg[u, x] = g_u x
+        mulg = np.empty((len(addg), n), dtype=np.int64)  # mulg[u, x] = g_u x
         add[:, zero] = np.arange(n)
         mulg[:, zero] = mul[:, zero] = zero
         for z, y, w in tree:
@@ -299,54 +330,17 @@ class FiniteRing:
             mul[:, z] = add[mul[:, y], mulg[w]]
         return add, mul
 
-    def _find_identity(self, table):
-        n = self.size
-        want = np.arange(n)
-        for i in range(n):
-            if (table[i] == want).all():
-                return i
-        raise PresentationError("operation table has no identity element")
-
-    def _verify_axioms(self):
-        """Checks (c), (t), (a), (d) and (m) of the module docstring; the
-        n^2 g laws run on slabs of the first index, ~SLAB entries a slab."""
-        add, mul, n = self.add, self.mul, self.size
-        gens = np.array(self.basis_idx, dtype=np.int64)
-        z, y, w = self.steps.T
-        ok = ((add == add.T).all() and (mul == mul.T).all()
-              and (add == self.zero_idx).any(axis=1).all()
-              and (add[y, gens[w]] == z).all())
-        add_g, mul_g = add[:, gens], mul[:, gens]
-        step = max(1, SLAB // max(1, n * len(gens)))
-        for lo in range(0, n, step):
-            a, m = add[lo:lo + step], mul[lo:lo + step]
-            ok = ok and ((add_g[a] == a[:, add_g]).all()
-                         and (m[:, add_g] == add[m[:, :, None],
-                                                 m[:, None, gens]]).all()
-                         and (mul_g[m] == m[:, mul_g]).all())
-        if not ok:
-            raise PresentationError(
-                f"operation tables of {self.label} violate the ring axioms")
-
     def int_mult_idx(self, c, i):
-        """Index of c*a for a nonnegative integer c."""
-        total = self.zero_idx
-        cur = i
-        while c:
-            if c & 1:
-                total = self.add[total, cur]
-            cur = self.add[cur, cur]
-            c >>= 1
-        return total
+        """Index of c*a for an integer c."""
+        return self._index(c * self.digits[i])
 
     def witt_carry_idx(self, i, j):
         """Index of P(a_i, a_j) = sum binom(p,k)/p a_i^k a_j^(p-k)."""
         p = self.p
-        total = self.zero_idx
-        for k in range(1, p):
-            term = self.mul[self.pows[k, i], self.pows[p - k, j]]
-            total = self.add[total, self.int_mult_idx(math.comb(p, k) // p, term)]
-        return total
+        return self._index(sum(
+            math.comb(p, k) // p
+            * self.digits[self.mul[self.pows[k, i], self.pows[p - k, j]]]
+            for k in range(1, p)))
 
     @classmethod
     def from_presentation(cls, ring_pres: RingPresentation, max_size=None):
@@ -462,13 +456,12 @@ def _tree_coordinates(ring: FiniteRing):
     free = _free_symbols(ring)
     T = np.full((ring.size, len(free)), ring.zero_idx, dtype=np.int64)
     T[free, np.arange(len(free))] = ring.one_idx
-    neg = np.argmax(ring.add == ring.zero_idx, axis=1)
     depth = np.zeros(ring.size, dtype=np.int64)
     for z, y, _ in ring.steps.tolist():
         depth[z] = depth[y] + 1
     z, y, w = ring.steps.T
     inner = ~np.isin(z, free)
-    carry = neg[ring.witt_carry_idx(y, gens[w])]
+    carry = ring.int_mult_idx(-1, ring.witt_carry_idx(y, gens[w]))
     for d in range(1, int(depth.max()) + 1):
         at = inner & (depth[z] == d)
         zz, yy, gw = z[at], y[at], gens[w[at]]

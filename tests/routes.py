@@ -2,8 +2,10 @@
 what the library computes another way (Witt carries, twisted Jacobians,
 cotangent spaces, division with quotients, finite Z/p^2-algebras from the
 syzygies of the reduced relations, the universal module on one symbol per
-element), and helpers that inspect library objects."""
+element), the Z/p^2 covers of the residue fields they lift through, and
+helpers that inspect library objects."""
 
+import functools
 import itertools
 import math
 
@@ -14,12 +16,12 @@ from fwdiff.fwcore import FWPresentation, RingPresentation, present_fw
 from fwdiff.linalg import ModPSpan, rank_fraction_free
 from fwdiff.localalg import PointSpec, fiber_dim_point, regularity
 from fwdiff.modarith import (
+    GaloisField,
     GaloisRing,
+    PrimeField,
     PrimeSquareRing,
     Residue,
     embed,
-    lift_to_p2,
-    p2_cover_of,
     reduce_mod_p,
     residue_field_of,
     w_base,
@@ -52,6 +54,25 @@ def ring_of(base, varnames, relstrs):
     names = dict(zip(ring.variables, ring.gens()))
     rels = tuple(parse_poly(r, ring, names) for r in relstrs)
     return RingPresentation(base, tuple(varnames), rels)
+
+
+@functools.cache
+def p2_cover_of(ring):
+    """The flat Z/p^2-cover of a base ring (identity on p^2-torsion rings),
+    built once per field."""
+    if isinstance(ring, (PrimeSquareRing, GaloisRing)):
+        return ring
+    if isinstance(ring, PrimeField):
+        return PrimeSquareRing(ring.p)
+    if isinstance(ring, GaloisField):
+        return GaloisRing(ring.p, ring.degree, ring.minpoly)
+    raise PresentationError(f"no Z/p^2 cover for {ring!r}")
+
+
+def lift_to_p2(a: Residue) -> Residue:
+    """Lift a residue-field element into Z/p^2 or GR(p^2, e) verbatim."""
+    cover = p2_cover_of(a.ring)
+    return a if cover == a.ring else Residue(cover, a.value)
 
 
 def field_rank(rows):

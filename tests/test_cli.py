@@ -99,6 +99,18 @@ def test_refusals_exit_one(tmp_path):
     assert code == 1 and "refused:" in err
 
 
+def test_prime_certificates_past_the_trial_division_bound_are_refused(
+        tmp_path):
+    """A cubic in four variables over F_81 has 81 + 81^2 + 81^3 + 81^4
+    candidate linear factors; counting them refuses the locus at once,
+    where trial division would run for hours."""
+    wide = tmp_path / "wide.ring"
+    wide.write_text("base: Fq(3,4)\nvars: x, y, z, w\n")
+    code, _, err = _run(["regular", "-i", str(wide),
+                         "--prime", "x^3 + y^2*z + w + t"])
+    assert code == 1 and "refused:" in err and "trial divisions" in err
+
+
 def test_empty_point_names_the_point_of_a_ring_without_variables():
     code, out, err = _run(["regular", "-i", _ring("zp2.ring"), "--point", "",
                            "--flat"])

@@ -27,13 +27,13 @@ from fwdiff.modarith import (
     PrimeField,
     PrimeSquareRing,
     Residue,
-    lift_to_p2,
-    p2_cover_of,
     reduce_mod_p,
 )
 from fwdiff.mpoly import PolyRing, frobenius_twist, witt_Q
 from fwdiff.ringfile import parse_ring
 from routes import (
+    lift_to_p2,
+    p2_cover_of,
     ring_of,
     twisted_relative_kahler,
     w_poly_charp,

@@ -1,10 +1,10 @@
 """Brute-force universal module on small finite rings.
 
-The oracle lists every element as a digit vector, tabulates the
-operations from digit carries and the closure products of the additive
-generators, checks the tables in O(n^2 g), eliminates every symbol along
-the breadth-first tree, and row-reduces the remaining relations in tree
-coordinates.  The tests here check the oracle against itself
+The oracle lists every element as a digit vector, checks the structure
+constants that the carries and the closure products of the additive
+generators give, tabulates the operations along a breadth-first tree,
+eliminates every symbol along that tree, and row-reduces the remaining
+relations in tree coordinates.  The tests here check the oracle against itself
 (permutation invariance), against the exhaustive axiom check and the
 per-element module of tests/routes.py (span memberships forced by the
 axioms, the action on the quotient), against an all-pairs reference
@@ -14,6 +14,7 @@ generated rings, and pin the dimensions it must report on the standard
 small rings.
 """
 
+import itertools
 import math
 import operator
 import os
@@ -97,8 +98,9 @@ def test_table_construction_and_axioms():
     fr = FiniteRing.from_presentation(Z4_MIXED)
     assert fr.size == 8
     assert fr.carrier_dim == 2  # carrier F_2[x]/(x^2) has basis 1, x
-    # the tables went through the O(n^2 g) check in the constructor;
-    # run the exhaustive one, spot-check commutativity and the frobenius
+    # the structure constants went through the check in the constructor;
+    # run the exhaustive one on the tables, spot-check commutativity and
+    # the frobenius
     verify_axioms(fr)
     assert (fr.add == fr.add.T).all()
     for i in range(fr.size):
@@ -242,9 +244,9 @@ def test_more_zp2_quotients_cross_check():
 
 
 def test_table_build_memory_is_bounded():
-    """The table check runs in slabs: at 243 elements an n x n x g int64
-    array is 2.4 MB, where the n x n x n array of an exhaustive check
-    alone would be 115 MB."""
+    """At 243 elements the two tables take 0.9 MB and the check a few
+    d^4 arrays, where the n x n x n array of an exhaustive check alone
+    would be 115 MB."""
     big = ring_of(PrimeField(3), ("x",), ["x^5"])
     tracemalloc.start()
     try:
@@ -268,15 +270,17 @@ def test_oversized_tables_are_refused_before_enumeration():
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
-    for size in (729, 2187):  # below the bound
+    for size in (729, 2187, 4096):  # at most the bound
         _refuse_oversized(3, size, size)
+    with pytest.raises(SizeRefusalError, match="operation tables"):
+        _refuse_oversized(3, 4097, 4097)
     with pytest.raises(SizeRefusalError, match="over the bound 81"):
         _refuse_oversized(3, 729, None)
 
 
 def test_cross_check_at_729_elements():
-    """The tables, the check and the tree-coordinate rank of a 729-element
-    ring stay far below the n^3 and n * e scale."""
+    """The structure-constant check, the tables and the tree-coordinate
+    rank of a 729-element ring stay far below the n^3 and n * e scale."""
     pres = ring_of(PrimeField(3), ("x",), ["x^6"])
     tracemalloc.start()
     try:
@@ -401,71 +405,141 @@ def test_generator_oracle_matches_references_on_bench_rings(name):
     assert brute_fw(fr).dimension == element_brute_fw(fr).dimension
 
 
-class _Checked(Exception):
-    """Stops a probe ring after its tables were checked both ways."""
+class _Unreached(Exception):
+    """Stops a probe ring whose generators miss elements: it has no tables."""
 
 
-def _check_both_ways(fr, table, entry, value):
-    """(O(n^2 g) check, exhaustive check) on the tables that fr's
-    construction yields once one entry of addg or of the generator
-    products is replaced by value; None when no tables come out."""
+def _check_both_ways(fr, corrupt):
+    """(refusal, reference) for fr rebuilt with corrupt applied to its
+    carries and generator products: the structure-constant check's
+    refusal message (None when it accepts), and the reference verdict on
+    the tables the fill then computes, namely the identity element when
+    they satisfy every ring axiom (verify_axioms) and have one, else
+    False.  reference is None when the generators do not reach every
+    element, so that there are no tables."""
 
     class Probe(FiniteRing):
-        def _generator_tables(self):
-            addg, prods = super()._generator_tables()
-            (addg if table == "addg" else prods)[entry] = value
-            return addg, prods
+        def _closures(self):
+            carries, prods = super()._closures()
+            corrupt(carries, prods)
+            return carries, prods
 
-        def _verify_axioms(self):
-            verdicts = []
-            for check in (super()._verify_axioms, lambda: verify_axioms(self)):
-                try:
-                    check()
-                    verdicts.append(True)
-                except PresentationError:
-                    verdicts.append(False)
-            raise _Checked(*verdicts)
+        def _check_ring(self, prods):
+            try:
+                super()._check_ring(prods)
+                self.refusal = None
+            except PresentationError as e:
+                self.refusal = str(e)
+
+        def _tables(self, addg, prods):
+            reached = np.array([self.zero_idx])
+            while reached.size < self.size:
+                grown = np.union1d(reached, addg[:, reached])
+                if grown.size == reached.size:
+                    raise _Unreached(self.refusal)
+                reached = grown
+            return super()._tables(addg, prods)
 
     try:
-        rebuilt(fr, cls=Probe)
-    except _Checked as done:
-        return done.args
-    except PresentationError:  # the corrupted addg no longer generates
-        return None
-    raise AssertionError("the probe skipped the table check")
+        probe = rebuilt(fr, cls=Probe)
+    except _Unreached as stop:
+        return stop.args[0], None
+    try:
+        verify_axioms(probe)
+    except PresentationError:
+        return probe.refusal, False
+    ident = np.flatnonzero((probe.mul == np.arange(probe.size)).all(axis=1))
+    return probe.refusal, (int(ident[0]) if ident.size else False)
+
+
+def _corruptions(fr):
+    """Every corruption of one carry c_u (its p-digits) or of one
+    generator product, written to the entry (u, w) alone or to (u, w) and
+    (w, u) alike: (table, entries, new digits)."""
+    p, g = fr.p, fr.carrier_dim
+    d = fr.digits.shape[1]
+    out = []
+    for u in range(g):
+        carry = fr.digits[fr.int_mult_idx(p, fr.basis_idx[u])][g:].tolist()
+        for new in map(list, itertools.product(range(p), repeat=d - g)):
+            if new != carry:
+                out.append(("carries", [u], new))
+        for w in range(g):
+            old = fr.digits[fr.mul[fr.basis_idx[u], fr.basis_idx[w]]]
+            for new in map(list, itertools.product(range(p), repeat=d)):
+                if new != old.tolist():
+                    out.append(("prods", [(u, w)], new))
+                    if u < w:
+                        out.append(("prods", [(u, w), (w, u)], new))
+    return out
 
 
 @pytest.mark.parametrize("pres", [Z4, Z9, F2_EPS3, F3_EPS, Z4_MIXED, F4,
                                   ring_of(PrimeField(2), ("x", "y"),
+                                          ["x^2", "y^2"]),
+                                  ring_of(PrimeSquareRing(3), ("x",), ["x^2"]),
+                                  ring_of(PrimeField(3), ("x", "y"),
                                           ["x^2", "y^2"])],
                          ids=_ring_id)
 def test_table_check_rejects_what_the_exhaustive_check_rejects(pres):
-    """Corrupt one entry of the generator products or of addg: the
-    O(n^2 g) check and the exhaustive O(n^3) one must agree on every
-    resulting pair of tables.  Some corruptions still give a ring, such
-    as 1 * 1 = 3 over Z/4 (a ring with identity 3), and both accept."""
+    """Corrupt one carry c_u or one generator product (every such
+    corruption, or 60 of them drawn at random where there are more): the
+    structure-constant check must refuse whatever the exhaustive O(n^3)
+    check of the filled tables refuses, and what it accepts has canon(1)
+    as its identity.  It may refuse a ring the reference accepts for two
+    reasons only, counted here: a p-digit that is not exactly p times a
+    generator, and an identity other than canon(1), such as 1 * 1 = 3
+    over Z/4 (a ring with identity 3).  Corrupted carries can leave the
+    generators short of some elements; the check must refuse those, and
+    the reference has no tables to judge.  Every ring sees corruptions
+    that both refuse."""
     fr = FiniteRing.from_presentation(pres)
-    assert _check_both_ways(fr, "prods", (0, 0), fr.mul[
-        fr.basis_idx[0], fr.basis_idx[0]]) == (True, True)
-    rng = np.random.RandomState(11)
-    g, n = len(fr.basis_idx), fr.size
-    outcomes = []
-    for _ in range(12):
-        table = ("prods", "addg")[rng.randint(2)]
-        if table == "prods":
-            entry = (rng.randint(g), rng.randint(g))
-            old = fr.mul[fr.basis_idx[entry[0]], fr.basis_idx[entry[1]]]
+    assert _check_both_ways(fr, lambda c, s: None) == (None, fr.one_idx)
+    cases = _corruptions(fr)
+    if len(cases) > 60:
+        rng = np.random.RandomState(11)
+        cases = [cases[i] for i in rng.choice(len(cases), 60, replace=False)]
+    outcomes = dict.fromkeys(
+        ("accepted", "refused", "no tables", "p-digit", "identity"), 0)
+    for table, entries, new in cases:
+
+        def corrupt(carries, prods):
+            for entry in entries:
+                if table == "carries":
+                    carries[entry][fr.carrier_dim:] = new
+                else:
+                    prods[entry] = new
+
+        refusal, reference = _check_both_ways(fr, corrupt)
+        case = (table, entries, new, refusal, reference)
+        if refusal is None:
+            assert reference == fr.one_idx, case
+            outcomes["accepted"] += 1
+        elif reference is None:
+            outcomes["no tables"] += 1
+        elif reference is False:
+            outcomes["refused"] += 1
+        elif "p-digit" in refusal:
+            outcomes["p-digit"] += 1
         else:
-            a = rng.choice([i for i in range(n) if i != fr.zero_idx])
-            entry = (rng.randint(g), a)
-            old = fr.add[a, fr.basis_idx[entry[0]]]
-        value = rng.choice([i for i in range(n) if i != old])
-        verdicts = _check_both_ways(fr, table, entry, value)
-        if verdicts is not None:
-            fast, exhaustive = verdicts
-            assert fast == exhaustive, (table, entry, value)
-            outcomes.append(fast)
-    assert False in outcomes, outcomes
+            assert reference != fr.one_idx, case
+            outcomes["identity"] += 1
+    assert outcomes["refused"] > 0, outcomes
+
+
+def test_identity_other_than_canon_one_is_refused():
+    """1 * 1 = 3 over Z/4 is a ring with identity 3, and the tables pass
+    the exhaustive check; the structure-constant check refuses it, as
+    canon(1) = 1 is not its identity."""
+    fr = FiniteRing.from_presentation(Z4)
+    three = fr.digits[fr.index_of(fr.digit_basis[0] * 3)]
+
+    def corrupt(carries, prods):
+        prods[0, 0] = three
+
+    refusal, reference = _check_both_ways(fr, corrupt)
+    assert "violate the ring axioms" in refusal
+    assert reference == fr.index_of(fr.digit_basis[0] * 3) != fr.one_idx
 
 
 def test_reference_covers_every_finite_ring_file():
