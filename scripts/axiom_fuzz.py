@@ -3,17 +3,19 @@
 
 Runs check_axioms in rounds with stepped seeds and reports any failing
 identity verbatim.  Intended for soak testing beyond what the unit
-suite covers; exit code 1 if any round fails.  An input the library
-rejects (say, a --p that is not prime) ends the run with one
-"error: ..." line on stderr and exit code 2, as in the fwdiff command
-line tool; a count out of range is a usage error, also exit code 2."""
+suite covers; exit code 1 if any round fails.  Errors end the run as in
+the fwdiff command line tool: work past a size bound (say, the Witt
+carries of a --p near a million) with one "refused: ..." line on stderr
+and exit code 1, an input the library rejects (say, a --p that is not
+prime) with one "error: ..." line and exit code 2; a count out of range
+is a usage error, also exit code 2."""
 
 import argparse
 import sys
 import time
 
 from fwdiff.cli import _int_at_least
-from fwdiff.errors import FWDiffError
+from fwdiff.errors import FWDiffError, SizeRefusalError
 from fwdiff.fwcore import check_axioms
 
 
@@ -39,6 +41,9 @@ def main(argv=None):
             if not rep.passed:
                 bad += 1
                 print(f"  {rep.describe()}")
+    except SizeRefusalError as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return 1
     except FWDiffError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

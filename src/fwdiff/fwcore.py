@@ -12,16 +12,18 @@ in closed form:
          + [ sum_m X^(p m) w_base(c_m) - Q(f) mod p ] e_{w(p)}
 
 where Q is the multivariate Witt carry of mpoly.witt_Q, one p-th power
-over a p^3 lift.  w_poly works on the raw coefficient values of f and
-builds one polynomial per coordinate, at the end.  Bases of
-characteristic p are handled by the same formula through the flat cover
-Z/p^2 or GR(p^2, e): the relation "p" turns the w(p) coordinate into a
-unit column, so it is dropped, and what is left is the twisted gradient
-of f.  column_of computes that directly, with no Witt carry.
+over a p^3 lift.  One core, _w_raw, computes it on packed raw
+polynomials (mpoly's docstring) for w_poly, column_of and check_axioms,
+which build polynomials only at the end.  Bases of characteristic p are
+handled by the same formula through the flat cover Z/p^2 or GR(p^2, e):
+the relation "p" turns the w(p) coordinate into a unit column, so it is
+dropped, and what is left is the twisted gradient of f.  column_of
+computes that directly, with no Witt carry.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -35,17 +37,17 @@ from .modarith import (
     Residue,
     reduce_mod_p,
     residue_field_of,
-    w_base,
 )
 from .mpoly import (
     GroebnerBasis,
     PolyRing,
     SparsePoly,
-    _raw_poly,
-    frobenius_twist,
+    _pack,
+    _raw_mul,
+    _unpack,
+    _witt_P_raw,
+    _witt_Q_raw,
     groebner,
-    witt_P_pair,
-    witt_Q,
 )
 
 BASE_RINGS = (PrimeField, GaloisField, PrimeSquareRing)
@@ -150,36 +152,35 @@ def w_poly(f):
     """Coordinates of w(f) in the free module on w(X_1..X_n), w(p).
 
     f has coefficients in Z/p^2 or GR(p^2, e); the coordinates are
-    polynomials over the residue field k (the module is p-torsion).  On
-    raw values, the terms c X^m of f give the twisted derivatives
-    (e c mod p)^p X^(p(m - e_j)) for e = m_j and the w(p) terms
-    w_base(c) X^(p m); Q(f) is then read mod p.
+    polynomials over the residue field k (the module is p-torsion).  They
+    come from _w_raw on f packed in radix B = p*d + 1, d the largest
+    exponent of f, X^m at key sum m_i B^i.  Every exponent w forms, p*m,
+    p*(m - e_j) and those of Q(f), is at most p*d < B, so no digit carries
+    into the next: X^(p*m) is p*key, and a product of monomials is one
+    integer addition.
     """
     R = f.ring.coeff
     if not isinstance(R, (PrimeSquareRing, GaloisRing)):
         raise PresentationError("w_poly needs Z/p^2 or GR(p^2,e) coefficients")
-    p = R.p
-    k = residue_field_of(R)
-    if isinstance(R, PrimeSquareRing):
-        def mod_p(a):
-            return a % p
-    else:
-        def mod_p(a):
-            return tuple([x % p for x in a])
-    grads = _twisted_gradient(f, k)
-    wp = {tuple([p * e for e in m]): w_base(c).value
-          for m, c in f.terms.items()}
-    zero = k._of_int(0)
-    for m, q in witt_Q(f).terms.items():
-        wp[m] = k._sub(wp.get(m, zero), mod_p(q.value))
+    return _w_polys(f, residue_field_of(R))
+
+
+def _w_polys(f, k):
+    """The coordinates of _w_raw on f as polynomials over k."""
+    R = f.ring.coeff
+    B, (raw,) = _pack(R.p, f)
     kring = f.ring.with_coeff(k)
-    return [_raw_poly(kring, raw) for raw in grads + [wp]]
+    return [_unpack(kring, w, B) for w in _w_raw(raw, R, k, f.ring.nvars, B)]
 
 
-def _twisted_gradient(f, k):
-    """The raw twisted derivatives of f, one dict per variable: the term
-    (e c mod p)^p X^(p(m - e_j)) for each term c X^m of f with p not
-    dividing e = m_j, valued in the residue field k."""
+def _w_raw(raw, R, k, n, B):
+    """The one w core, on a packed raw polynomial over R in n variables
+    whose exponents p*m stay below B: the coordinates of w, packed raw
+    over the residue field k, zero values kept.  A term c X^m gives the
+    twisted derivatives (e c mod p)^p X^(p(m - e_j)) at key p*key -
+    p*B^j, for e = m_j prime to p, and w_base(c) X^(p m) on w(p), where
+    Q mod p is then subtracted.  Over a field (R = k) the w(p) coordinate
+    is left out (module docstring)."""
     p = k.p
     if isinstance(k, PrimeField):
         def twisted(a, e):  # x^p = x on F_p
@@ -187,15 +188,21 @@ def _twisted_gradient(f, k):
     else:
         def twisted(a, e):
             return k._pow(tuple([x * e % p for x in a]), p)
-    grads = [{} for _ in f.ring.variables]
-    for m, c in f.terms.items():
-        pm = [p * e for e in m]
-        for j, e in enumerate(m):
+    shifts = [p * B**j for j in range(n)]
+    grads = [{} for _ in range(n)]
+    for key, c in raw.items():
+        pkey, rest = p * key, key
+        for j in range(n):
+            rest, e = divmod(rest, B)
             if e % p:
-                dm = list(pm)
-                dm[j] -= p
-                grads[j][tuple(dm)] = twisted(c.value, e)
-    return grads
+                grads[j][pkey - shifts[j]] = twisted(c, e)
+    if R.is_field:
+        return grads
+    wp = {p * key: R._w_base(c) for key, c in raw.items()}
+    zero = k._of_int(0)
+    for key, q in _witt_Q_raw(raw, R).items():  # k._sub reduces q
+        wp[key] = k._sub(wp.get(key, zero), q)
+    return grads + [wp]
 
 
 def column_of(ring_pres: RingPresentation, f):
@@ -206,8 +213,7 @@ def column_of(ring_pres: RingPresentation, f):
     un-normalized.
     """
     if ring_pres.is_charp:
-        return [_raw_poly(f.ring, raw)
-                for raw in _twisted_gradient(f, f.ring.coeff)]
+        return _w_polys(f, f.ring.coeff)
     return w_poly(f)
 
 
@@ -263,31 +269,15 @@ class AxiomReport:
         }
 
 
-def random_scalar(rng, R):
-    if isinstance(R, (GaloisField, GaloisRing)):
-        return Residue(R, tuple(rng.randrange(R.modulus) for _ in range(R.degree)))
-    return R.of_int(rng.randrange(R.modulus))
-
-
 # the support bounds of the polynomials check_axioms samples
 SAMPLE_TERMS = 3
 SAMPLE_DEGREE = 2
 
 
-def random_poly(rng, ring, max_terms=SAMPLE_TERMS, max_degree=SAMPLE_DEGREE):
-    """A random sparse polynomial with bounded support, for fuzzing."""
-    nterms = rng.randint(0, max_terms)
-    terms = {}
-    for _ in range(nterms):
-        m = tuple(rng.randint(0, max_degree) for _ in range(ring.nvars))
-        terms[m] = random_scalar(rng, ring.coeff)
-    return ring.poly(terms)
-
-
 def check_axioms(p, nvars, trials=500, seed=0):
     """Randomized check of the two derivation axioms on Z/p^2[X].
 
-    For sampled f, g the vectors of w_poly must satisfy, exactly, in the
+    For sampled f, g the coordinates of w must satisfy, exactly, in the
     free module over F_p[X]:
 
         w(f+g) = w(f) + w(g) - P(f,g) e_{w(p)}
@@ -295,34 +285,70 @@ def check_axioms(p, nvars, trials=500, seed=0):
 
     with the scalars read mod p.  Any failure is recorded with the pair
     that produced it.
+
+    It runs on raw values through _w_raw, the core of w_poly, with one
+    radix B = 2pD + 1, D = SAMPLE_DEGREE.  f and g have exponents at most
+    D, f + g at most D and fg at most 2D, so w(fg) and Q(fg) form exponents
+    at most 2pD and P(f, g) at most pD; the twisted products add pD to the
+    exponents of w(f) and w(g), at most pD.  So no digit carries.  Sums
+    and products are taken on integers and read mod p^2 or p, through the
+    ring maps Z -> Z/p^2 -> F_p; polynomials are built only to report a
+    failure.
     """
     rng = random.Random(seed)
     base = PrimeSquareRing(p)
-    names = tuple(f"x{i+1}" for i in range(nvars))
-    ring = PolyRing(base, names)
-    k = residue_field_of(base)
+    k, q = base.residue_field(), p * p
+    B = 2 * p * SAMPLE_DEGREE + 1
+    radix = [B**i for i in range(nvars)]
+    add = operator.add
+
+    def mul(a, b):  # mod q, so the powers in P(f, g) stay small
+        return a * b % q
+
+    def sample():  # the draws of random_poly in tests/routes.py, packed
+        terms = {}
+        for _ in range(rng.randint(0, SAMPLE_TERMS)):
+            m = sum([rng.randint(0, SAMPLE_DEGREE) * b for b in radix])
+            terms[m] = rng.randrange(q)
+        return {m: c for m, c in terms.items() if c}
+
+    def w(h):  # the coordinates of w(h mod q)
+        return _w_raw({m: c % q for m, c in h.items() if c % q},
+                      base, k, nvars, B)
+
+    def agree(lhs, *rhs):  # lhs = sum(rhs) over F_p
+        acc = dict(lhs)
+        for h in rhs:
+            for m, c in h.items():
+                acc[m] = acc.get(m, 0) - c
+        return not any(c % p for c in acc.values())
+
     report = AxiomReport(p=p, nvars=nvars, trials=trials, seed=seed)
     for t in range(trials):
-        f = random_poly(rng, ring)
-        g = random_poly(rng, ring)
-        wf, wg = w_poly(f), w_poly(g)
+        f, g = sample(), sample()
+        wf, wg = w(f), w(g)
         # additivity, with the Witt carry on the w(p) coordinate
-        ws = w_poly(f + g)
-        expect = [wf[i] + wg[i] for i in range(nvars + 1)]
-        expect[nvars] = expect[nvars] - witt_P_pair(f, g).map_coeffs(k, reduce_mod_p)
-        ok_add = ws == expect
-        # Leibniz with twisted scalars
-        wm = w_poly(f * g)
-        ftw = frobenius_twist(f.map_coeffs(k, reduce_mod_p))
-        gtw = frobenius_twist(g.map_coeffs(k, reduce_mod_p))
-        ok_mul = all(
-            wm[i] == gtw * wf[i] + ftw * wg[i] for i in range(nvars + 1)
-        )
+        s = dict(f)
+        for m, c in g.items():
+            s[m] = s.get(m, 0) + c
+        ws = w(s)
+        carry = {m: -c for m, c in
+                 _witt_P_raw(f, g, p, mul, add, int).items()}
+        ok_add = all(agree(ws[i], wf[i], wg[i], carry if i == nvars else {})
+                     for i in range(nvars + 1))
+        # Leibniz with twisted scalars, f^(p) = sum c X^(pm) as c^p = c in F_p
+        wm = w(_raw_mul(f, g, mul, add))
+        ftw = {p * m: c for m, c in f.items()}
+        gtw = {p * m: c for m, c in g.items()}
+        ok_mul = all(agree(wm[i], _raw_mul(ftw, wg[i], mul, add,
+                                           _raw_mul(gtw, wf[i], mul, add)))
+                     for i in range(nvars + 1))
         if not (ok_add and ok_mul):
+            ring = PolyRing(base, tuple(f"x{i+1}" for i in range(nvars)))
             report.failures.append({
                 "trial": t,
-                "f": str(f),
-                "g": str(g),
+                "f": str(_unpack(ring, f, B)),
+                "g": str(_unpack(ring, g, B)),
                 "additivity": ok_add,
                 "leibniz": ok_mul,
             })

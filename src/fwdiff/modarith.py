@@ -81,10 +81,6 @@ class Residue:
     def inv(self):
         return Residue(self.ring, self.ring._inv(self.value))
 
-    def frobenius(self):
-        """The p-th power of the element."""
-        return self ** self.ring.p
-
     def is_zero(self):
         return self.ring._is_zero(self.value)
 
@@ -234,6 +230,11 @@ class PrimeSquareRing(_ModRing):
     @cached_property
     def _residue_field(self):
         return PrimeField(self.p)
+
+    def _w_base(self, a):
+        # a^p mod p^2 stands in for a^p: they differ by a multiple of p^2
+        p = self.p
+        return (a - pow(a, p, p * p)) // p % p
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +454,14 @@ class GaloisRing(_ExtensionRing):
     def _residue_field(self):
         return GaloisField(self.p, self.degree, self.minpoly)
 
+    def _w_base(self, a):
+        p, k = self.p, self.residue_field()
+        # abar^(p^(e-1)) is the inverse of Frobenius on F_{p^e}
+        u = k._pow(tuple([x % p for x in a]), p ** (self.degree - 1))
+        diff = self._sub(a, self._pow(u, p))
+        assert all(x % p == 0 for x in diff)  # internal invariant
+        return k._pow(tuple([x // p % p for x in diff]), p)
+
 
 def residue_field_of(ring):
     """The residue field of a p^2-torsion base ring (identity on fields)."""
@@ -500,18 +509,7 @@ def w_base(a: Residue) -> Residue:
     v^p in the residue field.
     """
     ring = a.ring
-    if isinstance(ring, PrimeSquareRing):
-        p = ring.p
-        lift = a.value  # canonical representative in [0, p^2)
-        return ring.residue_field().of_int((lift - lift**p) // p)
-    if isinstance(ring, GaloisRing):
-        p = ring.p
-        k = ring.residue_field()
-        abar = reduce_mod_p(a)
-        # abar^(p^(e-1)) is the inverse of Frobenius on F_{p^e}
-        u = abar ** (p ** (k.degree - 1))
-        diff = a - Residue(ring, u.value) ** p
-        assert all(x % p == 0 for x in diff.value)  # internal invariant
-        v = Residue(k, tuple((x // p) % p for x in diff.value))
-        return v.frobenius()
-    raise PresentationError(f"w_base needs a p^2-torsion ring, got {ring.tag()}")
+    if not isinstance(ring, (PrimeSquareRing, GaloisRing)):
+        raise PresentationError(
+            f"w_base needs a p^2-torsion ring, got {ring.tag()}")
+    return Residue(ring.residue_field(), ring._w_base(a.value))

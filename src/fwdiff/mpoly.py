@@ -9,21 +9,28 @@ groebner and normal_form, the one Buchberger and the one division, run
 over a field or over Z/p^2 and GR(p^2, e), where leading terms are taken
 among the unit terms (groebner's docstring says what that gives).
 
-The Witt operations (frobenius_twist, witt_Q, witt_P_pair) work on raw
-{monomial: value} dicts through the coefficient ring's value methods and
-make Residues only for the terms of their result.  witt_Q reads the
-carry off one p-th power over a lift modulo p^3 (the argument is in its
-docstring), so its cost is polynomial in the number of terms.
+The Witt operations (frobenius_twist, witt_Q, witt_P_pair) work on
+packed raw polynomials, {key: value} dicts through the coefficient ring's
+value methods, and make Residues only for the terms of their result.
+X^m is the key sum m_i B^i in the radix B = p*d + 1, d the largest
+exponent of the input (_pack).  None of them forms an exponent above
+p*d < B, so no digit carries into the next and a product of monomials is
+one integer addition.  witt_Q reads the carry off one p-th power over a
+lift modulo p^3 (the argument is in its docstring), so its cost is
+polynomial in the number of terms.  It, witt_P_pair and SparsePoly
+powers count the value products of each sparse product before taking
+it, and refuse once the count would pass PRODUCT_BOUND.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 
-from .errors import PresentationError
+from .errors import PresentationError, SizeRefusalError
 from .modarith import (
     GaloisRing,
     PrimeSquareRing,
@@ -32,6 +39,10 @@ from .modarith import (
     _upoly_rem,
     embed,
 )
+
+# the most value products a polynomial power or a Witt carry (Q or P) may
+# take; a product that would pass it is refused before it is begun
+PRODUCT_BOUND = 10**6
 
 
 def mono_mul(a, b):
@@ -204,13 +215,17 @@ class SparsePoly:
         if not isinstance(n, int) or n < 0:
             raise PresentationError(
                 f"exponent must be a nonnegative integer, not {n!r}")
+        spend = _budget(f"the power {n} of {len(self.terms)} terms")
         result = self.ring.one()
         base = self
         while n:
             if n & 1:
+                spend(len(result.terms) * len(base.terms))
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                spend(len(base.terms) ** 2)
+                base = base * base
         return result
 
     def _coerce(self, other):
@@ -554,39 +569,67 @@ def standard_monomials(gb: GroebnerBasis):
 
 
 # ---------------------------------------------------------------------------
-# Witt operations on polynomials, on raw {monomial: value} dicts
+# Witt operations on packed raw polynomials (module docstring)
+
+def _pack(p, *polys):
+    """The radix B = p*d + 1, d the largest exponent of the polys, and the
+    raw values of each poly keyed by their packed monomials."""
+    B = p * max((e for f in polys for m in f.terms for e in m), default=0) + 1
+    radix = [B**i for i in range(polys[0].ring.nvars)]
+    return B, [{sum(map(operator.mul, m, radix)): c.value
+                for m, c in f.terms.items()} for f in polys]
+
+
+def _unpack(ring, raw, B):
+    """The SparsePoly over ring of a packed raw polynomial whose values are
+    canonical for ring.coeff; zero values are dropped."""
+    R, zero, out = ring.coeff, ring.coeff._of_int(0), {}
+    for key, v in raw.items():
+        if v != zero:
+            m = []
+            for _ in range(ring.nvars):
+                key, e = divmod(key, B)
+                m.append(e)
+            out[tuple(m)] = Residue(R, v)
+    return SparsePoly(ring, out)
+
 
 def _raw_mul(a, b, mul, add, out=None):
-    """Add the product of the raw polynomials a and b, under the value
-    operations mul and add, into out (a new dict when None); zero values
-    are kept."""
+    """Add the product of the packed raw polynomials a and b, under the
+    value operations mul and add, into out (a new dict when None); zero
+    values are kept."""
     out = {} if out is None else out
     get = out.get
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            m = tuple(map(operator.add, m1, m2))
+            m = m1 + m2
             v = mul(c1, c2)
             s = get(m)
             out[m] = v if s is None else add(s, v)
     return out
 
 
-def _raw_poly(ring, raw):
-    """The SparsePoly over ring of a raw polynomial whose values are
-    canonical for ring.coeff; zero values are dropped."""
-    R = ring.coeff
-    zero = R._of_int(0)
-    return SparsePoly(ring, {m: Residue(R, v) for m, v in raw.items()
-                             if v != zero})
+def _budget(what):
+    """spend(count), called with the value products of each sparse product
+    of a computation before it is taken: SizeRefusalError once their sum
+    would pass PRODUCT_BOUND, so no step past the bound is begun."""
+    spent = 0
+
+    def spend(count):
+        nonlocal spent
+        spent += count
+        if spent > PRODUCT_BOUND:
+            raise SizeRefusalError(
+                f"{what} needs more than {PRODUCT_BOUND} value products")
+    return spend
 
 
 def frobenius_twist(f):
     """Sum of c^p X^(p*m) over the terms of f: the p-th power when the
     coefficients live in characteristic p, the twist f^(p) otherwise."""
-    R = f.ring.coeff
-    p = R.p
-    return _raw_poly(f.ring, {tuple([p * e for e in m]): R._pow(c.value, p)
-                              for m, c in f.terms.items()})
+    R, p = f.ring.coeff, f.ring.coeff.p
+    B, (raw,) = _pack(p, f)
+    return _unpack(f.ring, {p * m: R._pow(c, p) for m, c in raw.items()}, B)
 
 
 def _cube_lift(R):
@@ -595,13 +638,14 @@ def _cube_lift(R):
     Z/p^2 lifts to Z/p^3, and GR(p^2, e) = (Z/p^2)[t]/(m~) to
     (Z/p^3)[t]/(m~); a value of R, a least nonnegative representative, is
     read verbatim as a value of the lift.  carry(v, w) is (v - w)/p mod
-    p^2, a value of R, for v = w mod p.  Over Z/p^3, mul and add are the
-    integer operations and carry reduces.
+    p^2, a value of R, for v = w mod p.  Over Z/p^3, mul and carry reduce
+    and add is the integer sum.
     """
     p = R.p
     M = p**3
     if isinstance(R, PrimeSquareRing):
-        return operator.mul, operator.add, 0, lambda v, w: (v - w) % M // p
+        return (lambda a, b: a * b % M), operator.add, 0, \
+            lambda v, w: (v - w) % M // p
     if isinstance(R, GaloisRing):
         e, red = R.degree, R._red
 
@@ -617,6 +661,22 @@ def _cube_lift(R):
 
         return mul, add, (0,) * e, carry
     raise PresentationError(f"witt_Q needs p^2-torsion coefficients, got {R.tag()}")
+
+
+def _witt_Q_raw(raw, R):
+    """Q of a packed raw polynomial over R, packed alike: in a radix where
+    p times every exponent stays one digit (witt_Q)."""
+    mul, add, zero, carry = _cube_lift(R)
+    t, p = len(raw), R.p
+    if t < 2:
+        return {}
+    spend = _budget(f"the Witt carry Q of {t} terms at p = {p}")
+    power = raw
+    for _ in range(p - 1):
+        spend(len(power) * t)
+        power = _raw_mul(power, raw, mul, add)
+    twist = {p * m: functools.reduce(mul, [c] * p) for m, c in raw.items()}
+    return {m: carry(v, twist.get(m, zero)) for m, v in power.items()}
 
 
 def witt_Q(f):
@@ -638,42 +698,49 @@ def witt_Q(f):
 
     The cost is p - 1 sparse products of F^k by F, at most |F^k| * t
     value products each for t terms, instead of one product of up to p
-    terms for each of the C(t + p - 1, p) tuples.  A single-term f gives 0.
+    terms for each of the C(t + p - 1, p) tuples.  Each product is counted
+    before it is taken, and once the count would pass PRODUCT_BOUND the
+    carry is refused with SizeRefusalError.  Fewer than two terms give 0.
     """
     R = f.ring.coeff
-    mul, add, zero, carry = _cube_lift(R)
-    p = R.p
-    raw = {m: c.value for m, c in f.terms.items()}
-    power = raw
-    for _ in range(p - 1):
-        power = _raw_mul(power, raw, mul, add)
-    twist = {}
-    for m, c in raw.items():
-        v = c
-        for _ in range(p - 1):
-            v = mul(v, c)
-        twist[tuple([p * e for e in m])] = v
-    return _raw_poly(f.ring, {m: carry(v, twist.get(m, zero))
-                              for m, v in power.items()})
+    B, (raw,) = _pack(R.p, f)
+    return _unpack(f.ring, _witt_Q_raw(raw, R), B)
+
+
+def _witt_P_raw(a, b, p, mul, add, of_int):
+    """P(a, b) of packed raw polynomials, packed alike as for _witt_Q_raw,
+    under the value operations mul and add, with of_int taking the
+    integers binom(p, i)/p to values (witt_P_pair)."""
+    if not (a and b):
+        return {}
+    spend = _budget(
+        f"the Witt carry P of {len(a)} and {len(b)} terms at p = {p}")
+    apow, bpow = [None, a], [None, b]
+    for _ in range(2, p):
+        spend(len(apow[-1]) * len(a) + len(bpow[-1]) * len(b))
+        apow.append(_raw_mul(apow[-1], a, mul, add))
+        bpow.append(_raw_mul(bpow[-1], b, mul, add))
+    total, q, binom = {}, p * p, 1  # binom = C(p-1, i-1) mod p^2
+    for i in range(1, p):
+        spend(len(apow[i]) * len(bpow[p - i]))
+        inv = pow(i, -1, q)
+        c = of_int(binom * inv % q)  # binom(p, i)/p = C(p-1, i-1)/i
+        binom = binom * (p - i) * inv % q
+        scaled = {m: mul(c, v) for m, v in apow[i].items()}
+        _raw_mul(scaled, bpow[p - i], mul, add, total)
+    return total
 
 
 def witt_P_pair(f, g):
-    """P(f, g) as polynomials: sum of binom(p,i)/p * f^i g^(p-i), 0 < i < p."""
+    """P(f, g) as polynomials: sum of binom(p,i)/p * f^i g^(p-i), 0 < i < p.
+
+    Its value products are counted and bounded as for witt_Q."""
     if f.ring != g.ring:
         raise PresentationError("witt_P_pair needs two polynomials of one ring")
     R = f.ring.coeff
-    p, mul, add = R.p, R._mul, R._add
-    fpow = [None, {m: c.value for m, c in f.terms.items()}]
-    gpow = [None, {m: c.value for m, c in g.terms.items()}]
-    for _ in range(2, p):
-        fpow.append(_raw_mul(fpow[-1], fpow[1], mul, add))
-        gpow.append(_raw_mul(gpow[-1], gpow[1], mul, add))
-    total = {}
-    for i in range(1, p):
-        c = R._of_int(math.comb(p, i) // p)
-        scaled = {m: mul(c, v) for m, v in fpow[i].items()}
-        _raw_mul(scaled, gpow[p - i], mul, add, total)
-    return _raw_poly(f.ring, total)
+    B, (a, b) = _pack(R.p, f, g)
+    return _unpack(f.ring, _witt_P_raw(a, b, R.p, R._mul, R._add, R._of_int),
+                   B)
 
 
 def homogenize(f, target_ring):

@@ -1,18 +1,27 @@
 """Test-only code: reference routes that compute by independent formulas
-what the library computes another way (Witt carries, twisted Jacobians,
-cotangent spaces, division with quotients, finite Z/p^2-algebras from the
-syzygies of the reduced relations, the universal module on one symbol per
-element), the Z/p^2 covers of the residue fields they lift through, and
+what the library computes another way (Witt carries, the derivation
+axioms on polynomials, twisted Jacobians, cotangent spaces, division with
+quotients, finite Z/p^2-algebras from the syzygies of the reduced
+relations, the universal module on one symbol per element), the Z/p^2
+covers of the residue fields they lift through, random polynomials, and
 helpers that inspect library objects."""
 
 import functools
 import itertools
 import math
+import random
 
 import numpy as np
 
 from fwdiff.errors import PresentationError, SizeRefusalError
-from fwdiff.fwcore import FWPresentation, RingPresentation, present_fw
+from fwdiff.fwcore import (
+    SAMPLE_DEGREE,
+    SAMPLE_TERMS,
+    AxiomReport,
+    FWPresentation,
+    RingPresentation,
+    present_fw,
+)
 from fwdiff.linalg import ModPSpan, rank_fraction_free
 from fwdiff.localalg import PointSpec, fiber_dim_point, regularity
 from fwdiff.modarith import (
@@ -295,6 +304,57 @@ def w_poly_by_polys(f):
     q = witt_Q_multinomial(f).map_coeffs(k, reduce_mod_p)
     out.append(f.ring.with_coeff(k).poly(wp) - q)
     return out
+
+
+def random_scalar(rng, R):
+    if isinstance(R, (GaloisField, GaloisRing)):
+        return Residue(R, tuple(rng.randrange(R.modulus) for _ in range(R.degree)))
+    return R.of_int(rng.randrange(R.modulus))
+
+
+def random_poly(rng, ring, max_terms=SAMPLE_TERMS, max_degree=SAMPLE_DEGREE):
+    """A random sparse polynomial with bounded support, for fuzzing; at
+    the default bounds, the draws of fwcore.check_axioms."""
+    nterms = rng.randint(0, max_terms)
+    terms = {}
+    for _ in range(nterms):
+        m = tuple(rng.randint(0, max_degree) for _ in range(ring.nvars))
+        terms[m] = random_scalar(rng, ring.coeff)
+    return ring.poly(terms)
+
+
+def check_axioms_by_polys(p, nvars, trials=500, seed=0):
+    """fwcore.check_axioms in SparsePoly arithmetic, on the same samples:
+    w_poly_by_polys for w, witt_P_pair_by_powers for the carry, and
+    frobenius_twist_by_terms for the twisted scalars."""
+    rng = random.Random(seed)
+    base = PrimeSquareRing(p)
+    ring = PolyRing(base, tuple(f"x{i+1}" for i in range(nvars)))
+    k = residue_field_of(base)
+    report = AxiomReport(p=p, nvars=nvars, trials=trials, seed=seed)
+    for t in range(trials):
+        f = random_poly(rng, ring)
+        g = random_poly(rng, ring)
+        wf, wg = w_poly_by_polys(f), w_poly_by_polys(g)
+        ws = w_poly_by_polys(f + g)
+        expect = [wf[i] + wg[i] for i in range(nvars + 1)]
+        expect[nvars] = expect[nvars] - \
+            witt_P_pair_by_powers(f, g).map_coeffs(k, reduce_mod_p)
+        ok_add = ws == expect
+        wm = w_poly_by_polys(f * g)
+        ftw = frobenius_twist_by_terms(f.map_coeffs(k, reduce_mod_p))
+        gtw = frobenius_twist_by_terms(g.map_coeffs(k, reduce_mod_p))
+        ok_mul = all(
+            wm[i] == gtw * wf[i] + ftw * wg[i] for i in range(nvars + 1))
+        if not (ok_add and ok_mul):
+            report.failures.append({
+                "trial": t,
+                "f": str(f),
+                "g": str(g),
+                "additivity": ok_add,
+                "leibniz": ok_mul,
+            })
+    return report
 
 
 def witt_R(f, g):

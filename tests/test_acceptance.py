@@ -15,8 +15,6 @@ from fwdiff.fwcore import (
     RingPresentation,
     check_axioms,
     present_fw,
-    random_poly,
-    random_scalar,
 )
 from fwdiff.localalg import PointSpec, PrimeSpec, rational_points, regularity
 from fwdiff.modarith import (
@@ -35,7 +33,7 @@ from fwdiff.mpoly import (
 from fwdiff.oracle import cross_check
 from fwdiff.ringfile import parse_ring
 from routes import (check_prdx, check_split_sequence, derivative,
-                    w_poly_charp, witt_R)
+                    random_poly, random_scalar, w_poly_charp, witt_R)
 
 RINGS = os.path.join(os.path.dirname(__file__), os.pardir, "rings")
 

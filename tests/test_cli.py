@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -97,6 +98,42 @@ def test_refusals_exit_one(tmp_path):
     code, _, err = _run(["regular", "-i", str(plane),
                          "--prime", "x^4 + y^4 + 1"])
     assert code == 1 and "refused:" in err
+
+
+def _fwdiff(argv):
+    """fwdiff run in a new process: (exit code, stderr, CPU seconds the
+    process took, which other load on the machine does not stretch)."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    r = subprocess.run([sys.executable, "-m", "fwdiff.cli", *argv],
+                       capture_output=True, text=True, timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return r.returncode, r.stderr, cpu
+
+
+@pytest.mark.parametrize("ring,what", [
+    # Q of the cubic at p = 10007 takes about 10^8 value products
+    ("base: Zp2(10007)\nvars: x, y\nrel: y^2 - x^3 - x\n", "Witt carry Q"),
+    # the parse alone took 23 s; it now stops before squaring a 945-term
+    # power, after about 2.5*10^5 products
+    ("base: Zp2(7)\nvars: x\nrel: (x+1)^3000\n", "power 3000"),
+], ids=["cubic_at_p_10007", "binomial_power_3000"])
+def test_present_refuses_witt_work_past_the_bound(tmp_path, ring, what):
+    """Each ran past 30 s before its products were bound."""
+    path = tmp_path / "big.ring"
+    path.write_text(ring)
+    code, err, seconds = _fwdiff(["present", "-i", str(path)])
+    assert code == 1 and err.startswith("refused: ") and what in err
+    assert seconds < 2.0
+
+
+def test_axioms_refuse_witt_work_past_the_bound():
+    """The Witt carries at p = 1000003 ran past 30 s before they were
+    bound, and w_base took a^p as an integer of millions of digits."""
+    code, err, seconds = _fwdiff(["axioms", "--p", "1000003", "--nvars", "1",
+                                  "--trials", "2"])
+    assert code == 1 and err.startswith("refused: ") and "Witt carry" in err
+    assert seconds < 2.0
 
 
 def test_prime_certificates_past_the_trial_division_bound_are_refused(
@@ -276,6 +313,15 @@ def test_fuzz_script_reports_rejected_input_without_traceback():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr == "error: 4 is not a prime number\n"
+
+
+def test_fuzz_script_reports_refused_work_with_exit_one():
+    r = subprocess.run([sys.executable, FUZZ_SCRIPT, "--p", "1000003",
+                        "--nvars", "1", "--trials", "2", "--rounds", "1"],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 1 and r.stdout == ""
+    assert r.stderr.startswith("refused: ") and "value products" in r.stderr
+    assert r.stderr.count("\n") == 1 and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("flag,value", [

@@ -16,8 +16,6 @@ from fwdiff.fwcore import (
     check_axioms,
     column_of,
     present_fw,
-    random_poly,
-    random_scalar,
     relative_cokernel,
     w_poly,
 )
@@ -32,8 +30,11 @@ from fwdiff.modarith import (
 from fwdiff.mpoly import PolyRing, frobenius_twist, witt_Q
 from fwdiff.ringfile import parse_ring
 from routes import (
+    check_axioms_by_polys,
     lift_to_p2,
     p2_cover_of,
+    random_poly,
+    random_scalar,
     ring_of,
     twisted_relative_kahler,
     w_poly_charp,
@@ -62,10 +63,11 @@ def test_present_binomial_power_in_polynomial_time():
 
 def test_charp_columns_compute_no_witt_carry(monkeypatch):
     """Over F_p and F_q the w(p) coordinate is dropped, so presenting the
-    ring makes no witt_Q call; a Z/p^2 relation still makes one."""
+    ring makes no Witt carry call; a Z/p^2 relation still makes one."""
     calls = []
-    real = fwcore.witt_Q
-    monkeypatch.setattr(fwcore, "witt_Q", lambda f: calls.append(f) or real(f))
+    real = fwcore._witt_Q_raw
+    monkeypatch.setattr(fwcore, "_witt_Q_raw",
+                        lambda *args: calls.append(args) or real(*args))
     for pres in (ring_of(PrimeField(7), ["x"], ["(x+1)^20"]),
                  ring_of(PrimeField(3), ["x", "y"], ["y^2 - x^3", "x*y"]),
                  parse_ring("base: Fq(2,2)\nvars: x, y\n"
@@ -159,10 +161,59 @@ def test_axioms_random(p, nvars, trials):
     assert d["passed"] == trials and d["failures"] == []
 
 
+def test_axioms_count_the_products_they_take():
+    """At p = 13 in three variables the carries of fg would pass
+    PRODUCT_BOUND if bound by the terms their powers could have; counted
+    as taken, every trial runs."""
+    assert check_axioms(13, 3, trials=20, seed=0).passed
+
+
 def test_axioms_deterministic():
     a = check_axioms(3, 2, trials=10, seed=5)
     b = check_axioms(3, 2, trials=10, seed=5)
     assert a.describe() == b.describe()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("nvars", [0, 1, 2, 3])
+def test_axioms_match_the_polynomial_reference(p, nvars):
+    """check_axioms on packed raw values reports exactly what the
+    SparsePoly-level reference reports on the same samples."""
+    trials = {2: 40, 3: 25, 5: 10}[p]
+    for seed in (0, 1):
+        got = check_axioms(p, nvars, trials=trials, seed=seed).describe()
+        assert got == check_axioms_by_polys(p, nvars, trials, seed).describe()
+        assert got["passed"] == trials
+
+
+@pytest.mark.parametrize("core", ["_witt_Q_raw", "_witt_P_raw"])
+def test_axioms_catch_a_carry_core_missing_a_term(monkeypatch, core):
+    """With one term that is nonzero mod p dropped from the result of a
+    packed carry core, check_axioms reports failures, at trials whose f
+    and g are the reference's samples, while the reference, which shares
+    no code with the cores, still passes."""
+    real = getattr(fwcore, core)
+    p, nvars, trials, seed = 3, 2, 40, 7
+
+    def dropping(*args):
+        out = real(*args)
+        for m, c in out.items():
+            if c % p:
+                del out[m]
+                break
+        return out
+
+    monkeypatch.setattr(fwcore, core, dropping)
+    rep = check_axioms(p, nvars, trials=trials, seed=seed)
+    assert len(rep.failures) >= 5
+    assert check_axioms_by_polys(p, nvars, trials, seed).passed
+    rng = random.Random(seed)
+    ring = PolyRing(PrimeSquareRing(p), ("x1", "x2"))
+    samples = [(str(random_poly(rng, ring)), str(random_poly(rng, ring)))
+               for _ in range(trials)]
+    for fail in rep.failures:
+        assert (fail["f"], fail["g"]) == samples[fail["trial"]]
+        assert not (fail["additivity"] and fail["leibniz"])
 
 
 def test_random_generators_deterministic():

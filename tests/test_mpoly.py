@@ -5,15 +5,18 @@ the dimension function against a Hilbert-growth counting oracle, so the
 in-package Buchberger code never certifies itself.
 """
 
+import glob
 import itertools
+import os
 import random
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from fwdiff.errors import PresentationError
-from fwdiff.fwcore import random_poly, random_scalar, w_poly
+from fwdiff import mpoly
+from fwdiff.errors import PresentationError, SizeRefusalError
+from fwdiff.fwcore import RingPresentation, column_of, w_poly
 from fwdiff.modarith import (
     GaloisField,
     GaloisRing,
@@ -22,6 +25,7 @@ from fwdiff.modarith import (
     reduce_mod_p,
 )
 from fwdiff.mpoly import (
+    PRODUCT_BOUND,
     PolyRing,
     frobenius_twist,
     groebner,
@@ -37,12 +41,15 @@ from fwdiff.mpoly import (
     witt_P_pair,
     witt_Q,
 )
+from fwdiff.ringfile import parse_ring
 from routes import (
     derivative,
     divide,
     frobenius_twist_by_terms,
     groebner_extended,
     ideal_contains,
+    random_poly,
+    random_scalar,
     w_poly_by_polys,
     witt_P_pair_by_powers,
     witt_P_scalars,
@@ -481,6 +488,186 @@ def test_witt_P_pair_matches_reference(R):
         for a, b in ((f, g), (g, f)):
             assert witt_P_pair(a, b).terms == witt_P_pair_by_powers(a, b).terms, \
                 (str(a), str(b))
+
+
+def _matches_references(f, g):
+    """witt_Q, witt_P_pair (both orders) and w_poly of f and g give the
+    terms of the SparsePoly-level references."""
+    for h in (f, g):
+        assert witt_Q(h).terms == witt_Q_multinomial(h).terms, str(h)
+        got, want = w_poly(h), w_poly_by_polys(h)
+        assert [v.terms for v in got] == [v.terms for v in want], str(h)
+    for a, b in ((f, g), (g, f)):
+        assert witt_P_pair(a, b).terms == witt_P_pair_by_powers(a, b).terms
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_packing_without_variables(p):
+    """Over Z/p^2 itself every monomial is (), packed at key 0 in radix 1."""
+    R = PrimeSquareRing(p)
+    ring = PolyRing(R, ())
+    for a in range(0, p * p, 3):
+        for b in (0, 1, p, p * p - 1):
+            _matches_references(ring.constant(a), ring.constant(b))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packing_at_the_top_digit(p):
+    """Exponents d in every variable put p*d = B - 1 in every digit of the
+    twist, and the carries of Q reach it too; the terms of the sum of two
+    such polynomials stay in their digits."""
+    R = PrimeSquareRing(p)
+    ring = PolyRing(R, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    f = x**3 * y**3 * z**3 + x**3 + 2 * y**3 * z + 1
+    g = (x * y * z) ** 3 * (p + 1) + z**3 + x * y
+    _matches_references(f, g)
+    _matches_references(f, f)
+    assert max(max(m) for m in frobenius_twist(f).terms) == 3 * p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_single_terms_have_no_carry(p):
+    R = PrimeSquareRing(p)
+    ring = PolyRing(R, ("x", "y"))
+    rng = random.Random(p)
+    for _ in range(6):
+        m = (rng.randint(0, 4), rng.randint(0, 4))
+        f = ring.poly({m: R.of_int(rng.randrange(1, p * p))})
+        assert witt_Q(f).is_zero()
+        _matches_references(f, ring.gen(1) + ring.one())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_packing_a_high_power_of_one_variable(p):
+    """x^1000 packs in radix 1000p + 1; its twisted derivative lands at
+    p*999 and its sum with 1 + x carries in every exponent up to 1000p."""
+    ring = PolyRing(PrimeSquareRing(p), ("x",))
+    x = ring.gen(0)
+    f = x**1000
+    assert witt_Q(f).is_zero()
+    _matches_references(f, x + 1)
+    _matches_references(f + 3, x**999 * p + x)
+
+
+@pytest.mark.parametrize("R", [GaloisRing(2, 3), GaloisRing(3, 2)],
+                         ids=lambda R: R.tag())
+def test_packing_galois_ring_coefficients(R):
+    rng = random.Random(R.tag())
+    ring = PolyRing(R, ("x", "y"))
+    for _ in range(6):
+        _matches_references(random_poly(rng, ring, 4, 3),
+                            random_poly(rng, ring, 3, 2))
+
+
+@pytest.mark.parametrize("k", [PrimeField(5), GaloisField(3, 2), GaloisField(2, 3)],
+                         ids=lambda k: k.tag())
+def test_charp_column_is_the_twisted_gradient(k):
+    """column_of over a field runs the packed w core without its w(p)
+    coordinate: the twisted derivatives, term for term."""
+    rng = random.Random(k.tag())
+    for nvars in (0, 1, 2, 3):
+        names = tuple(f"x{i}" for i in range(nvars))
+        ring = PolyRing(k, names)
+        pres = RingPresentation(k, names, ())
+        for _ in range(5):
+            f = random_poly(rng, ring, 5, 4)
+            want = [frobenius_twist_by_terms(derivative(f, j))
+                    for j in range(nvars)]
+            assert [c.terms for c in column_of(pres, f)] == \
+                [c.terms for c in want], str(f)
+
+
+# ---------------------------------------------------------------------------
+# bounded work
+
+def test_witt_carries_past_the_product_bound_are_refused():
+    R = PrimeSquareRing(10007)
+    ring = PolyRing(R, ("x", "y"))
+    x, y = ring.gens()
+    with pytest.raises(SizeRefusalError, match="Witt carry Q"):
+        witt_Q(y**2 - x**3 - x)
+    with pytest.raises(SizeRefusalError, match="Witt carry P"):
+        witt_P_pair(x + 1, y + 1)
+    # one term has no carry, and is not bounded at any p
+    huge = PolyRing(PrimeSquareRing(1000003), ("x",))
+    assert witt_Q(huge.gen(0) * 5).is_zero()
+
+
+def test_powers_past_the_product_bound_are_refused():
+    """Powers count the products they take, not a bound on the terms of
+    the powers: over F_7, where most binomials vanish, (x + 1)^3000 takes
+    about 3*10^5 products, and a power of a form stays on a line of
+    monomials; over Z/49 (x + 1)^3000 would take millions.  The square
+    and multiply takes no square after the last bit."""
+    ring = PolyRing(PrimeSquareRing(7), ("x",))
+    x = ring.gen(0)
+    with pytest.raises(SizeRefusalError, match="power 3000"):
+        (x + 1) ** 3000
+    assert x**10**9 == ring.poly({(10**9,): ring.coeff.one()})
+    k = PrimeField(7)
+    plane = PolyRing(k, ("x", "y"))
+    x, y = plane.gens()
+    assert len(((x + 1) ** 3000).terms) == 240  # 3000 = 11514 in base 7
+    form, by_products = x * x + x * y + y * y, plane.one()
+    for _ in range(64):
+        by_products = by_products * form
+    assert form**64 == by_products
+
+
+def test_the_product_bound_counts_the_products_taken(monkeypatch):
+    """The count is exact: witt_Q, witt_P_pair and powers of random
+    polynomials run with PRODUCT_BOUND at the value products of their
+    sparse products, and are refused with it one below."""
+    taken = []
+    real, real_poly = mpoly._raw_mul, mpoly.SparsePoly.__mul__
+
+    def counting(a, b, *args):
+        taken[-1] += len(a) * len(b)
+        return real(a, b, *args)
+
+    def counting_poly(a, b):
+        taken[-1] += len(a.terms) * len(b.terms)
+        return real_poly(a, b)
+
+    monkeypatch.setattr(mpoly, "_raw_mul", counting)
+    monkeypatch.setattr(mpoly.SparsePoly, "__mul__", counting_poly)
+    rng = random.Random(5)
+    for R in (PrimeSquareRing(3), PrimeSquareRing(5), GaloisRing(2, 2)):
+        ring = PolyRing(R, ("x", "y"))
+        for _ in range(10):
+            f, g = random_poly(rng, ring, 5, 3), random_poly(rng, ring, 4, 2)
+            e = rng.randint(2, 13)
+            for run in (lambda: witt_Q(f), lambda: witt_P_pair(f, g),
+                        lambda: g**e):
+                taken.append(0)
+                want, n = run(), taken[-1]
+                if n:
+                    monkeypatch.setattr(mpoly, "PRODUCT_BOUND", n)
+                    assert run() == want
+                    monkeypatch.setattr(mpoly, "PRODUCT_BOUND", n - 1)
+                    with pytest.raises(SizeRefusalError):
+                        run()
+                    monkeypatch.setattr(mpoly, "PRODUCT_BOUND", PRODUCT_BOUND)
+    assert sum(1 for n in taken if n) > 60
+
+
+RING_FILES = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "rings",
+                           "*.ring"))
+    + glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "fwbench",
+                             "rings", "*", "*.ring")))
+
+
+def test_no_ring_file_is_refused():
+    """Every ring of rings/ and fwbench/rings/ parses and presents under
+    PRODUCT_BOUND (so does everything the rest of this suite builds: a
+    refusal there fails its test)."""
+    assert len(RING_FILES) > 50
+    for path in RING_FILES:
+        with open(path, encoding="utf-8") as fh:
+            pres = parse_ring(fh.read())
+        assert len(pres.fw.columns) == len(pres.relations), path
 
 
 @pytest.mark.parametrize("k", [PrimeField(5), GaloisField(3, 2), GaloisField(2, 3)],

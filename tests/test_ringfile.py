@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fwdiff.errors import RingFileError
-from fwdiff.fwcore import RingPresentation, random_poly
+from fwdiff.fwcore import RingPresentation
 from fwdiff.modarith import (
     GaloisField,
     PrimeField,
@@ -24,6 +24,7 @@ from fwdiff.ringfile import (
     render_base,
     render_ring,
 )
+from routes import random_poly
 
 RINGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "rings")
 
