@@ -212,9 +212,7 @@ def column_of(ring_pres: RingPresentation, f):
     (module docstring), with no Witt carry; entries are returned
     un-normalized.
     """
-    if ring_pres.is_charp:
-        return _w_polys(f, f.ring.coeff)
-    return w_poly(f)
+    return _w_polys(f, ring_pres.residue_field)
 
 
 def present_fw(ring_pres: RingPresentation) -> FWPresentation:

@@ -36,6 +36,7 @@ from .fwcore import FWPresentation, RingPresentation
 from .linalg import rank_fraction_free
 from .modarith import GaloisField, PrimeField, Residue, embed
 from .mpoly import (
+    PRODUCT_BOUND,
     PolyRing,
     SparsePoly,
     groebner,
@@ -438,9 +439,16 @@ def rational_points(ring_pres: RingPresentation, field=None):
     the powers x^e of each element x, up to the largest exponent any
     relation uses; a candidate is dropped at its first nonzero relation.
     A kept candidate has passed every check of PointSpec, so it is not
-    checked again.
+    checked again.  Each candidate takes at least one value product, so
+    q^n candidates past PRODUCT_BOUND are refused with
+    SizeRefusalError before the first.
     """
     k = field if field is not None else ring_pres.residue_field
+    count = k.order() ** len(ring_pres.variables)
+    if count > PRODUCT_BOUND:
+        raise SizeRefusalError(
+            f"enumerating the points over {k.tag()} takes {count} candidates, "
+            f"over the bound {PRODUCT_BOUND}")
     rels = [[(c, [(i, e) for i, e in enumerate(m) if e])
              for m, c in f.terms.items()]
             for f in _relations_over(ring_pres, k)]

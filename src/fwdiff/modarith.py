@@ -12,22 +12,37 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import PresentationError
+from .errors import PresentationError, SizeRefusalError
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
+    """Deterministic Miller-Rabin test to the first 13 prime bases, exact
+    below their least strong pseudoprime 3317044064679887385961981
+    (Sorenson and Webster, Math. Comp. 86, 2017); from there on n is
+    refused with SizeRefusalError."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    bound = 3317044064679887385961981
     if n < 2:
         return False
-    if n < 4:
+    if n >= bound:
+        raise SizeRefusalError(f"{n} is past the primality bound {bound}")
+    if n in bases:
         return True
-    if n % 2 == 0:
+    if any(n % a == 0 for a in bases):
         return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -19,7 +19,8 @@ one integer addition.  witt_Q reads the carry off one p-th power over a
 lift modulo p^3 (the argument is in its docstring), so its cost is
 polynomial in the number of terms.  It, witt_P_pair and SparsePoly
 powers count the value products of each sparse product before taking
-it, and refuse once the count would pass PRODUCT_BOUND.
+it, and normal_form the terms of each division step, and all refuse once
+the count would pass PRODUCT_BOUND.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .modarith import (
 )
 
 # the most value products a polynomial power or a Witt carry (Q or P) may
-# take; a product that would pass it is refused before it is begun
+# take, and the most terms a division may scan and subtract; a product or
+# a division step that would pass it is refused before it is begun
 PRODUCT_BOUND = 10**6
 
 
@@ -368,7 +370,10 @@ def normal_form(f, basis):
     Over Z/p^2 reducing a unit term may bring in larger terms in p, even at
     a monomial already in the remainder, where they add up.  The unit
     terms are divided as over the residue field, and a term in p is
-    replaced by terms in p below it, so the division ends."""
+    replaced by terms in p below it, so the division ends.  Each step
+    scans and copies h, and subtracts a multiple of b when it reduces:
+    their terms count against PRODUCT_BOUND, and a division that would
+    pass it is refused with SizeRefusalError."""
     if isinstance(basis, GroebnerBasis):
         basis = basis.polys
     leads = [(b.lead_monomial(), b.lead_coeff().inv(), b)
@@ -376,14 +381,17 @@ def normal_form(f, basis):
     if not leads:
         return f
     ring, key = f.ring, f.ring.key
+    spend = _budget(f"the division of {len(f.terms)} terms")
     rem = {}
     h = f
     while h.terms:
+        spend(len(h.terms))
         lm = max(h.terms, key=key)
         lc = h.terms[lm]
         for blm, binv, b in leads:
             q = mono_div(lm, blm)
             if q is not None:
+                spend(len(b.terms))
                 h = h - SparsePoly(ring, {q: lc * binv}) * b
                 break
         else:

@@ -137,7 +137,7 @@ import numpy as np
 from .errors import PresentationError, SizeRefusalError
 from .fwcore import FWPresentation, RingPresentation
 from .linalg import ModPSpan
-from .modarith import reduce_mod_p
+from .modarith import reduce_mod_p, residue_field_of
 from .mpoly import groebner, krull_dim, normal_form, standard_monomials
 
 # |A| caps keeping the relation matrix at desk scale
@@ -165,32 +165,6 @@ def _refuse_oversized(p, size, max_size):
             f"ring has {size} elements: its operation tables need "
             f"{need >> 20} MB, over the oracle's {TABLE_MEMORY_BOUND >> 20} MB "
             "table bound")
-
-
-def _field_basis(k):
-    """The F_p-basis 1, t, .., t^(e-1) of a residue field of degree e."""
-    basis = [k.one()]
-    for _ in range(1, k.degree):
-        basis.append(basis[-1] * k.generator())
-    return basis
-
-
-def _field_digits(S, k, label):
-    """digits_of for polynomials over the field k on the standard
-    monomials S: F_p-coordinates on the basis (standard monomial) x
-    (field basis), refusing a monomial off S."""
-    e = k.degree
-    start = {m: j * e for j, m in enumerate(S)}
-
-    def digits_of(f):
-        out = [0] * (len(S) * e)
-        for m, c in f.terms.items():
-            if m not in start:
-                raise PresentationError(f"{f} is not a canonical form of {label}")
-            out[start[m]:start[m] + e] = \
-                c.value if isinstance(c.value, tuple) else (c.value,)
-        return out
-    return digits_of
 
 
 class FiniteRing:
@@ -344,78 +318,76 @@ class FiniteRing:
 
     @classmethod
     def from_presentation(cls, ring_pres: RingPresentation, max_size=None):
-        if ring_pres.is_charp:
-            return _finite_ring_charp(ring_pres, max_size)
-        return _finite_ring_zp2(ring_pres, max_size)
+        """The finite ring of ring_pres, over any base.  One Groebner basis
+        of the relations over the base gives the standard monomials S; in
+        characteristic p it is the carrier basis the presentation keeps,
+        and canon is its normal form.  Over Z/p^2 canon splits each
+        coefficient c = r + p h and reduces the h part modulo U =
+        I_1 + (torsion), whose standard monomials stairU carry the
+        p-digits (module docstring)."""
+        p = ring_pres.p
+        gb = (ring_pres.carrier_basis() if ring_pres.is_charp
+              else groebner(ring_pres.relations, ring=ring_pres.poly_ring))
+        if gb.is_trivial():
+            raise PresentationError("the presented ring is the zero ring")
+        if krull_dim(gb) > 0:
+            raise SizeRefusalError("the presented ring is infinite")
+        canon, stairU = gb.normal_form, []
+        if not ring_pres.is_charp:
+            zring, cring = gb.ring, ring_pres.carrier_ring
+            gbU = groebner([f.map_coeffs(cring.coeff, reduce_mod_p)
+                            for f in gb.polys] + list(gb.torsion), ring=cring)
+            if not gbU.is_trivial():
+                stairU = standard_monomials(gbU)
+
+            def canon(g):
+                low, high = {}, {}
+                for m, c in gb.normal_form(g).terms.items():
+                    high[m], low[m] = divmod(c.value, p)
+                for m, c in normal_form(cring.poly(high), gbU).terms.items():
+                    low[m] = low.get(m, 0) + p * c.value
+                return zring.poly(low)
+
+        label = _label_of(ring_pres)
+        basis, digits_of = _digit_model(gb.ring, standard_monomials(gb),
+                                        stairU, label)
+        _refuse_oversized(p, p ** len(basis), max_size)
+        return cls(p, _counting(p, len(basis)), basis,
+                   len(basis) - len(stairU), canon, digits_of, label)
 
     def __repr__(self):
         return f"FiniteRing({self.label}, size={self.size})"
 
 
-def _finite_ring_charp(ring_pres, max_size):
-    k = ring_pres.base
-    cring = ring_pres.carrier_ring
-    gb = groebner(ring_pres.relations_mod_p(), ring=cring)
-    if gb.is_trivial():
-        raise PresentationError("the presented ring is the zero ring")
-    if krull_dim(gb) > 0:
-        raise SizeRefusalError("the presented ring is infinite")
-    S = standard_monomials(gb)
-    size = k.order() ** len(S)
-    _refuse_oversized(ring_pres.p, size, max_size)
-    label = _label_of(ring_pres)
-    field_digits = np.array([c.value if isinstance(c.value, tuple)
-                             else (c.value,) for c in k.elements()],
-                            dtype=np.int64)
-    digits = field_digits[_counting(k.order(), len(S))].reshape(size, -1)
-    basis = [cring.poly({m: c}) for m in S for c in _field_basis(k)]
-    return FiniteRing(ring_pres.p, digits, basis, len(basis),
-                      gb.normal_form, _field_digits(S, k, label), label)
-
-
-def _finite_ring_zp2(ring_pres, max_size):
-    p = ring_pres.p
-    zring = ring_pres.poly_ring
-    cring = ring_pres.carrier_ring
-    gb = groebner(ring_pres.relations, ring=zring)
-    if gb.is_trivial():
-        raise PresentationError("the presented ring is the zero ring")
-    if krull_dim(gb) > 0:
-        raise SizeRefusalError("the presented ring is infinite")
-    gbU = groebner([f.map_coeffs(cring.coeff, reduce_mod_p) for f in gb.polys]
-                   + list(gb.torsion), ring=cring)
-    S = standard_monomials(gb)
-    stairU = [] if gbU.is_trivial() else standard_monomials(gbU)
-    size = p ** (len(S) + len(stairU))
-    _refuse_oversized(p, size, max_size)
-
-    def canonicalize(g):
-        low, high = {}, {}
-        for m, c in gb.normal_form(g).terms.items():
-            high[m], low[m] = divmod(c.value, p)
-        for m, c in normal_form(cring.poly(high), gbU).terms.items():
-            low[m] = low.get(m, 0) + p * c.value
-        return zring.poly(low)
-
-    label = _label_of(ring_pres)
-    rpos = {m: j for j, m in enumerate(S)}
-    hpos = {m: len(S) + j for j, m in enumerate(stairU)}
+def _digit_model(ring, S, stairU, label):
+    """The digit basis c x^m, m in S and c in the F_p-basis 1, t, ..,
+    t^(e-1) of the residue field, then p x^m, m in stairU, and its reader
+    digits_of: the low digits of each coefficient value and, over Z/p^2,
+    its p-digit, refusing anything that is not a canonical form."""
+    R = ring.coeff
+    e = residue_field_of(R).degree
+    scalars = [R.one()]
+    for _ in range(1, e):
+        scalars.append(scalars[-1] * R.generator())
+    basis = ([ring.poly({m: c}) for m in S for c in scalars]
+             + [ring.poly({m: R.p}) for m in stairU])
+    low = {m: j * e for j, m in enumerate(S)}
+    high = {m: len(S) * e + j for j, m in enumerate(stairU)}
 
     def digits_of(f):
-        out = [0] * (len(S) + len(stairU))
+        out = [0] * len(basis)
         for m, c in f.terms.items():
-            h, r = divmod(c.value, p)
-            if m not in rpos or (h and m not in hpos):
+            h, digits = 0, c.value
+            if not isinstance(digits, tuple):
+                h, r = divmod(digits, R.p)
+                digits = (r,)
+            if m not in low or (h and m not in high):
                 raise PresentationError(f"{f} is not a canonical form of {label}")
-            out[rpos[m]] = r
+            out[low[m]:low[m] + e] = digits
             if h:
-                out[hpos[m]] = h
+                out[high[m]] = h
         return out
-
-    basis = ([zring.poly({m: 1}) for m in S]
-             + [zring.poly({m: p}) for m in stairU])
-    return FiniteRing(p, _counting(p, len(S) + len(stairU)), basis, len(S),
-                      canonicalize, digits_of, label)
+    return basis, digits_of
 
 
 def _counting(radix, places):
@@ -551,30 +523,21 @@ def brute_fw(ring: FiniteRing) -> UniversalModule:
 def presented_fp_dimension(fw: FWPresentation) -> int:
     """Total F_p-dimension of the presented module, for finite carriers.
 
-    The carrier is expanded as an F_p-space on (field basis) x (standard
-    monomials); the module relations are all basis multiples of the
-    presented columns.
+    The carrier is expanded as an F_p-space on the digit basis of the
+    oracle's rings, with no p-digits; the module relations are all basis
+    multiples of the presented columns.
     """
     gb = fw.carrier
-    k = fw.carrier_ring.coeff
     if gb.is_trivial():
         raise PresentationError("the presented ring is the zero ring")
     if krull_dim(gb) > 0:
         raise PresentationError("carrier is infinite; no total F_p-dimension")
-    S = standard_monomials(gb)
-    digits_of = _field_digits(S, k, "the carrier")
-    scalars = _field_basis(k)
-    total = len(scalars) * len(S) * fw.ngens
+    basis, digits_of = _digit_model(fw.carrier_ring, standard_monomials(gb),
+                                    [], "the carrier")
+    total = len(basis) * fw.ngens
     span = ModPSpan(fw.ring.p, total)
-    rows = []
-    for col in fw.columns:
-        for m in S:
-            for sc in scalars:
-                u = fw.carrier_ring.poly({m: sc})
-                row = []
-                for entry in col:
-                    row.extend(digits_of(gb.normal_form(u * entry)))
-                rows.append(row)
+    rows = [[d for entry in col for d in digits_of(gb.normal_form(u * entry))]
+            for col in fw.columns for u in basis]
     if rows:
         span.add_rows(np.array(rows, dtype=np.int64))
     return total - span.rank

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RingFileError
+from .errors import RingFileError, SizeRefusalError
 from .fwcore import RingPresentation
 from .modarith import (
     GaloisField,
@@ -243,7 +243,7 @@ def _parse_base(text, line, col):
         if len(args) == 3:
             minpoly = _parse_minpoly(args[2], p, e, name)
         return GaloisField(p, e, minpoly)
-    except RingFileError:
+    except (RingFileError, SizeRefusalError):  # p past the primality bound
         raise
     except Exception as exc:  # non-prime p, bad degree, reducible minpoly
         raise RingFileError(str(exc), name.line, name.col) from exc

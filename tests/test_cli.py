@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fwdiff
 from fwdiff.cli import build_parser, run
@@ -146,6 +147,39 @@ def test_prime_certificates_past_the_trial_division_bound_are_refused(
     code, _, err = _run(["regular", "-i", str(wide),
                          "--prime", "x^3 + y^2*z + w + t"])
     assert code == 1 and "refused:" in err and "trial divisions" in err
+
+
+@pytest.mark.parametrize("base,code", [
+    ("Fp(1000000000000000003)", 0),
+    ("Zp2(1000000016000000063)", 2),  # 1000000007 * 1000000009
+], ids=["prime", "composite"])
+def test_primality_of_a_large_base_is_decided_at_once(tmp_path, base, code):
+    """Trial division up to the square root ran past 10 s on both."""
+    path = tmp_path / "large.ring"
+    path.write_text(f"base: {base}\nvars: x\nrel: x\n")
+    got, err, seconds = _fwdiff(["present", "-i", str(path)])
+    assert got == code, err
+    assert code == 0 or "is not a prime number" in err
+    assert seconds < 2.0
+
+
+def test_primes_past_the_miller_rabin_bound_are_refused(tmp_path):
+    path = tmp_path / "huge.ring"
+    path.write_text("base: Zp2(3317044064679887385961981)\nvars: x\n")
+    code, _, err = _run(["present", "-i", str(path)])
+    assert code == 1 and err.startswith("refused: ")
+    assert "primality bound" in err
+
+
+def test_present_refuses_division_past_the_bound(tmp_path):
+    """The column entries of this 224-term relation are divided by it:
+    the division ran past 60 s before its steps were counted."""
+    path = tmp_path / "division.ring"
+    path.write_text("base: Fp(7)\nvars: x, y, z\n"
+                    "rel: (x+y+z+1)^12*(x+y+z+1)^12*(x+y+z+1)^12\n")
+    code, err, seconds = _fwdiff(["present", "-i", str(path)])
+    assert code == 1 and err.startswith("refused: ") and "division" in err
+    assert seconds < 10.0
 
 
 def test_empty_point_names_the_point_of_a_ring_without_variables():
@@ -308,6 +342,16 @@ def test_sweep_script_reports_rejected_input_without_traceback():
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+def test_sweep_script_reports_refused_enumeration_with_exit_one(tmp_path):
+    """F_1009 in two variables has over 10^6 candidate points."""
+    path = tmp_path / "plane.ring"
+    path.write_text("base: Fp(1009)\nvars: x, y\n")
+    r = subprocess.run([sys.executable, SWEEP_SCRIPT, str(path)],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1
+    assert r.stderr.startswith("refused: ") and "candidates" in r.stderr
+
+
 def test_fuzz_script_reports_rejected_input_without_traceback():
     r = subprocess.run([sys.executable, FUZZ_SCRIPT, "--p", "4"],
                        capture_output=True, text=True, timeout=120)
@@ -392,6 +436,65 @@ def test_json_output_is_deterministic():
     assert runs[0].startswith('{\n  "command"')
     argv2 = ["present", "-i", _ring("conic_f9.ring"), "--json"]
     assert _run(argv2)[1] == _run(argv2)[1]
+
+
+# ---------------------------------------------------------------------------
+# a fuzz over generated ring files
+
+# base: the modulus of its integer coefficients (Fq draws 1, t, t + 1)
+FUZZ_BASES = {"Fp(2)": 2, "Fp(3)": 3, "Fp(5)": 5, "Fq(2,2)": 2,
+              "Zp2(2)": 4, "Zp2(3)": 9}
+
+
+@st.composite
+def ring_files(draw):
+    """(ring file text, point text, flat): a base of FUZZ_BASES, 0-2
+    variables and 0-2 relations of degree <= 3, written in the variables
+    shifted to the point, so that the point lies on the ring unless a
+    relation has a constant term."""
+    base = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    names = ("x", "y")[:draw(st.integers(0, 2))]
+    scalar = (st.sampled_from(["1", "t", "t + 1"]) if base.startswith("Fq")
+              else st.integers(1, FUZZ_BASES[base] - 1).map(str))
+    point = [draw(scalar | st.just("0")) for _ in names]
+    monos = st.tuples(*(st.integers(0, 3) for _ in names)).filter(
+        lambda m: sum(m) <= 3)
+    rels = []
+    for _ in range(draw(st.integers(0, 2))):
+        terms = draw(st.dictionaries(monos, scalar, min_size=1, max_size=3))
+        rels.append(" + ".join(
+            "*".join([f"({c})"] + [f"({v} - ({a}))^{e}" for v, a, e
+                                   in zip(names, point, m) if e])
+            for m, c in terms.items()))
+    text = "".join([f"base: {base}\n", f"vars: {', '.join(names)}\n"]
+                   + [f"rel: {r}\n" for r in rels])
+    return text, ",".join(point), draw(st.booleans())
+
+
+@pytest.fixture(scope="module")
+def fuzz_ring(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "fuzz.ring"
+
+
+@settings(max_examples=700, deadline=None, derandomize=True)
+@given(ring_files())
+def test_cli_fuzz_exits_zero_one_or_two(fuzz_ring, ring):
+    """present, fiber and regular at the point, and the oracle up to 81
+    elements, on generated ring files: every exit code is 0, 1 or 2, no
+    run ends in an internal error, and the oracle exits 1 only to refuse,
+    never on a mismatch."""
+    text, point, flat = ring
+    fuzz_ring.write_text(text)
+    path = str(fuzz_ring)
+    for argv in (["present", "-i", path],
+                 ["fiber", "-i", path, "--point", point],
+                 ["regular", "-i", path, "--point", point]
+                 + (["--flat"] if flat else []),
+                 ["oracle", "-i", path, "--max-size", "81"]):
+        code, _, err = _run(argv)
+        assert code in (0, 1, 2), (argv, text, err)
+        assert "internal error" not in err, (argv, text, err)
+    assert code != 1 or err.startswith("refused: "), (text, err)  # oracle
 
 
 # ---------------------------------------------------------------------------

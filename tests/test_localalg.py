@@ -18,6 +18,7 @@ from fwdiff import fwcore, localalg, mpoly
 from fwdiff.errors import (
     OffSchemeError,
     PresentationError,
+    SizeRefusalError,
     UnsupportedClassError,
     ZeroDivisorError,
 )
@@ -91,6 +92,20 @@ def test_rational_points_zp2_base_uses_carrier():
     coords = {tuple(c.value for c in p.coordinates) for p in pts}
     # carrier relation is y^2: y = 0, x free
     assert coords == {(0, 0), (1, 0), (2, 0)}
+
+
+def test_rational_points_refuse_enumerations_past_the_bound(monkeypatch):
+    """Four variables over F_81 are 43 million candidates, which ran past
+    20 s; the refusal comes before the first.  The cusp's 25 candidates
+    over F_5 fit a bound of 25 and are refused at 24."""
+    space = ring_of(GaloisField(3, 4), ("x", "y", "z", "w"), [])
+    with pytest.raises(SizeRefusalError, match="43046721 candidates"):
+        rational_points(space)
+    monkeypatch.setattr(localalg, "PRODUCT_BOUND", 25)
+    assert len(rational_points(CUSP)) == 5
+    monkeypatch.setattr(localalg, "PRODUCT_BOUND", 24)
+    with pytest.raises(SizeRefusalError):
+        rational_points(CUSP)
 
 
 @pytest.mark.parametrize("path", RING_FILES, ids=os.path.basename)

@@ -3,11 +3,13 @@
 import glob
 import io
 import os
+import random
 
 import pytest
+import sympy
 
 from fwdiff.cli import run
-from fwdiff.errors import PresentationError
+from fwdiff.errors import PresentationError, SizeRefusalError
 from fwdiff.fwcore import check_axioms, w_poly
 from fwdiff.modarith import (
     GaloisField,
@@ -17,6 +19,7 @@ from fwdiff.modarith import (
     Residue,
     default_minpoly,
     embed,
+    is_prime,
     reduce_mod_p,
     residue_field_of,
     w_base,
@@ -43,6 +46,22 @@ def test_non_prime_modulus_rejected():
         PrimeField(4)
     with pytest.raises(Exception):
         PrimeSquareRing(6)
+
+
+def test_is_prime_matches_sympy_below_the_bound():
+    """Miller-Rabin to the first 13 prime bases agrees with sympy on every
+    n below 20000, on random n up to the bound, and on the least strong
+    pseudoprimes to the first 11 and to the first 12 prime bases; the
+    bound itself is refused."""
+    rng = random.Random(13)
+    bound = 3317044064679887385961981
+    samples = list(range(20000)) + [rng.randrange(bound) for _ in range(2000)]
+    samples += [3825123056546413051, 318665857834031151167461,
+                1000000000000000003, bound - 2]
+    for n in samples:
+        assert is_prime(n) == sympy.isprime(n), n
+    with pytest.raises(SizeRefusalError):
+        is_prime(bound)
 
 
 @pytest.mark.parametrize("p", PRIMES)

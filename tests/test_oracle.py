@@ -19,7 +19,6 @@ import math
 import operator
 import os
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,6 +193,22 @@ def test_non_canonical_closure_results_are_refused():
     # fr is Z4_MIXED, where U = (x): 2*x has a p-digit off stairU
     with pytest.raises(PresentationError, match="canonical form"):
         fr.index_of(fr.digit_basis[1] * 2)
+
+
+def test_charp_rings_reuse_the_carrier_basis(monkeypatch):
+    """In characteristic p the builder reads its digit basis off the
+    carrier basis the presentation keeps, canon is that basis's normal
+    form, and no Buchberger runs again; over F_4 the digit basis is
+    c x^m for c in 1, t."""
+    pres = ring_of(GaloisField(2, 2), ("x",), ["x^2"])
+    gb = pres.carrier_basis()
+    monkeypatch.setattr(oracle, "groebner",
+                        lambda *a, **k: pytest.fail("groebner ran again"))
+    fr = FiniteRing.from_presentation(pres)
+    assert fr.size == 16 and fr.canon.__self__ is gb
+    t = pres.carrier_ring.constant(GaloisField(2, 2).generator())
+    x = pres.carrier_ring.gen(0)
+    assert fr.digit_basis == [1, t, x, t * x]
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +666,8 @@ def test_zp2_route_matches_the_syzygy_reference(pres):
     standard monomials S and stairU) and gives the same canonical form to
     every product of two digit-basis elements and to p times every digit
     basis element (every element, up to 81)."""
-    with mock.patch.object(oracle, "FiniteRing", _RouteParts):
-        got = _route_or_refusal(oracle._finite_ring_zp2, pres, ZP2_LIMIT)
+    got = _route_or_refusal(FiniteRing.from_presentation.__func__,
+                            _RouteParts, pres, ZP2_LIMIT)
     want = _route_or_refusal(finite_ring_zp2_by_syzygies, pres, ZP2_LIMIT,
                              cls=_RouteParts)
     if isinstance(want, tuple) or isinstance(got, tuple):
