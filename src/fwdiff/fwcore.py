@@ -394,26 +394,17 @@ class PresentationMorphism:
 
     def push(self, f):
         """Image of a source polynomial under the morphism."""
-        tring = self.target.poly_ring
-        total = tring.zero()
-        for m, c in f.terms.items():
-            part = tring.constant(self._push_constant(c))
-            for img, e in zip(self.images, m):
-                if e:
-                    part = part * img**e
-            total = total + part
-        return total
+        return f._substitute(self.images, self._push_constant)
 
     def _push_constant(self, c: Residue):
         tb = self.target.base
-        if c.ring == tb:
-            return c
-        if isinstance(c.ring, PrimeSquareRing) and tb.is_field:
-            return tb.of_int(c.value)
-        if isinstance(c.ring, PrimeField):
-            return tb.of_int(c.value)
-        raise PresentationError(
-            f"no coefficient map {c.ring.tag()} -> {tb.tag()}")
+        if c.ring != tb:
+            if not (isinstance(c.ring, PrimeField) or (
+                    isinstance(c.ring, PrimeSquareRing) and tb.is_field)):
+                raise PresentationError(
+                    f"no coefficient map {c.ring.tag()} -> {tb.tag()}")
+            c = tb.of_int(c.value)
+        return self.target.poly_ring.constant(c)
 
 
 @dataclass(frozen=True)

@@ -146,8 +146,9 @@ class _BaseRing:
         while n:
             if n & 1:
                 r = self._mul(r, b)
-            b = self._mul(b, b)
             n >>= 1
+            if n:
+                b = self._mul(b, b)
         return r
 
     def _is_zero(self, a):

@@ -18,9 +18,9 @@ p*d < B, so no digit carries into the next and a product of monomials is
 one integer addition.  witt_Q reads the carry off one p-th power over a
 lift modulo p^3 (the argument is in its docstring), so its cost is
 polynomial in the number of terms.  It, witt_P_pair and SparsePoly
-powers count the value products of each sparse product before taking
-it, and normal_form the terms of each division step, and all refuse once
-the count would pass PRODUCT_BOUND.
+products and powers count the value products of each sparse product
+before taking it, and normal_form the terms of each division step, and
+all refuse once the count would pass PRODUCT_BOUND.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ from .modarith import (
     embed,
 )
 
-# the most value products a polynomial power or a Witt carry (Q or P) may
-# take, and the most terms a division may scan and subtract; a product or
-# a division step that would pass it is refused before it is begun
+# the most value products a polynomial product or power or a Witt carry
+# may take, and the most terms a division may scan and subtract; a product
+# or a division step that would pass it is refused before it is begun
 PRODUCT_BOUND = 10**6
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_div(a, b):
@@ -164,15 +164,8 @@ class SparsePoly:
         return not self.terms
 
     def __add__(self, other):
-        other = self._coerce(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+        _addmul(out, self._coerce(other).terms)
         return SparsePoly(self.ring, out)
 
     __radd__ = __add__
@@ -187,28 +180,15 @@ class SparsePoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        out = {}
         if isinstance(other, (int, Residue)):
-            c = self.ring.coeff.coerce(other)
-            if c.is_zero():
-                return self.ring.zero()
-            out = {}
-            for m, a in self.terms.items():
-                v = a * c
-                if not v.is_zero():
-                    out[m] = v
+            _addmul(out, self.terms, None, self.ring.coeff.coerce(other))
             return SparsePoly(self.ring, out)
         other = self._coerce(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
-                v = c1 * c2
-                s = out.get(m)
-                s = v if s is None else s + v
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+        _budget(f"a product of {len(self.terms)} and {len(other.terms)} "
+                "terms")(len(self.terms) * len(other.terms))
+        for m, c in self.terms.items():
+            _addmul(out, other.terms, m, c)
         return SparsePoly(self.ring, out)
 
     __rmul__ = __mul__
@@ -297,15 +277,14 @@ class SparsePoly:
         """
         if target is None:
             target = coords[0].ring if coords else self.ring.coeff
+        return self._substitute(coords, lambda c: embed(c, target))
+
+    def shift(self, coords):
+        """Substitute X_j -> X_j + c_j (translation of the origin)."""
         self._check_arity(coords)
-        total = target.zero()
-        for m, c in self.terms.items():
-            v = embed(c, target)
-            for x, e in zip(coords, m):
-                if e:
-                    v = v * x**e
-            total = total + v
-        return total
+        return self._substitute(
+            [x + c for x, c in zip(self.ring.gens(), coords)],
+            self.ring.constant)
 
     def _check_arity(self, coords):
         if len(coords) != self.ring.nvars:
@@ -313,25 +292,20 @@ class SparsePoly:
                 f"{len(coords)} coordinates given, the ring has "
                 f"{self.ring.nvars} variables")
 
-    def shift(self, coords):
-        """Substitute X_j -> X_j + c_j (translation of the origin)."""
-        ring = self.ring
-        self._check_arity(coords)
-        cache = {}
-
-        def binom_pow(j, e):
-            if (j, e) not in cache:
-                base = ring.gen(j) + ring.constant(coords[j])
-                cache[(j, e)] = base**e
-            return cache[(j, e)]
-
-        total = ring.zero()
+    def _substitute(self, images, const):
+        """The sum of const(c) * prod images[j]^m_j over the terms c*X^m,
+        with each power images[j]^e taken once, by **."""
+        self._check_arity(images)
+        powers = {}
+        total = const(self.ring.coeff.zero())
         for m, c in self.terms.items():
-            part = ring.constant(c)
+            v = const(c)
             for j, e in enumerate(m):
                 if e:
-                    part = part * binom_pow(j, e)
-            total = total + part
+                    if (j, e) not in powers:
+                        powers[j, e] = images[j] ** e
+                    v = v * powers[j, e]
+            total = total + v
         return total
 
     def __str__(self):
@@ -364,48 +338,67 @@ class SparsePoly:
 # division and Buchberger
 
 def normal_form(f, basis):
-    """Remainder of f on division by the listed polynomials: no term of it,
+    """Remainder of f on division by a list or GroebnerBasis: no term of it,
     unit or not, is divisible by a leading monomial of the list.  Terms are
     reduced from the largest down, ties going to the first-listed divisor.
     Over Z/p^2 reducing a unit term may bring in larger terms in p, even at
     a monomial already in the remainder, where they add up.  The unit
     terms are divided as over the residue field, and a term in p is
     replaced by terms in p below it, so the division ends.  Each step
-    scans and copies h, and subtracts a multiple of b when it reduces:
+    scans the one dividend dict, and subtracts a multiple of b in place:
     their terms count against PRODUCT_BOUND, and a division that would
     pass it is refused with SizeRefusalError."""
-    if isinstance(basis, GroebnerBasis):
-        basis = basis.polys
-    leads = [(b.lead_monomial(), b.lead_coeff().inv(), b)
-             for b in basis if not b.is_zero()]
+    leads = basis._leads if isinstance(basis, GroebnerBasis) \
+        else _lead_triples(basis)
     if not leads:
         return f
-    ring, key = f.ring, f.ring.key
+    key = f.ring.key
     spend = _budget(f"the division of {len(f.terms)} terms")
     rem = {}
-    h = f
-    while h.terms:
-        spend(len(h.terms))
-        lm = max(h.terms, key=key)
-        lc = h.terms[lm]
+    h = dict(f.terms)
+    while h:
+        spend(len(h))
+        lm = max(h, key=key)
+        lc = h[lm]
         for blm, binv, b in leads:
             q = mono_div(lm, blm)
             if q is not None:
                 spend(len(b.terms))
-                h = h - SparsePoly(ring, {q: lc * binv}) * b
+                _addmul(h, b.terms, q, -(lc * binv))
                 break
         else:
             rem[lm] = rem[lm] + lc if lm in rem else lc
-            h = SparsePoly(ring, {m: c for m, c in h.terms.items() if m != lm})
-    return SparsePoly(ring, {m: c for m, c in rem.items() if not c.is_zero()})
+            del h[lm]
+    return SparsePoly(f.ring, {m: c for m, c in rem.items() if not c.is_zero()})
+
+
+def _lead_triples(basis):
+    """(leading monomial, its inverse coefficient, b) for each nonzero b."""
+    return [(lm := b.lead_monomial(), b.terms[lm].inv(), b)
+            for b in basis if b.terms]
+
+
+def _addmul(out, terms, q=None, c=None):
+    """Add c*X^q times the {monomial: coefficient} terms into the dict out
+    in place, dropping every monomial that cancels; q or c None means 1."""
+    for m, a in terms.items():
+        m = m if q is None else mono_mul(q, m)
+        a = a if c is None else c * a
+        s = out.get(m)
+        a = a if s is None else s + a
+        if a.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = a
 
 
 def spoly(f, g):
     lf, lg = f.lead_monomial(), g.lead_monomial()
     l = mono_lcm(lf, lg)
-    uf = SparsePoly(f.ring, {mono_div(l, lf): f.lead_coeff().inv()})
-    ug = SparsePoly(g.ring, {mono_div(l, lg): g.lead_coeff().inv()})
-    return uf * f - ug * g
+    out = {}
+    _addmul(out, f.terms, mono_div(l, lf), f.terms[lf].inv())
+    _addmul(out, g.terms, mono_div(l, lg), -g.terms[lg].inv())
+    return SparsePoly(f.ring, out)
 
 
 @dataclass(frozen=True)
@@ -420,15 +413,19 @@ class GroebnerBasis:
     polys: tuple
     torsion: tuple = ()
 
+    @functools.cached_property
+    def _leads(self):
+        return _lead_triples(self.polys)
+
     def normal_form(self, f):
-        return normal_form(f, self.polys)
+        return normal_form(f, self)
 
     def is_trivial(self):
         """True when the ideal is the unit ideal (empty scheme)."""
         return any(not any(m) for m in self.lead_monomials())
 
     def lead_monomials(self):
-        return [p.lead_monomial() for p in self.polys]
+        return [lm for lm, _, _ in self._leads]
 
 
 def groebner(gens, ring=None):

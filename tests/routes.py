@@ -105,6 +105,17 @@ def derivative(f, i):
     return SparsePoly(f.ring, out)
 
 
+def jacobian_verdict(ring_pres, x: PointSpec):
+    """The verdict of the Jacobian criterion for a hypersurface f = 0 at a
+    rational point x on it: f lies in m_x^2 exactly when its linear part
+    at x, the gradient of f at x, vanishes, so the local ring is Regular
+    exactly when some df/dx_j is nonzero at x."""
+    (f,) = ring_pres.relations_mod_p()
+    grad = [derivative(f, j).evaluate(x.coordinates, x.field)
+            for j in range(f.ring.nvars)]
+    return "Regular" if any(not g.is_zero() for g in grad) else "NotRegular"
+
+
 # ---------------------------------------------------------------------------
 # division with quotients, Buchberger with representations
 

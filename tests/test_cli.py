@@ -182,6 +182,18 @@ def test_present_refuses_division_past_the_bound(tmp_path):
     assert seconds < 10.0
 
 
+def test_present_refuses_a_product_past_the_bound(tmp_path):
+    """The product of two allowed 1771-term powers took 3.1*10^6 value
+    products in the parse before the division was refused, about 16 s of
+    CPU in all."""
+    path = tmp_path / "product.ring"
+    path.write_text("base: Fp(1009)\nvars: x, y, z\n"
+                    "rel: (x+y+z+1)^20*(x+y+z+1)^20\n")
+    code, err, seconds = _fwdiff(["present", "-i", str(path)])
+    assert code == 1 and err.startswith("refused: a product of "), err
+    assert seconds < 3.0
+
+
 def test_empty_point_names_the_point_of_a_ring_without_variables():
     code, out, err = _run(["regular", "-i", _ring("zp2.ring"), "--point", "",
                            "--flat"])
@@ -495,6 +507,46 @@ def test_cli_fuzz_exits_zero_one_or_two(fuzz_ring, ring):
         assert code in (0, 1, 2), (argv, text, err)
         assert "internal error" not in err, (argv, text, err)
     assert code != 1 or err.startswith("refused: "), (text, err)  # oracle
+
+
+@st.composite
+def prime_loci(draw):
+    """(ring file text, prime generators, flat): a ring file of ring_files
+    and one or two polynomials of degree <= 2 over its carrier, written in
+    the variables shifted to its point and, with variables, without a
+    constant term, so that the locus holds the point when the ring does."""
+    text, point, flat = draw(ring_files())
+    head, names = text.split("\n")[:2]
+    base = head[len("base: "):]
+    names = [v for v in names[len("vars: "):].split(", ") if v]
+    scalar = (st.sampled_from(["1", "t", "t + 1"]) if base.startswith("Fq")
+              else st.integers(1, FUZZ_BASES[base] - 1).map(str))
+    monos = st.tuples(*(st.integers(0, 2) for _ in names)).filter(
+        lambda m: sum(m) <= 2 and (sum(m) or not names))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = draw(st.dictionaries(monos, scalar, min_size=1, max_size=3))
+        gens.append(" + ".join(
+            "*".join([f"({c})"] + [f"({v} - ({a}))^{e}" for v, a, e
+                                   in zip(names, point.split(","), m) if e])
+            for m, c in terms.items()))
+    return text, "; ".join(gens), flat
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(prime_loci())
+def test_cli_fuzz_at_primes_exits_zero_one_or_two(fuzz_ring, locus):
+    """fiber and regular at generated --prime loci of generated ring files:
+    every exit code is 0, 1 or 2, and no run ends in an internal error."""
+    text, gens, flat = locus
+    fuzz_ring.write_text(text)
+    path = str(fuzz_ring)
+    for argv in (["fiber", "-i", path, "--prime", gens],
+                 ["regular", "-i", path, "--prime", gens]
+                 + (["--flat"] if flat else [])):
+        code, _, err = _run(argv)
+        assert code in (0, 1, 2), (argv, text, err)
+        assert "internal error" not in err, (argv, text, err)
 
 
 # ---------------------------------------------------------------------------

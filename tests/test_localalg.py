@@ -13,6 +13,7 @@ import glob
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fwdiff import fwcore, localalg, mpoly
 from fwdiff.errors import (
@@ -22,7 +23,7 @@ from fwdiff.errors import (
     UnsupportedClassError,
     ZeroDivisorError,
 )
-from fwdiff.fwcore import present_fw
+from fwdiff.fwcore import RingPresentation, present_fw
 from fwdiff.localalg import (
     PointSpec,
     PrimeSpec,
@@ -34,12 +35,14 @@ from fwdiff.localalg import (
     _ambient_equidimensional,
 )
 from fwdiff.modarith import GaloisField, PrimeField, PrimeSquareRing
+from fwdiff.mpoly import PolyRing
 from fwdiff.ringfile import parse_poly, parse_ring
 from routes import (
     check_prdx,
     check_split_sequence,
     cotangent_dim,
     derivative,
+    jacobian_verdict,
     rational_points_by_evaluate,
     ring_of,
 )
@@ -250,6 +253,38 @@ def test_plane_curve_sweep_vs_jacobian_oracle():
                 v = regularity(pres, x)
                 assert v.verdict == ("Regular" if smooth else "NotRegular"), \
                     f"{pres.describe()} at {x.describe()}"
+
+
+@st.composite
+def hypersurfaces(draw):
+    """base[x_1..x_n]/(f): base F_2, F_3, F_5 or F_4, n = 1-3, f of degree
+    1-3 with one to four terms and nonzero coefficients."""
+    k = draw(st.sampled_from([PrimeField(2), PrimeField(3), PrimeField(5),
+                              GaloisField(2, 2)]))
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    units = [c for c in k.elements() if not c.is_zero()]
+
+    def mono(degree):
+        idx = draw(st.lists(st.integers(0, n - 1), min_size=degree,
+                            max_size=degree))
+        return tuple(idx.count(j) for j in range(n))
+
+    terms = {mono(d): draw(st.sampled_from(units))}
+    for _ in range(draw(st.integers(0, 3))):
+        terms.setdefault(mono(draw(st.integers(0, d))),
+                         draw(st.sampled_from(units)))
+    ring = PolyRing(k, ("x", "y", "z")[:n])
+    return RingPresentation(k, ring.variables, (ring.poly(terms),))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(hypersurfaces())
+def test_hypersurface_verdicts_match_the_jacobian_criterion(pres):
+    """At every rational point of a generated hypersurface over its base
+    field the verdict is Regular exactly when the gradient is nonzero."""
+    for x in rational_points(pres):
+        assert regularity(pres, x).verdict == jacobian_verdict(pres, x), \
+            f"{pres.describe()} at {x.describe()}"
 
 
 def test_parabola_over_zp2_frozen():

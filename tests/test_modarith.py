@@ -118,6 +118,25 @@ def test_frobenius_is_a_ring_map():
             assert (a * b) ** 3 == a**3 * b**3
 
 
+@pytest.mark.parametrize("R,value", [
+    (PrimeField(7), 3), (PrimeSquareRing(5), 7), (GaloisField(3, 2), (1, 2)),
+    (GaloisRing(2, 3), (3, 1, 2))], ids=str)
+def test_pow_takes_no_square_after_its_last_bit(R, value, monkeypatch):
+    """Square and multiply takes popcount(n) products and bitlen(n) - 1
+    squares."""
+    powers = [R.one().value]
+    for _ in range(70):
+        powers.append(R._mul(powers[-1], value))
+    taken = []
+    real = type(R)._mul
+    monkeypatch.setattr(type(R), "_mul",
+                        lambda self, a, b: taken.append(1) or real(self, a, b))
+    for n in range(1, 71):
+        taken.clear()
+        assert R._pow(value, n) == powers[n], n
+        assert len(taken) == bin(n).count("1") + n.bit_length() - 1, n
+
+
 def test_galois_ring_inverts_units():
     R = GaloisRing(2, 2)
     k = R.residue_field()

@@ -652,6 +652,70 @@ def test_the_product_bound_counts_the_products_taken(monkeypatch):
     assert sum(1 for n in taken if n) > 60
 
 
+def test_a_product_past_the_bound_is_refused_before_its_first_value_product(
+        monkeypatch):
+    """Two 1001-term polynomials take 1002001 value products: their product
+    is refused before the first of them is taken."""
+    k = PrimeField(1009)
+    ring = PolyRing(k, ("x", "y"))
+    f = ring.poly({(i, 0): i + 1 for i in range(1001)})
+    g = ring.poly({(0, j): j + 1 for j in range(1001)})
+    taken = []
+    real = PrimeField._mul
+    monkeypatch.setattr(PrimeField, "_mul",
+                        lambda self, a, b: taken.append(1) or real(self, a, b))
+    with pytest.raises(SizeRefusalError,
+                       match="a product of 1001 and 1001 terms"):
+        f * g
+    assert not taken
+    assert len((f * g.terms[(0, 0)]).terms) == 1001  # a scalar is no product
+
+
+def test_one_division_builds_a_bounded_number_of_polys(monkeypatch):
+    """normal_form reduces one dict in place: the polynomials it builds do
+    not grow with its steps."""
+    ring = PolyRing(PrimeField(5), ("x", "y"))
+    x, y = ring.gens()
+    gb = groebner([x**2 - y, y**3 - x - 1])
+    f = (x + y + 2) ** 9
+    built = []
+    real = mpoly.SparsePoly.__init__
+
+    def counting(self, *args):
+        built.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(mpoly.SparsePoly, "__init__", counting)
+    real_budget = mpoly._budget
+    spent = []
+
+    def counting_budget(what):
+        spend = real_budget(what)
+        return lambda n: spent.append(n) or spend(n)
+
+    monkeypatch.setattr(mpoly, "_budget", counting_budget)
+    r = normal_form(f, gb)
+    assert len(spent) > 50 and len(built) <= 2
+    monkeypatch.undo()
+    assert r == divide(f, list(gb.polys))[1]
+
+
+def test_a_groebner_basis_keeps_its_leads(monkeypatch):
+    """Two divisions by one basis find its leading terms once."""
+    ring = PolyRing(PrimeField(7), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    gb = groebner([x * y - z, y**2 - x, z**2 - y + 1])
+    f = (x + 2 * y + 3 * z + 1) ** 4
+    calls = []
+    real = mpoly.SparsePoly.lead_monomial
+    monkeypatch.setattr(mpoly.SparsePoly, "lead_monomial",
+                        lambda self: calls.append(1) or real(self))
+    first = normal_form(f, gb)
+    assert gb.normal_form(f) == first
+    assert len(calls) == len(gb.polys)
+    assert normal_form(f, list(gb.polys)) == first
+
+
 RING_FILES = sorted(
     glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "rings",
                            "*.ring"))
