@@ -12,21 +12,21 @@ in closed form:
          + [ sum_m X^(p m) w_base(c_m) - Q(f) mod p ] e_{w(p)}
 
 where Q is the multivariate Witt carry of mpoly.witt_Q, one p-th power
-over a p^3 lift.  One core, _w_raw, computes it on packed raw
+over a p^3 lift.  One core, _w_core, computes it on packed raw
 polynomials (mpoly's docstring) for w_poly, column_of and check_axioms,
-which build polynomials only at the end.  Bases of characteristic p are
-handled by the same formula through the flat cover Z/p^2 or GR(p^2, e):
-the relation "p" turns the w(p) coordinate into a unit column, so it is
-dropped, and what is left is the twisted gradient of f.  column_of
-computes that directly, with no Witt carry.
+which build polynomials only at the end; check_axioms builds the core,
+with its lift and digit splits, once per block.  Bases of characteristic
+p are handled by the same formula through the flat cover Z/p^2 or
+GR(p^2, e): the relation "p" turns the w(p) coordinate into a unit
+column, so it is dropped, and what is left is the twisted gradient of f.
+column_of computes that directly, with no Witt carry.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import PresentationError
 from .modarith import (
@@ -42,6 +42,7 @@ from .mpoly import (
     GroebnerBasis,
     PolyRing,
     SparsePoly,
+    _lift,
     _pack,
     _raw_mul,
     _unpack,
@@ -153,11 +154,9 @@ def w_poly(f):
 
     f has coefficients in Z/p^2 or GR(p^2, e); the coordinates are
     polynomials over the residue field k (the module is p-torsion).  They
-    come from _w_raw on f packed in radix B = p*d + 1, d the largest
-    exponent of f, X^m at key sum m_i B^i.  Every exponent w forms, p*m,
-    p*(m - e_j) and those of Q(f), is at most p*d < B, so no digit carries
-    into the next: X^(p*m) is p*key, and a product of monomials is one
-    integer addition.
+    come from _w_core on f packed in radix B = p*d + 1, d the largest
+    exponent of f: every exponent w forms, p*m, p*(m - e_j) and those of
+    Q(f), is at most p*d < B, so no digit carries into the next.
     """
     R = f.ring.coeff
     if not isinstance(R, (PrimeSquareRing, GaloisRing)):
@@ -166,43 +165,58 @@ def w_poly(f):
 
 
 def _w_polys(f, k):
-    """The coordinates of _w_raw on f as polynomials over k."""
+    """The coordinates of the w core on f as polynomials over k."""
     R = f.ring.coeff
     B, (raw,) = _pack(R.p, f)
     kring = f.ring.with_coeff(k)
-    return [_unpack(kring, w, B) for w in _w_raw(raw, R, k, f.ring.nvars, B)]
+    w = _w_core(R, k, f.ring.nvars, B)
+    return [_unpack(kring, v, B) for v in w(raw)]
 
 
-def _w_raw(raw, R, k, n, B):
-    """The one w core, on a packed raw polynomial over R in n variables
-    whose exponents p*m stay below B: the coordinates of w, packed raw
-    over the residue field k, zero values kept.  A term c X^m gives the
-    twisted derivatives (e c mod p)^p X^(p(m - e_j)) at key p*key -
-    p*B^j, for e = m_j prime to p, and w_base(c) X^(p m) on w(p), where
-    Q mod p is then subtracted.  Over a field (R = k) the w(p) coordinate
-    is left out (module docstring)."""
-    p = k.p
-    if isinstance(k, PrimeField):
-        def twisted(a, e):  # x^p = x on F_p
-            return a * e % p
-    else:
-        def twisted(a, e):
-            return k._pow(tuple([x * e % p for x in a]), p)
+def _w_core(R, k, n, B):
+    """The one w core: w(raw), for packed raw polynomials over R in n
+    variables whose exponents p*m stay below B, gives the coordinates of
+    w, packed raw over the residue field k, zero values kept.  A term
+    c X^m gives the twisted derivatives (e c mod p)^p X^(p(m - e_j)) at
+    key p*key - p*B^j, for e = m_j prime to p, and w_base(c) X^(p m) on
+    w(p), where Q mod p is then subtracted.  Over a field (R = k) the w(p)
+    coordinate is left out (module docstring).  w splits a key into its
+    digits the first time it sees it; over Z/p^2 and F_p it computes on
+    ints inline."""
+    p, q = k.p, k.p * k.p
+    ints = isinstance(k, PrimeField)
+    lift = None if R.is_field else _lift(R, p * q)
     shifts = [p * B**j for j in range(n)]
-    grads = [{} for _ in range(n)]
-    for key, c in raw.items():
-        pkey, rest = p * key, key
+
+    @cache
+    def split(key):  # (j, key of the derivative, e) for e = m_j prime to p
+        out, rest = [], key
         for j in range(n):
             rest, e = divmod(rest, B)
             if e % p:
-                grads[j][pkey - shifts[j]] = twisted(c, e)
-    if R.is_field:
-        return grads
-    wp = {p * key: R._w_base(c) for key, c in raw.items()}
-    zero = k._of_int(0)
-    for key, q in _witt_Q_raw(raw, R).items():  # k._sub reduces q
-        wp[key] = k._sub(wp.get(key, zero), q)
-    return grads + [wp]
+                out.append((j, p * key - shifts[j], e))
+        return out
+
+    def w(raw):
+        grads = [{} for _ in range(n)]
+        for key, c in raw.items():
+            for j, at, e in split(key):  # x^p = x on F_p
+                grads[j][at] = c * e % p if ints else \
+                    k._pow(tuple([x * e % p for x in c]), p)
+        if lift is None:
+            return grads
+        if ints:  # w_base(c) = (c - c^p)/p mod p, c^p read mod p^2
+            wp = {p * key: (c - pow(c, p, q)) // p % p
+                  for key, c in raw.items()}
+            for key, v in _witt_Q_raw(raw, lift).items():
+                wp[key] = (wp.get(key, 0) - v) % p
+        else:
+            wp = {p * key: R._w_base(c) for key, c in raw.items()}
+            zero = k._of_int(0)
+            for key, v in _witt_Q_raw(raw, lift).items():  # k._sub reduces v
+                wp[key] = k._sub(wp.get(key, zero), v)
+        return grads + [wp]
+    return w
 
 
 def column_of(ring_pres: RingPresentation, f):
@@ -284,35 +298,32 @@ def check_axioms(p, nvars, trials=500, seed=0):
     with the scalars read mod p.  Any failure is recorded with the pair
     that produced it.
 
-    It runs on raw values through _w_raw, the core of w_poly, with one
-    radix B = 2pD + 1, D = SAMPLE_DEGREE.  f and g have exponents at most
-    D, f + g at most D and fg at most 2D, so w(fg) and Q(fg) form exponents
-    at most 2pD and P(f, g) at most pD; the twisted products add pD to the
-    exponents of w(f) and w(g), at most pD.  So no digit carries.  Sums
-    and products are taken on integers and read mod p^2 or p, through the
-    ring maps Z -> Z/p^2 -> F_p; polynomials are built only to report a
-    failure.
+    It runs on raw values through _w_core, the core of w_poly, built once
+    for the block, with one radix B = 2pD + 1, D = SAMPLE_DEGREE.  f and g
+    have exponents at most D, f + g at most D and fg at most 2D, so w(fg)
+    and Q(fg) form exponents at most 2pD and P(f, g) at most pD; the
+    twisted products add pD to the exponents of w(f) and w(g), at most pD.
+    So no digit carries.  Sums and products are taken on integers and read
+    mod p^2 or p, through the ring maps Z -> Z/p^2 -> F_p; polynomials are
+    built only to report a failure.
     """
     rng = random.Random(seed)
     base = PrimeSquareRing(p)
-    k, q = base.residue_field(), p * p
+    q = p * p
     B = 2 * p * SAMPLE_DEGREE + 1
     radix = [B**i for i in range(nvars)]
-    add = operator.add
-
-    def mul(a, b):  # mod q, so the powers in P(f, g) stay small
-        return a * b % q
+    w_core = _w_core(base, base.residue_field(), nvars, B)
+    plift = _lift(base, q)
 
     def sample():  # the draws of random_poly in tests/routes.py, packed
         terms = {}
-        for _ in range(rng.randint(0, SAMPLE_TERMS)):
-            m = sum([rng.randint(0, SAMPLE_DEGREE) * b for b in radix])
+        for _ in range(rng.randrange(SAMPLE_TERMS + 1)):  # = randint(0, ..)
+            m = sum([rng.randrange(SAMPLE_DEGREE + 1) * b for b in radix])
             terms[m] = rng.randrange(q)
         return {m: c for m, c in terms.items() if c}
 
     def w(h):  # the coordinates of w(h mod q)
-        return _w_raw({m: c % q for m, c in h.items() if c % q},
-                      base, k, nvars, B)
+        return w_core({m: c % q for m, c in h.items() if c % q})
 
     def agree(lhs, *rhs):  # lhs = sum(rhs) over F_p
         acc = dict(lhs)
@@ -330,16 +341,16 @@ def check_axioms(p, nvars, trials=500, seed=0):
         for m, c in g.items():
             s[m] = s.get(m, 0) + c
         ws = w(s)
-        carry = {m: -c for m, c in
-                 _witt_P_raw(f, g, p, mul, add, int).items()}
+        carry = {m: -c for m, c in _witt_P_raw(f, g, plift).items()}
         ok_add = all(agree(ws[i], wf[i], wg[i], carry if i == nvars else {})
                      for i in range(nvars + 1))
-        # Leibniz with twisted scalars, f^(p) = sum c X^(pm) as c^p = c in F_p
-        wm = w(_raw_mul(f, g, mul, add))
-        ftw = {p * m: c for m, c in f.items()}
-        gtw = {p * m: c for m, c in g.items()}
-        ok_mul = all(agree(wm[i], _raw_mul(ftw, wg[i], mul, add,
-                                           _raw_mul(gtw, wf[i], mul, add)))
+        # Leibniz with twisted scalars, f^(p) = sum c X^(pm) as c^p = c in
+        # F_p: w(fg) plus (q - f^(p)) w(g) plus (q - g^(p)) w(f) vanishes
+        wm = w(_raw_mul(f, g))
+        ftw = {p * m: q - c for m, c in f.items()}
+        gtw = {p * m: q - c for m, c in g.items()}
+        ok_mul = all(agree(_raw_mul(ftw, wg[i], _raw_mul(gtw, wf[i],
+                                                         dict(wm[i]))))
                      for i in range(nvars + 1))
         if not (ok_add and ok_mul):
             ring = PolyRing(base, tuple(f"x{i+1}" for i in range(nvars)))

@@ -164,6 +164,7 @@ class _ModRing(_BaseRing):
     def __init__(self, p):
         _require_prime(p)
         self.p = p
+        self.modulus = p if self.is_field else p * p
 
     def _of_int(self, n):
         return n % self.modulus
@@ -202,10 +203,6 @@ class PrimeField(_ModRing):
 
     is_field = True
 
-    @property
-    def modulus(self):
-        return self.p
-
     def tag(self):
         return f"Fp({self.p})"
 
@@ -226,10 +223,6 @@ class PrimeSquareRing(_ModRing):
     """The ring Z/p^2; p generates its nilradical."""
 
     is_field = False
-
-    @property
-    def modulus(self):
-        return self.p * self.p
 
     def tag(self):
         return f"Zp2({self.p})"
@@ -352,6 +345,7 @@ class _ExtensionRing(_BaseRing):
                 f"{list(minpoly)} is not irreducible over F_{p}"
             )
         self.minpoly = minpoly
+        self.modulus = p if self.is_field else p * p
         self._red = [c % self.modulus for c in minpoly]
 
     def _of_int(self, n):
@@ -416,10 +410,6 @@ class GaloisField(_ExtensionRing):
 
     is_field = True
 
-    @property
-    def modulus(self):
-        return self.p
-
     def tag(self):
         return f"Fq({self.p},{self.degree})"
 
@@ -445,10 +435,6 @@ class GaloisRing(_ExtensionRing):
     """
 
     is_field = False
-
-    @property
-    def modulus(self):
-        return self.p * self.p
 
     def tag(self):
         return f"GR({self.p}^2,{self.degree})"

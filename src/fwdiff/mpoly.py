@@ -10,36 +10,37 @@ over a field or over Z/p^2 and GR(p^2, e), where leading terms are taken
 among the unit terms (groebner's docstring says what that gives).
 
 The Witt operations (frobenius_twist, witt_Q, witt_P_pair) work on
-packed raw polynomials, {key: value} dicts through the coefficient ring's
-value methods, and make Residues only for the terms of their result.
-X^m is the key sum m_i B^i in the radix B = p*d + 1, d the largest
-exponent of the input (_pack).  None of them forms an exponent above
-p*d < B, so no digit carries into the next and a product of monomials is
-one integer addition.  witt_Q reads the carry off one p-th power over a
-lift modulo p^3 (the argument is in its docstring), so its cost is
-polynomial in the number of terms.  It, witt_P_pair and SparsePoly
-products and powers count the value products of each sparse product
-before taking it, and normal_form the terms of each division step, and
-all refuse once the count would pass PRODUCT_BOUND.
+packed raw polynomials, {key: int value} dicts, and make Residues only
+for the terms of their result.  X^m is the key sum m_i B^i in the radix
+B = p*d + 1, d the largest exponent of the input (_pack).  None of them
+forms an exponent above p*d < B, so no digit carries into the next and a
+product of monomials is one integer addition.  witt_Q reads the carry off
+one p-th power over a lift modulo p^3 (the argument is in its
+docstring).  Every product goes through one loop, _raw_mul, which adds
+each c1 * c2 into its key unreduced; its caller reduces each value of the
+result once, in the lift of the coefficient ring to a modulus M.  A
+value c_0 + .. + c_(e-1) t^(e-1) of GR(p^2, e) or F_(p^e), 0 <= c_i < M,
+enters the loop Kronecker-packed as the int sum c_i 2^(s i): a product of
+two is their product in t, packed alike, each slot a sum of at most e
+products of slots below M.  It, witt_P_pair and SparsePoly products and
+powers count the value products of each sparse product before taking it,
+and normal_form the terms of each division step, and all refuse once the
+count would pass PRODUCT_BOUND.  So a value of _raw_mul's result sums at
+most PRODUCT_BOUND products, each slot stays below e * PRODUCT_BOUND *
+M^2 < 2^s for s = 2 bits(M) + bits(e) + bits(PRODUCT_BOUND), and no slot
+carries into the next.  A value leaves through one reduction of its
+2e - 1 slots mod (m~, M).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
 from .errors import PresentationError, SizeRefusalError
-from .modarith import (
-    GaloisRing,
-    PrimeSquareRing,
-    Residue,
-    _upoly_mul,
-    _upoly_rem,
-    embed,
-)
+from .modarith import GaloisField, GaloisRing, Residue, _upoly_rem, embed
 
 # the most value products a polynomial product or power or a Witt carry
 # may take, and the most terms a division may scan and subtract; a product
@@ -185,8 +186,8 @@ class SparsePoly:
             _addmul(out, self.terms, None, self.ring.coeff.coerce(other))
             return SparsePoly(self.ring, out)
         other = self._coerce(other)
-        _budget(f"a product of {len(self.terms)} and {len(other.terms)} "
-                "terms")(len(self.terms) * len(other.terms))
+        _budget("a product of {} and {} terms", len(self.terms),
+                len(other.terms))(len(self.terms) * len(other.terms))
         for m, c in self.terms.items():
             _addmul(out, other.terms, m, c)
         return SparsePoly(self.ring, out)
@@ -197,7 +198,7 @@ class SparsePoly:
         if not isinstance(n, int) or n < 0:
             raise PresentationError(
                 f"exponent must be a nonnegative integer, not {n!r}")
-        spend = _budget(f"the power {n} of {len(self.terms)} terms")
+        spend = _budget("the power {} of {} terms", n, len(self.terms))
         result = self.ring.one()
         base = self
         while n:
@@ -348,8 +349,13 @@ def normal_form(f, basis):
     scans the one dividend dict, and subtracts a multiple of b in place:
     their terms count against PRODUCT_BOUND, and a division that would
     pass it is refused with SizeRefusalError."""
-    leads = basis._leads if isinstance(basis, GroebnerBasis) \
-        else _lead_triples(basis)
+    return _reduce(f, basis._leads if isinstance(basis, GroebnerBasis)
+                   else _lead_triples(basis))
+
+
+def _reduce(f, leads):
+    """normal_form of f by the divisors of the triples leads, in their
+    order (_lead_triples)."""
     if not leads:
         return f
     key = f.ring.key
@@ -444,7 +450,7 @@ def groebner(gens, ring=None):
             raise PresentationError("empty generator list needs an explicit ring")
         ring = gens[0].ring
     R = ring.coeff
-    basis = []
+    basis = []  # the _lead_triples of the monic members, each lead kept
     sugars = []
     pairs = []
     torsion = []
@@ -454,18 +460,17 @@ def groebner(gens, ring=None):
                                       for c in f.terms.values()):
             torsion.append(_over_p(f))
             return
-        f = f.monic()
-        k = len(basis)
         lm = f.lead_monomial()
-        for i in range(k):
-            lmi = basis[i].lead_monomial()
+        f = f * f.terms[lm].inv()
+        k = len(basis)
+        for i, (lmi, _, _) in enumerate(basis):
             l = mono_lcm(lmi, lm)
             if l == mono_mul(lmi, lm):
                 continue  # product criterion: coprime leads
             s = max(sugars[i] + mono_deg(l) - mono_deg(lmi),
                     sugar + mono_deg(l) - mono_deg(lm))
             pairs.append((s, ring.key(l), i, k))
-        basis.append(f)
+        basis.append((lm, R.one(), f))
         sugars.append(sugar)
 
     for g in gens:
@@ -474,33 +479,23 @@ def groebner(gens, ring=None):
     while pairs:
         pairs.sort()
         s, _, i, j = pairs.pop(0)
-        h = normal_form(spoly(basis[i], basis[j]), basis)
+        h = _reduce(spoly(basis[i][2], basis[j][2]), basis)
         if not h.is_zero():
             add_poly(h, max(s, h.total_degree()))
 
     # minimalize: drop members whose lead is divisible by another lead
-    minimal = []
-    for i, f in enumerate(basis):
-        lm = f.lead_monomial()
-        keep = True
-        for j, g in enumerate(basis):
-            if i == j:
-                continue
-            glm = g.lead_monomial()
-            if mono_div(lm, glm) is not None and (glm != lm or j < i):
-                keep = False
-                break
-        if keep:
-            minimal.append(f)
-    # interreduce to the unique reduced basis
+    minimal = [t for i, t in enumerate(basis) if not any(
+        j != i and mono_div(t[0], glm) is not None and (glm != t[0] or j < i)
+        for j, (glm, _, _) in enumerate(basis))]
+    # interreduce to the unique reduced basis; no other lead divides the
+    # lead lm of a member, so its unit coefficient stays at lm, the largest
+    # unit term of the remainder, which is lm's member's lead
     reduced = []
-    for i, f in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(f, others) if others else f
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda f: ring.key(f.lead_monomial()))
-    return GroebnerBasis(ring, tuple(reduced), tuple(torsion))
+    for i, (lm, _, f) in enumerate(minimal):
+        r = _reduce(f, minimal[:i] + minimal[i + 1:])
+        reduced.append((ring.key(lm), r * r.terms[lm].inv()))
+    reduced.sort(key=operator.itemgetter(0))
+    return GroebnerBasis(ring, tuple(f for _, f in reduced), tuple(torsion))
 
 
 def _over_p(f):
@@ -599,33 +594,35 @@ def _unpack(ring, raw, B):
     return SparsePoly(ring, out)
 
 
-def _raw_mul(a, b, mul, add, out=None):
-    """Add the product of the packed raw polynomials a and b, under the
-    value operations mul and add, into out (a new dict when None); zero
-    values are kept."""
+def _raw_mul(a, b, out=None):
+    """Add the product of the packed raw polynomials a and b into out (a
+    new dict when None); zero values are kept.  The values are
+    nonnegative ints, and each value of out is the plain sum of its
+    products c1 * c2, which the caller reduces once.  Kronecker-packed
+    values enter with every slot below the modulus of their lift, which
+    keeps the sums in their slots (module docstring)."""
     out = {} if out is None else out
     get = out.get
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = m1 + m2
-            v = mul(c1, c2)
-            s = get(m)
-            out[m] = v if s is None else add(s, v)
+            out[m] = get(m, 0) + c1 * c2
     return out
 
 
-def _budget(what):
+def _budget(what, *args):
     """spend(count), called with the value products of each sparse product
     of a computation before it is taken: SizeRefusalError once their sum
-    would pass PRODUCT_BOUND, so no step past the bound is begun."""
+    would pass PRODUCT_BOUND, so no step past the bound is begun.  The
+    message, what.format(*args), is made only then."""
     spent = 0
 
     def spend(count):
         nonlocal spent
         spent += count
         if spent > PRODUCT_BOUND:
-            raise SizeRefusalError(
-                f"{what} needs more than {PRODUCT_BOUND} value products")
+            raise SizeRefusalError(f"{what.format(*args)} needs more than "
+                                   f"{PRODUCT_BOUND} value products")
     return spend
 
 
@@ -637,51 +634,99 @@ def frobenius_twist(f):
     return _unpack(f.ring, {p * m: R._pow(c, p) for m, c in raw.items()}, B)
 
 
-def _cube_lift(R):
-    """Value operations (mul, add, zero, carry) of the lift of R mod p^3.
+class _IntLift:
+    """Z/M on least nonnegative ints: the lift of Z/p^2 to M = p^3, or Z/p^2
+    or F_p itself.  The ring's values are read verbatim in it (enter),
+    sums of products reduced (reduce), c X^m taken to c^p X^(p*m)
+    (twist), and reduced values v, w with v = w mod p to (v - w)/p mod p^2
+    (carry) or to the ring's values (leave), key by key."""
 
-    Z/p^2 lifts to Z/p^3, and GR(p^2, e) = (Z/p^2)[t]/(m~) to
-    (Z/p^3)[t]/(m~); a value of R, a least nonnegative representative, is
-    read verbatim as a value of the lift.  carry(v, w) is (v - w)/p mod
-    p^2, a value of R, for v = w mod p.  Over Z/p^3, mul and carry reduce
-    and add is the integer sum.
-    """
-    p = R.p
-    M = p**3
-    if isinstance(R, PrimeSquareRing):
-        return (lambda a, b: a * b % M), operator.add, 0, \
-            lambda v, w: (v - w) % M // p
-    if isinstance(R, GaloisRing):
-        e, red = R.degree, R._red
+    def __init__(self, p, M):
+        self.p, self.M = p, M
 
-        def mul(a, b):
-            r = _upoly_rem(_upoly_mul(a, b, M), red, M)
-            return tuple(r) + (0,) * (e - len(r))
+    def enter(self, raw):
+        return raw
 
-        def add(a, b):
-            return tuple([(x + y) % M for x, y in zip(a, b)])
+    leave = enter
 
-        def carry(v, w):
-            return tuple([(x - y) % M // p for x, y in zip(v, w)])
+    def reduce(self, raw):
+        M = self.M
+        return {m: v % M for m, v in raw.items()}
 
-        return mul, add, (0,) * e, carry
-    raise PresentationError(f"witt_Q needs p^2-torsion coefficients, got {R.tag()}")
+    def twist(self, raw):
+        p, M = self.p, self.M
+        return {p * m: pow(c, p, M) for m, c in raw.items()}
+
+    def carry(self, power, twist):
+        p, M, get = self.p, self.M, twist.get
+        return {m: (v - get(m, 0)) % M // p for m, v in power.items()}
 
 
-def _witt_Q_raw(raw, R):
-    """Q of a packed raw polynomial over R, packed alike: in a radix where
-    p times every exponent stays one digit (witt_Q)."""
-    mul, add, zero, carry = _cube_lift(R)
-    t, p = len(raw), R.p
+class _PackedLift(_IntLift):
+    """(Z/M)[t]/(m~) for GR(p^2, e) and F_(p^e), m~ their minimal
+    polynomial, on values packed in slots of s bits (module docstring)."""
+
+    def __init__(self, R, M):
+        super().__init__(R.p, M)
+        self.e, self.mp = R.degree, list(R.minpoly)
+        self.s = (2 * M.bit_length() + self.e.bit_length()
+                  + PRODUCT_BOUND.bit_length())
+
+    def _slots(self, v, count):
+        return [v >> (self.s * i) & ((1 << self.s) - 1) for i in range(count)]
+
+    def _reduced(self, v):  # v mod (m~, M), v in 2e - 1 slots
+        M, s = self.M, self.s
+        c = _upoly_rem([x % M for x in self._slots(v, 2 * self.e - 1)],
+                       self.mp, M)
+        return sum(x << (s * i) for i, x in enumerate(c))
+
+    def enter(self, raw):
+        s = self.s
+        return {m: sum(x << (s * i) for i, x in enumerate(c))
+                for m, c in raw.items()}
+
+    def leave(self, raw):
+        return {m: tuple(self._slots(v, self.e)) for m, v in raw.items()}
+
+    def reduce(self, raw):
+        return {m: self._reduced(v) for m, v in raw.items()}
+
+    def twist(self, raw):
+        out = {}
+        for m, c in raw.items():
+            v = c
+            for _ in range(self.p - 1):
+                v = self._reduced(v * c)
+            out[self.p * m] = v
+        return out
+
+    def carry(self, power, twist):
+        p, M, e, get = self.p, self.M, self.e, twist.get
+        return {m: tuple([(x - y) % M // p for x, y in zip(
+            self._slots(v, e), self._slots(get(m, 0), e))])
+            for m, v in power.items()}
+
+
+def _lift(R, M):
+    if isinstance(R, (GaloisField, GaloisRing)):
+        return _PackedLift(R, M)
+    return _IntLift(R.p, M)
+
+
+def _witt_Q_raw(raw, lift):
+    """Q of a packed raw polynomial, packed alike, through lift, the lift
+    of its coefficient ring mod p^3: in a radix where p times every
+    exponent stays one digit (witt_Q)."""
+    t, p = len(raw), lift.p
     if t < 2:
         return {}
-    spend = _budget(f"the Witt carry Q of {t} terms at p = {p}")
-    power = raw
+    spend = _budget("the Witt carry Q of {} terms at p = {}", t, p)
+    base = power = lift.enter(raw)
     for _ in range(p - 1):
         spend(len(power) * t)
-        power = _raw_mul(power, raw, mul, add)
-    twist = {p * m: functools.reduce(mul, [c] * p) for m, c in raw.items()}
-    return {m: carry(v, twist.get(m, zero)) for m, v in power.items()}
+        power = lift.reduce(_raw_mul(power, base))
+    return lift.carry(power, lift.twist(base))
 
 
 def witt_Q(f):
@@ -708,32 +753,37 @@ def witt_Q(f):
     carry is refused with SizeRefusalError.  Fewer than two terms give 0.
     """
     R = f.ring.coeff
+    if R.is_field:
+        raise PresentationError(
+            f"witt_Q needs p^2-torsion coefficients, got {R.tag()}")
     B, (raw,) = _pack(R.p, f)
-    return _unpack(f.ring, _witt_Q_raw(raw, R), B)
+    return _unpack(f.ring, _witt_Q_raw(raw, _lift(R, R.p**3)), B)
 
 
-def _witt_P_raw(a, b, p, mul, add, of_int):
+def _witt_P_raw(a, b, lift):
     """P(a, b) of packed raw polynomials, packed alike as for _witt_Q_raw,
-    under the value operations mul and add, with of_int taking the
-    integers binom(p, i)/p to values (witt_P_pair)."""
+    through lift, the lift of their coefficient ring to its own modulus
+    (witt_P_pair)."""
     if not (a and b):
         return {}
-    spend = _budget(
-        f"the Witt carry P of {len(a)} and {len(b)} terms at p = {p}")
+    p = lift.p
+    spend = _budget("the Witt carry P of {} and {} terms at p = {}",
+                    len(a), len(b), p)
+    a, b = lift.enter(a), lift.enter(b)
     apow, bpow = [None, a], [None, b]
     for _ in range(2, p):
         spend(len(apow[-1]) * len(a) + len(bpow[-1]) * len(b))
-        apow.append(_raw_mul(apow[-1], a, mul, add))
-        bpow.append(_raw_mul(bpow[-1], b, mul, add))
+        apow.append(lift.reduce(_raw_mul(apow[-1], a)))
+        bpow.append(lift.reduce(_raw_mul(bpow[-1], b)))
     total, q, binom = {}, p * p, 1  # binom = C(p-1, i-1) mod p^2
     for i in range(1, p):
         spend(len(apow[i]) * len(bpow[p - i]))
         inv = pow(i, -1, q)
-        c = of_int(binom * inv % q)  # binom(p, i)/p = C(p-1, i-1)/i
+        c = binom * inv % q  # binom(p, i)/p = C(p-1, i-1)/i
         binom = binom * (p - i) * inv % q
-        scaled = {m: mul(c, v) for m, v in apow[i].items()}
-        _raw_mul(scaled, bpow[p - i], mul, add, total)
-    return total
+        scaled = lift.reduce({m: c * v for m, v in apow[i].items()})
+        _raw_mul(scaled, bpow[p - i], total)
+    return lift.leave(lift.reduce(total))
 
 
 def witt_P_pair(f, g):
@@ -744,8 +794,7 @@ def witt_P_pair(f, g):
         raise PresentationError("witt_P_pair needs two polynomials of one ring")
     R = f.ring.coeff
     B, (a, b) = _pack(R.p, f, g)
-    return _unpack(f.ring, _witt_P_raw(a, b, R.p, R._mul, R._add, R._of_int),
-                   B)
+    return _unpack(f.ring, _witt_P_raw(a, b, _lift(R, R.modulus)), B)
 
 
 def homogenize(f, target_ring):

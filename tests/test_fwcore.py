@@ -186,6 +186,34 @@ def test_axioms_match_the_polynomial_reference(p, nvars):
         assert got["passed"] == trials
 
 
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_axioms_at_p_13_match_the_polynomial_reference(nvars):
+    """At p = 13 the carries sum up to 12 products of values of Z/13^3
+    before reducing them."""
+    got = check_axioms(13, nvars, trials=25, seed=1).describe()
+    assert got == check_axioms_by_polys(13, nvars, 25, 1).describe()
+    assert got["passed"] == 25
+
+
+def test_axioms_split_each_key_into_digits_once(monkeypatch):
+    """One check_axioms block splits each packed key that it passes to w
+    into its nvars exponent digits once, however many of its polynomials
+    and trials share the key."""
+    calls = []
+    monkeypatch.setattr(fwcore, "divmod", lambda a, b: calls.append(a)
+                        or divmod(a, b), raising=False)
+    p, nvars, trials, seed = 3, 2, 30, 4
+    assert check_axioms(p, nvars, trials=trials, seed=seed).passed
+    rng = random.Random(seed)
+    ring = PolyRing(PrimeSquareRing(p), ("x1", "x2"))
+    monomials = set()
+    for _ in range(trials):
+        f, g = random_poly(rng, ring), random_poly(rng, ring)
+        for h in (f, g, f + g, f * g):
+            monomials.update(h.terms)
+    assert len(calls) == nvars * len(monomials)
+
+
 @pytest.mark.parametrize("core", ["_witt_Q_raw", "_witt_P_raw"])
 def test_axioms_catch_a_carry_core_missing_a_term(monkeypatch, core):
     """With one term that is nonzero mod p dropped from the result of a

@@ -560,6 +560,37 @@ def test_packing_galois_ring_coefficients(R):
                             random_poly(rng, ring, 3, 2))
 
 
+@pytest.mark.parametrize("R", [PrimeSquareRing(13), PrimeSquareRing(101),
+                               GaloisRing(13, 2), GaloisRing(101, 2)],
+                         ids=lambda R: R.tag())
+def test_witt_routines_at_large_p_match_references(R):
+    """The product loop sums its products unreduced and reduces each value
+    once, and the GR values enter it Kronecker-packed.  witt_Q and w_poly
+    of 2- and 3-term polynomials give the terms of the multinomial
+    reference, and witt_P_pair those of the by-powers reference: at p = 13
+    of two 2-term polynomials, at p = 101 of two terms at one monomial,
+    whose one value sums 100 products (there the polynomials are in one
+    variable, so the powers stay under PRODUCT_BOUND)."""
+    rng = random.Random(R.tag())
+    nvars = 2 if R.p == 13 else 1
+    ring = PolyRing(R, ("x", "y")[:nvars])
+    box = list(itertools.product(range(3), repeat=nvars))
+
+    def poly(terms):
+        return ring.poly({m: random_scalar(rng, R)
+                          for m in rng.sample(box, terms)})
+
+    for h in (poly(3), poly(2)):
+        assert witt_Q(h).terms == witt_Q_multinomial(h).terms, str(h)
+        assert [v.terms for v in w_poly(h)] == \
+            [v.terms for v in w_poly_by_polys(h)], str(h)
+    if R.p == 13:
+        f, g = poly(2), poly(2)
+    else:
+        f, g = (ring.poly({(2,): random_scalar(rng, R)}) for _ in range(2))
+    assert witt_P_pair(f, g).terms == witt_P_pair_by_powers(f, g).terms
+
+
 @pytest.mark.parametrize("k", [PrimeField(5), GaloisField(3, 2), GaloisField(2, 3)],
                          ids=lambda k: k.tag())
 def test_charp_column_is_the_twisted_gradient(k):
@@ -714,6 +745,27 @@ def test_a_groebner_basis_keeps_its_leads(monkeypatch):
     assert gb.normal_form(f) == first
     assert len(calls) == len(gb.polys)
     assert normal_form(f, list(gb.polys)) == first
+
+
+def test_groebner_finds_each_lead_once(monkeypatch):
+    """groebner keeps each member's lead beside it: a member's lead is
+    found when it is added, and spoly finds the two of its pair, so the
+    S-pair divisions, the minimalisation and the final sort find none."""
+    calls, pairs = [], []
+    real, real_spoly = mpoly.SparsePoly.lead_monomial, mpoly.spoly
+    monkeypatch.setattr(mpoly.SparsePoly, "lead_monomial",
+                        lambda self: calls.append(1) or real(self))
+    monkeypatch.setattr(mpoly, "spoly",
+                        lambda f, g: pairs.append(1) or real_spoly(f, g))
+    for R in (PrimeField(7), PrimeSquareRing(3)):
+        ring = PolyRing(R, ("x", "y", "z"))
+        x, y, z = ring.gens()
+        gens = [x**2 * y - z**2 + 1, y**2 * z - x + 2, z**2 * x - y**2 + x * y]
+        del calls[:], pairs[:]
+        gb = groebner(gens)
+        # at most one member is added per input and per S-pair
+        assert len(calls) <= 2 * len(pairs) + len(gens) + len(pairs)
+        assert len(pairs) > 10 and len(gb.polys) > 5
 
 
 RING_FILES = sorted(
