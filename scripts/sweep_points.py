@@ -2,17 +2,18 @@
 """Sweep the rational points of a ring over small field extensions and
 tabulate the regularity verdicts at each one.
 
-Errors end the sweep as in the fwdiff command line tool: work past a
-size bound (say, the points of four variables over F_81) with one
-"refused: ..." line on stderr and exit code 1, an input the library
-rejects (a ring file it cannot read, a field the base does not embed
-into) with one "error: ..." line and exit code 2."""
+Errors end the sweep as in the fwdiff command line tool (fwdiff.cli.
+exit_code): work past a size bound (say, the points of four variables
+over F_81) with one "refused: ..." line on stderr and exit code 1, an
+input the library rejects (a ring file it cannot read, a field the base
+does not embed into) with one "error: ..." line and exit code 2, and a
+fault of fwdiff itself with one "internal error: ..." line and exit
+code 3."""
 
 import argparse
-import sys
 from dataclasses import dataclass
 
-from fwdiff.errors import FWDiffError, SizeRefusalError
+from fwdiff.cli import exit_code
 from fwdiff.localalg import rational_points, regularity
 from fwdiff.modarith import GaloisField, PrimeField
 from fwdiff.ringfile import parse_ring
@@ -54,14 +55,7 @@ def main(argv=None):
     ap.add_argument("--flat", action="store_true",
                     help="assert flatness for a Z/p^2 base")
     ns = ap.parse_args(argv)
-    try:
-        return run(SweepConfig(ns.ring, ns.max_degree, ns.flat))
-    except SizeRefusalError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 1
-    except (FWDiffError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    return exit_code(lambda: run(SweepConfig(ns.ring, ns.max_degree, ns.flat)))
 
 
 if __name__ == "__main__":

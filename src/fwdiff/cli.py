@@ -43,7 +43,7 @@ INPUT_ERRORS = (RingFileError, PresentationError, OffSchemeError,
                 ZeroDivisorError, OSError)
 
 
-def _int_at_least(lo):
+def int_at_least(lo):
     """An argparse type: an integer no smaller than lo."""
     def parse(text):
         n = int(text)
@@ -88,13 +88,13 @@ def build_parser():
     ring_flags(p, locus=True)
     p = sub.add_parser("oracle", help="brute-force cross-check")
     ring_flags(p)
-    p.add_argument("--max-size", type=_int_at_least(1), default=None,
+    p.add_argument("--max-size", type=int_at_least(1), default=None,
                    help="override the ring-size bound for the brute force")
     p = sub.add_parser("axioms", help="randomized derivation-axiom check")
     p.add_argument("--p", type=int, required=True, help="the prime")
-    p.add_argument("--nvars", type=_int_at_least(0), default=2,
+    p.add_argument("--nvars", type=int_at_least(0), default=2,
                    help="number of variables (default 2)")
-    p.add_argument("--trials", type=_int_at_least(1), default=500,
+    p.add_argument("--trials", type=int_at_least(1), default=500,
                    help="number of random trials (default 500)")
     p.add_argument("--seed", type=int, default=0,
                    help="random seed (default 0)")
@@ -250,12 +250,14 @@ DISPATCH = {
 }
 
 
-def run(argv=None, out=None, err=None):
-    out = out if out is not None else sys.stdout
+def exit_code(work, err=None):
+    """work(), whose return value is the exit code, run under the exit
+    code contract: a refusal is one "refused:" line on err (default
+    stderr) and 1, an input error one "error:" line and 2, and any other
+    exception one "internal error:" line and 3."""
     err = err if err is not None else sys.stderr
-    args = build_parser().parse_args(argv)
     try:
-        return DISPATCH[args.command](args, out)
+        return work()
     except REFUSAL_ERRORS as e:
         err.write(f"refused: {e}\n")
         return 1
@@ -265,6 +267,12 @@ def run(argv=None, out=None, err=None):
     except Exception as e:  # a fault of fwdiff itself, not of the input
         err.write(f"internal error: {e!r}\n")
         return 3
+
+
+def run(argv=None, out=None, err=None):
+    out = out if out is not None else sys.stdout
+    args = build_parser().parse_args(argv)
+    return exit_code(lambda: DISPATCH[args.command](args, out), err)
 
 
 def main():

@@ -10,9 +10,15 @@ the extensions.  Every operation reduces eagerly.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import PresentationError, SizeRefusalError
+
+# the most value products a polynomial product or power or a Witt carry
+# may take, the most terms a division may scan and subtract, and the most
+# trial divisions one search for an irreducible polynomial may make; a
+# step that would pass it is refused before it is begun
+PRODUCT_BOUND = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -295,32 +301,43 @@ def _base_p_digits(n, p, count):
     return out
 
 
-def _is_irreducible(coeffs, p):
-    """Brute-force factor search for a monic polynomial over F_p."""
-    e = len(coeffs) - 1
-    assert e >= 1 and coeffs[-1] == 1  # internal invariant: callers pass monic
-    if e == 1:
-        return True
-    for d in range(1, e // 2 + 1):
-        for k in range(p**d):
-            cand = _base_p_digits(k, p, d) + [1]  # monic
-            if not _upoly_rem(coeffs, cand, p):
-                return False
-    return True
+def _factor_search(p, what):
+    """reducible(coeffs): whether a monic polynomial over F_p has a monic
+    factor of degree at most half its own, found by trial division.  The
+    divisions of all calls count together, and the one that would pass
+    PRODUCT_BOUND is refused with SizeRefusalError instead."""
+    spent = 0
+
+    def reducible(coeffs):
+        nonlocal spent
+        for d in range(1, (len(coeffs) - 1) // 2 + 1):
+            for k in range(p**d):
+                spent += 1
+                if spent > PRODUCT_BOUND:
+                    raise SizeRefusalError(f"{what} needs more than "
+                                           f"{PRODUCT_BOUND} trial divisions")
+                if not _upoly_rem(coeffs, _base_p_digits(k, p, d) + [1], p):
+                    return True
+        return False
+    return reducible
 
 
+@cache
 def default_minpoly(p, e):
     """The first monic irreducible of degree e over F_p.
 
     Candidates are enumerated by the integer whose little-endian base-p
     digits are the non-leading coefficients, so the choice is deterministic
-    and documented.
+    and documented.  The search is one _factor_search, so it is refused
+    past PRODUCT_BOUND trial divisions, and its result is kept.
     """
     _require_prime(p)
     _require_degree(e)
+    reducible = _factor_search(
+        p, f"finding an irreducible polynomial of degree {e} over F_{p}")
     for k in range(p**e):
         coeffs = _base_p_digits(k, p, e) + [1]
-        if _is_irreducible(coeffs, p):
+        if not reducible(coeffs):
             return tuple(coeffs)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -335,15 +352,16 @@ class _ExtensionRing(_BaseRing):
         self.degree = e
         if minpoly is None:
             minpoly = default_minpoly(p, e)
-        minpoly = tuple(c % p for c in minpoly)
-        if len(minpoly) != e + 1 or minpoly[-1] != 1:
-            raise PresentationError(
-                f"minimal polynomial must be monic of degree {e}"
-            )
-        if not _is_irreducible(list(minpoly), p):
-            raise PresentationError(
-                f"{list(minpoly)} is not irreducible over F_{p}"
-            )
+        else:
+            minpoly = tuple(c % p for c in minpoly)
+            if len(minpoly) != e + 1 or minpoly[-1] != 1:
+                raise PresentationError(
+                    f"minimal polynomial must be monic of degree {e}"
+                )
+            if _factor_search(p, f"checking {list(minpoly)}")(list(minpoly)):
+                raise PresentationError(
+                    f"{list(minpoly)} is not irreducible over F_{p}"
+                )
         self.minpoly = minpoly
         self.modulus = p if self.is_field else p * p
         self._red = [c % self.modulus for c in minpoly]

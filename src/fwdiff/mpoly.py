@@ -40,12 +40,8 @@ import operator
 from dataclasses import dataclass
 
 from .errors import PresentationError, SizeRefusalError
-from .modarith import GaloisField, GaloisRing, Residue, _upoly_rem, embed
-
-# the most value products a polynomial product or power or a Witt carry
-# may take, and the most terms a division may scan and subtract; a product
-# or a division step that would pass it is refused before it is begun
-PRODUCT_BOUND = 10**6
+from .modarith import (PRODUCT_BOUND, GaloisField, GaloisRing, Residue,
+                       _upoly_rem, embed)
 
 
 def mono_mul(a, b):
@@ -541,8 +537,10 @@ def krull_dim(gb: GroebnerBasis):
     return staircase_dim(gb.lead_monomials(), gb.ring.nvars)
 
 
-def standard_monomials(gb: GroebnerBasis):
-    """All monomials outside the leading ideal; requires dimension <= 0."""
+def standard_monomials(gb: GroebnerBasis, limit=None):
+    """All monomials outside the leading ideal; requires dimension <= 0.
+    With a limit, a staircase of more monomials is cut at limit + 1 of
+    them, before the rest is enumerated."""
     if gb.is_trivial():
         return []
     if krull_dim(gb) > 0:
@@ -552,7 +550,7 @@ def standard_monomials(gb: GroebnerBasis):
     seen = set()
     out = []
     queue = [(0,) * ring.nvars]
-    while queue:
+    while queue and (limit is None or len(out) <= limit):
         m = queue.pop(0)
         if m in seen:
             continue

@@ -332,6 +332,17 @@ class FiniteRing:
             raise PresentationError("the presented ring is the zero ring")
         if krull_dim(gb) > 0:
             raise SizeRefusalError("the presented ring is infinite")
+        # the most digits d whose p^d-element tables fit TABLE_MEMORY_BOUND
+        # (12 at p = 2); a longer staircase is refused before it is listed
+        top = 0
+        while 16 * p ** (2 * top + 2) <= TABLE_MEMORY_BOUND:
+            top += 1
+        S = standard_monomials(gb, limit=top)
+        if len(S) > top:
+            raise SizeRefusalError(
+                f"ring has more than {p}^{top} elements: its operation "
+                f"tables would pass the oracle's {TABLE_MEMORY_BOUND >> 20} "
+                "MB table bound")
         canon, stairU = gb.normal_form, []
         if not ring_pres.is_charp:
             zring, cring = gb.ring, ring_pres.carrier_ring
@@ -349,8 +360,7 @@ class FiniteRing:
                 return zring.poly(low)
 
         label = _label_of(ring_pres)
-        basis, digits_of = _digit_model(gb.ring, standard_monomials(gb),
-                                        stairU, label)
+        basis, digits_of = _digit_model(gb.ring, S, stairU, label)
         _refuse_oversized(p, p ** len(basis), max_size)
         return cls(p, _counting(p, len(basis)), basis,
                    len(basis) - len(stairU), canon, digits_of, label)

@@ -1,4 +1,4 @@
-"""The line-oriented ring description format.
+"""The line-oriented ring description format and the command-line loci.
 
 A ring file is a sequence of lines:
 
@@ -11,26 +11,37 @@ A ring file is a sequence of lines:
 first, then the single vars line, then any number of rel lines.
 Polynomial expressions use ^ for powers (tightest), then unary minus,
 then *, then binary + and -; there is no implicit multiplication.
-Integer literals reduce into the base ring.  Over an Fq base the name
-`t` denotes the field generator.  Every parse error carries a
-line/column position.
+Integer literals are ASCII digits and reduce into the base ring.  Over
+an Fq base the name `t` denotes the field generator; the minimal
+polynomial of Fq(p,e,minpoly) is an expression in t over F_p.  A point
+(--point) is a list of constant expressions separated by `,`, a prime
+(--prime) a list of polynomials separated by `;`.  All of it is read by
+one tokenizer and one recursive-descent parser, and every parse error
+carries a line/column position.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RingFileError, SizeRefusalError
+from .errors import PresentationError, RingFileError
 from .fwcore import RingPresentation
 from .modarith import (
     GaloisField,
     PrimeField,
     PrimeSquareRing,
+    _require_degree,
     default_minpoly,
 )
 from .mpoly import PolyRing
 
-_BASE_TAGS = ("Fp", "Fq", "Zp2")
+# base tag -> (its ring, its usage)
+_BASES = {
+    "Fp": (PrimeField, "Fp takes one argument: Fp(p)"),
+    "Zp2": (PrimeSquareRing, "Zp2 takes one argument: Zp2(p)"),
+    "Fq": (GaloisField, "Fq takes two or three arguments: Fq(p,e[,minpoly])"),
+}
+_DIGITS = "0123456789"
 
 
 # ---------------------------------------------------------------------------
@@ -38,54 +49,49 @@ _BASE_TAGS = ("Fp", "Fq", "Zp2")
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "int" | "name" | one of + - * ^ ( ) , | "end"
+    kind: str  # "int" | "name" | one of + - * ^ ( ) , ; | "end"
     text: str
     line: int
     col: int
 
 
-def _tokenize(text, line, start_col):
-    """Tokens of one expression fragment, positions 1-based in the file."""
+def _tokenize(text, line, col):
+    """Tokens of one line fragment starting at column col, positions
+    1-based in the file."""
     toks = []
-    i = 0
-    n = len(text)
+    i, n = 0, len(text)
     while i < n:
-        ch = text[i]
+        ch, j = text[i], i + 1
         if ch in " \t":
-            i += 1
-            continue
-        col = start_col + i
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("int", text[i:j], line, col))
             i = j
             continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        if ch in _DIGITS:
+            kind = "int"
+            while j < n and text[j] in _DIGITS:
+                j += 1
+        elif ch.isalpha() or ch == "_":
+            kind = "name"
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            toks.append(_Token("name", text[i:j], line, col))
-            i = j
-            continue
-        if ch in "+-*^(),":
-            toks.append(_Token(ch, ch, line, col))
-            i += 1
-            continue
-        raise RingFileError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("end", "", line, start_col + n))
+        elif ch in "+-*^(),;":
+            kind = ch
+        else:
+            raise RingFileError(f"unexpected character {ch!r}", line, col + i)
+        toks.append(_Token(kind, text[i:j], line, col + i))
+        i = j
+    toks.append(_Token("end", "", line, col + n))
     return toks
 
 
-class _ExprParser:
-    """Recursive descent over a token list, producing a SparsePoly."""
+class _Parser:
+    """Recursive descent over the tokens of one line fragment.  Expressions
+    are SparsePolys of ring, over the symbols of names."""
 
-    def __init__(self, tokens, ring, names):
-        self.toks = tokens
+    def __init__(self, text, line=1, col=1, ring=None, names=None):
+        self.toks = _tokenize(text, line, col)
         self.pos = 0
         self.ring = ring
-        self.names = names  # name -> SparsePoly
+        self.names = names
 
     def peek(self):
         return self.toks[self.pos]
@@ -95,16 +101,40 @@ class _ExprParser:
         self.pos += 1
         return t
 
+    def accept(self, kind):
+        """The next token if it is of this kind, taken; else None."""
+        return self.take() if self.peek().kind == kind else None
+
     def fail(self, message, tok=None):
         tok = tok or self.peek()
         raise RingFileError(message, tok.line, tok.col)
 
-    def parse(self):
-        f = self.expr()
+    def expect(self, kind, what):
+        if self.peek().kind != kind:
+            self.fail(f"expected {what}")
+        return self.take()
+
+    def end(self):
         t = self.peek()
         if t.kind != "end":
             self.fail(f"unexpected {t.text!r}")
-        return f
+
+    def integer(self, what="an integer"):
+        t = self.expect("int", what)
+        try:
+            return int(t.text)
+        except ValueError:  # past the interpreter's digit limit
+            self.fail(f"integer of {len(t.text)} digits is too long", t)
+
+    def listed(self, item, sep):
+        """item (sep item)*, up to the end of the fragment."""
+        out = [item()]
+        while (t := self.accept(sep)):
+            if self.peek().kind == "end":
+                self.fail(f"trailing {sep!r}", t)
+            out.append(item())
+        self.end()
+        return out
 
     def expr(self):
         f = self.term()
@@ -116,32 +146,23 @@ class _ExprParser:
 
     def term(self):
         f = self.unary()
-        while self.peek().kind == "*":
-            self.take()
+        while self.accept("*"):
             f = f * self.unary()
         return f
 
     def unary(self):
-        if self.peek().kind == "-":
-            self.take()
+        if self.accept("-"):
             return -self.unary()
-        return self.power()
-
-    def power(self):
         f = self.atom()
-        if self.peek().kind == "^":
-            self.take()
-            t = self.peek()
-            if t.kind != "int":
-                self.fail("exponent must be a nonnegative integer")
-            self.take()
-            f = f ** int(t.text)
+        if self.accept("^"):
+            f = f ** self.integer("a nonnegative integer exponent")
         return f
 
     def atom(self):
+        if self.peek().kind == "int":
+            coeff = self.ring.coeff
+            return self.ring.constant(coeff.of_int(self.integer()))
         t = self.take()
-        if t.kind == "int":
-            return self.ring.constant(self.ring.coeff.of_int(int(t.text)))
         if t.kind == "name":
             f = self.names.get(t.text)
             if f is None:
@@ -149,120 +170,68 @@ class _ExprParser:
             return f
         if t.kind == "(":
             f = self.expr()
-            closing = self.take()
-            if closing.kind != ")":
-                self.fail("expected ')'", closing)
+            self.expect(")", "')'")
             return f
-        self.fail(f"unexpected {t.text!r}" if t.text else "unexpected end of expression", t)
+        self.fail(f"unexpected {t.text!r}" if t.text
+                  else "unexpected end of expression", t)
+
+    def base(self):
+        """tag(p), Fq(p,e) or Fq(p,e,minpoly), to the end: the ring it
+        names.  A bad p, e or minimal polynomial is reported at the tag."""
+        tag = self.expect("name", "a base tag (Fp, Fq, or Zp2)")
+        if tag.text not in _BASES:
+            self.fail(f"unknown base tag {tag.text!r} "
+                      "(expected Fp, Fq, or Zp2)", tag)
+        make, usage = _BASES[tag.text]
+        self.expect("(", "'('")
+        try:
+            args = [self.integer("a prime")]
+            if tag.text == "Fq":
+                if not self.accept(","):
+                    self.fail(usage, tag)
+                args.append(self.integer("an extension degree"))
+                if self.accept(","):
+                    args.append(self.minpoly(*args, tag))
+            if self.peek().kind == ",":
+                self.fail(usage, tag)
+            self.expect(")", "')'")
+            self.end()
+            return make(*args)
+        except PresentationError as exc:
+            raise RingFileError(str(exc), tag.line, tag.col) from exc
+
+    def minpoly(self, p, e, tag):
+        """An expression in t over F_p: its coefficients, constant first."""
+        self.ring = PolyRing(PrimeField(p), ("t",))
+        _require_degree(e)  # before e + 1 coefficients are made
+        self.names = _symbol_table(self.ring)
+        f = self.expr()
+        coeffs = [0] * (e + 1)
+        for (d,), c in f.terms.items():
+            if d > e:
+                self.fail(f"minimal polynomial must have degree {e}", tag)
+            coeffs[d] = c.value
+        return tuple(coeffs)
 
 
 def parse_poly(text, ring, names, line=1, col=1):
     """Parse one polynomial expression over `ring` with symbols `names`."""
-    return _ExprParser(_tokenize(text, line, col), ring, names).parse()
+    parser = _Parser(text, line, col, ring, names)
+    f = parser.expr()
+    parser.end()
+    return f
 
 
 def _symbol_table(ring):
+    """The variables of ring and, over F_q, the generator t."""
     names = {v: ring.gen(j) for j, v in enumerate(ring.variables)}
-    coeff = ring.coeff
-    if isinstance(coeff, GaloisField) and "t" not in names:
-        names["t"] = ring.constant(coeff.generator())
+    if isinstance(ring.coeff, GaloisField):
+        names.setdefault("t", ring.constant(ring.coeff.generator()))
     return names
 
 
 # ---------------------------------------------------------------------------
 # the file format
-
-def _parse_base(text, line, col):
-    toks = _tokenize(text, line, col)
-    pos = 0
-
-    def take(kind, what):
-        nonlocal pos
-        t = toks[pos]
-        if t.kind != kind:
-            raise RingFileError(f"expected {what}", t.line, t.col)
-        pos += 1
-        return t
-
-    name = take("name", "a base tag (Fp, Fq, or Zp2)")
-    if name.text not in _BASE_TAGS:
-        raise RingFileError(
-            f"unknown base tag {name.text!r} (expected Fp, Fq, or Zp2)",
-            name.line, name.col)
-    take("(", "'('")
-    args = [[]]
-    depth = 0
-    while True:
-        t = toks[pos]
-        if t.kind == "end":
-            raise RingFileError("expected ')'", t.line, t.col)
-        if t.kind == ")" and depth == 0:
-            pos += 1
-            break
-        if t.kind == "," and depth == 0:
-            args.append([])
-            pos += 1
-            continue
-        if t.kind == "(":
-            depth += 1
-        elif t.kind == ")":
-            depth -= 1
-        args[-1].append(t)
-        pos += 1
-    t = toks[pos]
-    if t.kind != "end":
-        raise RingFileError(f"unexpected {t.text!r} after base", t.line, t.col)
-    if args == [[]]:
-        args = []
-
-    def int_arg(i, what):
-        a = args[i]
-        if len(a) != 1 or a[0].kind != "int":
-            where = a[0] if a else name
-            raise RingFileError(f"expected {what}", where.line, where.col)
-        return int(a[0].text)
-
-    try:
-        if name.text == "Fp":
-            if len(args) != 1:
-                raise RingFileError("Fp takes one argument: Fp(p)",
-                                    name.line, name.col)
-            return PrimeField(int_arg(0, "a prime"))
-        if name.text == "Zp2":
-            if len(args) != 1:
-                raise RingFileError("Zp2 takes one argument: Zp2(p)",
-                                    name.line, name.col)
-            return PrimeSquareRing(int_arg(0, "a prime"))
-        if len(args) not in (2, 3):
-            raise RingFileError(
-                "Fq takes two or three arguments: Fq(p,e[,minpoly])",
-                name.line, name.col)
-        p = int_arg(0, "a prime")
-        e = int_arg(1, "an extension degree")
-        minpoly = None
-        if len(args) == 3:
-            minpoly = _parse_minpoly(args[2], p, e, name)
-        return GaloisField(p, e, minpoly)
-    except (RingFileError, SizeRefusalError):  # p past the primality bound
-        raise
-    except Exception as exc:  # non-prime p, bad degree, reducible minpoly
-        raise RingFileError(str(exc), name.line, name.col) from exc
-
-
-def _parse_minpoly(tokens, p, e, where):
-    ring = PolyRing(PrimeField(p), ("t",))
-    parser = _ExprParser(tokens + [_Token("end", "", where.line, where.col)],
-                         ring, {"t": ring.gen(0)})
-    f = parser.parse()
-    coeffs = [0] * (e + 1)
-    for (d,), c in f.terms.items():
-        if d > e:
-            raise RingFileError(
-                f"minimal polynomial must have degree {e}",
-                where.line, where.col)
-        coeffs[d] = c.value
-    return tuple(coeffs)
-
 
 def parse_ring(text) -> RingPresentation:
     """Parse a ring file into a validated presentation."""
@@ -279,16 +248,14 @@ def parse_ring(text) -> RingPresentation:
         if not sep or head not in ("base", "vars", "rel"):
             raise RingFileError(
                 "expected a 'base:', 'vars:', or 'rel:' line", lineno, col)
-        rest_col = col + len(head) + 1
-        pad = len(rest) - len(rest.lstrip())
-        rest_col += pad
+        rest_col = col + len(head) + 1 + len(rest) - len(rest.lstrip())
         rest = rest.strip()
         if head == "base":
             if base is not None:
                 raise RingFileError("duplicate base line", lineno, col)
             if variables is not None or rel_lines:
                 raise RingFileError("base line must come first", lineno, col)
-            base = _parse_base(rest, lineno, rest_col)
+            base = _Parser(rest, lineno, rest_col).base()
         elif head == "vars":
             if base is None:
                 raise RingFileError("vars line before base line", lineno, col)
@@ -314,36 +281,22 @@ def parse_ring(text) -> RingPresentation:
 
 
 def _parse_vars(text, base, line, col):
-    if not text:
-        return ()
-    toks = _tokenize(text, line, col)
+    parser = _Parser(text, line, col)
     out = []
-    expect_name = True
-    for t in toks:
-        if t.kind == "end":
-            break
-        if expect_name:
-            if t.kind != "name":
-                raise RingFileError("expected a variable name", t.line, t.col)
-            if t.text.startswith("_"):
-                raise RingFileError(
-                    f"variable name {t.text!r} is reserved", t.line, t.col)
-            if isinstance(base, GaloisField) and t.text == "t":
-                raise RingFileError(
-                    "variable name 't' collides with the field generator",
-                    t.line, t.col)
-            if t.text in out:
-                raise RingFileError(
-                    f"duplicate variable {t.text}", t.line, t.col)
-            out.append(t.text)
-            expect_name = False
-        else:
-            if t.kind != ",":
-                raise RingFileError("expected ','", t.line, t.col)
-            expect_name = True
-    if expect_name:
-        raise RingFileError("trailing comma in vars line", line,
-                            col + len(text) - 1)
+
+    def name():
+        t = parser.expect("name", "a variable name")
+        if t.text.startswith("_"):
+            parser.fail(f"variable name {t.text!r} is reserved", t)
+        if isinstance(base, GaloisField) and t.text == "t":
+            parser.fail("variable name 't' collides with the field generator",
+                        t)
+        if t.text in out:
+            parser.fail(f"duplicate variable {t.text}", t)
+        out.append(t.text)
+
+    if text:
+        parser.listed(name, ",")
     return tuple(out)
 
 
@@ -396,28 +349,14 @@ def parse_point_coords(text, ring_pres):
     is the point of a ring without variables."""
     if not text.strip():
         return []
-    ring = ring_pres.carrier_ring
-    names = {}
-    if isinstance(ring.coeff, GaloisField):
-        names["t"] = ring.constant(ring.coeff.generator())
-    parts = text.split(",")
-    coords = []
-    col = 1
-    for part in parts:
-        f = parse_poly(part, ring, names, 1, col)
-        col += len(part) + 1
-        coords.append(f.terms.get((0,) * ring.nvars, ring.coeff.zero()))
-    return coords
+    ring = PolyRing(ring_pres.carrier_ring.coeff, ())
+    parser = _Parser(text, ring=ring, names=_symbol_table(ring))
+    zero = ring.coeff.zero()
+    return [f.terms.get((), zero) for f in parser.listed(parser.expr, ",")]
 
 
 def parse_prime_gens(text, ring_pres):
     """Semicolon-separated polynomials over the mod-p carrier."""
     ring = ring_pres.carrier_ring
-    names = _symbol_table(ring)
-    gens = []
-    col = 1
-    for part in text.split(";"):
-        f = parse_poly(part, ring, names, 1, col)
-        col += len(part) + 1
-        gens.append(f)
-    return gens
+    parser = _Parser(text, ring=ring, names=_symbol_table(ring))
+    return parser.listed(parser.expr, ";")

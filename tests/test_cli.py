@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -400,6 +401,89 @@ def test_fuzz_script_runs_its_rounds():
     lines = r.stdout.splitlines()
     assert [line.split()[-1] for line in lines[:2]] == ["5/5", "5/5"]
     assert lines[2].endswith("0 failing")
+
+
+def _script(path):
+    spec = importlib.util.spec_from_file_location(
+        os.path.basename(path)[:-3], path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path,work,argv", [
+    (SWEEP_SCRIPT, "run", [_ring("cusp.ring")]),
+    (FUZZ_SCRIPT, "check_axioms", ["--p", "3", "--rounds", "1"]),
+], ids=["sweep", "fuzz"])
+def test_scripts_report_internal_errors_with_exit_three(
+        monkeypatch, capsys, path, work, argv):
+    script = _script(path)
+
+    def broken(*args, **kwargs):
+        raise KeyError("no such\ntable")
+
+    monkeypatch.setattr(script, work, broken)
+    assert script.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ") and "KeyError" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+LONG = "9" * 5000
+PLANE = "base: Fp(5)\nvars: x, y\n"
+
+
+@pytest.mark.parametrize("text,locus,line,col", [
+    (PLANE + f"rel: x + {LONG}\n", None, 3, 10),
+    (PLANE + f"rel: x^{LONG}\n", None, 3, 8),
+    (f"base: Fp({LONG})\nvars: x\n", None, 1, 10),
+    (PLANE + "rel: x^\u00b2\n", None, 3, 8),
+    (PLANE + "rel: x + \u00b9\n", None, 3, 10),
+    (PLANE + "rel: x; y\n", None, 3, 7),
+    (PLANE, ["--point", f"{LONG}, 0"], 1, 1),
+    (PLANE, ["--point", "2^\u00b2, 0"], 1, 3),
+    (PLANE, ["--point", "2 + \u00b9, 0"], 1, 5),
+    (PLANE, ["--prime", f"x; y - {LONG}"], 1, 8),
+], ids=["literal", "exponent", "base_literal", "superscript_exponent",
+        "superscript_literal", "semicolon", "point_literal",
+        "point_superscript_exponent", "point_superscript_literal",
+        "prime_literal"])
+def test_front_end_reports_bad_literals_at_their_position(
+        tmp_path, text, locus, line, col):
+    """Literals past the interpreter's 4300-digit limit and digits that
+    are not ASCII, in a ring file or a locus, are input errors at their
+    line and column; all but the `;` ended in an internal error before."""
+    path = tmp_path / "front.ring"
+    path.write_text(text, encoding="utf-8")
+    argv = (["regular", "-i", str(path)] + locus if locus
+            else ["present", "-i", str(path)])
+    code, out, err = _run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: line {line}, col {col}: "), err
+
+
+@pytest.mark.parametrize("rels", [
+    "rel: x^200\nrel: y^200\n",
+    "rel: x^1000\nrel: y^1000\n",
+], ids=["staircase_40000", "staircase_1000000"])
+def test_oracle_refuses_a_long_staircase_before_listing_it(tmp_path, rels):
+    """The first ended in an internal error formatting 2^40000, the second
+    also listed all 10^6 standard monomials first, for 12.9 s."""
+    path = tmp_path / "long.ring"
+    path.write_text("base: Fp(2)\nvars: x, y\n" + rels)
+    code, err, seconds = _fwdiff(["oracle", "-i", str(path)])
+    assert code == 1 and err.startswith("refused: ring has more than 2^12 ")
+    assert seconds < 2.0
+
+
+def test_present_refuses_a_minimal_polynomial_search_past_the_bound(tmp_path):
+    """Every cubic t^3 + a over F_10007 has a root: the search for the
+    first irreducible cubic ran past 20 s."""
+    path = tmp_path / "cubic.ring"
+    path.write_text("base: Fq(10007,3)\nvars: x\n")
+    code, err, seconds = _fwdiff(["present", "-i", str(path)])
+    assert code == 1 and "trial divisions" in err, err
+    assert seconds < 10.0
 
 
 # ---------------------------------------------------------------------------

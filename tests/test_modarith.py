@@ -93,6 +93,37 @@ def test_default_minpoly_deterministic_and_known():
     assert default_minpoly(3, 1) == (0, 1) or default_minpoly(3, 1)[1] == 1
 
 
+def test_minimal_polynomial_search_is_bounded_and_kept(monkeypatch):
+    """A field is built, printed and built again on one search; a search
+    past PRODUCT_BOUND trial divisions is refused."""
+    from fwdiff import modarith
+    from fwdiff.ringfile import parse_ring, render_ring
+
+    searches = []
+    real = modarith._factor_search
+
+    def counted(p, what):
+        searches.append((p, what))
+        return real(p, what)
+
+    monkeypatch.setattr(modarith, "_factor_search", counted)
+    default_minpoly.cache_clear()
+    pres = parse_ring("base: Fq(3,4)\nvars: x\nrel: x - t\n")
+    assert render_ring(pres).startswith("base: Fq(3,4)\n")
+    assert GaloisField(3, 4) == pres.base and GaloisRing(3, 4).degree == 4
+    assert len(searches) == 1
+    # degree 4 over F_31 takes 31 + 31^2 divisions per irreducible candidate
+    monkeypatch.setattr(modarith, "PRODUCT_BOUND", 900)
+    default_minpoly.cache_clear()
+    with pytest.raises(SizeRefusalError, match="than 900 trial divisions"):
+        default_minpoly(31, 4)
+    with pytest.raises(SizeRefusalError, match="trial divisions"):
+        GaloisField(31, 4, (1, 1, 0, 0, 1))
+    monkeypatch.undo()
+    default_minpoly.cache_clear()
+    assert default_minpoly(31, 4) == (1, 1, 0, 0, 1)
+
+
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_galois_field_structure(p, e):
     F = GaloisField(p, e)
