@@ -31,12 +31,10 @@ from functools import cache, cached_property
 from .errors import PresentationError
 from .modarith import (
     GaloisField,
-    GaloisRing,
     PrimeField,
     PrimeSquareRing,
     Residue,
     reduce_mod_p,
-    residue_field_of,
 )
 from .mpoly import (
     GroebnerBasis,
@@ -93,7 +91,7 @@ class RingPresentation:
 
     @property
     def residue_field(self):
-        return residue_field_of(self.base)
+        return self.base.residue_field()
 
     @property
     def carrier_ring(self):
@@ -159,9 +157,9 @@ def w_poly(f):
     Q(f), is at most p*d < B, so no digit carries into the next.
     """
     R = f.ring.coeff
-    if not isinstance(R, (PrimeSquareRing, GaloisRing)):
+    if R.is_field:
         raise PresentationError("w_poly needs Z/p^2 or GR(p^2,e) coefficients")
-    return _w_polys(f, residue_field_of(R))
+    return _w_polys(f, R.residue_field())
 
 
 def _w_polys(f, k):
@@ -184,7 +182,7 @@ def _w_core(R, k, n, B):
     digits the first time it sees it; over Z/p^2 and F_p it computes on
     ints inline."""
     p, q = k.p, k.p * k.p
-    ints = isinstance(k, PrimeField)
+    ints = k.degree == 1
     lift = None if R.is_field else _lift(R, p * q)
     shifts = [p * B**j for j in range(n)]
 
@@ -409,9 +407,8 @@ class PresentationMorphism:
 
     def _push_constant(self, c: Residue):
         tb = self.target.base
-        if c.ring != tb:
-            if not (isinstance(c.ring, PrimeField) or (
-                    isinstance(c.ring, PrimeSquareRing) and tb.is_field)):
+        if c.ring != tb:  # through the residue field: Z/p^2 -> F_p -> F_q
+            if not c.ring.residue_field().embeds_into(tb):
                 raise PresentationError(
                     f"no coefficient map {c.ring.tag()} -> {tb.tag()}")
             c = tb.of_int(c.value)

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .fwcore import FWPresentation, RingPresentation
 from .linalg import rank_fraction_free
-from .modarith import GaloisField, PrimeField, Residue, embed
+from .modarith import Residue, embed
 from .mpoly import (
     PRODUCT_BOUND,
     PolyRing,
@@ -48,14 +48,12 @@ from .mpoly import (
 
 
 def _common_field(kbase, kcoord):
-    if kbase == kcoord:
-        return kbase
+    """The one of the two that the other embeds into, if it is a field."""
     if kbase.p != kcoord.p:
         raise PresentationError("coordinate field has the wrong characteristic")
-    if isinstance(kbase, PrimeField) and isinstance(kcoord, GaloisField):
-        return kcoord
-    if isinstance(kcoord, PrimeField) and isinstance(kbase, GaloisField):
-        return kbase
+    for small, big in ((kbase, kcoord), (kcoord, kbase)):
+        if big.is_field and small.embeds_into(big):
+            return big
     raise PresentationError(
         f"no embedding between {kbase.tag()} and {kcoord.tag()}; "
         "extension points of extension-field bases must reuse the base field")
@@ -91,7 +89,7 @@ class PointSpec:
             if isinstance(v, int):
                 coords.append(fld.of_int(v))
             else:
-                coords.append(embed(v, fld) if v.ring != fld else v)
+                coords.append(embed(v, fld))
         return cls(ring_pres, tuple(coords))
 
     @classmethod
@@ -422,10 +420,14 @@ def regularity(ring_pres: RingPresentation, locus, flat=False) -> RegularityVerd
     if fiber > d + r:
         # d never underestimates, so exceeding it is conclusive
         return RegularityVerdict("NotRegular", fiber, d, r, mode, cert)
+    # at a point d is exact and a flat lift has fiber (the embedding
+    # dimension) at least d + r, so only the flatness assertion can fail
     return RegularityVerdict(
         "Unknown", fiber, d, r, mode, cert,
-        explanation="fiber dimension below d + r: the locus is outside the "
-                    "guaranteed class (non-equidimensional ambient at a prime)")
+        explanation="fiber dimension below d + r: " + (
+            "the flatness assertion (--flat) cannot hold at this point"
+            if isinstance(locus, PointSpec) else "the locus is outside the "
+            "guaranteed class (non-equidimensional ambient at a prime)"))
 
 
 # ---------------------------------------------------------------------------

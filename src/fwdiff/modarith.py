@@ -4,8 +4,11 @@ Four rings appear: the prime field F_p, the ring Z/p^2, the field
 F_{p^e} presented as F_p[t]/(m), and the Galois ring GR(p^2, e) =
 (Z/p^2)[t]/(m~) obtained by lifting m coefficient by coefficient.
 Elements are stored as canonical least-nonnegative representatives:
-plain ints for F_p and Z/p^2, coefficient tuples of fixed length e for
-the extensions.  Every operation reduces eagerly.
+plain ints for F_p and Z/p^2, coefficient tuples of fixed length e >= 2
+for the extensions, so a ring's degree is 1 exactly when its values are
+ints.  Every operation reduces eagerly.  Which ring is the residue field
+of which, which maps into which, and how a base is written are answered
+here, by the rings' own methods.
 """
 
 from __future__ import annotations
@@ -160,12 +163,26 @@ class _BaseRing:
     def _is_zero(self, a):
         return a == self._of_int(0)
 
+    def residue_field(self):
+        """The residue field: a field is its own; Z/p^2 and GR(p^2, e)
+        build theirs on first use and keep it."""
+        return self if self.is_field else self._residue_field
+
+    def embeds_into(self, target):
+        """Whether embed maps this ring into target: every ring maps into
+        itself, and F_p or Z/p^2 into any ring of the same p whose modulus
+        its own modulus divides, reading its int value there."""
+        return self == target or (self.degree == 1 and target.p == self.p
+                                  and target.modulus % self.modulus == 0)
+
     def __repr__(self):
         return self.tag()
 
 
 class _ModRing(_BaseRing):
-    """Z/m for m = p or p^2."""
+    """Z/m for m = p or p^2: the rings of degree 1, on int values."""
+
+    degree = 1
 
     def __init__(self, p):
         _require_prime(p)
@@ -220,10 +237,6 @@ class PrimeField(_ModRing):
     def order(self):
         return self.p
 
-    @property
-    def degree(self):
-        return 1
-
 
 class PrimeSquareRing(_ModRing):
     """The ring Z/p^2; p generates its nilradical."""
@@ -237,10 +250,6 @@ class PrimeSquareRing(_ModRing):
         if a % self.p == 0:
             raise ZeroDivisionError(f"{a} is not a unit in Z/{self.modulus}")
         return pow(a, -1, self.modulus)
-
-    def residue_field(self):
-        """The residue field, built on first use and kept with the ring."""
-        return self._residue_field
 
     @cached_property
     def _residue_field(self):
@@ -343,11 +352,15 @@ def default_minpoly(p, e):
 
 
 class _ExtensionRing(_BaseRing):
-    """(Z/m)[t]/(minpoly): common machinery for F_{p^e} and GR(p^2, e)."""
+    """(Z/m)[t]/(minpoly): common machinery for F_{p^e} and GR(p^2, e),
+    e >= 2, on coefficient tuples of length e."""
 
     def __init__(self, p, e, minpoly=None):
         _require_prime(p)
         _require_degree(e)
+        if e == 1:  # each ring has one representation, and degree 1 is ints
+            raise PresentationError("an extension of degree 1 is "
+                                    + ("Fp(p)" if self.is_field else "Zp2(p)"))
         self.p = p
         self.degree = e
         if minpoly is None:
@@ -408,8 +421,7 @@ class _ExtensionRing(_BaseRing):
         return " + ".join(parts) if parts else "0"
 
     def generator(self):
-        return Residue(self, (0, 1) + (0,) * (self.degree - 2)) \
-            if self.degree >= 2 else self.one()
+        return Residue(self, (0, 1) + (0,) * (self.degree - 2))
 
     def __eq__(self, other):
         return (
@@ -429,7 +441,22 @@ class GaloisField(_ExtensionRing):
     is_field = True
 
     def tag(self):
-        return f"Fq({self.p},{self.degree})"
+        return self._tag
+
+    @cached_property
+    def _tag(self):
+        """Fq(p,e) in the ring-file syntax, with the minimal polynomial as
+        a third argument when it is not default_minpoly(p, e).  A default
+        past the search bound is taken as different: Fq(p,e) would then be
+        refused on reading."""
+        p, e = self.p, self.degree
+        try:
+            if self.minpoly == default_minpoly(p, e):
+                return f"Fq({p},{e})"
+        except SizeRefusalError:
+            pass
+        low = self._to_str(self.minpoly[:e]).replace(" ", "")
+        return f"Fq({p},{e},t^{e}+{low})"
 
     def order(self):
         return self.p**self.degree
@@ -466,10 +493,6 @@ class GaloisRing(_ExtensionRing):
         t = self._sub(self._of_int(2), self._mul(a, x))
         return self._mul(x, t)
 
-    def residue_field(self):
-        """The residue field, built on first use and kept with the ring."""
-        return self._residue_field
-
     @cached_property
     def _residue_field(self):
         return GaloisField(self.p, self.degree, self.minpoly)
@@ -483,38 +506,23 @@ class GaloisRing(_ExtensionRing):
         return k._pow(tuple([x // p % p for x in diff]), p)
 
 
-def residue_field_of(ring):
-    """The residue field of a p^2-torsion base ring (identity on fields)."""
-    if isinstance(ring, (PrimeField, GaloisField)):
-        return ring
-    if isinstance(ring, (PrimeSquareRing, GaloisRing)):
-        return ring.residue_field()
-    raise PresentationError(f"no residue field for {ring!r}")
-
-
 def reduce_mod_p(a: Residue) -> Residue:
     """Push an element of Z/p^2 or GR(p^2, e) to the residue field."""
-    ring = a.ring
-    k = residue_field_of(ring)
-    if k == ring:
+    ring, p = a.ring, a.ring.p
+    if ring.is_field:
         return a
-    if isinstance(ring, PrimeSquareRing):
-        return Residue(k, a.value % ring.p)
-    return Residue(k, tuple(x % ring.p for x in a.value))
+    return Residue(ring.residue_field(), a.value % p if ring.degree == 1
+                   else tuple(x % p for x in a.value))
 
 
 def embed(a: Residue, target) -> Residue:
-    """Embed a into the target ring, when a canonical embedding exists."""
+    """Embed a into the target ring along _BaseRing.embeds_into."""
     if a.ring == target:
         return a
-    if isinstance(a.ring, PrimeField):
-        if isinstance(target, (GaloisField, PrimeSquareRing, GaloisRing)) \
-                and target.p == a.ring.p:
-            return target.of_int(a.value)
-    if isinstance(a.ring, PrimeSquareRing) and isinstance(target, GaloisRing) \
-            and target.p == a.ring.p:
-        return target.of_int(a.value)
-    raise PresentationError(f"no embedding of {a.ring.tag()} into {target.tag()}")
+    if not a.ring.embeds_into(target):
+        raise PresentationError(
+            f"no embedding of {a.ring.tag()} into {target.tag()}")
+    return target.of_int(a.value)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +537,7 @@ def w_base(a: Residue) -> Residue:
     v^p in the residue field.
     """
     ring = a.ring
-    if not isinstance(ring, (PrimeSquareRing, GaloisRing)):
+    if ring.is_field:
         raise PresentationError(
             f"w_base needs a p^2-torsion ring, got {ring.tag()}")
     return Residue(ring.residue_field(), ring._w_base(a.value))

@@ -40,8 +40,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import PresentationError, SizeRefusalError
-from .modarith import (PRODUCT_BOUND, GaloisField, GaloisRing, Residue,
-                       _upoly_rem, embed)
+from .modarith import PRODUCT_BOUND, Residue, _upoly_rem, embed
 
 
 def mono_mul(a, b):
@@ -502,8 +501,8 @@ def _over_p(f):
 
     def div(c):
         v = c.value
-        return Residue(k, tuple([x // p for x in v]) if isinstance(v, tuple)
-                       else v // p)
+        return Residue(k, v // p if R.degree == 1
+                       else tuple([x // p for x in v]))
     return f.map_coeffs(k, div)
 
 
@@ -707,9 +706,7 @@ class _PackedLift(_IntLift):
 
 
 def _lift(R, M):
-    if isinstance(R, (GaloisField, GaloisRing)):
-        return _PackedLift(R, M)
-    return _IntLift(R.p, M)
+    return _IntLift(R.p, M) if R.degree == 1 else _PackedLift(R, M)
 
 
 def _witt_Q_raw(raw, lift):

@@ -137,7 +137,7 @@ import numpy as np
 from .errors import PresentationError, SizeRefusalError
 from .fwcore import FWPresentation, RingPresentation
 from .linalg import ModPSpan
-from .modarith import reduce_mod_p, residue_field_of
+from .modarith import reduce_mod_p
 from .mpoly import groebner, krull_dim, normal_form, standard_monomials
 
 # |A| caps keeping the relation matrix at desk scale
@@ -375,7 +375,7 @@ def _digit_model(ring, S, stairU, label):
     digits_of: the low digits of each coefficient value and, over Z/p^2,
     its p-digit, refusing anything that is not a canonical form."""
     R = ring.coeff
-    e = residue_field_of(R).degree
+    e = R.degree
     scalars = [R.one()]
     for _ in range(1, e):
         scalars.append(scalars[-1] * R.generator())
@@ -388,7 +388,7 @@ def _digit_model(ring, S, stairU, label):
         out = [0] * len(basis)
         for m, c in f.terms.items():
             h, digits = 0, c.value
-            if not isinstance(digits, tuple):
+            if e == 1:
                 h, r = divmod(digits, R.p)
                 digits = (r,)
             if m not in low or (h and m not in high):

@@ -2,7 +2,7 @@
 
 A ring file is a sequence of lines:
 
-    base: Fp(5)          # or Fq(p,e), Fq(p,e,minpoly), Zp2(p)
+    base: Fp(5)          # or Fq(p,e), Fq(p,e,minpoly) for e >= 2, Zp2(p)
     vars: x, y
     rel: y^2 - x^3
     rel: ...
@@ -26,13 +26,7 @@ from dataclasses import dataclass
 
 from .errors import PresentationError, RingFileError
 from .fwcore import RingPresentation
-from .modarith import (
-    GaloisField,
-    PrimeField,
-    PrimeSquareRing,
-    _require_degree,
-    default_minpoly,
-)
+from .modarith import GaloisField, PrimeField, PrimeSquareRing, _require_degree
 from .mpoly import PolyRing
 
 # base tag -> (its ring, its usage)
@@ -225,7 +219,7 @@ def parse_poly(text, ring, names, line=1, col=1):
 def _symbol_table(ring):
     """The variables of ring and, over F_q, the generator t."""
     names = {v: ring.gen(j) for j, v in enumerate(ring.variables)}
-    if isinstance(ring.coeff, GaloisField):
+    if ring.coeff.degree > 1:
         names.setdefault("t", ring.constant(ring.coeff.generator()))
     return names
 
@@ -288,7 +282,7 @@ def _parse_vars(text, base, line, col):
         t = parser.expect("name", "a variable name")
         if t.text.startswith("_"):
             parser.fail(f"variable name {t.text!r} is reserved", t)
-        if isinstance(base, GaloisField) and t.text == "t":
+        if base.degree > 1 and t.text == "t":
             parser.fail("variable name 't' collides with the field generator",
                         t)
         if t.text in out:
@@ -303,35 +297,8 @@ def _parse_vars(text, base, line, col):
 # ---------------------------------------------------------------------------
 # canonical printing
 
-def render_base(base) -> str:
-    if isinstance(base, PrimeField):
-        return f"Fp({base.p})"
-    if isinstance(base, PrimeSquareRing):
-        return f"Zp2({base.p})"
-    if isinstance(base, GaloisField):
-        p, e = base.p, base.degree
-        if base.minpoly == default_minpoly(p, e):
-            return f"Fq({p},{e})"
-        return f"Fq({p},{e},{_minpoly_str(base.minpoly)})"
-    raise RingFileError(f"cannot render base {base!r}")
-
-
-def _minpoly_str(minpoly):
-    parts = []
-    for d in range(len(minpoly) - 1, -1, -1):
-        c = minpoly[d]
-        if c == 0:
-            continue
-        if d == 0:
-            parts.append(str(c))
-        else:
-            head = "" if c == 1 else f"{c}*"
-            parts.append(f"{head}t" if d == 1 else f"{head}t^{d}")
-    return "+".join(parts)
-
-
 def render_ring(ring_pres: RingPresentation) -> str:
-    lines = [f"base: {render_base(ring_pres.base)}"]
+    lines = [f"base: {ring_pres.base.tag()}"]
     if ring_pres.variables:
         lines.append("vars: " + ", ".join(ring_pres.variables))
     else:

@@ -32,7 +32,6 @@ from fwdiff.modarith import (
     Residue,
     embed,
     reduce_mod_p,
-    residue_field_of,
     w_base,
 )
 from fwdiff.mpoly import (
@@ -306,7 +305,7 @@ def w_poly_by_polys(f):
     derivatives mod p, then sum X^(p*m) w_base(c_m) - Q(f) mod p."""
     R = f.ring.coeff
     p = R.p
-    k = residue_field_of(R)
+    k = R.residue_field()
     out = [frobenius_twist_by_terms(derivative(f, j).map_coeffs(k, reduce_mod_p))
            for j in range(f.ring.nvars)]
     wp = {}
@@ -341,7 +340,7 @@ def check_axioms_by_polys(p, nvars, trials=500, seed=0):
     rng = random.Random(seed)
     base = PrimeSquareRing(p)
     ring = PolyRing(base, tuple(f"x{i+1}" for i in range(nvars)))
-    k = residue_field_of(base)
+    k = base.residue_field()
     report = AxiomReport(p=p, nvars=nvars, trials=trials, seed=seed)
     for t in range(trials):
         f = random_poly(rng, ring)

@@ -82,6 +82,49 @@ def test_input_errors_exit_two(tmp_path):
     assert code == 2 and "not prime" in err
 
 
+def test_present_names_a_custom_minimal_polynomial(tmp_path):
+    """The base in the JSON document and on the ring line is the tag that
+    reads back to the same field; the parent wrote Fq(3,2), the field with
+    minimal polynomial t^2+1."""
+    path = tmp_path / "f9.ring"
+    path.write_text("base: Fq(3,2,t^2+t+2)\nvars: x\nrel: x^2 - t\n")
+    code, out, _ = _run(["present", "-i", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["ring"]["base"] == "Fq(3,2,t^2+t+2)"
+    code, out, _ = _run(["present", "-i", str(path)])
+    assert out.startswith("ring: Fq(3,2,t^2+t+2)[x] / (")
+
+
+@pytest.mark.parametrize("tag", ["Fq(3,1)", "Fq(5,1,t+2)"])
+def test_a_degree_one_extension_is_an_input_error(tmp_path, tag):
+    """Fq(p,1) is written Fp(p).  The parent accepted it and read t as 1,
+    so x - t put the only point at x = 1 and --point 0 was off the
+    scheme, though t = 0 modulo the default minimal polynomial t."""
+    path = tmp_path / "deg1.ring"
+    path.write_text(f"base: {tag}\nvars: x\nrel: x - t\n")
+    code, out, err = _run(["present", "-i", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1, col 7: "), err
+    assert "Fp(p)" in err
+
+
+def test_fiber_below_d_plus_r_at_a_point_blames_the_flatness_assertion(
+        tmp_path):
+    """Z/9[x]/(3) = F_3[x] is not flat over Z_(3): at a point d is exact
+    and the fiber of a flat lift is at least d + r, so a fiber below it
+    means --flat was asserted falsely, not that the ambient is
+    non-equidimensional at a prime, as the parent said."""
+    path = tmp_path / "notflat.ring"
+    path.write_text("base: Zp2(3)\nvars: x\nrel: 3\n")
+    code, out, _ = _run(["regular", "-i", str(path), "--point", "0",
+                         "--flat", "--json"])
+    res = json.loads(out)["result"]
+    assert code == 1 and res["verdict"] == "Unknown"
+    assert res["fiber_dim"] < res["d"] + res["r"]
+    assert "flatness assertion" in res["explanation"]
+    assert "prime" not in res["explanation"]
+
+
 def test_locus_flag_rules():
     code, _, err = _run(["fiber", "-i", _ring("cusp.ring")])
     assert code == 2 and "locus" in err

@@ -21,7 +21,6 @@ from fwdiff.modarith import (
     embed,
     is_prime,
     reduce_mod_p,
-    residue_field_of,
     w_base,
 )
 from fwdiff.mpoly import PolyRing
@@ -124,6 +123,21 @@ def test_minimal_polynomial_search_is_bounded_and_kept(monkeypatch):
     assert default_minpoly(31, 4) == (1, 1, 0, 0, 1)
 
 
+def test_tag_spells_the_minimal_polynomial_when_the_default_is_refused(
+        monkeypatch):
+    """Under a bound of 1000 trial divisions one irreducibility check over
+    F_31 in degree 4 (31 + 31^2) passes but the search for the default is
+    refused, so Fq(31,4) would not read back: the tag spells t^4+t+1."""
+    from fwdiff import modarith
+
+    monkeypatch.setattr(modarith, "PRODUCT_BOUND", 1000)
+    default_minpoly.cache_clear()
+    assert GaloisField(31, 4, (1, 1, 0, 0, 1)).tag() == "Fq(31,4,t^4+t+1)"
+    monkeypatch.undo()
+    default_minpoly.cache_clear()
+    assert GaloisField(31, 4, (1, 1, 0, 0, 1)).tag() == "Fq(31,4)"
+
+
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2)])
 def test_galois_field_structure(p, e):
     F = GaloisField(p, e)
@@ -194,6 +208,40 @@ def test_embeddings_are_ring_maps():
         assert embed(a, G) ** 2 == embed(a * a, G)
 
 
+def test_embeddings_are_exactly_the_canonical_ones():
+    """A ring embeds into itself, F_p into F_q, Z/p^2 and GR(p^2, e) of the
+    same p, and Z/p^2 into GR(p^2, e): no other ordered pair of these."""
+    rings = [PrimeField(2), PrimeField(3), PrimeSquareRing(2),
+             PrimeSquareRing(3), GaloisField(2, 2), GaloisField(3, 2),
+             GaloisRing(2, 2), GaloisRing(3, 2)]
+    into = {PrimeField: (PrimeSquareRing, GaloisField, GaloisRing),
+            PrimeSquareRing: (GaloisRing,)}
+    for a in rings:
+        for b in rings:
+            canonical = a == b or (a.p == b.p
+                                   and type(b) in into.get(type(a), ()))
+            assert a.embeds_into(b) == canonical, (a, b)
+            if canonical:
+                assert embed(a.one(), b) == b.one()
+            else:
+                with pytest.raises(PresentationError, match="no embedding"):
+                    embed(a.one(), b)
+
+
+@pytest.mark.parametrize("make", [GaloisField, GaloisRing],
+                         ids=lambda c: c.__name__)
+def test_an_extension_of_degree_one_is_refused(make):
+    """Degree 1 is F_p or Z/p^2, on ints; the parent built a second F_p on
+    1-tuples, whose generator t was 1 although t = 0 mod its minimal
+    polynomial t."""
+    with pytest.raises(PresentationError, match="degree 1"):
+        make(3, 1)
+    with pytest.raises(PresentationError, match="degree 1"):
+        make(5, 1, (2, 1))
+    assert default_minpoly(3, 1) == (0, 1)
+    assert PrimeField(3).degree == PrimeSquareRing(3).degree == 1
+
+
 def test_lift_reduce_round_trip():
     for p in [2, 3, 5]:
         R = PrimeSquareRing(p)
@@ -201,11 +249,11 @@ def test_lift_reduce_round_trip():
         for a in k.elements():
             assert reduce_mod_p(lift_to_p2(a)) == a
         assert p2_cover_of(k) == R
-        assert residue_field_of(R) == k
+        assert R.residue_field() == k
     F = GaloisField(2, 3)
     G = p2_cover_of(F)
     assert isinstance(G, GaloisRing)
-    assert residue_field_of(G) == F
+    assert G.residue_field() == F
     for a in F.elements():
         assert reduce_mod_p(lift_to_p2(a)) == a
 
@@ -275,7 +323,7 @@ def test_w_base_defining_equation_zp2(p):
 def _w_base_axioms(R):
     """w_base is the w(p)-coordinate of w on scalars: additivity picks up
     the Witt carry of the mod-p reductions, multiplication is twisted."""
-    k = residue_field_of(R)
+    k = R.residue_field()
     elems = list(R.elements())
     for a in elems:
         for b in elems:
@@ -341,7 +389,7 @@ def test_residue_field_is_built_once_per_ring(monkeypatch):
         counts.append(len(built))
     assert counts[0] == counts[1], counts
     R = GaloisRing(2, 3)
-    assert R.residue_field() is R.residue_field() is residue_field_of(R)
+    assert R.residue_field() is R.residue_field() is R.residue_field()
     built.clear()
     a = Residue(R, (1, 2, 3))
     for _ in range(4):

@@ -21,7 +21,6 @@ from fwdiff.ringfile import (
     parse_poly,
     parse_prime_gens,
     parse_ring,
-    render_base,
     render_ring,
 )
 from routes import random_poly
@@ -111,9 +110,9 @@ def test_custom_minpoly_parsed_and_kept():
     pres = parse_ring("base: Fq(3,2,t^2+t+2)\nvars: x\n")
     assert pres.base.minpoly == (2, 1, 1)
     assert pres.base != GaloisField(3, 2)  # different structure constants
-    out = render_base(pres.base)
+    out = pres.base.tag()
     assert out == "Fq(3,2,t^2+t+2)"
-    assert render_base(GaloisField(3, 2)) == "Fq(3,2)"
+    assert GaloisField(3, 2).tag() == "Fq(3,2)"
 
 
 def test_default_minpoly_written_implicitly():
@@ -122,6 +121,19 @@ def test_default_minpoly_written_implicitly():
     pres = parse_ring(explicit)
     assert pres.base.minpoly == default_minpoly(2, 2)
     assert render_ring(pres) == "base: Fq(2,2)\nvars: x\n"
+
+
+@pytest.mark.parametrize("tag", [
+    "Fp(5)", "Zp2(3)", "Fq(3,2)", "Fq(3,2,t^2+t+2)", "Fq(2,3,t^3+t^2+1)"])
+def test_every_base_round_trips_through_its_tag(tag):
+    """The tag is the one rendering of a base: render_ring and describe()
+    write it, and it reads back to an equal ring.  The parent's describe()
+    wrote Fq(3,2) for the field with minimal polynomial t^2+t+2."""
+    pres = parse_ring(f"base: {tag}\nvars: x\nrel: x^2 - 1\n")
+    assert pres.base.tag() == tag
+    assert parse_ring(render_ring(pres)).base == pres.base
+    written = f"base: {pres.describe()['base']}\nvars: x\n"
+    assert parse_ring(written).base == pres.base
 
 
 @pytest.mark.parametrize("text,line,col", [
