@@ -8,22 +8,14 @@ over F_81) with one "refused: ..." line on stderr and exit code 1, an
 input the library rejects (a ring file it cannot read, a field the base
 does not embed into) with one "error: ..." line and exit code 2, and a
 fault of fwdiff itself with one "internal error: ..." line and exit
-code 3."""
+code 3; a --max-degree below 1 is a usage error, also exit code 2."""
 
 import argparse
-from dataclasses import dataclass
 
-from fwdiff.cli import exit_code
+from fwdiff.cli import exit_code, int_at_least
 from fwdiff.localalg import rational_points, regularity
 from fwdiff.modarith import GaloisField, PrimeField
 from fwdiff.ringfile import parse_ring
-
-
-@dataclass
-class SweepConfig:
-    path: str
-    max_degree: int = 2
-    flat: bool = False
 
 
 def fields_for(pres, max_degree):
@@ -33,15 +25,15 @@ def fields_for(pres, max_degree):
         yield GaloisField(p, e)
 
 
-def run(cfg: SweepConfig) -> int:
-    with open(cfg.path) as fh:
+def run(ns) -> int:
+    with open(ns.ring) as fh:
         pres = parse_ring(fh.read())
     print(f"# {pres.describe()}")
-    for fld in fields_for(pres, cfg.max_degree):
+    for fld in fields_for(pres, ns.max_degree):
         pts = rational_points(pres, fld)
         print(f"\nover {fld.tag()}: {len(pts)} rational point(s)")
         for x in pts:
-            v = regularity(pres, x, flat=cfg.flat)
+            v = regularity(pres, x, flat=ns.flat)
             print(f"  {x.describe():<18} {v.verdict:<11}"
                   f" fiber={v.fiber_dim} d={v.d} r={v.r}")
     return 0
@@ -50,12 +42,12 @@ def run(cfg: SweepConfig) -> int:
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("ring", help="ring description file")
-    ap.add_argument("--max-degree", type=int, default=2,
+    ap.add_argument("--max-degree", type=int_at_least(1), default=2,
                     help="largest residue-field extension degree (default 2)")
     ap.add_argument("--flat", action="store_true",
                     help="assert flatness for a Z/p^2 base")
     ns = ap.parse_args(argv)
-    return exit_code(lambda: run(SweepConfig(ns.ring, ns.max_degree, ns.flat)))
+    return exit_code(lambda: run(ns))
 
 
 if __name__ == "__main__":

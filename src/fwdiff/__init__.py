@@ -37,8 +37,7 @@ from .localalg import (
     PointSpec,
     PrimeSpec,
     RegularityVerdict,
-    fiber_dim_point,
-    fiber_dim_prime,
+    fiber_dim,
     rational_points,
     regularity,
     residue_p_rank,
@@ -104,8 +103,7 @@ __all__ = [
     "brute_fw",
     "check_axioms",
     "cross_check",
-    "fiber_dim_point",
-    "fiber_dim_prime",
+    "fiber_dim",
     "frobenius_twist",
     "groebner",
     "krull_dim",

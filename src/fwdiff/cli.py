@@ -29,13 +29,7 @@ from .errors import (
     ZeroDivisorError,
 )
 from .fwcore import check_axioms
-from .localalg import (
-    PointSpec,
-    PrimeSpec,
-    fiber_dim_point,
-    fiber_dim_prime,
-    regularity,
-)
+from .localalg import PointSpec, PrimeSpec, fiber_dim, regularity
 from .ringfile import parse_point_coords, parse_prime_gens, parse_ring
 
 REFUSAL_ERRORS = (SizeRefusalError, UnsupportedClassError)
@@ -198,15 +192,9 @@ def cmd_fiber(args, out):
     ring_pres = _load_ring(args)
     locus = _locus_of(args, ring_pres)
     fw = ring_pres.fw
-    if isinstance(locus, PointSpec):
-        dim = fiber_dim_point(fw, locus)
-        kind = "point"
-    else:
-        dim = fiber_dim_prime(fw, locus)
-        kind = "prime"
     doc = _document("fiber", args.seed, ring_pres, fw,
-                    {"locus": locus.describe(), "kind": kind,
-                     "fiber_dim": dim})
+                    {"locus": locus.describe(), "kind": locus.kind,
+                     "fiber_dim": fiber_dim(fw, locus)})
     _emit(doc, args, out)
     return 0
 

@@ -7,6 +7,11 @@ imperfection exponent [k : k^p] = p^r of the residue field.  At closed
 points r = 0; at a prime P the residue field is a function field and r
 is its transcendence degree.
 
+A locus, a PointSpec or a PrimeSpec, answers the criterion's questions
+itself: its kind, fiber(M) (the fiber dimension with the matrix it was
+read from), residue_p_rank() and local_dim() (d and whether it is
+exact); regularity and fiber_dim ask it and never test its class.
+
 Local dimension at a point is computed through the tangent cone: the
 relations are translated so the point is the origin, homogenized with a
 leading extra variable, and a Groebner basis under the homogenized-local
@@ -65,6 +70,7 @@ class PointSpec:
 
     ring: RingPresentation
     coordinates: tuple
+    kind = "point"
 
     def __post_init__(self):
         if len(self.coordinates) != len(self.ring.variables):
@@ -109,6 +115,32 @@ class PointSpec:
 
     def describe(self):
         return "(" + ",".join(str(c) for c in self.coordinates) + ")"
+
+    def fiber(self, M: FWPresentation):
+        """(dim over k(x) of the fiber, the evaluated matrix it was read
+        from)."""
+        _same_ring(M.ring, self)
+        mat = _point_matrix(M, self)
+        return M.ngens - rank_fraction_free(mat, lambda e: e), mat
+
+    def residue_p_rank(self):
+        return 0  # a finite field is perfect
+
+    def local_dim(self):
+        """(dim of the carrier's local ring at x, True): the tangent cone."""
+        k = self.field
+        n = len(self.ring.variables)
+        shifted = []
+        for f in _relations_over(self.ring, k):
+            g = f.shift(self.coordinates)
+            if not g.is_zero():
+                shifted.append(g)
+        if not shifted:
+            return n, True
+        hring = PolyRing(k, ("_h",) + tuple(self.ring.variables), "homoglocal")
+        gb = groebner([homogenize(g, hring) for g in shifted], ring=hring)
+        xparts = [m[1:] for m in gb.lead_monomials()]
+        return staircase_dim(xparts, n), True
 
 
 def _linear_polys(ring, var_idxs):
@@ -190,6 +222,7 @@ class PrimeSpec:
     generators: tuple
     assert_prime: bool = False
     total_basis: object = field(init=False, repr=False, compare=False)
+    kind = "prime"
 
     def __post_init__(self):
         cring = self.ring.carrier_ring
@@ -214,14 +247,39 @@ class PrimeSpec:
     def describe(self):
         return "(" + "; ".join(str(g) for g in self.generators) + ")"
 
+    def fiber(self, M: FWPresentation):
+        """(rank of the module over k(P), the reduced matrix it was read
+        from): the matrix is read modulo carrier + P and eliminated
+        fraction-freely, and any zero divisor the elimination trips over
+        is reported as a primality counterexample."""
+        _same_ring(M.ring, self)
+        nf = self.total_basis.normal_form
+        rows = [[nf(col[i]) for col in M.columns] for i in range(M.ngens)]
+        return M.ngens - rank_fraction_free(rows, nf), rows
+
+    def residue_p_rank(self):
+        """The transcendence degree of the function field at P, the Krull
+        dimension of the quotient by P."""
+        return krull_dim(self.total_basis)
+
+    def local_dim(self):
+        """(dim of the carrier's local ring at P, exactness flag): a
+        rational point's tangent cone, else dim(carrier) - dim(carrier/P),
+        an upper bound that is exact on a certified equidimensional carrier
+        (the true value maximizes over the components through P only)."""
+        x = _prime_as_rational_point(self)
+        if x is not None:
+            return x.local_dim()
+        d = krull_dim(self.ring.carrier_basis()) - krull_dim(self.total_basis)
+        return d, _ambient_equidimensional(self.ring)
+
 
 # ---------------------------------------------------------------------------
 # fibers
 
-def _same_ring(M: FWPresentation, locus):
-    if M.ring != locus.ring:
-        raise PresentationError(
-            "the locus belongs to a different presentation than the module")
+def _same_ring(ring_pres: RingPresentation, locus):
+    if ring_pres != locus.ring:
+        raise PresentationError("the locus belongs to a different presentation")
 
 
 def _point_matrix(M: FWPresentation, x: PointSpec):
@@ -231,34 +289,9 @@ def _point_matrix(M: FWPresentation, x: PointSpec):
             for i in range(M.ngens)]
 
 
-def _point_fiber(M: FWPresentation, x: PointSpec):
-    """(fiber dimension at x, the evaluated matrix it was read from)."""
-    _same_ring(M, x)
-    mat = _point_matrix(M, x)
-    return M.ngens - rank_fraction_free(mat, lambda e: e), mat
-
-
-def fiber_dim_point(M: FWPresentation, x: PointSpec) -> int:
-    """dim over k(x) of the module fiber: generators minus matrix rank."""
-    return _point_fiber(M, x)[0]
-
-
-def _prime_fiber(M: FWPresentation, P: PrimeSpec):
-    """(fiber dimension at P, the reduced matrix it was read from)."""
-    _same_ring(M, P)
-    nf = P.total_basis.normal_form
-    rows = [[nf(col[i]) for col in M.columns] for i in range(M.ngens)]
-    return M.ngens - rank_fraction_free(rows, nf), rows
-
-
-def fiber_dim_prime(M: FWPresentation, P: PrimeSpec) -> int:
-    """Rank of the module over the residue field of P.
-
-    The relation matrix is read modulo carrier + P and eliminated
-    fraction-freely; any zero divisor the elimination trips over is
-    reported as a primality counterexample.
-    """
-    return _prime_fiber(M, P)[0]
+def fiber_dim(M: FWPresentation, locus) -> int:
+    """dim over the residue field at the locus of the module fiber."""
+    return locus.fiber(M)[0]
 
 
 def residue_p_rank(ring_pres: RingPresentation, locus) -> int:
@@ -268,9 +301,8 @@ def residue_p_rank(ring_pres: RingPresentation, locus) -> int:
     r equal to its transcendence degree, the Krull dimension of the
     quotient by the prime.
     """
-    if isinstance(locus, PointSpec):
-        return 0
-    return krull_dim(locus.total_basis)
+    _same_ring(ring_pres, locus)
+    return locus.residue_p_rank()
 
 
 # ---------------------------------------------------------------------------
@@ -280,22 +312,6 @@ def _relations_over(ring_pres, k):
     """The carrier relations with coefficients embedded into the field k."""
     return [f if f.ring.coeff == k else f.map_coeffs(k, lambda c: embed(c, k))
             for f in ring_pres.relations_mod_p()]
-
-
-def _tangent_cone_dim(ring_pres, x: PointSpec) -> int:
-    k = x.field
-    n = len(ring_pres.variables)
-    shifted = []
-    for f in _relations_over(ring_pres, k):
-        g = f.shift(x.coordinates)
-        if not g.is_zero():
-            shifted.append(g)
-    if not shifted:
-        return n
-    hring = PolyRing(k, ("_h",) + tuple(ring_pres.variables), "homoglocal")
-    gb = groebner([homogenize(g, hring) for g in shifted], ring=hring)
-    xparts = [m[1:] for m in gb.lead_monomials()]
-    return staircase_dim(xparts, n)
 
 
 def _prime_as_rational_point(P: PrimeSpec):
@@ -334,25 +350,6 @@ def _ambient_equidimensional(ring_pres: RingPresentation) -> bool:
     return len(rels) == codim
 
 
-def _carrier_local_dim_certified(ring_pres, locus):
-    """(dimension of the carrier's local ring, exactness flag).
-
-    Points and rational-point primes go through the tangent cone, which
-    is exact.  Other primes use dim(carrier) - dim(carrier/P): an upper
-    bound in general (the true value maximizes over the components
-    through the locus only), exact when the carrier is certified
-    equidimensional.
-    """
-    if isinstance(locus, PointSpec):
-        return _tangent_cone_dim(ring_pres, locus), True
-    x = _prime_as_rational_point(locus)
-    if x is not None:
-        return _tangent_cone_dim(ring_pres, x), True
-    total = krull_dim(ring_pres.carrier_basis())
-    d = total - krull_dim(locus.total_basis)
-    return d, _ambient_equidimensional(ring_pres)
-
-
 # ---------------------------------------------------------------------------
 # regularity
 
@@ -389,23 +386,19 @@ def regularity(ring_pres: RingPresentation, locus, flat=False) -> RegularityVerd
     the mod-p^2 presentation cannot distinguish flat lifts.
     """
     fw = ring_pres.fw
-    if isinstance(locus, PointSpec):
-        fiber, mat = _point_fiber(fw, locus)
-        key = "evaluated_matrix"
-    else:
-        fiber, mat = _prime_fiber(fw, locus)
-        key = "reduced_matrix"
+    fiber, mat = locus.fiber(fw)
+    key = "evaluated_matrix" if locus.kind == "point" else "reduced_matrix"
     cert = {"generators": list(fw.generators),
             key: [[str(e) for e in row] for row in mat],
             "rank": fw.ngens - fiber}
-    r = residue_p_rank(ring_pres, locus)
+    r = locus.residue_p_rank()
     if not ring_pres.is_charp and not flat:
         return RegularityVerdict(
             "Unknown", fiber, None, r, None, cert,
             explanation="local dimension over a Z/p^2 base needs the "
                         "flatness assertion (--flat): it is not determined "
                         "by the mod-p^2 presentation")
-    d, exact = _carrier_local_dim_certified(ring_pres, locus)
+    d, exact = locus.local_dim()
     if not ring_pres.is_charp:
         d += 1
     mode = "charP" if ring_pres.is_charp else "flatness-asserted"
@@ -420,14 +413,14 @@ def regularity(ring_pres: RingPresentation, locus, flat=False) -> RegularityVerd
     if fiber > d + r:
         # d never underestimates, so exceeding it is conclusive
         return RegularityVerdict("NotRegular", fiber, d, r, mode, cert)
-    # at a point d is exact and a flat lift has fiber (the embedding
-    # dimension) at least d + r, so only the flatness assertion can fail
+    # where d is exact a flat lift has fiber (the embedding dimension) at
+    # least d + r, so only the flatness assertion can fail
     return RegularityVerdict(
         "Unknown", fiber, d, r, mode, cert,
         explanation="fiber dimension below d + r: " + (
-            "the flatness assertion (--flat) cannot hold at this point"
-            if isinstance(locus, PointSpec) else "the locus is outside the "
-            "guaranteed class (non-equidimensional ambient at a prime)"))
+            f"the flatness assertion (--flat) cannot hold at this {locus.kind}"
+            if exact else "the locus is outside the guaranteed class "
+            "(non-equidimensional ambient at a prime)"))
 
 
 # ---------------------------------------------------------------------------

@@ -170,10 +170,11 @@ class _BaseRing:
 
     def embeds_into(self, target):
         """Whether embed maps this ring into target: every ring maps into
-        itself, and F_p or Z/p^2 into any ring of the same p whose modulus
-        its own modulus divides, reading its int value there."""
+        itself, and F_p or Z/p^2 into F_q or GR(p^2, e) of the same p and
+        modulus, reading its int value there.  That is a ring map; F_p into
+        Z/p^2 would not be (2 + 2 = 1 in F_3, but 2 + 2 = 4 in Z/9)."""
         return self == target or (self.degree == 1 and target.p == self.p
-                                  and target.modulus % self.modulus == 0)
+                                  and target.modulus == self.modulus)
 
     def __repr__(self):
         return self.tag()

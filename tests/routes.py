@@ -23,7 +23,7 @@ from fwdiff.fwcore import (
     present_fw,
 )
 from fwdiff.linalg import ModPSpan, rank_fraction_free
-from fwdiff.localalg import PointSpec, fiber_dim_point, regularity
+from fwdiff.localalg import PointSpec, fiber_dim, regularity
 from fwdiff.modarith import (
     GaloisField,
     GaloisRing,
@@ -498,7 +498,7 @@ def check_prdx(ring_pres: RingPresentation, x: PointSpec) -> dict:
     untwisted Jacobian with the p-column.
     """
     fw = present_fw(ring_pres)
-    fiber = fiber_dim_point(fw, x)
+    fiber = fiber_dim(fw, x)
     cot = cotangent_dim(ring_pres, x)
     return {
         "point": x.describe(),
@@ -527,8 +527,8 @@ def check_split_sequence(ring_pres: RingPresentation, quotient_rels, x,
     base_rows = _cotangent_rows(ring_pres, ring_pres.relations, xA)
     quot_rows = _cotangent_rows(ring_pres, quotient_rels, xA)
     s_prime = field_rank(base_rows + quot_rows) - field_rank(base_rows)
-    fiber_A = fiber_dim_point(present_fw(ring_pres), xA)
-    fiber_B = fiber_dim_point(present_fw(target), xB)
+    fiber_A = fiber_dim(present_fw(ring_pres), xA)
+    fiber_B = fiber_dim(present_fw(target), xB)
     return {
         "point": xA.describe(),
         "regular_A": verdict_A.verdict,

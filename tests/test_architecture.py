@@ -1,7 +1,9 @@
 """The coefficient rings answer for themselves: outside fwdiff.modarith no
 module tells F_p, F_q, Z/p^2 and GR(p^2, e) apart by class, nor an int
 value from a tuple one.  They ask the ring (degree, is_field,
-residue_field, embeds_into, tag) instead."""
+residue_field, embeds_into, tag) instead.  The loci answer for themselves
+too: no module tells a PointSpec from a PrimeSpec by class; they ask the
+locus (kind, fiber, residue_p_rank, local_dim)."""
 
 import ast
 import os
@@ -9,6 +11,7 @@ import os
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "fwdiff")
 RING_NAMES = {"PrimeField", "GaloisField", "PrimeSquareRing", "GaloisRing",
               "tuple"}
+LOCUS_NAMES = {"PointSpec", "PrimeSpec"}
 # the one class test left: RingPresentation accepts the bases a ring file
 # can name, through this tuple of classes
 ALLOWED = {("fwcore.py", "RingPresentation.__post_init__", ("BASE_RINGS",))}
@@ -19,13 +22,13 @@ def _names(node):
 
 
 class _ClassTests(ast.NodeVisitor):
-    """Every isinstance whose class argument names a ring class, directly
-    or through a module-level alias: (scope, line, the names)."""
+    """Every isinstance whose class argument names one of the classes,
+    directly or through a module-level alias: (scope, line, the names)."""
 
-    def __init__(self, tree):
-        self.ring_names = RING_NAMES | {
+    def __init__(self, tree, classes):
+        self.names = classes | {
             t.id for node in tree.body if isinstance(node, ast.Assign)
-            and _names(node.value) & RING_NAMES
+            and _names(node.value) & classes
             for t in node.targets if isinstance(t, ast.Name)}
         self.scope, self.found = [], []
         self.visit(tree)
@@ -40,27 +43,35 @@ class _ClassTests(ast.NodeVisitor):
     def visit_Call(self, node):
         if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
                 and len(node.args) == 2):
-            named = _names(node.args[1]) & self.ring_names
+            named = _names(node.args[1]) & self.names
             if named:
                 self.found.append((".".join(self.scope), node.lineno,
                                    tuple(sorted(named))))
         self.generic_visit(node)
 
 
-def _class_tests():
+def _class_tests(classes, exempt=()):
     out = []
     for name in sorted(os.listdir(SRC)):
-        if name.endswith(".py") and name != "modarith.py":
+        if name.endswith(".py") and name not in exempt:
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), name)
-            out += [(name,) + site for site in _ClassTests(tree).found]
+            found = _ClassTests(tree, classes).found
+            out += [(name,) + site for site in found]
     return out
 
 
 def test_only_modarith_tells_the_coefficient_rings_apart():
-    found = _class_tests()
+    found = _class_tests(RING_NAMES, exempt=("modarith.py",))
     stray = [f"{mod}:{line} in {scope or '<module>'}: isinstance on "
              f"{', '.join(names)}" for mod, scope, line, names in found
              if (mod, scope, names) not in ALLOWED]
     assert not stray, "\n".join(stray)
     assert {(mod, scope, names) for mod, scope, _, names in found} == ALLOWED
+
+
+def test_no_module_tells_the_loci_apart():
+    found = _class_tests(LOCUS_NAMES)
+    assert not found, "\n".join(
+        f"{mod}:{line} in {scope or '<module>'}: isinstance on "
+        f"{', '.join(names)}" for mod, scope, line, names in found)

@@ -125,6 +125,23 @@ def test_fiber_below_d_plus_r_at_a_point_blames_the_flatness_assertion(
     assert "prime" not in res["explanation"]
 
 
+def test_fiber_below_d_plus_r_at_an_exact_prime_blames_the_flatness_assertion(
+        tmp_path):
+    """The prime (x) of Z/9[x]/(3) = F_3[x] cuts out a rational point, so
+    its d is exact as at --point 0, and a fiber below d + r can only mean a
+    false --flat, not a non-equidimensional ambient."""
+    path = tmp_path / "notflat.ring"
+    path.write_text("base: Zp2(3)\nvars: x\nrel: 3\n")
+    code, out, _ = _run(["regular", "-i", str(path), "--prime", "x",
+                         "--flat", "--json"])
+    res = json.loads(out)["result"]
+    assert code == 1 and res["verdict"] == "Unknown"
+    assert res["fiber_dim"] < res["d"] + res["r"]
+    assert res["explanation"] == ("fiber dimension below d + r: the flatness "
+                                  "assertion (--flat) cannot hold at this "
+                                  "prime")
+
+
 def test_locus_flag_rules():
     code, _, err = _run(["fiber", "-i", _ring("cusp.ring")])
     assert code == 2 and "locus" in err
@@ -396,6 +413,16 @@ def test_sweep_script_reports_rejected_input_without_traceback():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 2 and r.stdout == ""
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_sweep_script_max_degree_below_one_is_a_usage_error(value):
+    r = subprocess.run([sys.executable, SWEEP_SCRIPT, _ring("cusp.ring"),
+                        "--max-degree", value],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2 and r.stdout == ""
+    assert "usage:" in r.stderr and "must be at least 1" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_sweep_script_reports_refused_enumeration_with_exit_one(tmp_path):

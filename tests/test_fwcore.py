@@ -19,7 +19,7 @@ from fwdiff.fwcore import (
     relative_cokernel,
     w_poly,
 )
-from fwdiff.localalg import PointSpec, fiber_dim_point
+from fwdiff.localalg import PointSpec, fiber_dim
 from fwdiff.modarith import (
     GaloisRing,
     PrimeField,
@@ -351,7 +351,7 @@ def test_identity_base_change_is_identity_matrix():
     # cokernel of the identity vanishes everywhere
     cok = relative_cokernel(ident)
     x = PointSpec.of(pres, (0, 0))
-    assert fiber_dim_point(cok, x) == 0
+    assert fiber_dim(cok, x) == 0
 
 
 def test_free_adjunction_cokernel_is_free_rank_one():
@@ -363,8 +363,8 @@ def test_free_adjunction_cokernel_is_free_rank_one():
     assert tw.generators == ("F*d(x)",)
     for v in range(3):
         x = PointSpec.of(B, (v,))
-        assert fiber_dim_point(cok, x) == 1
-        assert fiber_dim_point(tw, x) == 1
+        assert fiber_dim(cok, x) == 1
+        assert fiber_dim(tw, x) == 1
 
 
 def test_relative_cokernel_matches_twisted_kahler_fibers():
@@ -396,5 +396,5 @@ def test_relative_cokernel_matches_twisted_kahler_fibers():
                 continue
         assert pts
         for x in pts:
-            assert fiber_dim_point(cok, x) == fiber_dim_point(tw, x), \
+            assert fiber_dim(cok, x) == fiber_dim(tw, x), \
                 f"routes disagree at {x.describe()}"

@@ -27,8 +27,7 @@ from fwdiff.fwcore import RingPresentation, present_fw
 from fwdiff.localalg import (
     PointSpec,
     PrimeSpec,
-    fiber_dim_point,
-    fiber_dim_prime,
+    fiber_dim,
     rational_points,
     regularity,
     residue_p_rank,
@@ -178,7 +177,7 @@ def test_point_verdict_evaluates_the_matrix_once(monkeypatch):
     calls = _count_calls(monkeypatch, localalg, "_point_matrix")
     v = regularity(pres, x)
     assert len(calls) == 1
-    assert v.fiber_dim == fiber_dim_point(pres.fw, x) == 1
+    assert v.fiber_dim == fiber_dim(pres.fw, x) == 1
     assert v.certificate["evaluated_matrix"] == [["2"], ["2"]]
 
 
@@ -189,7 +188,7 @@ def test_prime_verdict_reduces_each_entry_once(monkeypatch):
     calls = _count_calls(monkeypatch, mpoly, "normal_form")
     v = regularity(pres, P)
     assert len(calls) == 6  # a 3 x 2 matrix; 12 when the rank reduced again
-    assert v.fiber_dim == fiber_dim_prime(pres.fw, P) == 1
+    assert v.fiber_dim == fiber_dim(pres.fw, P) == 1
     assert v.certificate["reduced_matrix"] == [["z^5", "0"], ["0", "z^5"],
                                                ["0", "0"]]
     assert v.certificate["rank"] == 2
@@ -219,8 +218,8 @@ def test_cusp_regularity_frozen():
     fw = present_fw(CUSP)
     origin = PointSpec.of(CUSP, (0, 0))
     smooth = PointSpec.of(CUSP, (1, 1))
-    assert fiber_dim_point(fw, origin) == 2
-    assert fiber_dim_point(fw, smooth) == 1
+    assert fiber_dim(fw, origin) == 2
+    assert fiber_dim(fw, smooth) == 1
     v0 = regularity(CUSP, origin)
     v1 = regularity(CUSP, smooth)
     assert (v0.verdict, v0.fiber_dim, v0.d, v0.r) == ("NotRegular", 2, 1, 0)
@@ -291,8 +290,8 @@ def test_parabola_over_zp2_frozen():
     origin = PointSpec.of(PARABOLA, (0, 0))
     other = PointSpec.of(PARABOLA, (1, 0))
     fw = present_fw(PARABOLA)
-    assert fiber_dim_point(fw, origin) == 3
-    assert fiber_dim_point(fw, other) == 2
+    assert fiber_dim(fw, origin) == 3
+    assert fiber_dim(fw, other) == 2
     v0 = regularity(PARABOLA, origin, flat=True)
     v1 = regularity(PARABOLA, other, flat=True)
     assert (v0.verdict, v0.fiber_dim, v0.d) == ("NotRegular", 3, 2)
@@ -364,7 +363,7 @@ def test_asserted_prime_caught_by_zero_divisor():
                  ["x^2*y^2 + 2*x^2 + 2*y^2 + 4"])  # (x^2+2)(y^2+2)
     P = PrimeSpec(pres, (), assert_prime=True)
     with pytest.raises(ZeroDivisorError):
-        fiber_dim_prime(present_fw(pres), P)
+        fiber_dim(present_fw(pres), P)
 
 
 def test_prime_needs_carrier_polynomials():

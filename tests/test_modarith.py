@@ -2,6 +2,7 @@
 
 import glob
 import io
+import itertools
 import os
 import random
 
@@ -208,16 +209,17 @@ def test_embeddings_are_ring_maps():
         assert embed(a, G) ** 2 == embed(a * a, G)
 
 
+EIGHT_RINGS = [PrimeField(2), PrimeField(3), PrimeSquareRing(2),
+               PrimeSquareRing(3), GaloisField(2, 2), GaloisField(3, 2),
+               GaloisRing(2, 2), GaloisRing(3, 2)]
+
+
 def test_embeddings_are_exactly_the_canonical_ones():
-    """A ring embeds into itself, F_p into F_q, Z/p^2 and GR(p^2, e) of the
-    same p, and Z/p^2 into GR(p^2, e): no other ordered pair of these."""
-    rings = [PrimeField(2), PrimeField(3), PrimeSquareRing(2),
-             PrimeSquareRing(3), GaloisField(2, 2), GaloisField(3, 2),
-             GaloisRing(2, 2), GaloisRing(3, 2)]
-    into = {PrimeField: (PrimeSquareRing, GaloisField, GaloisRing),
-            PrimeSquareRing: (GaloisRing,)}
-    for a in rings:
-        for b in rings:
+    """A ring embeds into itself, F_p into F_q of the same p, and Z/p^2
+    into GR(p^2, e) of the same p: no other ordered pair of these."""
+    into = {PrimeField: (GaloisField,), PrimeSquareRing: (GaloisRing,)}
+    for a in EIGHT_RINGS:
+        for b in EIGHT_RINGS:
             canonical = a == b or (a.p == b.p
                                    and type(b) in into.get(type(a), ()))
             assert a.embeds_into(b) == canonical, (a, b)
@@ -226,6 +228,26 @@ def test_embeddings_are_exactly_the_canonical_ones():
             else:
                 with pytest.raises(PresentationError, match="no embedding"):
                     embed(a.one(), b)
+
+
+def test_every_accepted_embedding_is_a_ring_map():
+    """embed is additive and multiplicative on all element pairs wherever
+    embeds_into accepts.  Reading an int value of F_p in Z/p^2 or
+    GR(p^2, e) is not: over p = 3, 2 + 2 = 1 maps to 1, but the images
+    of 2 add up to 4 in Z/9."""
+    for a in EIGHT_RINGS:
+        for b in EIGHT_RINGS:
+            if not a.embeds_into(b):
+                continue
+            elems = [Residue(a, v) for v in itertools.product(
+                range(a.modulus), repeat=a.degree)] if a.degree > 1 \
+                else list(a.elements())
+            for x in elems:
+                for y in elems:
+                    assert embed(x, b) + embed(y, b) == embed(x + y, b), \
+                        (a, b, x, y)
+                    assert embed(x, b) * embed(y, b) == embed(x * y, b), \
+                        (a, b, x, y)
 
 
 @pytest.mark.parametrize("make", [GaloisField, GaloisRing],

@@ -37,8 +37,8 @@ def test_readme_python_example_runs():
 GUARDS = textwrap.dedent("""
     from fwdiff import (GaloisField, GaloisRing, PointSpec, PolyRing,
                         PresentationError, PrimeField, PrimeSpec,
-                        PrimeSquareRing, RingPresentation, fiber_dim_point,
-                        fiber_dim_prime, groebner, present_fw)
+                        PrimeSquareRing, RingPresentation, fiber_dim,
+                        groebner, present_fw, residue_p_rank)
     from fwdiff.modarith import default_minpoly
     from fwdiff.mpoly import homogenize, standard_monomials, witt_P_pair
 
@@ -49,10 +49,12 @@ GUARDS = textwrap.dedent("""
     node = RingPresentation(k, ("x", "y"), (x * y,))
     zring = PolyRing(PrimeSquareRing(5), ("x",))
     cases = {
-        "point of another presentation": lambda: fiber_dim_point(
+        "point of another presentation": lambda: fiber_dim(
             present_fw(cusp), PointSpec.of(node, (0, 0))),
-        "prime of another presentation": lambda: fiber_dim_prime(
+        "prime of another presentation": lambda: fiber_dim(
             present_fw(cusp), PrimeSpec(node, (x, y))),
+        "residue rank at a prime of another presentation":
+            lambda: residue_p_rank(cusp, PrimeSpec(node, (x,))),
         "groebner of nothing in no ring": lambda: groebner([]),
         "evaluate arity": lambda: x.evaluate((k.one(),)),
         "shift arity": lambda: x.shift((k.one(), k.one(), k.one())),
@@ -87,7 +89,7 @@ def test_input_guards_hold_without_asserts():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
-    assert len(lines) == 16 and all(
+    assert len(lines) == 17 and all(
         line.startswith("raised:") for line in lines), r.stdout
 
 
