@@ -156,9 +156,7 @@ def _linear_polys(ring, var_idxs):
             terms = {monos[lead]: k.one()}
             for m, c in zip(monos[lead + 1:], tail):
                 terms[m] = c
-            f = ring.poly(terms)
-            if f.total_degree() == 1:
-                yield f
+            yield ring.poly(terms)
 
 
 # trial divisions a primality certificate may take, counted in advance

@@ -28,8 +28,10 @@ and normal_form the terms of each division step, and all refuse once the
 count would pass PRODUCT_BOUND.  So a value of _raw_mul's result sums at
 most PRODUCT_BOUND products, each slot stays below e * PRODUCT_BOUND *
 M^2 < 2^s for s = 2 bits(M) + bits(e) + bits(PRODUCT_BOUND), and no slot
-carries into the next.  A value leaves through one reduction of its
-2e - 1 slots mod (m~, M).
+carries into the next.  A value leaves through one reduction mod (m~, M)
+on the packed int: t^e = -(the low part of m~) folds each slot from
+2e - 2 down to e, taken mod M, onto the slots below, and each of those
+gains fewer than e M^2, so it stays below e (PRODUCT_BOUND + 1) M^2 < 2^s.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import PresentationError, SizeRefusalError
-from .modarith import PRODUCT_BOUND, Residue, _upoly_rem, embed
+from .modarith import PRODUCT_BOUND, Residue, embed
 
 
 def mono_mul(a, b):
@@ -242,18 +244,10 @@ class SparsePoly:
             raise PresentationError(f"{self} has no unit term to lead")
         return max(monos, key=self.ring.key)
 
-    def lead_coeff(self):
-        return self.terms[self.lead_monomial()]
-
     def total_degree(self):
         if not self.terms:
             return -1
         return max(mono_deg(m) for m in self.terms)
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * self.lead_coeff().inv()
 
     def map_coeffs(self, target_ring, fn):
         """Apply fn to every coefficient, landing in target_ring."""
@@ -520,13 +514,12 @@ def staircase_dim(lead_monos, nvars):
     if any(mono_deg(m) == 0 for m in lead_monos):
         return -1
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lead_monos]
-    best = 0
     for size in range(nvars, 0, -1):
         for subset in itertools.combinations(range(nvars), size):
             s = frozenset(subset)
             if all(not sup <= s for sup in supports):
                 return size
-    return best
+    return 0
 
 
 def krull_dim(gb: GroebnerBasis):
@@ -665,18 +658,22 @@ class _PackedLift(_IntLift):
 
     def __init__(self, R, M):
         super().__init__(R.p, M)
-        self.e, self.mp = R.degree, list(R.minpoly)
+        self.e = R.degree
         self.s = (2 * M.bit_length() + self.e.bit_length()
                   + PRODUCT_BOUND.bit_length())
+        # t^e = tail: minus the low part of m~, packed
+        self.tail = sum(-c % M << (self.s * i)
+                        for i, c in enumerate(R.minpoly[:-1]))
 
     def _slots(self, v, count):
         return [v >> (self.s * i) & ((1 << self.s) - 1) for i in range(count)]
 
     def _reduced(self, v):  # v mod (m~, M), v in 2e - 1 slots
-        M, s = self.M, self.s
-        c = _upoly_rem([x % M for x in self._slots(v, 2 * self.e - 1)],
-                       self.mp, M)
-        return sum(x << (s * i) for i, x in enumerate(c))
+        M, s, e, mask = self.M, self.s, self.e, (1 << self.s) - 1
+        for i in range(2 * e - 2, e - 1, -1):
+            c = v >> (s * i) & mask
+            v += (c % M * self.tail << (s * (i - e))) - (c << (s * i))
+        return sum(x % M << (s * i) for i, x in enumerate(self._slots(v, e)))
 
     def enter(self, raw):
         s = self.s

@@ -35,8 +35,8 @@ Tables in coordinates.  Element i is its digit vector D[i], entries in
 [0, p), over an additive digit basis b_1, .., b_d: in characteristic p
 the F_p-basis t^j x^m, m a standard monomial; over Z/p^2 the x^m for
 m in S, then the p x^m for m in stairU (canonical forms, below).  So
-n = p^d, and an element's index is read off its base-p key through one
-lookup array.  The generators g_u are the first g digit-basis elements,
+n = p^d, and an element's index is its base-p key, in counting order.
+The generators g_u are the first g digit-basis elements,
 and their carries c_u = digits(p g_u) have no generator digit.  In
 characteristic p the carry is 0.  Over Z/p^2, p x^m = p NF_U(x^m) in
 A, as p u~ lies in I for every u in U, so c_u lies on the p x^m digits,
@@ -170,8 +170,9 @@ def _refuse_oversized(p, size, max_size):
 class FiniteRing:
     """A finite ring of p-power order with checked operation tables.
 
-    Element i is the digit vector digits[i] over digit_basis, whose first
-    carrier_dim entries are the additive generators (the basis lifts).
+    Element i is the digit vector digits[i] over digit_basis whose base-p
+    key, most significant digit first, is i; the first carrier_dim basis
+    entries are the additive generators (the basis lifts).
     canon maps a polynomial to its canonical form and digits_of reads the
     digits of a canonical form, raising PresentationError on anything
     else.  canon runs only for the carries, the generator products and
@@ -182,37 +183,27 @@ class FiniteRing:
     row (z, y, w) per element z = y + g_w other than zero, in BFS order.
     """
 
-    def __init__(self, p, digits, digit_basis, ngens, canon, digits_of,
-                 label):
+    def __init__(self, p, digit_basis, ngens, canon, digits_of, label):
         self.p = p
         self.label = label
-        self.digits = np.asarray(digits, dtype=np.int64)
-        self.size, d = self.digits.shape
         self.digit_basis = list(digit_basis)
         self.carrier_dim = ngens
         self.canon = canon
         self.digits_of = digits_of
-        if self.size != p ** d or len(self.digit_basis) != d:
-            raise PresentationError(
-                f"a ring on {d} digits must list p^{d} elements")
+        d = len(self.digit_basis)
+        self.size = p ** d
         self._weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-        self._pos = np.full(self.size, -1, dtype=np.int64)
-        if ((self.digits < 0) | (self.digits >= p)).any():
-            raise PresentationError("element digits must lie in [0, p)")
-        self._pos[self.digits @ self._weights] = np.arange(self.size)
-        if (self._pos < 0).any():
-            raise PresentationError("duplicate elements in enumeration")
-        self.basis_idx = [self.index_of(b) for b in self.digit_basis[:ngens]]
-        if not (self.digits[self.basis_idx]
-                == np.eye(ngens, d, dtype=np.int64)).all():
+        self.digits = np.arange(self.size)[:, None] // self._weights % p
+        self.zero_idx = 0
+        self.basis_idx = self._weights[:ngens].tolist()
+        if ([self.index_of(b) for b in self.digit_basis[:ngens]]
+                != self.basis_idx):
             raise PresentationError("basis lifts are not unit digit vectors")
-        self.zero_idx = int(self._pos[0])
         self.one_idx = self.index_of(canon(self.digit_basis[0].ring.one()))
         self._carries, prods = self._closures()
         self._check_ring(prods)
         addg = self._index(self.digits + self.digits[self.basis_idx][:, None])
-        self.add, self.mul = self._tables(addg,
-                                          self._pos[prods @ self._weights])
+        self.add, self.mul = self._tables(addg, prods @ self._weights)
         self.p_one_idx = int(self.int_mult_idx(p, self.one_idx))
         # pows[k, a] = a^k for k <= p: the Frobenius and the Witt carries
         self.pows = np.empty((p + 1, self.size), dtype=np.int64)
@@ -225,7 +216,7 @@ class FiniteRing:
 
     def index_of(self, poly):
         """Index of a canonical form."""
-        return int(self._pos[np.dot(self.digits_of(poly), self._weights)])
+        return int(np.dot(self.digits_of(poly), self._weights))
 
     def _normal(self, x):
         """N(x): the digits of sum_i x_i b_i, for integer vectors x along
@@ -235,7 +226,7 @@ class FiniteRing:
 
     def _index(self, x):
         """Index of the element sum_i x_i b_i."""
-        return self._pos[self._normal(x) @ self._weights]
+        return self._normal(x) @ self._weights
 
     def _closures(self):
         """The carries c_u = digits(p g_u) as rows, and the digits of the
@@ -362,8 +353,8 @@ class FiniteRing:
         label = _label_of(ring_pres)
         basis, digits_of = _digit_model(gb.ring, S, stairU, label)
         _refuse_oversized(p, p ** len(basis), max_size)
-        return cls(p, _counting(p, len(basis)), basis,
-                   len(basis) - len(stairU), canon, digits_of, label)
+        return cls(p, basis, len(basis) - len(stairU), canon, digits_of,
+                   label)
 
     def __repr__(self):
         return f"FiniteRing({self.label}, size={self.size})"
@@ -398,14 +389,6 @@ def _digit_model(ring, S, stairU, label):
                 out[high[m]] = h
         return out
     return basis, digits_of
-
-
-def _counting(radix, places):
-    """Every vector of places base-radix digits, most significant first,
-    in counting order."""
-    n = radix ** places
-    return (np.arange(n)[:, None]
-            // radix ** np.arange(places - 1, -1, -1)) % radix
 
 
 def _label_of(ring_pres):

@@ -49,7 +49,6 @@ from fwdiff.mpoly import (
 from fwdiff.oracle import (
     FiniteRing,
     UniversalModule,
-    _counting,
     _label_of,
     _refuse_oversized,
 )
@@ -126,7 +125,7 @@ def divide(f, basis):
     quots = [ring.zero() for _ in basis]
     rem = ring.zero()
     h = f
-    leads = [(b.lead_monomial(), b.lead_coeff()) for b in basis]
+    leads = [(b.lead_monomial(), b.terms[b.lead_monomial()]) for b in basis]
     while not h.is_zero():
         lm = h.lead_monomial()
         lc = h.terms[lm]
@@ -177,8 +176,8 @@ def groebner_extended(gens):
             syzygies.append(unit(j))
             continue
         rep = unit(j)
-        lc = g.lead_coeff()
-        basis.append(g.monic())
+        lc = g.terms[g.lead_monomial()]
+        basis.append(g * lc.inv())
         reps.append([r * lc.inv() for r in rep])
 
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -195,9 +194,9 @@ def groebner_extended(gens):
             if any(not r.is_zero() for r in rrep):
                 syzygies.append(rrep)
         else:
-            lc = rem.lead_coeff()
+            lc = rem.terms[rem.lead_monomial()]
             k = len(basis)
-            basis.append(rem.monic())
+            basis.append(rem * lc.inv())
             reps.append([r * lc.inv() for r in rrep])
             pairs.extend((t, k) for t in range(k))
 
@@ -655,20 +654,13 @@ def finite_ring_zp2_by_syzygies(ring_pres, max_size, cls=FiniteRing):
 
     basis = ([zring.poly({m: 1}) for m in S]
              + [zring.poly({m: p}) for m in stairU])
-    return cls(p, _counting(p, len(S) + len(stairU)), basis, len(S),
-               canonicalize, digits_of, label)
+    return cls(p, basis, len(S), canonicalize, digits_of, label)
 
 
-def rebuilt(fr: FiniteRing, cls=FiniteRing, digits=None):
-    """fr's constructor run again, as cls, on the given digit rows."""
-    return cls(fr.p, fr.digits if digits is None else digits, fr.digit_basis,
-               fr.carrier_dim, fr.canon, fr.digits_of, fr.label)
-
-
-def reordered(fr: FiniteRing, perm):
-    """The same ring with elements listed in a different order: the rows
-    of its digit matrix permuted."""
-    return rebuilt(fr, digits=fr.digits[list(perm)])
+def rebuilt(fr: FiniteRing, cls=FiniteRing):
+    """fr's constructor run again, as cls."""
+    return cls(fr.p, fr.digit_basis, fr.carrier_dim, fr.canon, fr.digits_of,
+               fr.label)
 
 
 def element_polys(fr: FiniteRing):

@@ -3,7 +3,8 @@ module tells F_p, F_q, Z/p^2 and GR(p^2, e) apart by class, nor an int
 value from a tuple one.  They ask the ring (degree, is_field,
 residue_field, embeds_into, tag) instead.  The loci answer for themselves
 too: no module tells a PointSpec from a PrimeSpec by class; they ask the
-locus (kind, fiber, residue_p_rank, local_dim)."""
+locus (kind, fiber, residue_p_rank, local_dim).  And no routine of the
+library is there only for the tests."""
 
 import ast
 import os
@@ -75,3 +76,33 @@ def test_no_module_tells_the_loci_apart():
     assert not found, "\n".join(
         f"{mod}:{line} in {scope or '<module>'}: isinstance on "
         f"{', '.join(names)}" for mod, scope, line, names in found)
+
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+def _parsed(folder):
+    for name in sorted(os.listdir(folder)):
+        if name.endswith(".py"):
+            with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def test_every_library_routine_has_a_library_caller_or_is_public():
+    """No routine in the library that only the tests use: every function,
+    method and class defined under src/fwdiff, dunders aside, is named
+    (as a name or an attribute) in src/fwdiff or scripts/, or is public
+    through fwdiff.__all__."""
+    import fwdiff
+
+    library = list(_parsed(SRC))
+    named = {n.id if isinstance(n, ast.Name) else n.attr
+             for _, tree in library + list(_parsed(SCRIPTS))
+             for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unused = [f"{mod}:{n.lineno} {n.name}" for mod, tree in library
+              for n in ast.walk(tree) if isinstance(n, defs)
+              and not (n.name.startswith("__") and n.name.endswith("__"))
+              and n.name not in named and n.name not in fwdiff.__all__]
+    assert not unused, "\n".join(unused)

@@ -22,6 +22,7 @@ from fwdiff.modarith import (
     GaloisRing,
     PrimeField,
     PrimeSquareRing,
+    _upoly_rem,
     reduce_mod_p,
 )
 from fwdiff.mpoly import (
@@ -589,6 +590,27 @@ def test_witt_routines_at_large_p_match_references(R):
     else:
         f, g = (ring.poly({(2,): random_scalar(rng, R)}) for _ in range(2))
     assert witt_P_pair(f, g).terms == witt_P_pair_by_powers(f, g).terms
+
+
+@pytest.mark.parametrize("R", [GaloisRing(2, 4), GaloisRing(13, 3),
+                               GaloisField(101, 2)], ids=lambda R: R.tag())
+def test_packed_reduction_holds_at_the_slot_bound(R):
+    """The packed reduction folds the high slots onto the low ones in
+    place: values whose 2e - 1 slots reach the bound e PRODUCT_BOUND
+    (M - 1)^2 of the module docstring, at the lift of Q (M = p^3 over
+    GR) and at the ring's own modulus, reduce to the remainder of their
+    slots mod (m~, M), with no slot carrying into the next."""
+    rng = random.Random(R.tag())
+    e = R.degree
+    for M in {R.p ** 3 if not R.is_field else R.p, R.modulus}:
+        lift = mpoly._lift(R, M)
+        top = e * PRODUCT_BOUND * (M - 1) ** 2
+        for slots in ([top] * (2 * e - 1),
+                      [rng.randrange(top + 1) for _ in range(2 * e - 1)]):
+            rem = _upoly_rem([x % M for x in slots], list(R.minpoly), M)
+            want = tuple(rem + [0] * (e - len(rem)))
+            packed = lift.enter({0: slots})
+            assert lift.leave(lift.reduce(packed)) == {0: want}
 
 
 @pytest.mark.parametrize("k", [PrimeField(5), GaloisField(3, 2), GaloisField(2, 3)],
