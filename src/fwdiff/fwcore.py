@@ -154,7 +154,8 @@ def w_poly(f):
     polynomials over the residue field k (the module is p-torsion).  They
     come from _w_core on f packed in radix B = p*d + 1, d the largest
     exponent of f: every exponent w forms, p*m, p*(m - e_j) and those of
-    Q(f), is at most p*d < B, so no digit carries into the next.
+    Q(f), is at most p*d < B, so no digit carries into the next, and
+    each coordinate stays inside its slot of the core's packed vector.
     """
     R = f.ring.coeff
     if R.is_field:
@@ -164,56 +165,57 @@ def w_poly(f):
 
 def _w_polys(f, k):
     """The coordinates of the w core on f as polynomials over k."""
-    R = f.ring.coeff
+    R, n = f.ring.coeff, f.ring.nvars
     B, (raw,) = _pack(R.p, f)
+    coords = [{} for _ in range(n + (not R.is_field))]
+    for key, v in _w_core(R, k, n, B)(raw).items():
+        j, m = divmod(key, B**n)
+        coords[j][m] = v
     kring = f.ring.with_coeff(k)
-    w = _w_core(R, k, f.ring.nvars, B)
-    return [_unpack(kring, v, B) for v in w(raw)]
+    return [_unpack(kring, v, B) for v in coords]
 
 
 def _w_core(R, k, n, B):
     """The one w core: w(raw), for packed raw polynomials over R in n
-    variables whose exponents p*m stay below B, gives the coordinates of
-    w, packed raw over the residue field k, zero values kept.  A term
-    c X^m gives the twisted derivatives (e c mod p)^p X^(p(m - e_j)) at
-    key p*key - p*B^j, for e = m_j prime to p, and w_base(c) X^(p m) on
-    w(p), where Q mod p is then subtracted.  Over a field (R = k) the w(p)
-    coordinate is left out (module docstring).  w splits a key into its
-    digits the first time it sees it; over Z/p^2 and F_p it computes on
-    ints inline."""
+    variables whose exponents p*m stay below B, gives w as one vector packed
+    raw over the residue field k, zero values kept: coordinate j at the keys
+    j*K + m, K = B^n, w(p) at n*K + m; as every digit of m is below B, each
+    stays inside its slot.  A term c X^m gives the twisted derivatives
+    (e c mod p)^p X^(p(m - e_j)) at key p*key - shifts[j], for e = m_j prime
+    to p, and w_base(c) X^(p m) on w(p), where Q mod p is then subtracted.
+    Over a field (R = k) the w(p) coordinate is left out (module docstring).
+    w splits a key into its digits the first time it sees it; over Z/p^2
+    and F_p it computes on ints inline."""
     p, q = k.p, k.p * k.p
     ints = k.degree == 1
     lift = None if R.is_field else _lift(R, p * q)
-    shifts = [p * B**j for j in range(n)]
+    shifts = [p * B**j - j * B**n for j in range(n)]
+    at_wp, zero = n * B**n, k._of_int(0)
 
     @cache
-    def split(key):  # (j, key of the derivative, e) for e = m_j prime to p
+    def split(key):  # (key of the derivative, e) for e = m_j prime to p
         out, rest = [], key
         for j in range(n):
             rest, e = divmod(rest, B)
             if e % p:
-                out.append((j, p * key - shifts[j], e))
+                out.append((p * key - shifts[j], e))
         return out
 
     def w(raw):
-        grads = [{} for _ in range(n)]
+        out = {}
         for key, c in raw.items():
-            for j, at, e in split(key):  # x^p = x on F_p
-                grads[j][at] = c * e % p if ints else \
+            for at, e in split(key):  # x^p = x on F_p
+                out[at] = c * e % p if ints else \
                     k._pow(tuple([x * e % p for x in c]), p)
-        if lift is None:
-            return grads
-        if ints:  # w_base(c) = (c - c^p)/p mod p, c^p read mod p^2
-            wp = {p * key: (c - pow(c, p, q)) // p % p
-                  for key, c in raw.items()}
-            for key, v in _witt_Q_raw(raw, lift).items():
-                wp[key] = (wp.get(key, 0) - v) % p
-        else:
-            wp = {p * key: R._w_base(c) for key, c in raw.items()}
-            zero = k._of_int(0)
+            if lift is not None:  # w_base(c) = (c - c^p)/p mod p over ints
+                out[p * key + at_wp] = (c - pow(c, p, q)) // p % p if ints \
+                    else R._w_base(c)
+        if lift is not None:
             for key, v in _witt_Q_raw(raw, lift).items():  # k._sub reduces v
-                wp[key] = k._sub(wp.get(key, zero), v)
-        return grads + [wp]
+                key += at_wp
+                old = out.get(key, zero)
+                out[key] = (old - v) % p if ints else k._sub(old, v)
+        return out
     return w
 
 
@@ -301,9 +303,13 @@ def check_axioms(p, nvars, trials=500, seed=0):
     have exponents at most D, f + g at most D and fg at most 2D, so w(fg)
     and Q(fg) form exponents at most 2pD and P(f, g) at most pD; the
     twisted products add pD to the exponents of w(f) and w(g), at most pD.
-    So no digit carries.  Sums and products are taken on integers and read
-    mod p^2 or p, through the ring maps Z -> Z/p^2 -> F_p; polynomials are
-    built only to report a failure.
+    So every digit is below B and each coordinate of a packed w vector
+    stays inside its slot: an identity is one accumulation into w of its
+    left side, P entering at the w(p) slot, tested to vanish mod p.  Sums
+    and products are taken on integers and read mod p^2 or p, through the
+    ring maps Z -> Z/p^2 -> F_p; polynomials are built only to report a
+    failure.  At least a quarter of the samples are 0, so w(0) = 0 and
+    w(f + 0) = w(f) are taken without the core.
     """
     rng = random.Random(seed)
     base = PrimeSquareRing(p)
@@ -312,6 +318,7 @@ def check_axioms(p, nvars, trials=500, seed=0):
     radix = [B**i for i in range(nvars)]
     w_core = _w_core(base, base.residue_field(), nvars, B)
     plift = _lift(base, q)
+    neg, e_wp = {0: p - 1}, {nvars * B**nvars: 1}  # -1 and e_{w(p)}
 
     def sample():  # the draws of random_poly in tests/routes.py, packed
         terms = {}
@@ -320,36 +327,28 @@ def check_axioms(p, nvars, trials=500, seed=0):
             terms[m] = rng.randrange(q)
         return {m: c for m, c in terms.items() if c}
 
-    def w(h):  # the coordinates of w(h mod q)
-        return w_core({m: c % q for m, c in h.items() if c % q})
-
-    def agree(lhs, *rhs):  # lhs = sum(rhs) over F_p
-        acc = dict(lhs)
-        for h in rhs:
-            for m, c in h.items():
-                acc[m] = acc.get(m, 0) - c
-        return not any(c % p for c in acc.values())
+    def w(h):  # the coordinates of w(h mod q); w(0) = 0
+        h = {m: c % q for m, c in h.items() if c % q}
+        return w_core(h) if h else {}
 
     report = AxiomReport(p=p, nvars=nvars, trials=trials, seed=seed)
     for t in range(trials):
         f, g = sample(), sample()
         wf, wg = w(f), w(g)
-        # additivity, with the Witt carry on the w(p) coordinate
+        # additivity: w(f+g) - w(f) - w(g) + P(f,g) e_{w(p)} vanishes
         s = dict(f)
         for m, c in g.items():
             s[m] = s.get(m, 0) + c
-        ws = w(s)
-        carry = {m: -c for m, c in _witt_P_raw(f, g, plift).items()}
-        ok_add = all(agree(ws[i], wf[i], wg[i], carry if i == nvars else {})
-                     for i in range(nvars + 1))
+        ws = w(s) if f and g else dict(wf or wg)  # w(f + 0) = w(f)
+        acc = _raw_mul(neg, wf, _raw_mul(neg, wg, ws))
+        _raw_mul(e_wp, _witt_P_raw(f, g, plift), acc)
+        ok_add = not any(c % p for c in acc.values())
         # Leibniz with twisted scalars, f^(p) = sum c X^(pm) as c^p = c in
         # F_p: w(fg) plus (q - f^(p)) w(g) plus (q - g^(p)) w(f) vanishes
-        wm = w(_raw_mul(f, g))
         ftw = {p * m: q - c for m, c in f.items()}
         gtw = {p * m: q - c for m, c in g.items()}
-        ok_mul = all(agree(_raw_mul(ftw, wg[i], _raw_mul(gtw, wf[i],
-                                                         dict(wm[i]))))
-                     for i in range(nvars + 1))
+        acc = _raw_mul(ftw, wg, _raw_mul(gtw, wf, w(_raw_mul(f, g))))
+        ok_mul = not any(c % p for c in acc.values())
         if not (ok_add and ok_mul):
             ring = PolyRing(base, tuple(f"x{i+1}" for i in range(nvars)))
             report.failures.append({

@@ -105,6 +105,12 @@ R(0, g) = -[0] too), except the one of p*1 when [p] is kept free: the
 [p] row.  What remains is that row, the additive relations off the tree
 and the Leibniz relations D(g_v, g_w): e * s columns instead of e * n.
 
+When p*1 = 0 (always in characteristic p), [p] is not free and T[p*1] =
+T[0] = 0, so T[z] = T[y] + T[g_w]; with no p-digits and no carries the
+digits of y + g_w are those of y plus e_w, so T[a] = sum_u a_u e_u, a_u
+the digits of a, is additive.  R(a, g) then maps to T[a+g] - T[a] -
+T[g] + P(a, g) T[p*1] = 0: the Leibniz rows alone give the rank.
+
 Finite rings over a Z/p^2 base are enumerated exactly.  Let I be the
 relation ideal, I_1 its image mod p and U = (I : p) mod p, the u with
 p u~ in I; an element has a unique canonical form r + p*h with r
@@ -438,7 +444,7 @@ def _tree_coordinates(ring: FiniteRing):
     return T, np.nonzero(off_tree)
 
 
-def relation_rows(ring: FiniteRing):
+def relation_rows(ring: FiniteRing, additive=True):
     """Yield numpy relation rows of the universal module, in batches.
 
     Columns are tree coordinates: one block of e coordinates, e = dim of
@@ -446,7 +452,8 @@ def relation_rows(ring: FiniteRing):
     A/pA-basis multiplier beta_k: a term c*[x] of the relation places the
     basis decompositions of beta_k * c * T[x] into the blocks.  The Leibniz family runs over the generator pairs
     g <= h, the additive family over the pairs (a, g) off the tree, the
-    [p] row among them; the module docstring shows that these span all.
+    [p] row among them, unless not additive; the module docstring shows
+    that these span all, and the Leibniz family alone when p*1 = 0.
     """
     T, (a_all, u_all) = _tree_coordinates(ring)
     gens = np.array(ring.basis_idx, dtype=np.int64)
@@ -455,6 +462,8 @@ def relation_rows(ring: FiniteRing):
     yield _relation_block(ring, T, [(1, ring.mul[a, b], one),
                                     (-1, a, ring.frob[b]),
                                     (-1, b, ring.frob[a])])
+    if not additive:
+        return
     step = max(1, 1024 // ring.carrier_dim)
     for lo in range(0, a_all.size, step):
         a, b = a_all[lo:lo + step], gens[u_all[lo:lo + step]]
@@ -497,7 +506,7 @@ def brute_fw(ring: FiniteRing) -> UniversalModule:
     """The universal module, by one F_p rank in tree coordinates."""
     ncols = ring.carrier_dim * len(_free_symbols(ring))
     span = ModPSpan(ring.p, ncols)
-    for batch in relation_rows(ring):
+    for batch in relation_rows(ring, ring.p_one_idx != ring.zero_idx):
         span.add_rows(batch)
         if span.rank == ncols:
             break

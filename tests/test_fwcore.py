@@ -21,6 +21,7 @@ from fwdiff.fwcore import (
 )
 from fwdiff.localalg import PointSpec, fiber_dim
 from fwdiff.modarith import (
+    GaloisField,
     GaloisRing,
     PrimeField,
     PrimeSquareRing,
@@ -37,6 +38,7 @@ from routes import (
     random_scalar,
     ring_of,
     twisted_relative_kahler,
+    w_poly_by_polys,
     w_poly_charp,
     with_extra_relations,
 )
@@ -150,6 +152,38 @@ def test_w_poly_galois_ring_coefficients():
     assert wp.is_zero()
 
 
+@pytest.mark.parametrize("base", [
+    PrimeSquareRing(3), PrimeSquareRing(2), GaloisRing(2, 2), GaloisRing(3, 2),
+    PrimeField(5), GaloisField(2, 2), GaloisField(3, 2),
+], ids=lambda R: R.tag())
+@pytest.mark.parametrize("nvars", [0, 1, 2])
+def test_w_poly_and_column_of_split_the_packed_vector(base, nvars):
+    """The w core packs every coordinate into one vector; split again, it
+    gives the references' coordinates on constants, on X^p (whose
+    derivatives all vanish, as does its w), with no variables, and over
+    F_q and GR(p^2, e) (w_poly only: GR(p^2, e) is no presentation base)."""
+    p, rng = base.p, random.Random(nvars)
+    ring = PolyRing(base, tuple(f"x{i+1}" for i in range(nvars)))
+    polys = [ring.zero(), ring.one(), ring.constant(random_scalar(rng, base))]
+    polys += [x**p for x in ring.gens()]
+    polys += [random_poly(rng, ring, max_terms=3, max_degree=p + 1)
+              for _ in range(4)]
+    got = {}
+    if not base.is_field:
+        got["w_poly"] = w_poly
+    if isinstance(base, fwcore.BASE_RINGS):
+        pres = ring_of(base, ring.variables, [])
+        got["column_of"] = lambda f: column_of(pres, f)
+    for f in polys:
+        want = w_poly_charp(f) if base.is_field else w_poly_by_polys(f)
+        assert len(want) == nvars + (not base.is_field)
+        for name, fn in got.items():
+            assert fn(f) == want, (name, str(f))
+    for x in ring.gens():
+        for fn in got.values():
+            assert all(c.is_zero() for c in fn(x**p))
+
+
 # ---------------------------------------------------------------------------
 # axiom fuzzing
 
@@ -212,6 +246,37 @@ def test_axioms_split_each_key_into_digits_once(monkeypatch):
         for h in (f, g, f + g, f * g):
             monomials.update(h.terms)
     assert len(calls) == nvars * len(monomials)
+
+
+def _w_core_calls(monkeypatch):
+    """The inputs of every call of a w core that fwcore builds from now on."""
+    calls = []
+    real = fwcore._w_core
+
+    def counting(*args):
+        w = real(*args)
+        return lambda raw: calls.append(raw) or w(raw)
+
+    monkeypatch.setattr(fwcore, "_w_core", counting)
+    return calls
+
+
+def test_axioms_take_w_of_zero_and_of_f_plus_zero_without_the_core(
+        monkeypatch):
+    """A block calls the w core on no zero polynomial and not on f + g when
+    f or g is 0; every other f, g, f + g and fg of a trial is one call."""
+    calls = _w_core_calls(monkeypatch)
+    p, nvars, trials, seed = 3, 2, 60, 2
+    assert check_axioms(p, nvars, trials=trials, seed=seed).passed
+    rng = random.Random(seed)
+    ring = PolyRing(PrimeSquareRing(p), tuple(f"x{i+1}" for i in range(nvars)))
+    want = []
+    for _ in range(trials):
+        f, g = random_poly(rng, ring), random_poly(rng, ring)
+        both = not (f.is_zero() or g.is_zero())
+        want += [h for h in [f, g] + [f + g] * both + [f * g] if not h.is_zero()]
+    assert all(calls)
+    assert len(calls) == len(want) < 4 * trials
 
 
 @pytest.mark.parametrize("core", ["_witt_Q_raw", "_witt_P_raw"])

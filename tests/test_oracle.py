@@ -410,6 +410,58 @@ def test_generator_oracle_matches_references_on_bench_rings(name):
     assert brute_fw(fr).dimension == element_brute_fw(fr).dimension
 
 
+def _rows_sent(monkeypatch):
+    """The heights of the row batches every ModPSpan is given from now on."""
+    heights = []
+    real = ModPSpan.add_rows
+    monkeypatch.setattr(ModPSpan, "add_rows", lambda span, rows:
+                        heights.append(len(rows)) or real(span, rows))
+    return heights
+
+
+@pytest.mark.parametrize("pres", [
+    F2_EPS3, F3_EPS,
+    ring_of(PrimeField(2), ("x", "y"), ["x^2", "y^2"]),
+    ring_of(PrimeField(2), ("x",), ["x^5"]),
+    parse_ring("base: Fq(2,2)\nvars: x\nrel: x^2\n"),
+    ring_of(PrimeSquareRing(2), ("x",), ["x^3", "2"]),
+], ids=_ring_id)
+def test_rings_with_p_zero_send_only_their_leibniz_rows(monkeypatch, pres):
+    """When p*1 = 0 the additive rows are zero in tree coordinates, so
+    brute_fw ranks the Leibniz block alone: e rows for each generator pair
+    g <= h, though the rank stays below full.  The dimension is still the
+    presented one and the per-element reference's."""
+    fr = FiniteRing.from_presentation(pres, max_size=81)
+    assert fr.p_one_idx == fr.zero_idx
+    heights = _rows_sent(monkeypatch)
+    um = brute_fw(fr)
+    g, e = len(fr.basis_idx), fr.carrier_dim
+    assert sum(heights) == e * g * (g + 1) // 2
+    assert 0 < um.rank < um.ncols
+    assert um.dimension == presented_fp_dimension(present_fw(pres))
+    assert um.dimension == element_brute_fw(fr).dimension
+
+
+@pytest.mark.parametrize("pres,leibniz_rank,rank,dim", [
+    (ring_of(PrimeSquareRing(2), ("x",), ["2*x", "x^3"]), 6, 7, 5),
+    (ring_of(PrimeSquareRing(3), ("x",), ["3*x", "x^4"]), 12, 13, 7),
+], ids=["Z4[x]/(2x,x^3)", "Z9[x]/(3x,x^4)"])
+def test_zp2_rings_keep_their_additive_rows(monkeypatch, pres, leibniz_rank,
+                                            rank, dim):
+    """Where p*1 != 0 the additive rows raise the rank past the Leibniz
+    block's, and brute_fw still ranks them."""
+    fr = FiniteRing.from_presentation(pres, max_size=243)
+    leibniz = next(relation_rows(fr))
+    span = ModPSpan(fr.p, leibniz.shape[1])
+    span.add_rows(leibniz)
+    assert span.rank == leibniz_rank
+    heights = _rows_sent(monkeypatch)
+    um = brute_fw(fr)
+    assert sum(heights) > len(leibniz)
+    assert um.rank == rank
+    assert um.dimension == presented_fp_dimension(present_fw(pres)) == dim
+
+
 class _Unreached(Exception):
     """Stops a probe ring whose generators miss elements: it has no tables."""
 
