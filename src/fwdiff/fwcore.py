@@ -304,44 +304,55 @@ def check_axioms(p, nvars, trials=500, seed=0):
     and Q(fg) form exponents at most 2pD and P(f, g) at most pD; the
     twisted products add pD to the exponents of w(f) and w(g), at most pD.
     So every digit is below B and each coordinate of a packed w vector
-    stays inside its slot: an identity is one accumulation into w of its
-    left side, P entering at the w(p) slot, tested to vanish mod p.  Sums
-    and products are taken on integers and read mod p^2 or p, through the
-    ring maps Z -> Z/p^2 -> F_p; polynomials are built only to report a
-    failure.  At least a quarter of the samples are 0, so w(0) = 0 and
-    w(f + 0) = w(f) are taken without the core.
+    stays inside its slot: an identity is one accumulation of its other
+    terms into the fresh vector w(f+g) or w(fg), P entering at the w(p)
+    slot, tested to vanish mod p.  Sums and products are taken on integers
+    and read mod p^2 or p, through the ring maps Z -> Z/p^2 -> F_p;
+    polynomials are built only to report a failure.  About half the pairs
+    have f = 0 or g = 0, where both identities hold by construction
+    (w(0) = 0 and P(0, h) = 0): they pass without the core.
     """
     rng = random.Random(seed)
+    draw = rng.randrange
     base = PrimeSquareRing(p)
     q = p * p
     B = 2 * p * SAMPLE_DEGREE + 1
     radix = [B**i for i in range(nvars)]
     w_core = _w_core(base, base.residue_field(), nvars, B)
     plift = _lift(base, q)
-    neg, e_wp = {0: p - 1}, {nvars * B**nvars: 1}  # -1 and e_{w(p)}
+    at_wp = nvars * B**nvars  # the w(p) slot
 
     def sample():  # the draws of random_poly in tests/routes.py, packed
         terms = {}
-        for _ in range(rng.randrange(SAMPLE_TERMS + 1)):  # = randint(0, ..)
-            m = sum([rng.randrange(SAMPLE_DEGREE + 1) * b for b in radix])
-            terms[m] = rng.randrange(q)
+        for _ in range(draw(SAMPLE_TERMS + 1)):  # = randint(0, SAMPLE_TERMS)
+            m = 0
+            for b in radix:
+                m += draw(SAMPLE_DEGREE + 1) * b
+            terms[m] = draw(q)
         return {m: c for m, c in terms.items() if c}
 
-    def w(h):  # the coordinates of w(h mod q); w(0) = 0
+    def w(h):  # the coordinates of w(h mod q), a fresh dict; w(0) = 0
         h = {m: c % q for m, c in h.items() if c % q}
         return w_core(h) if h else {}
 
     report = AxiomReport(p=p, nvars=nvars, trials=trials, seed=seed)
     for t in range(trials):
         f, g = sample(), sample()
-        wf, wg = w(f), w(g)
+        if not (f and g):
+            continue
+        wf, wg = w_core(f), w_core(g)  # sampled reduced mod q
         # additivity: w(f+g) - w(f) - w(g) + P(f,g) e_{w(p)} vanishes
         s = dict(f)
         for m, c in g.items():
             s[m] = s.get(m, 0) + c
-        ws = w(s) if f and g else dict(wf or wg)  # w(f + 0) = w(f)
-        acc = _raw_mul(neg, wf, _raw_mul(neg, wg, ws))
-        _raw_mul(e_wp, _witt_P_raw(f, g, plift), acc)
+        acc = w(s)
+        get = acc.get
+        for wh in (wf, wg):
+            for key, v in wh.items():
+                acc[key] = get(key, 0) - v
+        for key, v in _witt_P_raw(f, g, plift).items():
+            key += at_wp
+            acc[key] = get(key, 0) + v
         ok_add = not any(c % p for c in acc.values())
         # Leibniz with twisted scalars, f^(p) = sum c X^(pm) as c^p = c in
         # F_p: w(fg) plus (q - f^(p)) w(g) plus (q - g^(p)) w(f) vanishes

@@ -422,6 +422,14 @@ class GroebnerBasis:
     def lead_monomials(self):
         return [lm for lm, _, _ in self._leads]
 
+    def is_finite(self):
+        """True when the quotient is finite over the coefficients (Krull
+        dimension at most 0): the ideal is the unit ideal, or every variable
+        has a pure power among the leading monomials."""
+        pure = {i for m in self.lead_monomials()
+                for i, e in enumerate(m) if e and e == mono_deg(m)}
+        return len(pure) == self.ring.nvars or self.is_trivial()
+
 
 def groebner(gens, ring=None):
     """Buchberger's algorithm with sugar-strategy pair selection.
@@ -535,7 +543,7 @@ def standard_monomials(gb: GroebnerBasis, limit=None):
     them, before the rest is enumerated."""
     if gb.is_trivial():
         return []
-    if krull_dim(gb) > 0:
+    if not gb.is_finite():
         raise PresentationError("staircase is infinite")
     ring = gb.ring
     leads = gb.lead_monomials()

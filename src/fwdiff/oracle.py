@@ -144,7 +144,7 @@ from .errors import PresentationError, SizeRefusalError
 from .fwcore import FWPresentation, RingPresentation
 from .linalg import ModPSpan
 from .modarith import reduce_mod_p
-from .mpoly import groebner, krull_dim, normal_form, standard_monomials
+from .mpoly import groebner, normal_form, standard_monomials
 
 # |A| caps keeping the relation matrix at desk scale
 DEFAULT_SIZE_CAP = {2: 16, 3: 81, 5: 25}
@@ -327,7 +327,7 @@ class FiniteRing:
               else groebner(ring_pres.relations, ring=ring_pres.poly_ring))
         if gb.is_trivial():
             raise PresentationError("the presented ring is the zero ring")
-        if krull_dim(gb) > 0:
+        if not gb.is_finite():
             raise SizeRefusalError("the presented ring is infinite")
         # the most digits d whose p^d-element tables fit TABLE_MEMORY_BOUND
         # (12 at p = 2); a longer staircase is refused before it is listed
@@ -444,16 +444,16 @@ def _tree_coordinates(ring: FiniteRing):
     return T, np.nonzero(off_tree)
 
 
-def relation_rows(ring: FiniteRing, additive=True):
+def relation_rows(ring: FiniteRing):
     """Yield numpy relation rows of the universal module, in batches.
 
     Columns are tree coordinates: one block of e coordinates, e = dim of
     A/pA, per free symbol.  Each relation is instantiated once per
     A/pA-basis multiplier beta_k: a term c*[x] of the relation places the
     basis decompositions of beta_k * c * T[x] into the blocks.  The Leibniz family runs over the generator pairs
-    g <= h, the additive family over the pairs (a, g) off the tree, the
-    [p] row among them, unless not additive; the module docstring shows
-    that these span all, and the Leibniz family alone when p*1 = 0.
+    g <= h, then, unless p*1 = 0, the additive family over the pairs (a, g)
+    off the tree, the [p] row among them; the module docstring shows that
+    these span all, and the Leibniz family alone when p*1 = 0.
     """
     T, (a_all, u_all) = _tree_coordinates(ring)
     gens = np.array(ring.basis_idx, dtype=np.int64)
@@ -462,7 +462,7 @@ def relation_rows(ring: FiniteRing, additive=True):
     yield _relation_block(ring, T, [(1, ring.mul[a, b], one),
                                     (-1, a, ring.frob[b]),
                                     (-1, b, ring.frob[a])])
-    if not additive:
+    if ring.p_one_idx == ring.zero_idx:
         return
     step = max(1, 1024 // ring.carrier_dim)
     for lo in range(0, a_all.size, step):
@@ -506,7 +506,7 @@ def brute_fw(ring: FiniteRing) -> UniversalModule:
     """The universal module, by one F_p rank in tree coordinates."""
     ncols = ring.carrier_dim * len(_free_symbols(ring))
     span = ModPSpan(ring.p, ncols)
-    for batch in relation_rows(ring, ring.p_one_idx != ring.zero_idx):
+    for batch in relation_rows(ring):
         span.add_rows(batch)
         if span.rank == ncols:
             break
@@ -532,7 +532,7 @@ def presented_fp_dimension(fw: FWPresentation) -> int:
     gb = fw.carrier
     if gb.is_trivial():
         raise PresentationError("the presented ring is the zero ring")
-    if krull_dim(gb) > 0:
+    if not gb.is_finite():
         raise PresentationError("carrier is infinite; no total F_p-dimension")
     basis, digits_of = _digit_model(fw.carrier_ring, standard_monomials(gb),
                                     [], "the carrier")

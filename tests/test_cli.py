@@ -546,6 +546,19 @@ def test_oracle_refuses_a_long_staircase_before_listing_it(tmp_path, rels):
     assert seconds < 2.0
 
 
+def test_oracle_refuses_an_infinite_ring_by_its_pure_powers(tmp_path):
+    """F_2[x1..x24]/(x1 x2, x3 x4, ..): finiteness asks only whether every
+    variable has a pure power among the leading monomials, not for the
+    Krull dimension, whose subset search took 10.8 s here."""
+    names = [f"x{i}" for i in range(1, 25)]
+    path = tmp_path / "pairs.ring"
+    path.write_text(f"base: Fp(2)\nvars: {', '.join(names)}\n" + "".join(
+        f"rel: {a}*{b}\n" for a, b in zip(names[::2], names[1::2])))
+    code, err, seconds = _fwdiff(["oracle", "-i", str(path), "--json"])
+    assert code == 1 and err == "refused: the presented ring is infinite\n"
+    assert seconds < 2.0
+
+
 def test_present_refuses_a_minimal_polynomial_search_past_the_bound(tmp_path):
     """Every cubic t^3 + a over F_10007 has a root: the search for the
     first irreducible cubic ran past 20 s."""
@@ -727,3 +740,22 @@ def test_output_bytes_are_pinned():
                                 "--json", "--seed", "11"])
             assert (got, hashlib.sha256(out.encode()).hexdigest()) \
                 == (code, digest), (command, name)
+
+
+AXIOM_PINS = os.path.join(os.path.dirname(__file__), "axioms_pins.json")
+
+
+def test_axioms_output_bytes_are_pinned():
+    """`axioms --p P --nvars N --trials 40 --seed 9 --json` for p in 2, 3, 5
+    and 0 to 3 variables: the exit code and the sha256 of standard output
+    are those recorded in axioms_pins.json."""
+    with open(AXIOM_PINS, encoding="utf-8") as fh:
+        pins = json.load(fh)
+    assert sorted(pins) == sorted(f"p={p} nvars={n}" for p in (2, 3, 5)
+                                  for n in range(4))
+    for name, (code, digest) in sorted(pins.items()):
+        p, n = (part.split("=")[1] for part in name.split())
+        got, out, _ = _run(["axioms", "--p", p, "--nvars", n, "--trials",
+                            "40", "--seed", "9", "--json"])
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) \
+            == (code, digest), name

@@ -232,7 +232,7 @@ def test_axioms_at_p_13_match_the_polynomial_reference(nvars):
 def test_axioms_split_each_key_into_digits_once(monkeypatch):
     """One check_axioms block splits each packed key that it passes to w
     into its nvars exponent digits once, however many of its polynomials
-    and trials share the key."""
+    and trials share the key; a pair with a zero member passes no key."""
     calls = []
     monkeypatch.setattr(fwcore, "divmod", lambda a, b: calls.append(a)
                         or divmod(a, b), raising=False)
@@ -243,8 +243,9 @@ def test_axioms_split_each_key_into_digits_once(monkeypatch):
     monomials = set()
     for _ in range(trials):
         f, g = random_poly(rng, ring), random_poly(rng, ring)
-        for h in (f, g, f + g, f * g):
-            monomials.update(h.terms)
+        if not (f.is_zero() or g.is_zero()):
+            for h in (f, g, f + g, f * g):
+                monomials.update(h.terms)
     assert len(calls) == nvars * len(monomials)
 
 
@@ -263,8 +264,9 @@ def _w_core_calls(monkeypatch):
 
 def test_axioms_take_w_of_zero_and_of_f_plus_zero_without_the_core(
         monkeypatch):
-    """A block calls the w core on no zero polynomial and not on f + g when
-    f or g is 0; every other f, g, f + g and fg of a trial is one call."""
+    """A block calls the w core on no zero polynomial and on nothing of a
+    pair with a zero member, where both identities hold by construction;
+    every nonzero f, g, f + g and fg of any other pair is one call."""
     calls = _w_core_calls(monkeypatch)
     p, nvars, trials, seed = 3, 2, 60, 2
     assert check_axioms(p, nvars, trials=trials, seed=seed).passed
@@ -273,10 +275,10 @@ def test_axioms_take_w_of_zero_and_of_f_plus_zero_without_the_core(
     want = []
     for _ in range(trials):
         f, g = random_poly(rng, ring), random_poly(rng, ring)
-        both = not (f.is_zero() or g.is_zero())
-        want += [h for h in [f, g] + [f + g] * both + [f * g] if not h.is_zero()]
+        if not (f.is_zero() or g.is_zero()):
+            want += [h for h in (f, g, f + g, f * g) if not h.is_zero()]
     assert all(calls)
-    assert len(calls) == len(want) < 4 * trials
+    assert len(calls) == len(want) < 3 * trials
 
 
 @pytest.mark.parametrize("core", ["_witt_Q_raw", "_witt_P_raw"])
@@ -306,6 +308,53 @@ def test_axioms_catch_a_carry_core_missing_a_term(monkeypatch, core):
                for _ in range(trials)]
     for fail in rep.failures:
         assert (fail["f"], fail["g"]) == samples[fail["trial"]]
+        assert not (fail["additivity"] and fail["leibniz"])
+
+
+def _drop_a_twisted_derivative(out, raw, p, at_wp):
+    for key, v in out.items():
+        if key < at_wp and v % p:
+            del out[key]
+            return
+
+
+def _shift_a_w_base(out, raw, p, at_wp):
+    key = p * next(iter(raw)) + at_wp
+    out[key] = (out[key] + 1) % p
+
+
+@pytest.mark.parametrize("mutate", [_drop_a_twisted_derivative,
+                                    _shift_a_w_base])
+def test_axioms_catch_a_w_core_with_one_wrong_term(monkeypatch, mutate):
+    """With the first nonzero twisted-derivative term of every w vector
+    dropped, or the w_base of its first term shifted by one, check_axioms
+    reports failures, at trials whose f and g are the reference's samples
+    and have no zero member, while the reference, which shares no code
+    with the core, still passes."""
+    real = fwcore._w_core
+    p, nvars, trials, seed = 3, 2, 40, 7
+
+    def mutated(R, k, n, B):
+        w = real(R, k, n, B)
+
+        def wrong(raw):
+            out = w(raw)
+            mutate(out, raw, p, n * B**n)
+            return out
+        return wrong
+
+    monkeypatch.setattr(fwcore, "_w_core", mutated)
+    rep = check_axioms(p, nvars, trials=trials, seed=seed)
+    assert len(rep.failures) >= 5
+    assert check_axioms_by_polys(p, nvars, trials, seed).passed
+    rng = random.Random(seed)
+    ring = PolyRing(PrimeSquareRing(p), ("x1", "x2"))
+    samples = [(random_poly(rng, ring), random_poly(rng, ring))
+               for _ in range(trials)]
+    for fail in rep.failures:
+        f, g = samples[fail["trial"]]
+        assert (fail["f"], fail["g"]) == (str(f), str(g))
+        assert not (f.is_zero() or g.is_zero())
         assert not (fail["additivity"] and fail["leibniz"])
 
 

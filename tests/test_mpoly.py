@@ -353,6 +353,35 @@ def test_krull_dim_random_vs_growth():
         done += 1
 
 
+@st.composite
+def _ideals(draw):
+    base = draw(st.sampled_from([PrimeField(2), PrimeField(3),
+                                 PrimeSquareRing(2), PrimeSquareRing(3)]))
+    ring = PolyRing(base, tuple(f"x{i}" for i in range(draw(
+        st.integers(0, 4)))))
+    monomial = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    term = st.tuples(monomial, st.integers(1, base.modulus - 1))
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=2),
+                         min_size=1, max_size=3))
+    # pure powers of some variables, so that finite quotients are common
+    if ring.nvars:
+        for i in draw(st.sets(st.integers(0, ring.nvars - 1))):
+            e = draw(st.integers(1, 3))
+            gens.append([(tuple(e * (j == i) for j in range(ring.nvars)), 1)])
+    return ring, [ring.poly(dict(terms)) for terms in gens]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_ideals())
+def test_finiteness_by_pure_powers_matches_krull_dim(ideal):
+    """A nontrivial basis is finite exactly when its Krull dimension is 0;
+    the unit ideal's quotient, 0, is finite."""
+    ring, gens = ideal
+    gb = groebner(gens, ring=ring)
+    want = gb.is_trivial() or krull_dim(gb) == 0
+    assert gb.is_finite() == want
+
+
 def test_staircase_edges():
     assert staircase_dim([], 3) == 3
     assert staircase_dim([(0, 0)], 2) == -1  # unit ideal

@@ -382,14 +382,14 @@ def test_generator_oracle_matches_all_pairs_reference(pres, max_size):
     assert (fr.add == add).all() and (fr.mul == mul).all()
     verify_axioms(fr)
     um = brute_fw(fr)
-    # Leibniz rows on generator pairs, additive rows off the tree, and
-    # the [p] row when p*1 != 0; e rows each, e per free symbol wide
+    # Leibniz rows on generator pairs, and when p*1 != 0 the additive rows
+    # off the tree and the [p] row; e rows each, e per free symbol wide
     n, g, e = fr.size, len(fr.basis_idx), fr.carrier_dim
     with_p = fr.p_one_idx != fr.zero_idx
     rows = [batch.shape for batch in relation_rows(fr)]
     assert {width for _, width in rows} == {e * (g + with_p)} == {um.ncols}
-    assert sum(h for h, _ in rows) == e * (g * (g + 1) // 2 + n * g
-                                           - (n - 1) + with_p)
+    assert sum(h for h, _ in rows) == e * (g * (g + 1) // 2
+                                           + with_p * (n * g - n + 2))
     rank = _all_pairs_rank(fr)
     # the ranks are taken in different coordinates: compare dimensions
     assert um.dimension == fr.size * fr.carrier_dim - rank
