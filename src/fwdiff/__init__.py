@@ -44,7 +44,6 @@ from .localalg import (
 )
 from .modarith import (
     GaloisField,
-    GaloisRing,
     PrimeField,
     PrimeSquareRing,
     Residue,
@@ -80,7 +79,6 @@ __all__ = [
     "FWPresentation",
     "FiniteRing",
     "GaloisField",
-    "GaloisRing",
     "GroebnerBasis",
     "OffSchemeError",
     "PointSpec",

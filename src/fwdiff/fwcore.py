@@ -15,11 +15,11 @@ where Q is the multivariate Witt carry of mpoly.witt_Q, one p-th power
 over a p^3 lift.  One core, _w_core, computes it on packed raw
 polynomials (mpoly's docstring) for w_poly, column_of and check_axioms,
 which build polynomials only at the end; check_axioms builds the core,
-with its lift and digit splits, once per block.  Bases of characteristic
-p are handled by the same formula through the flat cover Z/p^2 or
-GR(p^2, e): the relation "p" turns the w(p) coordinate into a unit
-column, so it is dropped, and what is left is the twisted gradient of f.
-column_of computes that directly, with no Witt carry.
+with its digit splits, once per block.  Bases of characteristic p are
+handled by the same formula through a flat cover over Z/p^2 (over F_q,
+the unramified one): the relation "p" turns the w(p) coordinate into a
+unit column, so it is dropped, and what is left is the twisted gradient
+of f.  column_of computes that directly, with no Witt carry.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .mpoly import (
     GroebnerBasis,
     PolyRing,
     SparsePoly,
-    _lift,
     _pack,
     _raw_mul,
     _unpack,
@@ -150,16 +149,16 @@ class FWPresentation:
 def w_poly(f):
     """Coordinates of w(f) in the free module on w(X_1..X_n), w(p).
 
-    f has coefficients in Z/p^2 or GR(p^2, e); the coordinates are
-    polynomials over the residue field k (the module is p-torsion).  They
-    come from _w_core on f packed in radix B = p*d + 1, d the largest
-    exponent of f: every exponent w forms, p*m, p*(m - e_j) and those of
-    Q(f), is at most p*d < B, so no digit carries into the next, and
-    each coordinate stays inside its slot of the core's packed vector.
+    f has coefficients in Z/p^2; the coordinates are polynomials over the
+    residue field F_p (the module is p-torsion).  They come from _w_core
+    on f packed in radix B = p*d + 1, d the largest exponent of f: every
+    exponent w forms, p*m, p*(m - e_j) and those of Q(f), is at most
+    p*d < B, so no digit carries into the next, and each coordinate stays
+    inside its slot of the core's packed vector.
     """
     R = f.ring.coeff
     if R.is_field:
-        raise PresentationError("w_poly needs Z/p^2 or GR(p^2,e) coefficients")
+        raise PresentationError("w_poly needs Z/p^2 coefficients")
     return _w_polys(f, R.residue_field())
 
 
@@ -183,14 +182,14 @@ def _w_core(R, k, n, B):
     stays inside its slot.  A term c X^m gives the twisted derivatives
     (e c mod p)^p X^(p(m - e_j)) at key p*key - shifts[j], for e = m_j prime
     to p, and w_base(c) X^(p m) on w(p), where Q mod p is then subtracted.
-    Over a field (R = k) the w(p) coordinate is left out (module docstring).
-    w splits a key into its digits the first time it sees it; over Z/p^2
-    and F_p it computes on ints inline."""
+    Over a field (R = k) the w(p) coordinate is left out (module docstring),
+    so it is computed only over Z/p^2, on ints.  w splits a key into its
+    digits the first time it sees it; over F_p and Z/p^2 it computes the
+    derivatives on ints inline, over F_q on tuples."""
     p, q = k.p, k.p * k.p
-    ints = k.degree == 1
-    lift = None if R.is_field else _lift(R, p * q)
+    ints, wp = k.degree == 1, not R.is_field
     shifts = [p * B**j - j * B**n for j in range(n)]
-    at_wp, zero = n * B**n, k._of_int(0)
+    at_wp = n * B**n
 
     @cache
     def split(key):  # (key of the derivative, e) for e = m_j prime to p
@@ -207,14 +206,12 @@ def _w_core(R, k, n, B):
             for at, e in split(key):  # x^p = x on F_p
                 out[at] = c * e % p if ints else \
                     k._pow(tuple([x * e % p for x in c]), p)
-            if lift is not None:  # w_base(c) = (c - c^p)/p mod p over ints
-                out[p * key + at_wp] = (c - pow(c, p, q)) // p % p if ints \
-                    else R._w_base(c)
-        if lift is not None:
-            for key, v in _witt_Q_raw(raw, lift).items():  # k._sub reduces v
+            if wp:  # w_base(c) = (c - c^p)/p mod p
+                out[p * key + at_wp] = (c - pow(c, p, q)) // p % p
+        if wp:
+            for key, v in _witt_Q_raw(raw, p).items():
                 key += at_wp
-                old = out.get(key, zero)
-                out[key] = (old - v) % p if ints else k._sub(old, v)
+                out[key] = (out.get(key, 0) - v) % p
         return out
     return w
 
@@ -319,7 +316,6 @@ def check_axioms(p, nvars, trials=500, seed=0):
     B = 2 * p * SAMPLE_DEGREE + 1
     radix = [B**i for i in range(nvars)]
     w_core = _w_core(base, base.residue_field(), nvars, B)
-    plift = _lift(base, q)
     at_wp = nvars * B**nvars  # the w(p) slot
 
     def sample():  # the draws of random_poly in tests/routes.py, packed
@@ -350,7 +346,7 @@ def check_axioms(p, nvars, trials=500, seed=0):
         for wh in (wf, wg):
             for key, v in wh.items():
                 acc[key] = get(key, 0) - v
-        for key, v in _witt_P_raw(f, g, plift).items():
+        for key, v in _witt_P_raw(f, g, p, q).items():
             key += at_wp
             acc[key] = get(key, 0) + v
         ok_add = not any(c % p for c in acc.values())

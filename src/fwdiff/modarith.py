@@ -1,12 +1,10 @@
 """Exact arithmetic for the coefficient rings of the kernel.
 
-Four rings appear: the prime field F_p, the ring Z/p^2, the field
-F_{p^e} presented as F_p[t]/(m), and the Galois ring GR(p^2, e) =
-(Z/p^2)[t]/(m~) obtained by lifting m coefficient by coefficient.
-Elements are stored as canonical least-nonnegative representatives:
-plain ints for F_p and Z/p^2, coefficient tuples of fixed length e >= 2
-for the extensions, so a ring's degree is 1 exactly when its values are
-ints.  Every operation reduces eagerly.  Which ring is the residue field
+Three rings appear: the prime field F_p, the ring Z/p^2, and the field
+F_{p^e} presented as F_p[t]/(m).  Elements are stored as canonical
+least-nonnegative representatives: plain ints for F_p and Z/p^2,
+coefficient tuples of fixed length e >= 2 for F_{p^e}, so a ring's
+degree is 1 exactly when its values are ints.  Every operation reduces eagerly.  Which ring is the residue field
 of which, which maps into which, and how a base is written are answered
 here, by the rings' own methods.
 """
@@ -164,14 +162,14 @@ class _BaseRing:
         return a == self._of_int(0)
 
     def residue_field(self):
-        """The residue field: a field is its own; Z/p^2 and GR(p^2, e)
-        build theirs on first use and keep it."""
+        """The residue field: a field is its own; Z/p^2 builds F_p on
+        first use and keeps it."""
         return self if self.is_field else self._residue_field
 
     def embeds_into(self, target):
         """Whether embed maps this ring into target: every ring maps into
-        itself, and F_p or Z/p^2 into F_q or GR(p^2, e) of the same p and
-        modulus, reading its int value there.  That is a ring map; F_p into
+        itself, and a ring of degree 1 into a ring of the same p and
+        modulus (F_p into F_q), reading its int value there.  That is a ring map; F_p into
         Z/p^2 would not be (2 + 2 = 1 in F_3, but 2 + 2 = 4 in Z/9)."""
         return self == target or (self.degree == 1 and target.p == self.p
                                   and target.modulus == self.modulus)
@@ -256,15 +254,10 @@ class PrimeSquareRing(_ModRing):
     def _residue_field(self):
         return PrimeField(self.p)
 
-    def _w_base(self, a):
-        # a^p mod p^2 stands in for a^p: they differ by a multiple of p^2
-        p = self.p
-        return (a - pow(a, p, p * p)) // p % p
-
 
 # ---------------------------------------------------------------------------
-# dense univariate helpers over Z/m, used for extension-ring arithmetic and
-# for the irreducibility search; polynomials are coefficient lists, low
+# dense univariate helpers over Z/m, used for F_q arithmetic and for the
+# irreducibility search; polynomials are coefficient lists, low
 # degree first, no trailing zeros
 
 def _upoly_trim(c):
@@ -352,17 +345,18 @@ def default_minpoly(p, e):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-class _ExtensionRing(_BaseRing):
-    """(Z/m)[t]/(minpoly): common machinery for F_{p^e} and GR(p^2, e),
-    e >= 2, on coefficient tuples of length e."""
+class GaloisField(_BaseRing):
+    """F_{p^e} = F_p[t]/(m) with m monic irreducible, e >= 2, on
+    coefficient tuples of length e."""
+
+    is_field = True
 
     def __init__(self, p, e, minpoly=None):
         _require_prime(p)
         _require_degree(e)
         if e == 1:  # each ring has one representation, and degree 1 is ints
-            raise PresentationError("an extension of degree 1 is "
-                                    + ("Fp(p)" if self.is_field else "Zp2(p)"))
-        self.p = p
+            raise PresentationError("an extension of degree 1 is Fp(p)")
+        self.p = self.modulus = p
         self.degree = e
         if minpoly is None:
             minpoly = default_minpoly(p, e)
@@ -377,35 +371,28 @@ class _ExtensionRing(_BaseRing):
                     f"{list(minpoly)} is not irreducible over F_{p}"
                 )
         self.minpoly = minpoly
-        self.modulus = p if self.is_field else p * p
-        self._red = [c % self.modulus for c in minpoly]
 
     def _of_int(self, n):
-        return (n % self.modulus,) + (0,) * (self.degree - 1)
+        return (n % self.p,) + (0,) * (self.degree - 1)
 
     def _add(self, a, b):
-        m = self.modulus
-        return tuple((x + y) % m for x, y in zip(a, b))
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
 
     def _sub(self, a, b):
-        m = self.modulus
-        return tuple((x - y) % m for x, y in zip(a, b))
+        p = self.p
+        return tuple((x - y) % p for x, y in zip(a, b))
 
     def _neg(self, a):
-        m = self.modulus
-        return tuple((-x) % m for x in a)
+        p = self.p
+        return tuple((-x) % p for x in a)
 
     def _mul(self, a, b):
-        prod = _upoly_mul(list(a), list(b), self.modulus)
-        rem = _upoly_rem(prod, self._red, self.modulus)
-        rem = rem + [0] * (self.degree - len(rem))
-        return tuple(rem)
+        rem = _upoly_rem(_upoly_mul(a, b, self.p), self.minpoly, self.p)
+        return tuple(rem + [0] * (self.degree - len(rem)))
 
     def _is_zero(self, a):
-        return all(x == 0 for x in a)
-
-    def _is_unit(self, a):
-        return any(x % self.p for x in a)
+        return not any(a)
 
     def _to_str(self, a):
         parts = []
@@ -428,18 +415,11 @@ class _ExtensionRing(_BaseRing):
         return (
             type(other) is type(self)
             and other.p == self.p
-            and other.degree == self.degree
             and other.minpoly == self.minpoly
         )
 
     def __hash__(self):
         return hash((type(self).__name__, self.p, self.minpoly))
-
-
-class GaloisField(_ExtensionRing):
-    """F_{p^e} = F_p[t]/(m) with m monic irreducible."""
-
-    is_field = True
 
     def tag(self):
         return self._tag
@@ -473,47 +453,12 @@ class GaloisField(_ExtensionRing):
             yield Residue(self, tuple(_base_p_digits(k, p, e)))
 
 
-class GaloisRing(_ExtensionRing):
-    """GR(p^2, e) = (Z/p^2)[t]/(m~), the unramified degree-e cover of Z/p^2.
-
-    m~ is the coefficient-wise lift of the chosen irreducible over F_p;
-    the quotient is local with residue field F_{p^e}.
-    """
-
-    is_field = False
-
-    def tag(self):
-        return f"GR({self.p}^2,{self.degree})"
-
-    def _inv(self, a):
-        if all(x % self.p == 0 for x in a):
-            raise ZeroDivisionError(f"{a} is not a unit in {self.tag()}")
-        # lift the inverse of the residue through one Hensel step
-        x = self.residue_field()._inv(tuple(c % self.p for c in a))
-        # x <- x * (2 - a x)
-        t = self._sub(self._of_int(2), self._mul(a, x))
-        return self._mul(x, t)
-
-    @cached_property
-    def _residue_field(self):
-        return GaloisField(self.p, self.degree, self.minpoly)
-
-    def _w_base(self, a):
-        p, k = self.p, self.residue_field()
-        # abar^(p^(e-1)) is the inverse of Frobenius on F_{p^e}
-        u = k._pow(tuple([x % p for x in a]), p ** (self.degree - 1))
-        diff = self._sub(a, self._pow(u, p))
-        assert all(x % p == 0 for x in diff)  # internal invariant
-        return k._pow(tuple([x // p % p for x in diff]), p)
-
-
 def reduce_mod_p(a: Residue) -> Residue:
-    """Push an element of Z/p^2 or GR(p^2, e) to the residue field."""
-    ring, p = a.ring, a.ring.p
+    """Push an element of Z/p^2 to the residue field F_p."""
+    ring = a.ring
     if ring.is_field:
         return a
-    return Residue(ring.residue_field(), a.value % p if ring.degree == 1
-                   else tuple(x % p for x in a.value))
+    return Residue(ring.residue_field(), a.value % ring.p)
 
 
 def embed(a: Residue, target) -> Residue:
@@ -533,12 +478,11 @@ def w_base(a: Residue) -> Residue:
     """The derivation constant of the base ring: w(a) = w_base(a) * w(p).
 
     Over Z/p^2 this is (a~ - a~^p)/p mod p for any integer lift a~, a
-    quantity independent of the lift.  Over GR(p^2, e) the same element is
-    extracted through the Witt coordinates: write a = u^p + p*v and return
-    v^p in the residue field.
+    quantity independent of the lift; a~^p mod p^2 stands in for a~^p, as
+    they differ by a multiple of p^2.
     """
-    ring = a.ring
+    ring, v, p = a.ring, a.value, a.ring.p
     if ring.is_field:
         raise PresentationError(
             f"w_base needs a p^2-torsion ring, got {ring.tag()}")
-    return Residue(ring.residue_field(), ring._w_base(a.value))
+    return Residue(ring.residue_field(), (v - pow(v, p, p * p)) // p % p)

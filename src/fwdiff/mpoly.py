@@ -6,38 +6,28 @@ are provided: grevlex (default) and a homogenized-local order used by
 the tangent-cone computation, in which the first variable is the
 homogenizer and ties are broken by negative degree on the rest.
 groebner and normal_form, the one Buchberger and the one division, run
-over a field or over Z/p^2 and GR(p^2, e), where leading terms are taken
-among the unit terms (groebner's docstring says what that gives).
+over a field or over Z/p^2, where leading terms are taken among the unit
+terms (groebner's docstring says what that gives).
 
 The Witt operations (frobenius_twist, witt_Q, witt_P_pair) work on
-packed raw polynomials, {key: int value} dicts, and make Residues only
-for the terms of their result.  X^m is the key sum m_i B^i in the radix
+packed raw polynomials, {key: value} dicts, and make Residues only for
+the terms of their result.  X^m is the key sum m_i B^i in the radix
 B = p*d + 1, d the largest exponent of the input (_pack).  None of them
 forms an exponent above p*d < B, so no digit carries into the next and a
 product of monomials is one integer addition.  witt_Q reads the carry off
-one p-th power over a lift modulo p^3 (the argument is in its
-docstring).  Every product goes through one loop, _raw_mul, which adds
-each c1 * c2 into its key unreduced; its caller reduces each value of the
-result once, in the lift of the coefficient ring to a modulus M.  A
-value c_0 + .. + c_(e-1) t^(e-1) of GR(p^2, e) or F_(p^e), 0 <= c_i < M,
-enters the loop Kronecker-packed as the int sum c_i 2^(s i): a product of
-two is their product in t, packed alike, each slot a sum of at most e
-products of slots below M.  It, witt_P_pair and SparsePoly products and
-powers count the value products of each sparse product before taking it,
-and normal_form the terms of each division step, and all refuse once the
-count would pass PRODUCT_BOUND.  So a value of _raw_mul's result sums at
-most PRODUCT_BOUND products, each slot stays below e * PRODUCT_BOUND *
-M^2 < 2^s for s = 2 bits(M) + bits(e) + bits(PRODUCT_BOUND), and no slot
-carries into the next.  A value leaves through one reduction mod (m~, M)
-on the packed int: t^e = -(the low part of m~) folds each slot from
-2e - 2 down to e, taken mod M, onto the slots below, and each of those
-gains fewer than e M^2, so it stays below e (PRODUCT_BOUND + 1) M^2 < 2^s.
+one p-th power modulo p^3 (the argument is in its docstring).  The
+carries take int values, of Z/p^2 or F_p: every product goes through one
+loop, _raw_mul, which adds each c1 * c2 into its key unreduced, and its
+caller reduces each value of the result once, mod p^3 or the modulus of
+the ring.  witt_Q, witt_P_pair and SparsePoly products and powers count
+the value products of each sparse product before taking it, and
+normal_form the terms of each division step, and all refuse once the
+count would pass PRODUCT_BOUND.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -235,7 +225,7 @@ class SparsePoly:
 
     def lead_monomial(self):
         """The largest monomial whose coefficient is a unit: over Z/p^2
-        and GR(p^2, e) the terms in p are passed over."""
+        the terms in p are passed over."""
         monos = self.terms
         R = self.ring.coeff
         if not R.is_field:
@@ -263,7 +253,7 @@ class SparsePoly:
         """Evaluate at a point with coordinates in a common ring.
 
         Coefficients are embedded into the coordinate ring when a canonical
-        embedding exists (F_p into F_{p^e}, Z/p^2 into GR(p^2, e)).
+        embedding exists (F_p into F_{p^e}).
         """
         if target is None:
             target = coords[0].ring if coords else self.ring.coeff
@@ -400,9 +390,9 @@ def spoly(f, g):
 class GroebnerBasis:
     """A reduced Groebner basis, sorted by ascending leading monomial.
 
-    Over Z/p^2 or GR(p^2, e), torsion lists the h, over the residue field,
-    of every input or S-pair that reduced to p*h (groebner); over a field
-    it is empty."""
+    Over Z/p^2, torsion lists the h, over the residue field, of every
+    input or S-pair that reduced to p*h (groebner); over a field it is
+    empty."""
 
     ring: PolyRing
     polys: tuple
@@ -435,9 +425,9 @@ def groebner(gens, ring=None):
     """Buchberger's algorithm with sugar-strategy pair selection.
 
     Returns the reduced basis (monic, interreduced, deterministically
-    sorted).  Over Z/p^2 or GR(p^2, e) leading terms are taken among the
-    unit terms only: every member lies in the ideal I, and their images
-    mod p are the reduced basis of I mod p.  An input or S-pair that
+    sorted).  Over Z/p^2 leading terms are taken among the unit terms
+    only: every member lies in the ideal I, and their images mod p are
+    the reduced basis of I mod p.  An input or S-pair that
     reduces to p*h, with no unit term left, puts h in the torsion of the
     result instead of the basis.
     """
@@ -497,15 +487,10 @@ def groebner(gens, ring=None):
 
 def _over_p(f):
     """The h over the residue field with f = p*h~, for f with no unit term:
-    every coefficient value, coordinatewise over GR(p^2, e), divided by p."""
+    every coefficient value divided by p."""
     R = f.ring.coeff
     p, k = R.p, R.residue_field()
-
-    def div(c):
-        v = c.value
-        return Residue(k, v // p if R.degree == 1
-                       else tuple([x // p for x in v]))
-    return f.map_coeffs(k, div)
+    return f.map_coeffs(k, lambda c: Residue(k, c.value // p))
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +500,39 @@ def staircase_dim(lead_monos, nvars):
     """Combinatorial Krull dimension of a monomial staircase.
 
     The dimension is the largest size of a variable subset S such that no
-    leading monomial is supported inside S.  The unit ideal (a constant
-    leading monomial) yields the sentinel -1: the scheme is empty.
+    leading monomial is supported inside S: nvars less the least size of
+    a set of variables that meets every support.  A depth-first branch and
+    bound finds that size on the minimal supports: it branches on the
+    variables of the smallest support not yet met, and prunes where the
+    pairwise disjoint open supports, each of which needs a variable of its
+    own, leave no room below the best set found.  Each node counts against
+    PRODUCT_BOUND, and a search that would pass it is refused with
+    SizeRefusalError.  The unit ideal (a constant leading monomial) yields
+    the sentinel -1: the scheme is empty.
     """
-    lead_monos = list(lead_monos)
-    if any(mono_deg(m) == 0 for m in lead_monos):
+    supports = {frozenset(i for i, e in enumerate(m) if e) for m in lead_monos}
+    if frozenset() in supports:
         return -1
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lead_monos]
-    for size in range(nvars, 0, -1):
-        for subset in itertools.combinations(range(nvars), size):
-            s = frozenset(subset)
-            if all(not sup <= s for sup in supports):
-                return size
-    return 0
+    supports = sorted((s for s in supports if not any(t < s for t in supports)),
+                      key=lambda s: (len(s), sorted(s)))
+    spend = _budget("the Krull dimension of {} leading monomials",
+                    len(supports), unit="search nodes")
+    best = len(frozenset().union(*supports))  # all their variables meet all
+    stack = [(supports, 0)]  # (the supports still open, variables taken)
+    while stack:
+        open_, size = stack.pop()
+        spend(1)
+        met, bound = set(), size
+        for s in open_:
+            if met.isdisjoint(s):
+                met |= s
+                bound += 1
+        if bound < best and open_:
+            stack.extend(([s for s in open_ if v not in s], size + 1)
+                         for v in sorted(open_[0], reverse=True))
+        elif bound < best:
+            best = size
+    return nvars - best
 
 
 def krull_dim(gb: GroebnerBasis):
@@ -594,11 +599,9 @@ def _unpack(ring, raw, B):
 
 def _raw_mul(a, b, out=None):
     """Add the product of the packed raw polynomials a and b into out (a
-    new dict when None); zero values are kept.  The values are
-    nonnegative ints, and each value of out is the plain sum of its
-    products c1 * c2, which the caller reduces once.  Kronecker-packed
-    values enter with every slot below the modulus of their lift, which
-    keeps the sums in their slots (module docstring)."""
+    new dict when None); zero values are kept.  The values are ints, and
+    each value of out is the plain sum of its products c1 * c2, which the
+    caller reduces once."""
     out = {} if out is None else out
     get = out.get
     for m1, c1 in a.items():
@@ -608,11 +611,12 @@ def _raw_mul(a, b, out=None):
     return out
 
 
-def _budget(what, *args):
+def _budget(what, *args, unit="value products"):
     """spend(count), called with the value products of each sparse product
-    of a computation before it is taken: SizeRefusalError once their sum
-    would pass PRODUCT_BOUND, so no step past the bound is begun.  The
-    message, what.format(*args), is made only then."""
+    of a computation (or its other units of work) before it is taken:
+    SizeRefusalError once their sum would pass PRODUCT_BOUND, so no step
+    past the bound is begun.  The message, what.format(*args), is made
+    only then."""
     spent = 0
 
     def spend(count):
@@ -620,7 +624,7 @@ def _budget(what, *args):
         spent += count
         if spent > PRODUCT_BOUND:
             raise SizeRefusalError(f"{what.format(*args)} needs more than "
-                                   f"{PRODUCT_BOUND} value products")
+                                   f"{PRODUCT_BOUND} {unit}")
     return spend
 
 
@@ -632,101 +636,20 @@ def frobenius_twist(f):
     return _unpack(f.ring, {p * m: R._pow(c, p) for m, c in raw.items()}, B)
 
 
-class _IntLift:
-    """Z/M on least nonnegative ints: the lift of Z/p^2 to M = p^3, or Z/p^2
-    or F_p itself.  The ring's values are read verbatim in it (enter),
-    sums of products reduced (reduce), c X^m taken to c^p X^(p*m)
-    (twist), and reduced values v, w with v = w mod p to (v - w)/p mod p^2
-    (carry) or to the ring's values (leave), key by key."""
-
-    def __init__(self, p, M):
-        self.p, self.M = p, M
-
-    def enter(self, raw):
-        return raw
-
-    leave = enter
-
-    def reduce(self, raw):
-        M = self.M
-        return {m: v % M for m, v in raw.items()}
-
-    def twist(self, raw):
-        p, M = self.p, self.M
-        return {p * m: pow(c, p, M) for m, c in raw.items()}
-
-    def carry(self, power, twist):
-        p, M, get = self.p, self.M, twist.get
-        return {m: (v - get(m, 0)) % M // p for m, v in power.items()}
-
-
-class _PackedLift(_IntLift):
-    """(Z/M)[t]/(m~) for GR(p^2, e) and F_(p^e), m~ their minimal
-    polynomial, on values packed in slots of s bits (module docstring)."""
-
-    def __init__(self, R, M):
-        super().__init__(R.p, M)
-        self.e = R.degree
-        self.s = (2 * M.bit_length() + self.e.bit_length()
-                  + PRODUCT_BOUND.bit_length())
-        # t^e = tail: minus the low part of m~, packed
-        self.tail = sum(-c % M << (self.s * i)
-                        for i, c in enumerate(R.minpoly[:-1]))
-
-    def _slots(self, v, count):
-        return [v >> (self.s * i) & ((1 << self.s) - 1) for i in range(count)]
-
-    def _reduced(self, v):  # v mod (m~, M), v in 2e - 1 slots
-        M, s, e, mask = self.M, self.s, self.e, (1 << self.s) - 1
-        for i in range(2 * e - 2, e - 1, -1):
-            c = v >> (s * i) & mask
-            v += (c % M * self.tail << (s * (i - e))) - (c << (s * i))
-        return sum(x % M << (s * i) for i, x in enumerate(self._slots(v, e)))
-
-    def enter(self, raw):
-        s = self.s
-        return {m: sum(x << (s * i) for i, x in enumerate(c))
-                for m, c in raw.items()}
-
-    def leave(self, raw):
-        return {m: tuple(self._slots(v, self.e)) for m, v in raw.items()}
-
-    def reduce(self, raw):
-        return {m: self._reduced(v) for m, v in raw.items()}
-
-    def twist(self, raw):
-        out = {}
-        for m, c in raw.items():
-            v = c
-            for _ in range(self.p - 1):
-                v = self._reduced(v * c)
-            out[self.p * m] = v
-        return out
-
-    def carry(self, power, twist):
-        p, M, e, get = self.p, self.M, self.e, twist.get
-        return {m: tuple([(x - y) % M // p for x, y in zip(
-            self._slots(v, e), self._slots(get(m, 0), e))])
-            for m, v in power.items()}
-
-
-def _lift(R, M):
-    return _IntLift(R.p, M) if R.degree == 1 else _PackedLift(R, M)
-
-
-def _witt_Q_raw(raw, lift):
-    """Q of a packed raw polynomial, packed alike, through lift, the lift
-    of its coefficient ring mod p^3: in a radix where p times every
-    exponent stays one digit (witt_Q)."""
-    t, p = len(raw), lift.p
+def _witt_Q_raw(raw, p):
+    """Q of a packed raw polynomial over Z/p^2, packed alike, read off its
+    p-th power mod p^3 in a radix where p times every exponent stays one
+    digit (witt_Q)."""
+    t, M = len(raw), p**3
     if t < 2:
         return {}
     spend = _budget("the Witt carry Q of {} terms at p = {}", t, p)
-    base = power = lift.enter(raw)
+    power = raw
     for _ in range(p - 1):
         spend(len(power) * t)
-        power = lift.reduce(_raw_mul(power, base))
-    return lift.carry(power, lift.twist(base))
+        power = {m: v % M for m, v in _raw_mul(power, raw).items()}
+    get = {p * m: pow(c, p, M) for m, c in raw.items()}.get
+    return {m: (v - get(m, 0)) % M // p for m, v in power.items()}
 
 
 def witt_Q(f):
@@ -735,10 +658,9 @@ def witt_Q(f):
     Q(f) is the sum, over exponent tuples (k_t) with 0 <= k_t < p and
     sum k_t = p, of (p-1)!/prod(k_t!) times the product of the terms of f
     raised to the k_t.  It is read off one p-th power in a lift.  Let L be
-    Z/p^3 for Z/p^2 coefficients and (Z/p^3)[t]/(m~) for GR(p^2, e), and
-    F the polynomial over L with the coefficients of f read verbatim.  By
-    the multinomial theorem F^p is the sum over all tuples with sum p of
-    p!/prod(k_t!) times the product.  The tuples with one k_t = p give
+    Z/p^3 and F the polynomial over L with the coefficients of f read
+    verbatim.  By the multinomial theorem F^p is the sum over all tuples
+    with sum p of p!/prod(k_t!) times the product.  The tuples with one k_t = p give
     sum c^p X^(p*m); every other coefficient p!/prod(k_t!) is p times
     (p-1)!/prod(k_t!).  So F^p - sum c^p X^(p*m) = p*Q~, with Q~ the
     same sum over L.  Every coefficient of the left side thus lies in pL,
@@ -757,44 +679,45 @@ def witt_Q(f):
         raise PresentationError(
             f"witt_Q needs p^2-torsion coefficients, got {R.tag()}")
     B, (raw,) = _pack(R.p, f)
-    return _unpack(f.ring, _witt_Q_raw(raw, _lift(R, R.p**3)), B)
+    return _unpack(f.ring, _witt_Q_raw(raw, R.p), B)
 
 
-def _witt_P_raw(a, b, lift):
+def _witt_P_raw(a, b, p, M):
     """P(a, b) of packed raw polynomials, packed alike as for _witt_Q_raw,
-    through lift, the lift of their coefficient ring to its own modulus
-    (witt_P_pair)."""
+    on int values reduced mod M, the modulus of their ring (witt_P_pair)."""
     if not (a and b):
         return {}
-    p = lift.p
     spend = _budget("the Witt carry P of {} and {} terms at p = {}",
                     len(a), len(b), p)
-    a, b = lift.enter(a), lift.enter(b)
     apow, bpow = [None, a], [None, b]
     for _ in range(2, p):
         spend(len(apow[-1]) * len(a) + len(bpow[-1]) * len(b))
-        apow.append(lift.reduce(_raw_mul(apow[-1], a)))
-        bpow.append(lift.reduce(_raw_mul(bpow[-1], b)))
+        apow.append({m: v % M for m, v in _raw_mul(apow[-1], a).items()})
+        bpow.append({m: v % M for m, v in _raw_mul(bpow[-1], b).items()})
     total, q, binom = {}, p * p, 1  # binom = C(p-1, i-1) mod p^2
     for i in range(1, p):
         spend(len(apow[i]) * len(bpow[p - i]))
         inv = pow(i, -1, q)
         c = binom * inv % q  # binom(p, i)/p = C(p-1, i-1)/i
         binom = binom * (p - i) * inv % q
-        scaled = lift.reduce({m: c * v for m, v in apow[i].items()})
-        _raw_mul(scaled, bpow[p - i], total)
-    return lift.leave(lift.reduce(total))
+        _raw_mul({m: c * v % M for m, v in apow[i].items()}, bpow[p - i],
+                 total)
+    return {m: v % M for m, v in total.items()}
 
 
 def witt_P_pair(f, g):
-    """P(f, g) as polynomials: sum of binom(p,i)/p * f^i g^(p-i), 0 < i < p.
+    """P(f, g) as polynomials: sum of binom(p,i)/p * f^i g^(p-i), 0 < i < p,
+    over Z/p^2 or F_p; an extension field is refused.
 
     Its value products are counted and bounded as for witt_Q."""
     if f.ring != g.ring:
         raise PresentationError("witt_P_pair needs two polynomials of one ring")
     R = f.ring.coeff
+    if R.degree != 1:
+        raise PresentationError(
+            f"witt_P_pair needs Z/p^2 or F_p coefficients, got {R.tag()}")
     B, (a, b) = _pack(R.p, f, g)
-    return _unpack(f.ring, _witt_P_raw(a, b, _lift(R, R.modulus)), B)
+    return _unpack(f.ring, _witt_P_raw(a, b, R.p, R.modulus), B)
 
 
 def homogenize(f, target_ring):

@@ -1,10 +1,11 @@
 """Test-only code: reference routes that compute by independent formulas
 what the library computes another way (Witt carries, the derivation
 axioms on polynomials, twisted Jacobians, cotangent spaces, division with
-quotients, finite Z/p^2-algebras from the syzygies of the reduced
-relations, the universal module on one symbol per element), the Z/p^2
-covers of the residue fields they lift through, random polynomials, and
-helpers that inspect library objects."""
+quotients, Krull dimensions by subsets, finite Z/p^2-algebras from the
+syzygies of the reduced relations, the universal module on one symbol per
+element), the Z/p^2 covers of the residue fields they lift through (the
+Galois ring GR(p^2, e) lives here only), random polynomials, and helpers
+that inspect library objects."""
 
 import functools
 import itertools
@@ -26,10 +27,12 @@ from fwdiff.linalg import ModPSpan, rank_fraction_free
 from fwdiff.localalg import PointSpec, fiber_dim, regularity
 from fwdiff.modarith import (
     GaloisField,
-    GaloisRing,
     PrimeField,
     PrimeSquareRing,
     Residue,
+    _BaseRing,
+    _upoly_mul,
+    _upoly_rem,
     embed,
     reduce_mod_p,
     w_base,
@@ -41,6 +44,7 @@ from fwdiff.mpoly import (
     frobenius_twist,
     groebner,
     krull_dim,
+    mono_deg,
     mono_div,
     mono_lcm,
     normal_form,
@@ -63,6 +67,36 @@ def ring_of(base, varnames, relstrs):
     return RingPresentation(base, tuple(varnames), rels)
 
 
+class GaloisRing(_BaseRing):
+    """GR(p^2, e) = (Z/p^2)[t]/(m~), the unramified degree-e cover of Z/p^2
+    with residue field k = F_(p^e), m~ the minimal polynomial of k read
+    verbatim: sums and products, enough to evaluate a polynomial over
+    Z/p^2 at a lifted point of k.  Z/p^2 embeds into it (embeds_into)."""
+
+    is_field = False
+
+    def __init__(self, k):
+        self.p, self.degree, self.minpoly = k.p, k.degree, k.minpoly
+        self.modulus, self._residue_field = k.p**2, k
+
+    def tag(self):
+        return f"GR({self.p}^2,{self.degree})"
+
+    def _of_int(self, n):
+        return (n % self.modulus,) + (0,) * (self.degree - 1)
+
+    def _add(self, a, b):
+        return tuple((x + y) % self.modulus for x, y in zip(a, b))
+
+    def _sub(self, a, b):
+        return tuple((x - y) % self.modulus for x, y in zip(a, b))
+
+    def _mul(self, a, b):
+        m = self.modulus
+        rem = _upoly_rem(_upoly_mul(a, b, m), self.minpoly, m)
+        return tuple(rem + [0] * (self.degree - len(rem)))
+
+
 @functools.cache
 def p2_cover_of(ring):
     """The flat Z/p^2-cover of a base ring (identity on p^2-torsion rings),
@@ -72,7 +106,7 @@ def p2_cover_of(ring):
     if isinstance(ring, PrimeField):
         return PrimeSquareRing(ring.p)
     if isinstance(ring, GaloisField):
-        return GaloisRing(ring.p, ring.degree, ring.minpoly)
+        return GaloisRing(ring)
     raise PresentationError(f"no Z/p^2 cover for {ring!r}")
 
 
@@ -264,30 +298,21 @@ def _multinomial_tuples(p, nparts):
 def witt_Q_multinomial(f):
     """Q(f) as the sum over exponent tuples (k_t), 0 <= k_t < p, sum p,
     of (p-1)!/prod(k_t!) times the product of the terms of f raised to
-    the k_t: on integers for Z/p^2, in SparsePoly arithmetic for GR."""
+    the k_t, on the integer lift of Z/p^2, reduced once."""
     R = f.ring.coeff
+    if not isinstance(R, PrimeSquareRing):
+        raise PresentationError("witt_Q_multinomial needs Z/p^2")
     terms = f.sorted_terms()
-    if isinstance(R, PrimeSquareRing):  # on the integer lift, reduced once
-        acc = {}
-        for combo, coef in _multinomial_tuples(R.p, len(terms)):
-            mono = (0,) * f.ring.nvars
-            val = coef
-            for k, (m, c) in zip(combo, terms):
-                if k:
-                    mono = tuple(x + k * e for x, e in zip(mono, m))
-                    val *= c.value**k
-            acc[mono] = acc.get(mono, 0) + val
-        return f.ring.poly({m: R.of_int(v) for m, v in acc.items()})
-    if not isinstance(R, GaloisRing):
-        raise PresentationError("witt_Q_multinomial needs Z/p^2 or GR(p^2,e)")
-    total = f.ring.zero()
+    acc = {}
     for combo, coef in _multinomial_tuples(R.p, len(terms)):
-        part = f.ring.constant(coef)
+        mono = (0,) * f.ring.nvars
+        val = coef
         for k, (m, c) in zip(combo, terms):
             if k:
-                part = part * SparsePoly(f.ring, {tuple(k * e for e in m): c**k})
-        total = total + part
-    return total
+                mono = tuple(x + k * e for x, e in zip(mono, m))
+                val *= c.value**k
+        acc[mono] = acc.get(mono, 0) + val
+    return f.ring.poly({m: R.of_int(v) for m, v in acc.items()})
 
 
 def witt_P_pair_by_powers(f, g):
@@ -316,7 +341,7 @@ def w_poly_by_polys(f):
 
 
 def random_scalar(rng, R):
-    if isinstance(R, (GaloisField, GaloisRing)):
+    if R.degree > 1:
         return Residue(R, tuple(rng.randrange(R.modulus) for _ in range(R.degree)))
     return R.of_int(rng.randrange(R.modulus))
 
@@ -414,6 +439,25 @@ def twisted_relative_kahler(morph) -> FWPresentation:
         columns=tuple(cols),
         has_wp=False,
     )
+
+
+# ---------------------------------------------------------------------------
+# Krull dimension
+
+def staircase_dim_by_subsets(lead_monos, nvars):
+    """mpoly.staircase_dim by trying every variable subset S, from the
+    largest down, for one that holds no leading monomial's support: the
+    first found is the dimension, -1 for the unit ideal."""
+    lead_monos = list(lead_monos)
+    if any(mono_deg(m) == 0 for m in lead_monos):
+        return -1
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lead_monos]
+    for size in range(nvars, 0, -1):
+        for subset in itertools.combinations(range(nvars), size):
+            s = frozenset(subset)
+            if all(not sup <= s for sup in supports):
+                return size
+    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The coefficient rings answer for themselves: outside fwdiff.modarith no
-module tells F_p, F_q, Z/p^2 and GR(p^2, e) apart by class, nor an int
-value from a tuple one.  They ask the ring (degree, is_field,
+module tells F_p, F_q and Z/p^2 apart by class, nor an int value from a
+tuple one, nor tests for a Galois ring GR(p^2, e), which only the tests'
+covers build.  They ask the ring (degree, is_field,
 residue_field, embeds_into, tag) instead.  The loci answer for themselves
 too: no module tells a PointSpec from a PrimeSpec by class; they ask the
 locus (kind, fiber, residue_p_rank, local_dim).  And no routine of the

@@ -162,12 +162,21 @@ def test_refusals_exit_one(tmp_path):
     assert code == 1 and "refused:" in err
 
 
-def _fwdiff(argv):
-    """fwdiff run in a new process: (exit code, stderr, CPU seconds the
-    process took, which other load on the machine does not stretch)."""
+BOUNDED_CLI = ("import sys; from fwdiff import mpoly; from fwdiff.cli import "
+               "run; mpoly.PRODUCT_BOUND = int(sys.argv[1]); "
+               "sys.exit(run(sys.argv[2:]))")
+
+
+def _fwdiff(argv, timeout=60, bound=None):
+    """fwdiff run in a new process, with PRODUCT_BOUND at bound unless it is
+    None: (exit code, stderr, CPU seconds the process took, which other
+    load on the machine does not stretch).  A process still running after
+    timeout seconds is killed, and the test fails."""
+    command = ["-m", "fwdiff.cli"] if bound is None \
+        else ["-c", BOUNDED_CLI, str(bound)]
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
-    r = subprocess.run([sys.executable, "-m", "fwdiff.cli", *argv],
-                       capture_output=True, text=True, timeout=60)
+    r = subprocess.run([sys.executable, *command, *argv],
+                       capture_output=True, text=True, timeout=timeout)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     return r.returncode, r.stderr, cpu
@@ -559,6 +568,42 @@ def test_oracle_refuses_an_infinite_ring_by_its_pure_powers(tmp_path):
     assert seconds < 2.0
 
 
+def _pairs_ring(path, pairs, nvars):
+    names = [f"x{i}" for i in range(1, nvars + 1)]
+    path.write_text(f"base: Fp(2)\nvars: {', '.join(names)}\n" + "".join(
+        f"rel: {names[a]}*{names[b]}\n" for a, b in pairs))
+    return str(path), ",".join("0" * nvars)
+
+
+def test_regular_finds_the_krull_dimension_of_many_variables(tmp_path):
+    """F_2[x1..x28]/(x1 x2, x3 x4, ..) at the origin: its local dimension
+    is the Krull dimension 14, which a search over variable subsets took
+    about 160 s to find.  The process is stopped after 10 s."""
+    path, origin = _pairs_ring(tmp_path / "pairs.ring",
+                               [(i, i + 1) for i in range(0, 28, 2)], 28)
+    code, err, seconds = _fwdiff(["regular", "-i", path, "--point", origin],
+                                 timeout=10)
+    assert code == 0 and err == ""
+    assert seconds < 2.0
+    code, out, _ = _run(["regular", "-i", path, "--point", origin])
+    assert "verdict: NotRegular" in out and "d: 14  r: 0" in out
+
+
+def test_regular_refuses_a_krull_dimension_search_past_the_bound(tmp_path):
+    """The 40-cycle x_i x_(i+1) takes 421 search nodes for its dimension,
+    20: with PRODUCT_BOUND at 300, `regular` at the origin is refused with
+    exit code 1.  The process is stopped after 10 s."""
+    path, origin = _pairs_ring(tmp_path / "cycle.ring",
+                               [(i, (i + 1) % 40) for i in range(40)], 40)
+    code, err, _ = _fwdiff(["regular", "-i", path, "--point", origin],
+                           timeout=10, bound=300)
+    assert code == 1
+    assert err == ("refused: the Krull dimension of 40 leading monomials "
+                   "needs more than 300 search nodes\n")
+    code, out, _ = _run(["regular", "-i", path, "--point", origin])
+    assert code == 0 and "d: 20  r: 0" in out
+
+
 def test_present_refuses_a_minimal_polynomial_search_past_the_bound(tmp_path):
     """Every cubic t^3 + a over F_10007 has a root: the search for the
     first irreducible cubic ran past 20 s."""
@@ -757,5 +802,29 @@ def test_axioms_output_bytes_are_pinned():
         p, n = (part.split("=")[1] for part in name.split())
         got, out, _ = _run(["axioms", "--p", p, "--nvars", n, "--trials",
                             "40", "--seed", "9", "--json"])
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) \
+            == (code, digest), name
+
+
+SWEEP_PINS = os.path.join(os.path.dirname(__file__), "sweep_pins.json")
+
+
+def test_sweep_output_bytes_are_pinned(capsys):
+    """`scripts/sweep_points.py RING --max-degree 2`, run in-process through
+    its `main`, on every ring file of rings/ and fwbench/rings/sweep/: the
+    exit code and the sha256 of standard output are those recorded in
+    sweep_pins.json."""
+    with open(SWEEP_PINS, encoding="utf-8") as fh:
+        pins = json.load(fh)
+    names = sorted(
+        f"{folder}/{name}"
+        for folder in ("rings", "fwbench/rings/sweep")
+        for name in os.listdir(os.path.join(ROOT, folder)))
+    assert sorted(pins) == names
+    script = _script(SWEEP_SCRIPT)
+    for name in names:
+        code, digest = pins[name]
+        got = script.main([os.path.join(ROOT, name), "--max-degree", "2"])
+        out = capsys.readouterr().out
         assert (got, hashlib.sha256(out.encode()).hexdigest()) \
             == (code, digest), name

@@ -22,10 +22,8 @@ from fwdiff.fwcore import (
 from fwdiff.localalg import PointSpec, fiber_dim
 from fwdiff.modarith import (
     GaloisField,
-    GaloisRing,
     PrimeField,
     PrimeSquareRing,
-    Residue,
     reduce_mod_p,
 )
 from fwdiff.mpoly import PolyRing, frobenius_twist, witt_Q
@@ -137,31 +135,16 @@ def test_w_poly_rejects_field_coefficients():
         w_poly_charp(PolyRing(PrimeSquareRing(3), ("X",)).gen(0))
 
 
-def test_w_poly_galois_ring_coefficients():
-    """The coordinates see GR(4,2) constants through the twist and w_base."""
-    R = GaloisRing(2, 2)
-    ring = PolyRing(R, ("X",))
-    t = Residue(R, (0, 1))
-    f = ring.poly({(1,): t})  # t*X
-    wx, wp = w_poly(f)
-    k = R.residue_field()
-    # d(tX)/dX = t, twisted to t^2
-    assert wx == ring.with_coeff(k).constant(reduce_mod_p(t) ** 2)
-    # t lifts its own residue multiplicatively (t = (t^2)^2 in GR(4,2)),
-    # so its w_base vanishes
-    assert wp.is_zero()
-
-
 @pytest.mark.parametrize("base", [
-    PrimeSquareRing(3), PrimeSquareRing(2), GaloisRing(2, 2), GaloisRing(3, 2),
-    PrimeField(5), GaloisField(2, 2), GaloisField(3, 2),
+    PrimeSquareRing(3), PrimeSquareRing(2), PrimeField(5), GaloisField(2, 2),
+    GaloisField(3, 2),
 ], ids=lambda R: R.tag())
 @pytest.mark.parametrize("nvars", [0, 1, 2])
 def test_w_poly_and_column_of_split_the_packed_vector(base, nvars):
     """The w core packs every coordinate into one vector; split again, it
     gives the references' coordinates on constants, on X^p (whose
     derivatives all vanish, as does its w), with no variables, and over
-    F_q and GR(p^2, e) (w_poly only: GR(p^2, e) is no presentation base)."""
+    F_q (column_of only: w_poly needs Z/p^2)."""
     p, rng = base.p, random.Random(nvars)
     ring = PolyRing(base, tuple(f"x{i+1}" for i in range(nvars)))
     polys = [ring.zero(), ring.one(), ring.constant(random_scalar(rng, base))]
@@ -171,9 +154,8 @@ def test_w_poly_and_column_of_split_the_packed_vector(base, nvars):
     got = {}
     if not base.is_field:
         got["w_poly"] = w_poly
-    if isinstance(base, fwcore.BASE_RINGS):
-        pres = ring_of(base, ring.variables, [])
-        got["column_of"] = lambda f: column_of(pres, f)
+    pres = ring_of(base, ring.variables, [])
+    got["column_of"] = lambda f: column_of(pres, f)
     for f in polys:
         want = w_poly_charp(f) if base.is_field else w_poly_by_polys(f)
         assert len(want) == nvars + (not base.is_field)
@@ -363,8 +345,8 @@ def test_random_generators_deterministic():
     f1 = random_poly(random.Random(4), ring)
     f2 = random_poly(random.Random(4), ring)
     assert f1 == f2
-    s1 = random_scalar(random.Random(4), GaloisRing(2, 2))
-    s2 = random_scalar(random.Random(4), GaloisRing(2, 2))
+    s1 = random_scalar(random.Random(4), GaloisField(2, 2))
+    s2 = random_scalar(random.Random(4), GaloisField(2, 2))
     assert s1 == s2
 
 

@@ -1,4 +1,5 @@
-"""Coefficient rings: Z/p^2, F_q, Galois rings, and the base Witt data."""
+"""Coefficient rings: Z/p^2, F_q, the test-only Galois ring covers of
+F_q, and the base Witt data."""
 
 import glob
 import io
@@ -11,10 +12,9 @@ import sympy
 
 from fwdiff.cli import run
 from fwdiff.errors import PresentationError, SizeRefusalError
-from fwdiff.fwcore import check_axioms, w_poly
+from fwdiff.fwcore import check_axioms
 from fwdiff.modarith import (
     GaloisField,
-    GaloisRing,
     PrimeField,
     PrimeSquareRing,
     Residue,
@@ -24,8 +24,7 @@ from fwdiff.modarith import (
     reduce_mod_p,
     w_base,
 )
-from fwdiff.mpoly import PolyRing
-from routes import lift_to_p2, p2_cover_of, witt_P_scalars
+from routes import GaloisRing, lift_to_p2, p2_cover_of, witt_P_scalars
 
 PRIMES = [2, 3, 5, 7]
 
@@ -110,7 +109,7 @@ def test_minimal_polynomial_search_is_bounded_and_kept(monkeypatch):
     default_minpoly.cache_clear()
     pres = parse_ring("base: Fq(3,4)\nvars: x\nrel: x - t\n")
     assert render_ring(pres).startswith("base: Fq(3,4)\n")
-    assert GaloisField(3, 4) == pres.base and GaloisRing(3, 4).degree == 4
+    assert GaloisField(3, 4) == pres.base
     assert len(searches) == 1
     # degree 4 over F_31 takes 31 + 31^2 divisions per irreducible candidate
     monkeypatch.setattr(modarith, "PRODUCT_BOUND", 900)
@@ -166,10 +165,10 @@ def test_frobenius_is_a_ring_map():
 
 @pytest.mark.parametrize("R,value", [
     (PrimeField(7), 3), (PrimeSquareRing(5), 7), (GaloisField(3, 2), (1, 2)),
-    (GaloisRing(2, 3), (3, 1, 2))], ids=str)
+    (GaloisRing(GaloisField(2, 3)), (3, 1, 2))], ids=str)
 def test_pow_takes_no_square_after_its_last_bit(R, value, monkeypatch):
     """Square and multiply takes popcount(n) products and bitlen(n) - 1
-    squares."""
+    squares, on the library's rings and on the tests' GR(2^2, 3)."""
     powers = [R.one().value]
     for _ in range(70):
         powers.append(R._mul(powers[-1], value))
@@ -183,19 +182,6 @@ def test_pow_takes_no_square_after_its_last_bit(R, value, monkeypatch):
         assert len(taken) == bin(n).count("1") + n.bit_length() - 1, n
 
 
-def test_galois_ring_inverts_units():
-    R = GaloisRing(2, 2)
-    k = R.residue_field()
-    # unit iff nonzero mod p
-    t = Residue(R, (0, 1))
-    a = R.one() + t + t  # 1 + 2t: reduces to 1 mod 2, a unit
-    assert a * a.inv() == R.one()
-    b = t + t  # 2t: nilpotent
-    with pytest.raises(Exception):
-        b.inv()
-    assert reduce_mod_p(a).ring == k
-
-
 def test_embeddings_are_ring_maps():
     k = PrimeField(3)
     F = GaloisField(3, 2)
@@ -204,19 +190,20 @@ def test_embeddings_are_ring_maps():
             assert embed(a, F) + embed(b, F) == embed(a + b, F)
             assert embed(a, F) * embed(b, F) == embed(a * b, F)
     R = PrimeSquareRing(3)
-    G = GaloisRing(3, 2)
+    G = p2_cover_of(F)
     for a in R.elements():
         assert embed(a, G) ** 2 == embed(a * a, G)
 
 
 EIGHT_RINGS = [PrimeField(2), PrimeField(3), PrimeSquareRing(2),
                PrimeSquareRing(3), GaloisField(2, 2), GaloisField(3, 2),
-               GaloisRing(2, 2), GaloisRing(3, 2)]
+               p2_cover_of(GaloisField(2, 2)), p2_cover_of(GaloisField(3, 2))]
 
 
 def test_embeddings_are_exactly_the_canonical_ones():
     """A ring embeds into itself, F_p into F_q of the same p, and Z/p^2
-    into GR(p^2, e) of the same p: no other ordered pair of these."""
+    into the tests' GR(p^2, e) of the same p: no other ordered pair of
+    these."""
     into = {PrimeField: (GaloisField,), PrimeSquareRing: (GaloisRing,)}
     for a in EIGHT_RINGS:
         for b in EIGHT_RINGS:
@@ -250,15 +237,13 @@ def test_every_accepted_embedding_is_a_ring_map():
                         (a, b, x, y)
 
 
-@pytest.mark.parametrize("make", [GaloisField, GaloisRing],
-                         ids=lambda c: c.__name__)
+@pytest.mark.parametrize("make", [GaloisField], ids=lambda c: c.__name__)
 def test_an_extension_of_degree_one_is_refused(make):
-    """Degree 1 is F_p or Z/p^2, on ints; the parent built a second F_p on
-    1-tuples, whose generator t was 1 although t = 0 mod its minimal
-    polynomial t."""
-    with pytest.raises(PresentationError, match="degree 1"):
+    """Degree 1 is F_p, on ints; a second F_p on 1-tuples would have a
+    generator t = 1 although t = 0 mod its minimal polynomial t."""
+    with pytest.raises(PresentationError, match="degree 1 is Fp"):
         make(3, 1)
-    with pytest.raises(PresentationError, match="degree 1"):
+    with pytest.raises(PresentationError, match="degree 1 is Fp"):
         make(5, 1, (2, 1))
     assert default_minpoly(3, 1) == (0, 1)
     assert PrimeField(3).degree == PrimeSquareRing(3).degree == 1
@@ -277,7 +262,8 @@ def test_lift_reduce_round_trip():
     assert isinstance(G, GaloisRing)
     assert G.residue_field() == F
     for a in F.elements():
-        assert reduce_mod_p(lift_to_p2(a)) == a
+        b = lift_to_p2(a)
+        assert b.ring is G and Residue(F, tuple(x % 2 for x in b.value)) == a
 
 
 def _count_builds(monkeypatch, cls):
@@ -293,15 +279,8 @@ def _count_builds(monkeypatch, cls):
 
 
 def test_library_builds_no_cover_rings(monkeypatch):
-    """w_poly over GR(3^2, 2) builds no Galois ring, and an oracle job over
-    Z/p^2 builds no Z/p^2 beyond the one its ring file names."""
-    R = GaloisRing(3, 2)
-    ring = PolyRing(R, ("x", "y"))
-    f = ring.poly({(1, 0): Residue(R, (1, 2)), (0, 1): Residue(R, (4, 5)),
-                   (2, 1): Residue(R, (7, 3)), (0, 0): Residue(R, (2, 2))})
-    galois = _count_builds(monkeypatch, GaloisRing)
-    w_poly(f)
-    assert galois == []
+    """An oracle job over Z/p^2 builds no Z/p^2 beyond the one its ring
+    file names."""
     squares = _count_builds(monkeypatch, PrimeSquareRing)
     oracle_rings = os.path.join(os.path.dirname(__file__), os.pardir,
                                 "fwbench", "rings", "oracle")
@@ -361,20 +340,6 @@ def test_w_base_axioms_prime_square(p):
     _w_base_axioms(PrimeSquareRing(p))
 
 
-def test_w_base_axioms_galois_ring():
-    R = GaloisRing(2, 2)
-    k = R.residue_field()
-    elems = [Residue(R, (i, j)) for i in range(4) for j in range(4)]
-    for a in elems:
-        for b in elems:
-            abar, bbar = reduce_mod_p(a), reduce_mod_p(b)
-            assert w_base(a + b) == w_base(a) + w_base(b) - witt_P_scalars(abar, bbar)
-            assert w_base(a * b) == bbar**2 * w_base(a) + abar**2 * w_base(b)
-    assert w_base(R.one()).is_zero()
-    p_elt = R.one() + R.one()
-    assert w_base(p_elt) == k.one()
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_w_base_normalization(p):
     """w_base(p) = 1 and w_base(0) = w_base(1) = 0."""
@@ -392,9 +357,9 @@ def test_mixed_ring_arithmetic_rejected():
 
 
 def test_residue_field_is_built_once_per_ring(monkeypatch):
-    """Z/p^2 and GR(p^2, e) keep their residue field: a check_axioms block
-    constructs as many fields at 40 trials as at 5, and a Galois ring
-    hands back the same field on every call."""
+    """Z/p^2 keeps its residue field: a check_axioms block constructs as
+    many fields at 40 trials as at 5, and Z/p^2 hands back the same field
+    on every call."""
     built = []
     for cls in (PrimeField, GaloisField):
         init = cls.__init__
@@ -410,10 +375,10 @@ def test_residue_field_is_built_once_per_ring(monkeypatch):
         check_axioms(3, 2, trials=trials, seed=1)
         counts.append(len(built))
     assert counts[0] == counts[1], counts
-    R = GaloisRing(2, 3)
+    R = PrimeSquareRing(5)
     assert R.residue_field() is R.residue_field() is R.residue_field()
     built.clear()
-    a = Residue(R, (1, 2, 3))
+    a = R.of_int(7)
     for _ in range(4):
         a.inv()
         reduce_mod_p(a)

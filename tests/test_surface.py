@@ -35,7 +35,7 @@ def test_readme_python_example_runs():
 # case that does not, so the negative powers, which never terminate
 # without their guard, run only once every earlier guard has held.
 GUARDS = textwrap.dedent("""
-    from fwdiff import (GaloisField, GaloisRing, PointSpec, PolyRing,
+    from fwdiff import (GaloisField, PointSpec, PolyRing,
                         PresentationError, PrimeField, PrimeSpec,
                         PrimeSquareRing, RingPresentation, fiber_dim,
                         groebner, present_fw, residue_p_rank)
@@ -63,7 +63,8 @@ GUARDS = textwrap.dedent("""
         # x^9 + x^4 + 1 is irreducible over F_2: only the degree bound refuses
         "extension degree of a field": lambda: GaloisField(
             2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
-        "extension degree of a Galois ring": lambda: GaloisRing(3, 0, (1,)),
+        "Witt carry over an extension field": lambda: witt_P_pair(
+            *PolyRing(GaloisField(3, 2), ("x",)).gens() * 2),
         "carry of two rings": lambda: witt_P_pair(x, zring.gen(0)),
         "homogenize into other variables": lambda: homogenize(x, ring),
         "lead monomial with no unit term": lambda: (
