@@ -33,8 +33,6 @@ from .modarith import (
     GaloisField,
     PrimeField,
     PrimeSquareRing,
-    Residue,
-    reduce_mod_p,
 )
 from .mpoly import (
     GroebnerBasis,
@@ -98,10 +96,7 @@ class RingPresentation:
         return PolyRing(self.residue_field, self.variables)
 
     def relations_mod_p(self):
-        if self.is_charp:
-            return list(self.relations)
-        k = self.residue_field
-        return [f.map_coeffs(k, reduce_mod_p) for f in self.relations]
+        return [f.over(self.residue_field) for f in self.relations]
 
     def carrier_basis(self):
         return self._carrier_basis
@@ -379,7 +374,9 @@ class PresentationMorphism:
     inverted element of B as an extra variable with relation t*u - 1).
     The morphism must preserve relations; this is enforced on the carrier
     (the mod-p level), and the Z/p^2-level identity is the caller's
-    responsibility for mixed bases.
+    responsibility for mixed bases.  The coefficients move along
+    SparsePoly.over, so its refusals are the morphism's: a change of p,
+    F_p or F_q into Z/p^2, F_q into F_p, even with no relation to push.
     """
 
     source: RingPresentation
@@ -387,11 +384,7 @@ class PresentationMorphism:
     images: tuple
 
     def __post_init__(self):
-        if self.source.p != self.target.p:
-            raise PresentationError("morphism must preserve the prime p")
-        if self.source.is_charp and not self.target.is_charp:
-            raise PresentationError(
-                "no ring map from a characteristic-p ring to a Z/p^2 algebra")
+        self.source.poly_ring.one().over(self.target.base)  # relations or not
         if len(self.images) != len(self.source.variables):
             raise PresentationError("one image per source variable required")
         tring = self.target.poly_ring
@@ -401,24 +394,14 @@ class PresentationMorphism:
         gb = self.target.carrier_basis()
         k = self.target.residue_field
         for f in self.source.relations:
-            h = self.push(f).map_coeffs(k, reduce_mod_p) \
-                if not self.target.is_charp else self.push(f)
-            if not gb.normal_form(h).is_zero():
+            if not gb.normal_form(self.push(f).over(k)).is_zero():
                 raise PresentationError(
                     f"relation {f} is not preserved by the morphism")
 
     def push(self, f):
         """Image of a source polynomial under the morphism."""
-        return f._substitute(self.images, self._push_constant)
-
-    def _push_constant(self, c: Residue):
-        tb = self.target.base
-        if c.ring != tb:  # through the residue field: Z/p^2 -> F_p -> F_q
-            if not c.ring.residue_field().embeds_into(tb):
-                raise PresentationError(
-                    f"no coefficient map {c.ring.tag()} -> {tb.tag()}")
-            c = tb.of_int(c.value)
-        return self.target.poly_ring.constant(c)
+        return f.over(self.target.base)._substitute(
+            self.images, self.target.poly_ring.constant)
 
 
 @dataclass(frozen=True)

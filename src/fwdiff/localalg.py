@@ -129,18 +129,11 @@ class PointSpec:
     def local_dim(self):
         """(dim of the carrier's local ring at x, True): the tangent cone."""
         k = self.field
-        n = len(self.ring.variables)
-        shifted = []
-        for f in _relations_over(self.ring, k):
-            g = f.shift(self.coordinates)
-            if not g.is_zero():
-                shifted.append(g)
-        if not shifted:
-            return n, True
         hring = PolyRing(k, ("_h",) + tuple(self.ring.variables), "homoglocal")
-        gb = groebner([homogenize(g, hring) for g in shifted], ring=hring)
+        gb = groebner([homogenize(f.over(k).shift(self.coordinates), hring)
+                       for f in self.ring.relations], ring=hring)
         xparts = [m[1:] for m in gb.lead_monomials()]
-        return staircase_dim(xparts, n), True
+        return staircase_dim(xparts, len(self.ring.variables)), True
 
 
 def _linear_polys(ring, var_idxs):
@@ -306,12 +299,6 @@ def residue_p_rank(ring_pres: RingPresentation, locus) -> int:
 # ---------------------------------------------------------------------------
 # local dimension
 
-def _relations_over(ring_pres, k):
-    """The carrier relations with coefficients embedded into the field k."""
-    return [f if f.ring.coeff == k else f.map_coeffs(k, lambda c: embed(c, k))
-            for f in ring_pres.relations_mod_p()]
-
-
 def _prime_as_rational_point(P: PrimeSpec):
     """The PointSpec a maximal PrimeSpec cuts out, if rational.
 
@@ -428,9 +415,9 @@ def rational_points(ring_pres: RingPresentation, field=None):
     """All points of the carrier with coordinates in the given field.
 
     Candidates run through k^n in itertools.product order.  The relations
-    are embedded into k once, and every monomial is read off a table of
-    the powers x^e of each element x, up to the largest exponent any
-    relation uses; a candidate is dropped at its first nonzero relation.
+    are carried into k once (SparsePoly.over), and every monomial is read
+    off a table of the powers x^e of each element x, up to the largest
+    exponent any relation uses; a candidate is dropped at its first nonzero relation.
     A kept candidate has passed every check of PointSpec, so it is not
     checked again.  Each candidate takes at least one value product, so
     q^n candidates past PRODUCT_BOUND are refused with
@@ -443,8 +430,8 @@ def rational_points(ring_pres: RingPresentation, field=None):
             f"enumerating the points over {k.tag()} takes {count} candidates, "
             f"over the bound {PRODUCT_BOUND}")
     rels = [[(c, [(i, e) for i, e in enumerate(m) if e])
-             for m, c in f.terms.items()]
-            for f in _relations_over(ring_pres, k)]
+             for m, c in f.over(k).terms.items()]
+            for f in ring_pres.relations]
     top = max((e for f in rels for _c, m in f for _i, e in m), default=0)
     elems = list(k.elements())
     powers = []

@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass
 
 from .errors import PresentationError, SizeRefusalError
-from .modarith import PRODUCT_BOUND, Residue, embed
+from .modarith import PRODUCT_BOUND, Residue, embed, reduce_mod_p
 
 
 def mono_mul(a, b):
@@ -248,6 +248,16 @@ class SparsePoly:
             if not v.is_zero():
                 out[m] = v
         return SparsePoly(new, out)
+
+    def over(self, k):
+        """f with its coefficients carried into the ring k: f itself when k
+        is its coefficient ring, else each coefficient reduced mod p when k
+        is a field, then embedded (Z/p^2 -> F_p -> F_q).  modarith decides
+        which maps exist, and a missing one is a PresentationError."""
+        if self.ring.coeff == k:
+            return self
+        return self.map_coeffs(
+            k, lambda c: embed(reduce_mod_p(c) if k.is_field else c, k))
 
     def evaluate(self, coords, target=None):
         """Evaluate at a point with coordinates in a common ring.
@@ -536,18 +546,16 @@ def staircase_dim(lead_monos, nvars):
 
 
 def krull_dim(gb: GroebnerBasis):
-    """Krull dimension of the quotient by the ideal of a Groebner basis."""
-    if gb.is_trivial():
-        return -1
+    """Krull dimension of the quotient by the ideal of a Groebner basis,
+    -1 for the unit ideal (staircase_dim)."""
     return staircase_dim(gb.lead_monomials(), gb.ring.nvars)
 
 
 def standard_monomials(gb: GroebnerBasis, limit=None):
     """All monomials outside the leading ideal; requires dimension <= 0.
     With a limit, a staircase of more monomials is cut at limit + 1 of
-    them, before the rest is enumerated."""
-    if gb.is_trivial():
-        return []
+    them, before the rest is enumerated.  The unit ideal has none: its
+    constant lead divides every monomial."""
     if not gb.is_finite():
         raise PresentationError("staircase is infinite")
     ring = gb.ring

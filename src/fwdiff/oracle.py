@@ -143,7 +143,6 @@ import numpy as np
 from .errors import PresentationError, SizeRefusalError
 from .fwcore import FWPresentation, RingPresentation
 from .linalg import ModPSpan
-from .modarith import reduce_mod_p
 from .mpoly import groebner, normal_form, standard_monomials
 
 # |A| caps keeping the relation matrix at desk scale
@@ -343,10 +342,9 @@ class FiniteRing:
         canon, stairU = gb.normal_form, []
         if not ring_pres.is_charp:
             zring, cring = gb.ring, ring_pres.carrier_ring
-            gbU = groebner([f.map_coeffs(cring.coeff, reduce_mod_p)
-                            for f in gb.polys] + list(gb.torsion), ring=cring)
-            if not gbU.is_trivial():
-                stairU = standard_monomials(gbU)
+            gbU = groebner([f.over(cring.coeff) for f in gb.polys]
+                           + list(gb.torsion), ring=cring)
+            stairU = standard_monomials(gbU)
 
             def canon(g):
                 low, high = {}, {}

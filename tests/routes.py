@@ -55,6 +55,7 @@ from fwdiff.oracle import (
     UniversalModule,
     _label_of,
     _refuse_oversized,
+    relation_rows,
 )
 from fwdiff.ringfile import parse_poly
 
@@ -792,6 +793,53 @@ def element_brute_fw(ring: FiniteRing) -> UniversalModule:
             break
     return UniversalModule(ring=ring, dimension=ncols - span.rank,
                            ncols=ncols, rank=span.rank, span=span)
+
+
+def brute_fiber_at_point(ring_pres, x: PointSpec, max_size=3**6):
+    """The fiber at a rational point x of M = FW(A), by the oracle on the
+    finite ring B = A/m^2, m the maximal ideal of x.
+
+    Shift x to the origin, through the int lift of each coordinate over
+    Z/p^2 (p lies in m, so the lift does not matter); a translation is an
+    automorphism of the polynomial ring, so the fibers correspond.  Then m
+    is (x_1..x_n) in characteristic p and (p, x_1..x_n) over Z/p^2, and B
+    adds to A the generators x_i x_j, and p x_i over Z/p^2, of m^2.  FW(B)
+    is M modulo m^2 M and the w(g), g in m^2, and those lie in m M: for
+    f, g in m, w(fg) = g^p w(f) + f^p w(g) with f^p, g^p in m, and for
+    a, b in m^2 the carry P(a, b), a sum of multiples of ab, lies in m, so
+    w(a + b) = w(a) + w(b) mod m M.  So B has the fiber M/mM of A at x.
+
+    The oracle gives FW(B) as the free module over B/pB on its free
+    symbols, e F_p-coordinates each on the digit basis of B/pB, modulo the
+    F_p-span of relation_rows.  Reduced at x the relations vanish in m
+    and shifted have no constant term, so the digits x^m, m a nonzero
+    standard monomial, span m/pB, and the constant digits c * 1, c in an
+    F_p-basis of k, are the residue field.  M/mM is then the free module
+    on the constant coordinates modulo the relation rows restricted to
+    them: its dimension over k is (the constant coordinates less the rank
+    of the restricted rows) / [k : F_p]."""
+    base = ring_pres.base
+    if x.field != ring_pres.residue_field:
+        raise PresentationError("brute_fiber_at_point needs a rational point")
+    ring = ring_pres.poly_ring
+    lifted = [Residue(base, c.value) for c in x.coordinates]
+    gens = ring.gens()
+    square = [a * b for i, a in enumerate(gens) for b in gens[i:]]
+    if not base.is_field:
+        square += [a * base.p for a in gens]
+    B = RingPresentation(base, ring_pres.variables, tuple(
+        [f.shift(lifted) for f in ring_pres.relations] + square))
+    fr = FiniteRing.from_presentation(B, max_size=max_size)
+    e = fr.carrier_dim
+    const = [k for k in range(e)
+             if not any(any(m) for m in fr.digit_basis[k].terms)]
+    rows = np.concatenate(list(relation_rows(fr)))
+    cols = [j * e + k for j in range(rows.shape[1] // e) for k in const]
+    span = ModPSpan(fr.p, len(cols))
+    span.add_rows(rows[:, cols])
+    dim, rest = divmod(len(cols) - span.rank, len(const))
+    assert rest == 0, "the fiber is a vector space over the residue field"
+    return dim
 
 
 def free_coords(um):

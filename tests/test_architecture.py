@@ -4,7 +4,9 @@ tuple one, nor tests for a Galois ring GR(p^2, e), which only the tests'
 covers build.  They ask the ring (degree, is_field,
 residue_field, embeds_into, tag) instead.  The loci answer for themselves
 too: no module tells a PointSpec from a PrimeSpec by class; they ask the
-locus (kind, fiber, residue_p_rank, local_dim).  And no routine of the
+locus (kind, fiber, residue_p_rank, local_dim).  Coefficients change
+rings along one map, SparsePoly.over, so outside modarith and mpoly no
+module reduces or embeds coefficients by hand.  And no routine of the
 library is there only for the tests."""
 
 import ast
@@ -23,15 +25,11 @@ def _names(node):
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-class _ClassTests(ast.NodeVisitor):
-    """Every isinstance whose class argument names one of the classes,
-    directly or through a module-level alias: (scope, line, the names)."""
+class _Sites(ast.NodeVisitor):
+    """A scan of one module that collects sites in found, each with the
+    dotted scope (class and function names) it sits in."""
 
-    def __init__(self, tree, classes):
-        self.names = classes | {
-            t.id for node in tree.body if isinstance(node, ast.Assign)
-            and _names(node.value) & classes
-            for t in node.targets if isinstance(t, ast.Name)}
+    def __init__(self, tree):
         self.scope, self.found = [], []
         self.visit(tree)
 
@@ -41,6 +39,18 @@ class _ClassTests(ast.NodeVisitor):
         self.scope.pop()
 
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
+
+
+class _ClassTests(_Sites):
+    """Every isinstance whose class argument names one of the classes,
+    directly or through a module-level alias: (scope, line, the names)."""
+
+    def __init__(self, tree, classes):
+        self.names = classes | {
+            t.id for node in tree.body if isinstance(node, ast.Assign)
+            and _names(node.value) & classes
+            for t in node.targets if isinstance(t, ast.Name)}
+        super().__init__(tree)
 
     def visit_Call(self, node):
         if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
@@ -70,6 +80,41 @@ def test_only_modarith_tells_the_coefficient_rings_apart():
              if (mod, scope, names) not in ALLOWED]
     assert not stray, "\n".join(stray)
     assert {(mod, scope, names) for mod, scope, _, names in found} == ALLOWED
+
+
+COEFF_MAPS = {"map_coeffs", "reduce_mod_p", "embed"}
+# the one use left: PointSpec.of embeds coordinates, not coefficients
+COEFF_MAP_ALLOWED = {("localalg.py", "PointSpec.of", "embed")}
+
+
+class _NameSites(_Sites):
+    """Every use of one of the names, as a name or an attribute:
+    (scope, line, the name); an import is not a use."""
+
+    def __init__(self, tree, names):
+        self.names = names
+        super().__init__(tree)
+
+    def visit_Name(self, node):
+        if node.id in self.names:
+            self.found.append((".".join(self.scope), node.lineno, node.id))
+
+    def visit_Attribute(self, node):
+        if node.attr in self.names:
+            self.found.append((".".join(self.scope), node.lineno, node.attr))
+        self.generic_visit(node)
+
+
+def test_coefficients_change_rings_only_through_over():
+    found = [(mod,) + site for mod, tree in _parsed(SRC)
+             if mod not in ("modarith.py", "mpoly.py")
+             for site in _NameSites(tree, COEFF_MAPS).found]
+    stray = [f"{mod}:{line} in {scope or '<module>'}: {used}"
+             for mod, scope, line, used in found
+             if (mod, scope, used) not in COEFF_MAP_ALLOWED]
+    assert not stray, "\n".join(stray)
+    assert {(mod, scope, used) for mod, scope, _, used in found} == \
+        COEFF_MAP_ALLOWED
 
 
 def test_no_module_tells_the_loci_apart():

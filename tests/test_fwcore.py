@@ -4,6 +4,7 @@ base change, and the twisted-Kaehler cross-route for relative cokernels."""
 import itertools
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -432,6 +433,28 @@ def test_morphism_mixed_characteristic_rules():
                              (B3.poly_ring.gen(0),))
     with pytest.raises(PresentationError):  # arity
         PresentationMorphism(A2, B3, ())
+
+
+def test_a_morphism_needs_a_coefficient_map():
+    """The coefficients of a morphism move along SparsePoly.over, so there
+    is no morphism from an F_q ring to an F_p ring, with or without a
+    relation to push; Z/p^2 and F_p rings do map into F_q rings."""
+    F9, F3 = GaloisField(3, 2), PrimeField(3)
+    B3 = ring_of(F3, ("y",), ["y^2 + 1"])
+    y = B3.poly_ring.gen(0)
+    A9 = ring_of(F9, ("x",), [])
+    x = A9.poly_ring.gen(0)
+    t = A9.poly_ring.constant(F9.generator())
+    for rels in ((), (x**2 + 1,), (x - t,)):
+        with pytest.raises(PresentationError,
+                           match=r"no embedding of Fq\(3,2\) into Fp\(3\)"):
+            PresentationMorphism(replace(A9, relations=rels), B3, (y,))
+    B9 = ring_of(F9, ("y",), ["y^2 + 1"])
+    for base in (F3, PrimeSquareRing(3)):
+        m = PresentationMorphism(ring_of(base, ("x",), ["x^2 + 1"]), B9,
+                                 (B9.poly_ring.gen(0),))
+        assert m.push(m.source.poly_ring.gen(0)) == B9.poly_ring.gen(0)
+        assert m.push(m.source.poly_ring.constant(4)) == B9.poly_ring.one()
 
 
 def test_identity_base_change_is_identity_matrix():

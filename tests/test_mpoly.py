@@ -21,6 +21,7 @@ from fwdiff.modarith import (
     GaloisField,
     PrimeField,
     PrimeSquareRing,
+    embed,
     reduce_mod_p,
 )
 from fwdiff.mpoly import (
@@ -875,3 +876,48 @@ def test_homogenize_properties():
         for a in k.elements():
             for b in k.elements():
                 assert h.evaluate((k.one(), a, b)) == f.evaluate((a, b))
+
+
+# ---------------------------------------------------------------------------
+# the coefficient map
+
+OVER_RINGS = [PrimeField(2), PrimeSquareRing(2), GaloisField(2, 2),
+              GaloisField(2, 3), GaloisField(2, 3, (1, 0, 1, 1)),
+              PrimeField(3), PrimeSquareRing(3), GaloisField(3, 2),
+              GaloisField(3, 2, (2, 1, 1))]
+# the maps besides the identities, for one p: Z/p^2 -> F_p -> F_q
+OVER_MAPS = {(PrimeSquareRing, PrimeField), (PrimeField, GaloisField),
+             (PrimeSquareRing, GaloisField)}
+
+
+def test_over_is_reduction_then_embedding_and_refuses_the_rest():
+    """f.over(k) is f itself into its own ring; along Z/p^2 -> F_p -> F_q
+    it reduces each coefficient mod p and embeds it, and is a ring map;
+    every other pair of OVER_RINGS (F_q -> F_p, F_p or F_q -> Z/p^2, F_q
+    -> an F_q of another minimal polynomial or degree, a change of p) is a
+    PresentationError."""
+    rng = random.Random(23)
+    assert GaloisField(2, 3) != GaloisField(2, 3, (1, 0, 1, 1))
+    assert GaloisField(3, 2) != GaloisField(3, 2, (2, 1, 1))
+    for a in OVER_RINGS:
+        ring = PolyRing(a, ("x", "y"))
+        # a term p*x whose coefficient reduces to 0, where p*1 is not 0
+        pterm = ring.poly({(1, 0): a.p})
+        samples = [random_poly(rng, ring, 4, 2) + pterm for _ in range(6)]
+        for f in samples:
+            assert f.over(a) is f
+        for b in OVER_RINGS:
+            if b == a:
+                continue
+            if a.p == b.p and (type(a), type(b)) in OVER_MAPS:
+                for f, g in zip(samples, samples[1:]):
+                    expect = {m: embed(reduce_mod_p(c), b)
+                              for m, c in f.terms.items()}
+                    assert f.over(b).ring == ring.with_coeff(b)
+                    assert f.over(b).terms == {
+                        m: c for m, c in expect.items() if not c.is_zero()}
+                    assert (f + g).over(b) == f.over(b) + g.over(b)
+                    assert (f * g).over(b) == f.over(b) * g.over(b)
+            else:
+                with pytest.raises(PresentationError, match="no embedding"):
+                    ring.one().over(b)
