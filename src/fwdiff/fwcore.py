@@ -33,6 +33,7 @@ from .modarith import (
     GaloisField,
     PrimeField,
     PrimeSquareRing,
+    _budget,
 )
 from .mpoly import (
     GroebnerBasis,
@@ -302,11 +303,14 @@ def check_axioms(p, nvars, trials=500, seed=0):
     and read mod p^2 or p, through the ring maps Z -> Z/p^2 -> F_p;
     polynomials are built only to report a failure.  About half the pairs
     have f = 0 or g = 0, where both identities hold by construction
-    (w(0) = 0 and P(0, h) = 0): they pass without the core.
+    (w(0) = 0 and P(0, h) = 0): they pass without the core.  Keys grow as
+    trials * nvars^2, spent first as key digits: 500 trials allow 44 variables.
     """
     rng = random.Random(seed)
     draw = rng.randrange
     base = PrimeSquareRing(p)
+    _budget("checking the axioms on {} trials in {} variables", trials,
+            nvars, unit="key digits")(trials * nvars * nvars)
     q = p * p
     B = 2 * p * SAMPLE_DEGREE + 1
     radix = [B**i for i in range(nvars)]

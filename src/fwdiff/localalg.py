@@ -39,9 +39,8 @@ from .errors import (
 )
 from .fwcore import FWPresentation, RingPresentation
 from .linalg import rank_fraction_free
-from .modarith import Residue, embed
+from .modarith import Residue, _budget, embed
 from .mpoly import (
-    PRODUCT_BOUND,
     PolyRing,
     SparsePoly,
     groebner,
@@ -425,10 +424,9 @@ def rational_points(ring_pres: RingPresentation, field=None):
     """
     k = field if field is not None else ring_pres.residue_field
     count = k.order() ** len(ring_pres.variables)
-    if count > PRODUCT_BOUND:
-        raise SizeRefusalError(
-            f"enumerating the points over {k.tag()} takes {count} candidates, "
-            f"over the bound {PRODUCT_BOUND}")
+    # k, not k.tag(): a cached tag slows later arithmetic on an F_q ring
+    _budget("enumerating {} candidates over {}", count, k,
+            unit="candidates")(count)
     rels = [[(c, [(i, e) for i, e in enumerate(m) if e])
              for m, c in f.over(k).terms.items()]
             for f in ring_pres.relations]

@@ -16,10 +16,27 @@ from functools import cache, cached_property
 from .errors import PresentationError, SizeRefusalError
 
 # the most value products a polynomial product or power or a Witt carry
-# may take, the most terms a division may scan and subtract, and the most
-# trial divisions one search for an irreducible polynomial may make; a
-# step that would pass it is refused before it is begun
+# may take, terms a division may scan and subtract, trial divisions an
+# irreducibility search may make or candidates a point enumeration may
+# test; _budget, the one counter, refuses a step past it before it begins
 PRODUCT_BOUND = 10**6
+
+
+def _budget(what, *args, unit="value products"):
+    """spend(count), called with the value products of each sparse product
+    of a computation (or its other units of work) before it is taken:
+    SizeRefusalError once their sum would pass PRODUCT_BOUND, so no step
+    past the bound is begun.  The message, what.format(*args), is made
+    only then."""
+    spent = 0
+
+    def spend(count):
+        nonlocal spent
+        spent += count
+        if spent > PRODUCT_BOUND:
+            raise SizeRefusalError(f"{what.format(*args)} needs more than "
+                                   f"{PRODUCT_BOUND} {unit}")
+    return spend
 
 
 def is_prime(n: int) -> bool:
@@ -257,42 +274,29 @@ class PrimeSquareRing(_ModRing):
 
 # ---------------------------------------------------------------------------
 # dense univariate helpers over Z/m, used for F_q arithmetic and for the
-# irreducibility search; polynomials are coefficient lists, low
-# degree first, no trailing zeros
+# irreducibility search; polynomials are coefficient sequences, low
+# degree first
 
-def _upoly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _upoly_mul(a, b, m):
-    if not a or not b:
-        return []
+def _upoly_mul(a, b):
+    """The product of a and b, its coefficients unreduced."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % m
-    return _upoly_trim(out)
+                out[i + j] += ai * bj
+    return out
 
 
 def _upoly_rem(a, b, m):
-    # remainder of a by b; the leading coefficient of b must be a unit mod m
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    linv = pow(lb, -1, m)
-    while len(a) - 1 >= db and a:
-        la = a[-1]
-        if la:
-            q = (la * linv) % m
-            shift = len(a) - 1 - db
-            for i, bi in enumerate(b):
-                a[shift + i] = (a[shift + i] - q * bi) % m
-        _upoly_trim(a)
-        if not a:
-            break
-    return a
+    """The remainder of a, of length at least len(b) - 1, by the monic b,
+    as exactly len(b) - 1 coefficients reduced mod m."""
+    a, db = list(a), len(b) - 1
+    for top in range(len(a) - 1, db - 1, -1):
+        q = a[top] % m
+        if q:
+            for i in range(db):
+                a[top - db + i] -= q * b[i]
+    return [c % m for c in a[:db]]
 
 
 def _base_p_digits(n, p, count):
@@ -307,19 +311,16 @@ def _base_p_digits(n, p, count):
 def _factor_search(p, what):
     """reducible(coeffs): whether a monic polynomial over F_p has a monic
     factor of degree at most half its own, found by trial division.  The
-    divisions of all calls count together, and the one that would pass
+    divisions of all calls spend one _budget, so the one that would pass
     PRODUCT_BOUND is refused with SizeRefusalError instead."""
-    spent = 0
+    spend = _budget(what, unit="trial divisions")
 
     def reducible(coeffs):
-        nonlocal spent
         for d in range(1, (len(coeffs) - 1) // 2 + 1):
             for k in range(p**d):
-                spent += 1
-                if spent > PRODUCT_BOUND:
-                    raise SizeRefusalError(f"{what} needs more than "
-                                           f"{PRODUCT_BOUND} trial divisions")
-                if not _upoly_rem(coeffs, _base_p_digits(k, p, d) + [1], p):
+                spend(1)
+                if not any(_upoly_rem(coeffs, _base_p_digits(k, p, d) + [1],
+                                      p)):
                     return True
         return False
     return reducible
@@ -388,8 +389,7 @@ class GaloisField(_BaseRing):
         return tuple((-x) % p for x in a)
 
     def _mul(self, a, b):
-        rem = _upoly_rem(_upoly_mul(a, b, self.p), self.minpoly, self.p)
-        return tuple(rem + [0] * (self.degree - len(rem)))
+        return tuple(_upoly_rem(_upoly_mul(a, b), self.minpoly, self.p))
 
     def _is_zero(self, a):
         return not any(a)

@@ -22,7 +22,7 @@ caller reduces each value of the result once, mod p^3 or the modulus of
 the ring.  witt_Q, witt_P_pair and SparsePoly products and powers count
 the value products of each sparse product before taking it, and
 normal_form the terms of each division step, and all refuse once the
-count would pass PRODUCT_BOUND.
+count would pass PRODUCT_BOUND, through modarith's one counter, _budget.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import functools
 import operator
 from dataclasses import dataclass
 
-from .errors import PresentationError, SizeRefusalError
-from .modarith import PRODUCT_BOUND, Residue, embed, reduce_mod_p
+from .errors import PresentationError
+from .modarith import Residue, _budget, embed, reduce_mod_p
 
 
 def mono_mul(a, b):
@@ -617,23 +617,6 @@ def _raw_mul(a, b, out=None):
             m = m1 + m2
             out[m] = get(m, 0) + c1 * c2
     return out
-
-
-def _budget(what, *args, unit="value products"):
-    """spend(count), called with the value products of each sparse product
-    of a computation (or its other units of work) before it is taken:
-    SizeRefusalError once their sum would pass PRODUCT_BOUND, so no step
-    past the bound is begun.  The message, what.format(*args), is made
-    only then."""
-    spent = 0
-
-    def spend(count):
-        nonlocal spent
-        spent += count
-        if spent > PRODUCT_BOUND:
-            raise SizeRefusalError(f"{what.format(*args)} needs more than "
-                                   f"{PRODUCT_BOUND} {unit}")
-    return spend
 
 
 def frobenius_twist(f):

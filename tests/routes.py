@@ -93,9 +93,7 @@ class GaloisRing(_BaseRing):
         return tuple((x - y) % self.modulus for x, y in zip(a, b))
 
     def _mul(self, a, b):
-        m = self.modulus
-        rem = _upoly_rem(_upoly_mul(a, b, m), self.minpoly, m)
-        return tuple(rem + [0] * (self.degree - len(rem)))
+        return tuple(_upoly_rem(_upoly_mul(a, b), self.minpoly, self.modulus))
 
 
 @functools.cache

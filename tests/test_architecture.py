@@ -6,8 +6,10 @@ residue_field, embeds_into, tag) instead.  The loci answer for themselves
 too: no module tells a PointSpec from a PrimeSpec by class; they ask the
 locus (kind, fiber, residue_p_rank, local_dim).  Coefficients change
 rings along one map, SparsePoly.over, so outside modarith and mpoly no
-module reduces or embeds coefficients by hand.  And no routine of the
-library is there only for the tests."""
+module reduces or embeds coefficients by hand.  The work bound
+PRODUCT_BOUND has one copy, in modarith, beside _budget, the one counter
+that spends against it.  No routine of the library is there only for the
+tests, and the library stays within its line budget."""
 
 import ast
 import os
@@ -152,3 +154,34 @@ def test_every_library_routine_has_a_library_caller_or_is_public():
               and not (n.name.startswith("__") and n.name.endswith("__"))
               and n.name not in named and n.name not in fwdiff.__all__]
     assert not unused, "\n".join(unused)
+
+
+def test_the_product_bound_and_its_counter_live_in_modarith():
+    """Outside modarith no module names PRODUCT_BOUND, by an import, a name
+    or an attribute (a docstring is a string, not a name), so lowering
+    modarith.PRODUCT_BOUND bounds every loop; only modarith defines
+    _budget."""
+    named, counters = [], []
+    for mod, tree in _parsed(SRC):
+        imported = [n.lineno for n in ast.walk(tree)
+                    if isinstance(n, ast.alias) and n.name == "PRODUCT_BOUND"]
+        used = [line for _, line, _ in
+                _NameSites(tree, {"PRODUCT_BOUND"}).found]
+        if mod != "modarith.py":
+            named += [f"{mod}:{line}" for line in imported + used]
+        counters += [mod for n in ast.walk(tree)
+                     if isinstance(n, ast.FunctionDef) and n.name == "_budget"]
+    assert not named, "\n".join(named)
+    assert counters == ["modarith.py"]
+
+
+LINE_BUDGET = 3748  # ROADMAP's budget for the lines of src/fwdiff
+
+
+def test_the_library_stays_within_its_line_budget():
+    lines = 0
+    for name in os.listdir(SRC):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                lines += sum(1 for _ in fh)
+    assert lines <= LINE_BUDGET

@@ -162,8 +162,8 @@ def test_refusals_exit_one(tmp_path):
     assert code == 1 and "refused:" in err
 
 
-BOUNDED_CLI = ("import sys; from fwdiff import mpoly; from fwdiff.cli import "
-               "run; mpoly.PRODUCT_BOUND = int(sys.argv[1]); "
+BOUNDED_CLI = ("import sys; from fwdiff import modarith; from fwdiff.cli "
+               "import run; modarith.PRODUCT_BOUND = int(sys.argv[1]); "
                "sys.exit(run(sys.argv[2:]))")
 
 
@@ -204,6 +204,14 @@ def test_axioms_refuse_witt_work_past_the_bound():
     code, err, seconds = _fwdiff(["axioms", "--p", "1000003", "--nvars", "1",
                                   "--trials", "2"])
     assert code == 1 and err.startswith("refused: ") and "Witt carry" in err
+    assert seconds < 2.0
+
+
+def test_axioms_refuse_blocks_past_the_bound_in_nvars():
+    """The packed keys grow as trials * nvars^2: 500 trials in 1000
+    variables took 9-11 s of CPU and 1.15 GB before nvars was bound."""
+    code, err, seconds = _fwdiff(["axioms", "--p", "5", "--nvars", "1000"])
+    assert code == 1 and err.startswith("refused: ") and "variables" in err
     assert seconds < 2.0
 
 

@@ -15,7 +15,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fwdiff import fwcore, localalg, mpoly
+from fwdiff import fwcore, localalg, modarith, mpoly
 from fwdiff.errors import (
     OffSchemeError,
     PresentationError,
@@ -103,9 +103,9 @@ def test_rational_points_refuse_enumerations_past_the_bound(monkeypatch):
     space = ring_of(GaloisField(3, 4), ("x", "y", "z", "w"), [])
     with pytest.raises(SizeRefusalError, match="43046721 candidates"):
         rational_points(space)
-    monkeypatch.setattr(localalg, "PRODUCT_BOUND", 25)
+    monkeypatch.setattr(modarith, "PRODUCT_BOUND", 25)
     assert len(rational_points(CUSP)) == 5
-    monkeypatch.setattr(localalg, "PRODUCT_BOUND", 24)
+    monkeypatch.setattr(modarith, "PRODUCT_BOUND", 24)
     with pytest.raises(SizeRefusalError):
         rational_points(CUSP)
 

@@ -9,6 +9,8 @@ import random
 
 import pytest
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_mul, gf_rem
 
 from fwdiff.cli import run
 from fwdiff.errors import PresentationError, SizeRefusalError
@@ -153,6 +155,74 @@ def test_galois_field_structure(p, e):
     for i, c in enumerate(F.minpoly):
         acc = acc + F.of_int(c) * t**i
     assert acc.is_zero()
+
+
+def _sympy_product(F, a, b):
+    """a * b in F_p[t]/(m) by sympy's dense F_p arithmetic, which lists
+    coefficients high degree first."""
+    prod = gf_mul(a.value[::-1], b.value[::-1], F.p, ZZ)
+    rem = gf_rem(prod, F.minpoly[::-1], F.p, ZZ)[::-1]
+    return tuple(int(c) for c in rem) + (0,) * (F.degree - len(rem))
+
+
+@pytest.mark.parametrize("p,e,pairs", [
+    (2, 2, None), (2, 3, None), (3, 2, None), (5, 2, None), (2, 8, 3000),
+], ids=["F4", "F8", "F9", "F25", "F256_sampled"])
+def test_galois_field_products_match_sympy(p, e, pairs):
+    """Every product of F_4, F_8, F_9 and F_25, and 3000 seeded pairs of
+    F_256, agree with sympy's product reduced by the minimal polynomial."""
+    F = GaloisField(p, e)
+    elems = list(F.elements())
+    if pairs is None:
+        sample = itertools.product(elems, repeat=2)
+    else:
+        rng = random.Random(256)
+        sample = [(rng.choice(elems), rng.choice(elems)) for _ in range(pairs)]
+    for a, b in sample:
+        assert (a * b).value == _sympy_product(F, a, b)
+
+
+def test_lowering_the_one_product_bound_bounds_every_loop(monkeypatch):
+    """PRODUCT_BOUND has one copy, modarith's: lowered there alone it
+    refuses a power, a division, a Witt carry, a staircase search, a point
+    enumeration, a minimal-polynomial search and an axiom block, each of
+    which passes at the default bound."""
+    from fwdiff import modarith
+    from fwdiff.localalg import rational_points
+    from fwdiff.mpoly import (PolyRing, groebner, normal_form, staircase_dim,
+                              witt_Q)
+    from routes import ring_of
+
+    x, y = PolyRing(PrimeField(5), ("x", "y")).gens()
+    gb = groebner([x**2 - y, y**3 - x - 1])
+    f = (x + y + 2) ** 9
+    u, v = PolyRing(PrimeSquareRing(5), ("u", "v")).gens()
+    cycle = [tuple(int(i in (j, (j + 1) % 12)) for i in range(12))
+             for j in range(12)]
+    cusp = ring_of(PrimeField(5), ("x", "y"), ["y^2 - x^3"])
+
+    def minpoly():
+        default_minpoly.cache_clear()
+        return default_minpoly(5, 4)
+
+    loops = {
+        "power": lambda: (x + 1) ** 20,
+        "division": lambda: normal_form(f, gb),
+        "witt_Q": lambda: witt_Q(u + v + 1),
+        "staircase_dim": lambda: staircase_dim(cycle, 12),
+        "rational_points": lambda: rational_points(cusp),
+        "default_minpoly": minpoly,
+        "check_axioms": lambda: check_axioms(3, 2, trials=20),
+    }
+    for run in loops.values():
+        run()
+    monkeypatch.setattr(modarith, "PRODUCT_BOUND", 10)
+    for name, run in loops.items():
+        with pytest.raises(SizeRefusalError):
+            run()
+            pytest.fail(f"{name} ran past a bound of 10")
+    monkeypatch.undo()
+    default_minpoly.cache_clear()
 
 
 def test_frobenius_is_a_ring_map():

@@ -14,10 +14,11 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from fwdiff import mpoly
+from fwdiff import modarith, mpoly
 from fwdiff.errors import PresentationError, SizeRefusalError
 from fwdiff.fwcore import RingPresentation, column_of, w_poly
 from fwdiff.modarith import (
+    PRODUCT_BOUND,
     GaloisField,
     PrimeField,
     PrimeSquareRing,
@@ -25,7 +26,6 @@ from fwdiff.modarith import (
     reduce_mod_p,
 )
 from fwdiff.mpoly import (
-    PRODUCT_BOUND,
     PolyRing,
     frobenius_twist,
     groebner,
@@ -413,16 +413,16 @@ def test_staircase_dim_counts_its_search_nodes(monkeypatch):
     nodes, and is refused with the bound one below.  n variables in n/2
     disjoint pairs take n + 1 nodes, and the 40-cycle 421."""
     cycle = _edges(12, [(i, (i + 1) % 12) for i in range(12)])
-    monkeypatch.setattr(mpoly, "PRODUCT_BOUND", 43)
+    monkeypatch.setattr(modarith, "PRODUCT_BOUND", 43)
     assert staircase_dim(cycle, 12) == 6
-    monkeypatch.setattr(mpoly, "PRODUCT_BOUND", 42)
+    monkeypatch.setattr(modarith, "PRODUCT_BOUND", 42)
     with pytest.raises(SizeRefusalError, match="more than 42 search nodes"):
         staircase_dim(cycle, 12)
     for n in (28, 200):
         pairs = _edges(n, [(i, i + 1) for i in range(0, n, 2)])
-        monkeypatch.setattr(mpoly, "PRODUCT_BOUND", n + 1)
+        monkeypatch.setattr(modarith, "PRODUCT_BOUND", n + 1)
         assert staircase_dim(pairs, n) == n // 2
-    monkeypatch.setattr(mpoly, "PRODUCT_BOUND", 421)
+    monkeypatch.setattr(modarith, "PRODUCT_BOUND", 421)
     assert staircase_dim(_edges(40, [(i, (i + 1) % 40) for i in range(40)]),
                          40) == 20
 
@@ -721,12 +721,12 @@ def test_the_product_bound_counts_the_products_taken(monkeypatch):
                 taken.append(0)
                 want, n = run(), taken[-1]
                 if n:
-                    monkeypatch.setattr(mpoly, "PRODUCT_BOUND", n)
+                    monkeypatch.setattr(modarith, "PRODUCT_BOUND", n)
                     assert run() == want
-                    monkeypatch.setattr(mpoly, "PRODUCT_BOUND", n - 1)
+                    monkeypatch.setattr(modarith, "PRODUCT_BOUND", n - 1)
                     with pytest.raises(SizeRefusalError):
                         run()
-                    monkeypatch.setattr(mpoly, "PRODUCT_BOUND", PRODUCT_BOUND)
+                    monkeypatch.setattr(modarith, "PRODUCT_BOUND", PRODUCT_BOUND)
     assert sum(1 for n in taken if n) > 60
 
 
