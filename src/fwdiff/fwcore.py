@@ -12,14 +12,18 @@ in closed form:
          + [ sum_m X^(p m) w_base(c_m) - Q(f) mod p ] e_{w(p)}
 
 where Q is the multivariate Witt carry of mpoly.witt_Q, one p-th power
-over a p^3 lift.  One core, _w_core, computes it on packed raw
-polynomials (mpoly's docstring) for w_poly, column_of and check_axioms,
-which build polynomials only at the end; check_axioms builds the core,
-with its digit splits, once per block.  Bases of characteristic p are
-handled by the same formula through a flat cover over Z/p^2 (over F_q,
-the unramified one): the relation "p" turns the w(p) coordinate into a
-unit column, so it is dropped, and what is left is the twisted gradient
-of f.  column_of computes that directly, with no Witt carry.
+over a p^3 lift.  One column routine, column_of, computes it through
+one core, _w_core, on packed raw polynomials (mpoly's docstring), and
+builds polynomials only at the end: w_poly is column_of on Z/p^2 alone,
+present_fw and base_change_map reduce its columns modulo the carrier,
+and check_axioms builds the core, with its digit splits, once per block.
+Bases of characteristic p are handled by the same formula through a flat
+cover over Z/p^2 (over F_q, the unramified one): the relation "p" turns
+the w(p) coordinate into a unit column, so it is dropped, and what is
+left is the twisted gradient of f.  column_of computes that directly,
+with no Witt carry.  An FWPresentation keeps only its ring, its
+generator labels and its columns; the carrier and its basis are read
+from the RingPresentation, which caches them.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .modarith import (
     _budget,
 )
 from .mpoly import (
-    GroebnerBasis,
     PolyRing,
     SparsePoly,
     _pack,
@@ -121,14 +124,12 @@ class RingPresentation:
 
 @dataclass(frozen=True)
 class FWPresentation:
-    """FW(A) as carrier-module: generators and one column per relation."""
+    """FW(A) as carrier-module: generators and one column per relation.
+    The carrier and its basis are the ring's (RingPresentation caches them)."""
 
     ring: RingPresentation
-    carrier_ring: PolyRing
-    carrier: GroebnerBasis
     generators: tuple
     columns: tuple
-    has_wp: bool
 
     @property
     def ngens(self):
@@ -136,31 +137,34 @@ class FWPresentation:
 
     def describe(self):
         return {
-            "carrier": [str(g) for g in self.carrier.polys],
+            "carrier": [str(g) for g in self.ring.carrier_basis().polys],
             "generators": list(self.generators),
             "columns": [[str(e) for e in col] for col in self.columns],
         }
 
 
 def w_poly(f):
-    """Coordinates of w(f) in the free module on w(X_1..X_n), w(p).
-
-    f has coefficients in Z/p^2; the coordinates are polynomials over the
-    residue field F_p (the module is p-torsion).  They come from _w_core
-    on f packed in radix B = p*d + 1, d the largest exponent of f: every
-    exponent w forms, p*m, p*(m - e_j) and those of Q(f), is at most
-    p*d < B, so no digit carries into the next, and each coordinate stays
-    inside its slot of the core's packed vector.
-    """
-    R = f.ring.coeff
-    if R.is_field:
+    """Coordinates of w(f) in the free module on w(X_1..X_n), w(p): the
+    column of f (column_of), refused unless f has Z/p^2 coefficients."""
+    if f.ring.coeff.is_field:
         raise PresentationError("w_poly needs Z/p^2 coefficients")
-    return _w_polys(f, R.residue_field())
+    return column_of(f)
 
 
-def _w_polys(f, k):
-    """The coordinates of the w core on f as polynomials over k."""
+def column_of(f):
+    """The relation column of f, in the generator labels of present_fw:
+    the coordinates of w(f) on w(X_1..X_n), and on w(p) over Z/p^2, as
+    polynomials over the residue field (the module is p-torsion); over a
+    field, the twisted gradient of f (module docstring), with no Witt
+    carry.  Entries are returned un-normalized.
+
+    They come from _w_core on f packed in radix B = p*d + 1, d the largest
+    exponent of f: every exponent w forms, p*m, p*(m - e_j) and those of
+    Q(f), is at most p*d < B, so no digit carries into the next, and each
+    coordinate stays inside its slot of the core's packed vector.
+    """
     R, n = f.ring.coeff, f.ring.nvars
+    k = R.residue_field()
     B, (raw,) = _pack(R.p, f)
     coords = [{} for _ in range(n + (not R.is_field))]
     for key, v in _w_core(R, k, n, B)(raw).items():
@@ -168,6 +172,11 @@ def _w_polys(f, k):
         coords[j][m] = v
     kring = f.ring.with_coeff(k)
     return [_unpack(kring, v, B) for v in coords]
+
+
+def _reduced_column(gb, f):
+    """column_of(f), each entry in normal form modulo the carrier basis gb."""
+    return tuple(gb.normal_form(e) for e in column_of(f))
 
 
 def _w_core(R, k, n, B):
@@ -212,16 +221,6 @@ def _w_core(R, k, n, B):
     return w
 
 
-def column_of(ring_pres: RingPresentation, f):
-    """The relation column of f, in the generator labels of present_fw.
-
-    For characteristic-p bases the column is the twisted gradient of f
-    (module docstring), with no Witt carry; entries are returned
-    un-normalized.
-    """
-    return _w_polys(f, ring_pres.residue_field)
-
-
 def present_fw(ring_pres: RingPresentation) -> FWPresentation:
     """Present FW(A) over the carrier of A.
 
@@ -232,21 +231,11 @@ def present_fw(ring_pres: RingPresentation) -> FWPresentation:
     """
     gb = ring_pres.carrier_basis()
     labels = tuple(f"w({v})" for v in ring_pres.variables)
-    has_wp = not ring_pres.is_charp
-    if has_wp:
-        labels = labels + ("w(p)",)
-    cols = []
-    for f in ring_pres.relations:
-        vec = column_of(ring_pres, f)
-        cols.append(tuple(gb.normal_form(e) for e in vec))
+    if not ring_pres.is_charp:
+        labels += ("w(p)",)
     return FWPresentation(
-        ring=ring_pres,
-        carrier_ring=ring_pres.carrier_ring,
-        carrier=gb,
-        generators=labels,
-        columns=tuple(cols),
-        has_wp=has_wp,
-    )
+        ring_pres, labels,
+        tuple(_reduced_column(gb, f) for f in ring_pres.relations))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +280,7 @@ def check_axioms(p, nvars, trials=500, seed=0):
     with the scalars read mod p.  Any failure is recorded with the pair
     that produced it.
 
-    It runs on raw values through _w_core, the core of w_poly, built once
+    It runs on raw values through _w_core, the core of column_of, built once
     for the block, with one radix B = 2pD + 1, D = SAMPLE_DEGREE.  f and g
     have exponents at most D, f + g at most D and fg at most 2D, so w(fg)
     and Q(fg) form exponents at most 2pD and P(f, g) at most pD; the
@@ -304,13 +293,14 @@ def check_axioms(p, nvars, trials=500, seed=0):
     polynomials are built only to report a failure.  About half the pairs
     have f = 0 or g = 0, where both identities hold by construction
     (w(0) = 0 and P(0, h) = 0): they pass without the core.  Keys grow as
-    trials * nvars^2, spent first as key digits: 500 trials allow 44 variables.
+    trials * nvars^2, spent first as key digits, with nvars read as 1 when
+    it is 0 so that trials stay bounded: 500 trials allow 44 variables.
     """
     rng = random.Random(seed)
     draw = rng.randrange
     base = PrimeSquareRing(p)
     _budget("checking the axioms on {} trials in {} variables", trials,
-            nvars, unit="key digits")(trials * nvars * nvars)
+            nvars, unit="key digits")(trials * max(nvars, 1) ** 2)
     q = p * p
     B = 2 * p * SAMPLE_DEGREE + 1
     radix = [B**i for i in range(nvars)]
@@ -408,39 +398,23 @@ class PresentationMorphism:
             self.images, self.target.poly_ring.constant)
 
 
-@dataclass(frozen=True)
-class BaseChangeMap:
-    """Matrix of FW(A) tensor B -> FW(B) over B's carrier."""
-
-    morphism: PresentationMorphism
-    source_fw: FWPresentation
-    target_fw: FWPresentation
-    columns: tuple  # one per source generator, entries over target carrier
-
-
-def base_change_map(morph: PresentationMorphism) -> BaseChangeMap:
-    """Send each source generator to the column of its image in FW(B).
-
-    w(X_j) goes to w(image_j); w(p) goes to w(p) when the target is a
-    Z/p^2 algebra and to zero when the target has characteristic p.
+def base_change_map(morph: PresentationMorphism) -> tuple:
+    """The columns of FW(A) tensor B -> FW(B) over B's carrier, one per
+    source generator: w(X_j) goes to the column of its image in FW(B);
+    w(p) goes to w(p) when the target is a Z/p^2 algebra and to zero when
+    the target has characteristic p.
     """
-    src_fw = morph.source.fw
-    tgt_fw = morph.target.fw
-    gb = tgt_fw.carrier
-    cols = []
-    for img in morph.images:
-        vec = column_of(morph.target, img)
-        cols.append(tuple(gb.normal_form(e) for e in vec))
-    if src_fw.has_wp:
-        zero = tgt_fw.carrier_ring.zero()
-        unit = [zero] * tgt_fw.ngens
-        if tgt_fw.has_wp:
-            unit[-1] = tgt_fw.carrier_ring.one()
-        cols.append(tuple(unit))
-    return BaseChangeMap(morph, src_fw, tgt_fw, tuple(cols))
+    tgt = morph.target
+    gb = tgt.carrier_basis()
+    cols = [_reduced_column(gb, img) for img in morph.images]
+    if not morph.source.is_charp:
+        ring = tgt.carrier_ring
+        cols.append((ring.zero(),) * len(tgt.variables)
+                    + ((ring.one(),) if not tgt.is_charp else ()))
+    return tuple(cols)
 
 
 def relative_cokernel(morph: PresentationMorphism) -> FWPresentation:
     """Coker(FW(A) tensor B -> FW(B)): append the base-change columns."""
-    bc = base_change_map(morph)
-    return replace(bc.target_fw, columns=bc.target_fw.columns + bc.columns)
+    fw = morph.target.fw
+    return replace(fw, columns=fw.columns + base_change_map(morph))

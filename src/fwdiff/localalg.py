@@ -424,7 +424,6 @@ def rational_points(ring_pres: RingPresentation, field=None):
     """
     k = field if field is not None else ring_pres.residue_field
     count = k.order() ** len(ring_pres.variables)
-    # k, not k.tag(): a cached tag slows later arithmetic on an F_q ring
     _budget("enumerating {} candidates over {}", count, k,
             unit="candidates")(count)
     rels = [[(c, [(i, e) for i, e in enumerate(m) if e])

@@ -372,6 +372,7 @@ class GaloisField(_BaseRing):
                     f"{list(minpoly)} is not irreducible over F_{p}"
                 )
         self.minpoly = minpoly
+        self._tag = None  # tag() fills it: the instance keeps its attributes
 
     def _of_int(self, n):
         return (n % self.p,) + (0,) * (self.degree - 1)
@@ -422,22 +423,20 @@ class GaloisField(_BaseRing):
         return hash((type(self).__name__, self.p, self.minpoly))
 
     def tag(self):
-        return self._tag
-
-    @cached_property
-    def _tag(self):
         """Fq(p,e) in the ring-file syntax, with the minimal polynomial as
         a third argument when it is not default_minpoly(p, e).  A default
         past the search bound is taken as different: Fq(p,e) would then be
-        refused on reading."""
-        p, e = self.p, self.degree
-        try:
-            if self.minpoly == default_minpoly(p, e):
-                return f"Fq({p},{e})"
-        except SizeRefusalError:
-            pass
-        low = self._to_str(self.minpoly[:e]).replace(" ", "")
-        return f"Fq({p},{e},t^{e}+{low})"
+        refused on reading.  Made on first use, kept in _tag."""
+        if self._tag is None:
+            p, e = self.p, self.degree
+            try:
+                default = self.minpoly == default_minpoly(p, e)
+            except SizeRefusalError:
+                default = False
+            low = self._to_str(self.minpoly[:e]).replace(" ", "")
+            self._tag = (f"Fq({p},{e})" if default
+                         else f"Fq({p},{e},t^{e}+{low})")
+        return self._tag
 
     def order(self):
         return self.p**self.degree

@@ -348,7 +348,7 @@ def _reduce(f, leads):
     if not leads:
         return f
     key = f.ring.key
-    spend = _budget(f"the division of {len(f.terms)} terms")
+    spend = _budget("the division of {} terms", len(f.terms), unit="terms")
     rem = {}
     h = dict(f.terms)
     while h:

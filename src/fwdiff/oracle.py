@@ -527,12 +527,12 @@ def presented_fp_dimension(fw: FWPresentation) -> int:
     oracle's rings, with no p-digits; the module relations are all basis
     multiples of the presented columns.
     """
-    gb = fw.carrier
+    gb = fw.ring.carrier_basis()
     if gb.is_trivial():
         raise PresentationError("the presented ring is the zero ring")
     if not gb.is_finite():
         raise PresentationError("carrier is infinite; no total F_p-dimension")
-    basis, digits_of = _digit_model(fw.carrier_ring, standard_monomials(gb),
+    basis, digits_of = _digit_model(gb.ring, standard_monomials(gb),
                                     [], "the carrier")
     total = len(basis) * fw.ngens
     span = ModPSpan(fw.ring.p, total)

@@ -432,11 +432,8 @@ def twisted_relative_kahler(morph) -> FWPresentation:
         cols.append(tuple(gb.normal_form(e) for e in w_poly_charp(img)))
     return FWPresentation(
         ring=tgt,
-        carrier_ring=tgt.carrier_ring,
-        carrier=gb,
         generators=tuple(f"F*d({v})" for v in tgt.variables),
         columns=tuple(cols),
-        has_wp=False,
     )
 
 

@@ -6,7 +6,9 @@ residue_field, embeds_into, tag) instead.  The loci answer for themselves
 too: no module tells a PointSpec from a PrimeSpec by class; they ask the
 locus (kind, fiber, residue_p_rank, local_dim).  Coefficients change
 rings along one map, SparsePoly.over, so outside modarith and mpoly no
-module reduces or embeds coefficients by hand.  The work bound
+module reduces or embeds coefficients by hand.  An FWPresentation keeps
+only its ring, its labels and its columns, and one routine computes a
+column through the w core.  The work bound
 PRODUCT_BOUND has one copy, in modarith, beside _budget, the one counter
 that spends against it.  No routine of the library is there only for the
 tests, and the library stays within its line budget."""
@@ -173,6 +175,22 @@ def test_the_product_bound_and_its_counter_live_in_modarith():
                      if isinstance(n, ast.FunctionDef) and n.name == "_budget"]
     assert not named, "\n".join(named)
     assert counters == ["modarith.py"]
+
+
+def test_an_fw_presentation_keeps_its_ring_labels_and_columns():
+    """FWPresentation holds its ring, its generator labels and its columns;
+    the carrier and its basis are read from the ring.  One routine,
+    column_of, computes a column: besides it only check_axioms, which
+    builds the core once per block, names the w core."""
+    library = dict(_parsed(SRC))
+    record, = [n for n in ast.walk(library["fwcore.py"])
+               if isinstance(n, ast.ClassDef) and n.name == "FWPresentation"]
+    fields = [n.target.id for n in record.body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["ring", "generators", "columns"]
+    callers = {(mod, scope) for mod, tree in library.items()
+               for scope, _, _ in _NameSites(tree, {"_w_core"}).found}
+    assert callers == {("fwcore.py", "column_of"),
+                       ("fwcore.py", "check_axioms")}
 
 
 LINE_BUDGET = 3748  # ROADMAP's budget for the lines of src/fwdiff

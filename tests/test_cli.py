@@ -125,6 +125,19 @@ def test_fiber_below_d_plus_r_at_a_point_blames_the_flatness_assertion(
     assert "prime" not in res["explanation"]
 
 
+def test_fiber_matching_an_upper_bound_on_d_exits_unknown(tmp_path):
+    """At the prime (z) of F_3[x,y,z]/(xz, yz) the fiber equals d + r but
+    d is only an upper bound: the verdict is Unknown and the exit code 1."""
+    path = tmp_path / "mixed.ring"
+    path.write_text("base: Fp(3)\nvars: x, y, z\nrel: x*z\nrel: y*z\n")
+    code, out, _ = _run(["regular", "-i", str(path), "--prime", "z",
+                         "--json"])
+    res = json.loads(out)["result"]
+    assert code == 1 and res["verdict"] == "Unknown"
+    assert (res["fiber_dim"], res["d"], res["r"]) == (2, 0, 2)
+    assert res["explanation"].startswith("fiber matches d + r, but d is only")
+
+
 def test_fiber_below_d_plus_r_at_an_exact_prime_blames_the_flatness_assertion(
         tmp_path):
     """The prime (x) of Z/9[x]/(3) = F_3[x] cuts out a rational point, so
@@ -212,6 +225,16 @@ def test_axioms_refuse_blocks_past_the_bound_in_nvars():
     variables took 9-11 s of CPU and 1.15 GB before nvars was bound."""
     code, err, seconds = _fwdiff(["axioms", "--p", "5", "--nvars", "1000"])
     assert code == 1 and err.startswith("refused: ") and "variables" in err
+    assert seconds < 2.0
+
+
+def test_axioms_refuse_blocks_past_the_bound_with_no_variables():
+    """With no variables the keys have no digits, yet each trial still
+    samples and checks a pair: trials are spent as if nvars were 1, where
+    10^5 trials in no variables took 0.9 s of CPU unbounded."""
+    code, err, seconds = _fwdiff(["axioms", "--p", "2", "--nvars", "0",
+                                  "--trials", "2000000"])
+    assert code == 1 and err.startswith("refused: ") and "trials" in err
     assert seconds < 2.0
 
 

@@ -149,7 +149,7 @@ def test_repeated_verdicts_reuse_one_presentation(monkeypatch):
     assert verdicts == ["NotRegular"] + ["Regular"] * 4
     assert len(calls) == 1
     assert pres.fw is pres.fw
-    assert pres.carrier_basis() is pres.fw.carrier
+    assert pres.carrier_basis() is pres.fw.ring.carrier_basis()
 
 
 def test_kept_presentation_leaves_equality_alone():
@@ -394,6 +394,18 @@ def test_mixed_dimension_prime_is_conservative():
     assert v.fiber_dim == 1 and (v.d, v.r) == (1, 1)
     assert v.verdict == "Unknown"
     assert "below" in v.explanation
+
+
+def test_fiber_matching_an_upper_bound_on_d_stays_unknown():
+    """At P = (z) of F_3[x,y,z]/(xz, yz), the generic point of the plane,
+    the fiber 2 equals d + r = 0 + 2, but the carrier is not certified
+    equidimensional, so d is only an upper bound and the match proves
+    nothing: Unknown, not Regular."""
+    mixed = ring_of(PrimeField(3), ("x", "y", "z"), ["x*z", "y*z"])
+    v = regularity(mixed, PrimeSpec(mixed, (_cpoly(mixed, "z"),)))
+    assert (v.verdict, v.fiber_dim, v.d, v.r) == ("Unknown", 2, 0, 2)
+    assert v.explanation.startswith(
+        "fiber matches d + r, but d is only an upper bound here: ")
 
 
 def test_nonequidimensional_trap_is_not_misjudged():

@@ -36,9 +36,9 @@ def test_readme_python_example_runs():
 # without their guard, run only once every earlier guard has held.
 GUARDS = textwrap.dedent("""
     from fwdiff import (GaloisField, PointSpec, PolyRing,
-                        PresentationError, PrimeField, PrimeSpec,
-                        PrimeSquareRing, RingPresentation, fiber_dim,
-                        groebner, present_fw, residue_p_rank)
+                        PresentationError, PresentationMorphism, PrimeField,
+                        PrimeSpec, PrimeSquareRing, RingPresentation,
+                        fiber_dim, groebner, present_fw, residue_p_rank)
     from fwdiff.modarith import default_minpoly
     from fwdiff.mpoly import homogenize, standard_monomials, witt_P_pair
 
@@ -48,6 +48,7 @@ GUARDS = textwrap.dedent("""
     cusp = RingPresentation(k, ("x", "y"), (y**2 - x**3,))
     node = RingPresentation(k, ("x", "y"), (x * y,))
     zring = PolyRing(PrimeSquareRing(5), ("x",))
+    line4 = RingPresentation(GaloisField(2, 2), ("x",), ())
     cases = {
         "point of another presentation": lambda: fiber_dim(
             present_fw(cusp), PointSpec.of(node, (0, 0))),
@@ -71,6 +72,23 @@ GUARDS = textwrap.dedent("""
             5 * zring.gen(0)).lead_monomial(),
         "infinite staircase": lambda: standard_monomials(groebner([x])),
         "lead monomial of zero": lambda: ring.zero().lead_monomial(),
+        "coordinate of another characteristic": lambda: PointSpec.of(
+            node, (PrimeField(3).one(), 0)),
+        "coordinate field with no embedding": lambda: PointSpec.of(
+            line4, (GaloisField(2, 3).generator(),)),
+        "coordinates in two fields": lambda: PointSpec(
+            node, (k.one(), GaloisField(5, 2).one())),
+        "prime generator off the carrier": lambda: PrimeSpec(
+            node, (zring.gen(0),)),
+        "base ring of no kind": lambda: RingPresentation("F5", ("x",), ()),
+        "relation in other variables": lambda: RingPresentation(
+            k, ("x",), (x,)),
+        "image outside the target": lambda: PresentationMorphism(
+            node, cusp, (x, 1)),
+        "unknown monomial order": lambda: PolyRing(k, ("x",), "lex"),
+        "duplicate variable names": lambda: PolyRing(k, ("x", "x")),
+        "sum of two rings": lambda: x + zring.gen(0),
+        "sum with a float": lambda: x + 1.5,
         "negative power of a scalar": lambda: k.of_int(2) ** -1,
         "negative power of a polynomial": lambda: (x + 1) ** -1,
     }
@@ -90,7 +108,7 @@ def test_input_guards_hold_without_asserts():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
-    assert len(lines) == 17 and all(
+    assert len(lines) == 28 and all(
         line.startswith("raised:") for line in lines), r.stdout
 
 
