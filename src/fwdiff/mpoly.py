@@ -9,6 +9,23 @@ groebner and normal_form, the one Buchberger and the one division, run
 over a field or over Z/p^2, where leading terms are taken among the unit
 terms (groebner's docstring says what that gives).
 
+Inside the division and Buchberger kernel (_reduce, groebner) a monomial
+is one int and a polynomial a dict {packed monomial: raw value}, with
+arithmetic through the coefficient ring's value methods; SparsePolys
+enter and leave it at the edge.  A packing at width w (_Packing) has
+fields of w + 1 bits: the exponents low, each under a guard bit, then the
+order's weight rows, the most significant highest (2^w - 1 - e_i for a
+row of sign -1, e_i for +1), then the total degree, unbounded, on top.
+grevlex's rows are the reversed negated exponents; homoglocal's the
+negated degree in x_1..x_n, which at one total degree is the
+homogenizer's exponent, then grevlex on x_1..x_n.  While every degree is
+below 2^w, int comparison is the monomial order, X^a X^b packs to
+pack(a) + pack(b) - offset (offset = pack(1)), and b divides a exactly
+when a - b has no guard bit set.  PolyRing.packing(d) takes the least w
+of 8, 16, 32, ... with d < 2^w; a pack of degree d lies below
+2^w << shift(w), so below every pack at a wider width, and ring.key, a
+monomial's pack at the width of its degree, orders all monomials.
+
 The Witt operations (frobenius_twist, witt_Q, witt_P_pair) work on
 packed raw polynomials, {key: value} dicts, and make Residues only for
 the terms of their result.  X^m is the key sum m_i B^i in the radix
@@ -28,6 +45,7 @@ count would pass PRODUCT_BOUND, through modarith's one counter, _budget.
 from __future__ import annotations
 
 import functools
+import heapq
 import operator
 from dataclasses import dataclass
 
@@ -57,21 +75,58 @@ def mono_deg(a):
     return sum(a)
 
 
-def _key_grevlex(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _key_homoglocal(m):
-    # first exponent is the homogenizer; ties on total degree are broken
-    # by negative degree then grevlex on the remaining variables
-    rest = m[1:]
-    return (sum(m), -sum(rest), tuple(-e for e in reversed(rest)))
-
-
+# each order's weight rows below the total degree, most significant first,
+# as (variable, sign) for n variables (module docstring)
 _ORDERS = {
-    "grevlex": _key_grevlex,
-    "homoglocal": _key_homoglocal,
+    "grevlex": lambda n: [(i, -1) for i in range(n - 1, -1, -1)],
+    "homoglocal": lambda n: [(0, 1)] * (n > 0)
+    + [(i, -1) for i in range(n - 1, 0, -1)],
 }
+
+
+class _Packing:
+    """The monomials of n variables packed into ints at slot width w, the
+    weight rows of an order above the exponents (module docstring)."""
+
+    __slots__ = ("top", "offset", "guards", "shift", "vectors", "xshifts")
+
+    def __init__(self, order, n, w):
+        rows = _ORDERS[order](n)
+        field = w + 1
+        self.top = (1 << w) - 1  # the largest degree and exponent packed
+        self.xshifts = [i * field for i in range(n)]
+        self.shift = (n + len(rows)) * field  # of the degree, on top
+        self.guards = sum(1 << (s + w) for s in self.xshifts)
+        vectors = [(1 << s) + (1 << self.shift) for s in self.xshifts]
+        self.offset = 0
+        for r, (i, sign) in enumerate(rows):
+            at = self.shift - (r + 1) * field
+            vectors[i] += sign << at
+            self.offset += self.top << at if sign < 0 else 0
+        self.vectors = vectors
+
+    def pack(self, m):
+        return self.offset + sum(map(operator.mul, m, self.vectors))
+
+    def unpack(self, key):
+        top = self.top
+        return tuple([key >> s & top for s in self.xshifts])
+
+    def raw(self, f):
+        """The packed raw terms of the SparsePoly f (pack, inlined)."""
+        offset, vectors, mul = self.offset, self.vectors, operator.mul
+        return {offset + sum(map(mul, m, vectors)): c.value
+                for m, c in f.terms.items()}
+
+    def terms(self, raw, R):
+        """The SparsePoly terms of packed raw terms with values of R
+        (unpack, inlined)."""
+        top, xshifts = self.top, self.xshifts
+        return {tuple([m >> s & top for s in xshifts]): Residue(R, c)
+                for m, c in raw.items()}
+
+
+_packing = functools.cache(_Packing)
 
 
 class PolyRing:
@@ -86,7 +141,17 @@ class PolyRing:
         self.coeff = coeff
         self.variables = variables
         self.order = order
-        self.key = _ORDERS[order]
+
+    def packing(self, degree):
+        """The packing of the monomials of at most this degree, at the
+        least width w of 8, 16, 32, ... with degree < 2^w."""
+        w = 8 if degree < 256 else 1 << (degree.bit_length() - 1).bit_length()
+        return _packing(self.order, self.nvars, w)
+
+    def key(self, m):
+        """The order key of a monomial: its pack at the width of its degree,
+        which orders all monomials (module docstring)."""
+        return self.packing(sum(m)).pack(m)
 
     @property
     def nvars(self):
@@ -338,39 +403,36 @@ def normal_form(f, basis):
     scans the one dividend dict, and subtracts a multiple of b in place:
     their terms count against PRODUCT_BOUND, and a division that would
     pass it is refused with SizeRefusalError."""
-    return _reduce(f, basis._leads if isinstance(basis, GroebnerBasis)
-                   else _lead_triples(basis))
-
-
-def _reduce(f, leads):
-    """normal_form of f by the divisors of the triples leads, in their
-    order (_lead_triples)."""
-    if not leads:
+    leads = basis._leads if isinstance(basis, GroebnerBasis) else _Leads(basis)
+    if not (leads.leads and f.terms):
         return f
-    key = f.ring.key
-    spend = _budget("the division of {} terms", len(f.terms), unit="terms")
+    P, divisors = leads.packed(f)
+    R = f.ring.coeff
+    return SparsePoly(f.ring, P.terms(_reduce(P.raw(f), divisors, R, P), R))
+
+
+def _reduce(h, divisors, R, P):
+    """The packed raw remainder of the packed raw dividend h, which it
+    consumes, on division by the (packed lead, inverse lead value, packed
+    raw divisor) triples divisors, in their order (normal_form).  The
+    caller picks P wide enough for every product the division takes."""
+    spend = _budget("the division of {} terms", len(h), unit="terms")
+    add, mul, neg, guards = R._add, R._mul, R._neg, P.guards
     rem = {}
-    h = dict(f.terms)
     while h:
         spend(len(h))
-        lm = max(h, key=key)
-        lc = h[lm]
-        for blm, binv, b in leads:
-            q = mono_div(lm, blm)
-            if q is not None:
-                spend(len(b.terms))
-                _addmul(h, b.terms, q, -(lc * binv))
+        lm = max(h)
+        c = h[lm]
+        for blm, binv, b in divisors:
+            q = lm - blm
+            if not q & guards:
+                spend(len(b))
+                _addmul_raw(h, b, q, neg(mul(c, binv)), R)
                 break
         else:
-            rem[lm] = rem[lm] + lc if lm in rem else lc
+            rem[lm] = add(rem[lm], c) if lm in rem else c
             del h[lm]
-    return SparsePoly(f.ring, {m: c for m, c in rem.items() if not c.is_zero()})
-
-
-def _lead_triples(basis):
-    """(leading monomial, its inverse coefficient, b) for each nonzero b."""
-    return [(lm := b.lead_monomial(), b.terms[lm].inv(), b)
-            for b in basis if b.terms]
+    return {m: c for m, c in rem.items() if not R._is_zero(c)}
 
 
 def _addmul(out, terms, q=None, c=None):
@@ -387,13 +449,47 @@ def _addmul(out, terms, q=None, c=None):
             out[m] = a
 
 
-def spoly(f, g):
-    lf, lg = f.lead_monomial(), g.lead_monomial()
-    l = mono_lcm(lf, lg)
-    out = {}
-    _addmul(out, f.terms, mono_div(l, lf), f.terms[lf].inv())
-    _addmul(out, g.terms, mono_div(l, lg), -g.terms[lg].inv())
-    return SparsePoly(f.ring, out)
+def _addmul_raw(out, terms, q, c, R):
+    """Add c*X^q times the packed raw terms over R into out in place,
+    dropping every key that cancels; q is the packed X^q less the offset."""
+    add, mul, is_zero, get = R._add, R._mul, R._is_zero, out.get
+    for m, a in terms.items():
+        m += q
+        a = mul(c, a)
+        s = get(m)
+        if s is not None:
+            a = add(s, a)
+        if not is_zero(a):
+            out[m] = a
+        elif s is not None:
+            del out[m]
+
+
+class _Leads:
+    """The nonzero members of a division, their leading monomials, and
+    their divisor triples packed at the widest packing asked for yet."""
+
+    def __init__(self, polys):
+        self.polys = [b for b in polys if b.terms]
+        self.leads = [b.lead_monomial() for b in self.polys]
+        self.packing = self.triples = None
+
+    def packed(self, f):
+        """A packing for the division of a nonzero f and the triples packed
+        by it: no product of the division passes the degree of f by more
+        than rise, how far the terms in p of a member rise above its lead."""
+        if self.packing is None:
+            degrees = [b.total_degree() for b in self.polys]
+            self.degree = max(degrees)
+            self.rise = max(map(operator.sub, degrees,
+                                map(mono_deg, self.leads)))
+        need = max(max(map(sum, f.terms)) + self.rise, self.degree)
+        if self.packing is None or need > self.packing.top:
+            P = self.packing = f.ring.packing(need)
+            R = f.ring.coeff
+            self.triples = [(P.pack(lm), R._inv(b.terms[lm].value), P.raw(b))
+                            for lm, b in zip(self.leads, self.polys)]
+        return self.packing, self.triples
 
 
 @dataclass(frozen=True)
@@ -410,7 +506,7 @@ class GroebnerBasis:
 
     @functools.cached_property
     def _leads(self):
-        return _lead_triples(self.polys)
+        return _Leads(self.polys)
 
     def normal_form(self, f):
         return normal_form(f, self)
@@ -420,7 +516,7 @@ class GroebnerBasis:
         return any(not any(m) for m in self.lead_monomials())
 
     def lead_monomials(self):
-        return [lm for lm, _, _ in self._leads]
+        return self._leads.leads
 
     def is_finite(self):
         """True when the quotient is finite over the coefficients (Krull
@@ -440,6 +536,15 @@ def groebner(gens, ring=None):
     the reduced basis of I mod p.  An input or S-pair that
     reduces to p*h, with no unit term left, puts h in the torsion of the
     result instead of the basis.
+
+    Everything between the inputs and the result runs on packed
+    monomials and raw values (module docstring), at a width that holds
+    the inputs' degrees.  No term of an S-polynomial or of its reduction
+    passes the degree of the pair's lcm, over a field, or passes it by
+    more than rise, how far the terms in p of a member rise above its
+    lead, over Z/p^2 (a unit term is replaced by smaller ones, a term in
+    p by p times unit terms below it).  So before each pair the width is
+    widened, and the basis repacked, if it would not hold that degree.
     """
     gens = [g for g in gens if not g.is_zero()]
     if ring is None:
@@ -447,60 +552,82 @@ def groebner(gens, ring=None):
             raise PresentationError("empty generator list needs an explicit ring")
         ring = gens[0].ring
     R = ring.coeff
-    basis = []  # the _lead_triples of the monic members, each lead kept
-    sugars = []
-    pairs = []
-    torsion = []
+    one, minus_one, mul = R._of_int(1), R._of_int(-1), R._mul
+    P = ring.packing(max(g.total_degree() for g in gens) if gens else 0)
+    basis = []  # (packed lead, 1, packed raw monic member) triples
+    leads = []  # the lead of each member as a tuple
+    sugars, pairs, torsion = [], [], []
+    rise = 0  # how far terms in p rise above their member's lead
 
     def add_poly(f, sugar):
-        if not R.is_field and not any(R._is_unit(c.value)
-                                      for c in f.terms.values()):
-            torsion.append(_over_p(f))
+        nonlocal rise
+        units = f if R.is_field else [m for m, c in f.items() if R._is_unit(c)]
+        if not units:  # f = p*h: h, over the residue field, is torsion
+            k = R.residue_field()
+            torsion.append(SparsePoly(ring.with_coeff(k), P.terms(
+                {m: c // R.p for m, c in f.items()}, k)))
             return
-        lm = f.lead_monomial()
-        f = f * f.terms[lm].inv()
+        lm = max(units)
+        if f[lm] != one:
+            inv = R._inv(f[lm])
+            f = {m: mul(c, inv) for m, c in f.items()}
+        lt = P.unpack(lm)
+        rise = max(rise, (max(f) >> P.shift) - (lm >> P.shift))
         k = len(basis)
-        for i, (lmi, _, _) in enumerate(basis):
-            l = mono_lcm(lmi, lm)
-            if l == mono_mul(lmi, lm):
+        for i, lti in enumerate(leads):
+            l = mono_lcm(lti, lt)
+            if l == mono_mul(lti, lt):
                 continue  # product criterion: coprime leads
-            s = max(sugars[i] + mono_deg(l) - mono_deg(lmi),
-                    sugar + mono_deg(l) - mono_deg(lm))
-            pairs.append((s, ring.key(l), i, k))
-        basis.append((lm, R.one(), f))
+            s = max(sugars[i] + mono_deg(l) - mono_deg(lti),
+                    sugar + mono_deg(l) - mono_deg(lt))
+            heapq.heappush(pairs, (s, ring.key(l), i, k, l))
+        basis.append((lm, one, f))
+        leads.append(lt)
         sugars.append(sugar)
 
+    def fit(degree):
+        """Widen the packing, and repack the basis, to hold this degree."""
+        nonlocal P
+        if degree > P.top:
+            old, P = P, ring.packing(degree)
+            basis[:] = [(P.pack(lt), one, {P.pack(old.unpack(m)): c
+                                          for m, c in f.items()})
+                        for lt, (_, _, f) in zip(leads, basis)]
+
     for g in gens:
-        add_poly(g, g.total_degree())
+        add_poly(P.raw(g), g.total_degree())
 
     while pairs:
-        pairs.sort()
-        s, _, i, j = pairs.pop(0)
-        h = _reduce(spoly(basis[i][2], basis[j][2]), basis)
-        if not h.is_zero():
-            add_poly(h, max(s, h.total_degree()))
+        s, _, i, j, l = heapq.heappop(pairs)
+        fit(mono_deg(l) + rise)
+        L = P.pack(l)
+        (li, _, fi), (lj, _, fj) = basis[i], basis[j]
+        h = {m + L - li: c for m, c in fi.items()}
+        _addmul_raw(h, fj, L - lj, minus_one, R)
+        h = _reduce(h, basis, R, P)
+        if h:
+            add_poly(h, max(s, max(h) >> P.shift))
 
+    fit(max(map(mono_deg, leads), default=0) + rise)
+    guards = P.guards
     # minimalize: drop members whose lead is divisible by another lead
     minimal = [t for i, t in enumerate(basis) if not any(
-        j != i and mono_div(t[0], glm) is not None and (glm != t[0] or j < i)
+        j != i and not (t[0] - glm) & guards and (glm != t[0] or j < i)
         for j, (glm, _, _) in enumerate(basis))]
     # interreduce to the unique reduced basis; no other lead divides the
     # lead lm of a member, so its unit coefficient stays at lm, the largest
     # unit term of the remainder, which is lm's member's lead
     reduced = []
     for i, (lm, _, f) in enumerate(minimal):
-        r = _reduce(f, minimal[:i] + minimal[i + 1:])
-        reduced.append((ring.key(lm), r * r.terms[lm].inv()))
+        others = minimal[:i] + minimal[i + 1:]
+        r = _reduce(dict(f), others, R, P) if others else f
+        if r[lm] != one:
+            inv = R._inv(r[lm])
+            r = {m: mul(c, inv) for m, c in r.items()}
+        reduced.append((lm, r))
     reduced.sort(key=operator.itemgetter(0))
-    return GroebnerBasis(ring, tuple(f for _, f in reduced), tuple(torsion))
-
-
-def _over_p(f):
-    """The h over the residue field with f = p*h~, for f with no unit term:
-    every coefficient value divided by p."""
-    R = f.ring.coeff
-    p, k = R.p, R.residue_field()
-    return f.map_coeffs(k, lambda c: Residue(k, c.value // p))
+    return GroebnerBasis(ring, tuple(SparsePoly(ring, P.terms(r, R))
+                                     for _, r in reduced), tuple(torsion))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Test-only code: reference routes that compute by independent formulas
 what the library computes another way (Witt carries, the derivation
 axioms on polynomials, twisted Jacobians, cotangent spaces, division with
-quotients, Krull dimensions by subsets, finite Z/p^2-algebras from the
+quotients, Buchberger on exponent tuples, Krull dimensions by subsets, finite Z/p^2-algebras from the
 syzygies of the reduced relations, the universal module on one symbol per
 element), the Z/p^2 covers of the residue fields they lift through (the
 Galois ring GR(p^2, e) lives here only), random polynomials, and helpers
@@ -31,6 +31,7 @@ from fwdiff.modarith import (
     PrimeSquareRing,
     Residue,
     _BaseRing,
+    _budget,
     _upoly_mul,
     _upoly_rem,
     embed,
@@ -41,12 +42,14 @@ from fwdiff.mpoly import (
     GroebnerBasis,
     PolyRing,
     SparsePoly,
+    _addmul,
     frobenius_twist,
     groebner,
     krull_dim,
     mono_deg,
     mono_div,
     mono_lcm,
+    mono_mul,
     normal_form,
     standard_monomials,
 )
@@ -242,6 +245,124 @@ def groebner_extended(gens):
         if any(not r.is_zero() for r in rrep):
             syzygies.append(rrep)
     return basis, reps, syzygies
+
+
+# ---------------------------------------------------------------------------
+# Buchberger on exponent tuples and Residues: the reference for the packed
+# kernel of fwdiff.mpoly, with the monomial orders as tuple keys
+
+def key_grevlex(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def key_homoglocal(m):
+    # first exponent is the homogenizer; ties on total degree are broken
+    # by negative degree then grevlex on the remaining variables
+    rest = m[1:]
+    return (sum(m), -sum(rest), tuple(-e for e in reversed(rest)))
+
+
+TUPLE_KEYS = {"grevlex": key_grevlex, "homoglocal": key_homoglocal}
+
+
+def lead_by_tuples(f):
+    """The largest monomial of f among its unit terms, by the tuple key."""
+    R = f.ring.coeff
+    monos = [m for m, c in f.terms.items()
+             if R.is_field or R._is_unit(c.value)]
+    if not monos:
+        raise PresentationError(f"{f} has no unit term to lead")
+    return max(monos, key=TUPLE_KEYS[f.ring.order])
+
+
+def _lead_triples(basis):
+    """(leading monomial, its inverse coefficient, b) for each nonzero b."""
+    return [(lm := lead_by_tuples(b), b.terms[lm].inv(), b)
+            for b in basis if b.terms]
+
+
+def normal_form_by_tuples(f, basis):
+    """normal_form of f by the divisors of the list basis, in their order,
+    reducing from the largest term down by the tuple key."""
+    leads = _lead_triples(basis)
+    if not leads:
+        return f
+    key = TUPLE_KEYS[f.ring.order]
+    spend = _budget("the division of {} terms", len(f.terms), unit="terms")
+    rem = {}
+    h = dict(f.terms)
+    while h:
+        spend(len(h))
+        lm = max(h, key=key)
+        lc = h[lm]
+        for blm, binv, b in leads:
+            q = mono_div(lm, blm)
+            if q is not None:
+                spend(len(b.terms))
+                _addmul(h, b.terms, q, -(lc * binv))
+                break
+        else:
+            rem[lm] = rem[lm] + lc if lm in rem else lc
+            del h[lm]
+    return SparsePoly(f.ring, {m: c for m, c in rem.items() if not c.is_zero()})
+
+
+def spoly(f, g):
+    lf, lg = lead_by_tuples(f), lead_by_tuples(g)
+    l = mono_lcm(lf, lg)
+    out = {}
+    _addmul(out, f.terms, mono_div(l, lf), f.terms[lf].inv())
+    _addmul(out, g.terms, mono_div(l, lg), -g.terms[lg].inv())
+    return SparsePoly(f.ring, out)
+
+
+def groebner_by_tuples(gens, ring=None):
+    """Buchberger with sugar-strategy pair selection on exponent tuples and
+    Residues, as fwdiff.mpoly.groebner computes it on packed monomials:
+    the same reduced basis and the same torsion."""
+    gens = [g for g in gens if not g.is_zero()]
+    ring = ring or gens[0].ring
+    key = TUPLE_KEYS[ring.order]
+    R = ring.coeff
+    basis, sugars, pairs, torsion = [], [], [], []
+
+    def add_poly(f, sugar):
+        if not R.is_field and not any(R._is_unit(c.value)
+                                      for c in f.terms.values()):
+            k = R.residue_field()
+            torsion.append(f.map_coeffs(k, lambda c: Residue(k, c.value // R.p)))
+            return
+        lm = lead_by_tuples(f)
+        f = f * f.terms[lm].inv()
+        k = len(basis)
+        for i, (lmi, _, _) in enumerate(basis):
+            l = mono_lcm(lmi, lm)
+            if l == mono_mul(lmi, lm):
+                continue  # product criterion: coprime leads
+            s = max(sugars[i] + mono_deg(l) - mono_deg(lmi),
+                    sugar + mono_deg(l) - mono_deg(lm))
+            pairs.append((s, key(l), i, k))
+        basis.append((lm, R.one(), f))
+        sugars.append(sugar)
+
+    for g in gens:
+        add_poly(g, g.total_degree())
+    while pairs:
+        pairs.sort()
+        s, _, i, j = pairs.pop(0)
+        h = normal_form_by_tuples(spoly(basis[i][2], basis[j][2]),
+                                  [b for _, _, b in basis])
+        if not h.is_zero():
+            add_poly(h, max(s, h.total_degree()))
+    minimal = [t for i, t in enumerate(basis) if not any(
+        j != i and mono_div(t[0], glm) is not None and (glm != t[0] or j < i)
+        for j, (glm, _, _) in enumerate(basis))]
+    reduced = []
+    for i, (lm, _, f) in enumerate(minimal):
+        r = normal_form_by_tuples(f, [b for _, _, b in minimal[:i] + minimal[i + 1:]])
+        reduced.append((key(lm), r * r.terms[lm].inv()))
+    reduced.sort(key=lambda t: t[0])
+    return GroebnerBasis(ring, tuple(f for _, f in reduced), tuple(torsion))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from fwdiff.mpoly import (
     mono_lcm,
     mono_mul,
     normal_form,
-    spoly,
     staircase_dim,
     standard_monomials,
     witt_P_pair,
@@ -43,13 +42,17 @@ from fwdiff.mpoly import (
 )
 from fwdiff.ringfile import parse_ring
 from routes import (
+    TUPLE_KEYS,
     derivative,
     divide,
     frobenius_twist_by_terms,
+    groebner_by_tuples,
     groebner_extended,
     ideal_contains,
+    normal_form_by_tuples,
     random_poly,
     random_scalar,
+    spoly,
     staircase_dim_by_subsets,
     w_poly_by_polys,
     witt_P_pair_by_powers,
@@ -236,6 +239,114 @@ def test_groebner_over_p2_coefficients(R):
     assert [str(f) for f in gb.polys] == ["x^2"]
     kx, ky = ring.with_coeff(k).gens()
     assert gb.torsion == (kx * ky + ky,)
+
+
+KERNEL_RINGS = [PrimeField(2), PrimeField(3), GaloisField(2, 2),
+                GaloisField(3, 2), PrimeSquareRing(2), PrimeSquareRing(3)]
+
+
+@st.composite
+def systems(draw, rings=KERNEL_RINGS, orders=("grevlex", "homoglocal")):
+    """(ring, generators): 1-3 polynomials of 1-4 terms of degree at most
+    3 in 1-4 variables, over one of rings, in one of orders."""
+    R = draw(st.sampled_from(rings))
+    n = draw(st.integers(1, 4))
+    ring = PolyRing(R, tuple(f"x{i}" for i in range(n)),
+                    draw(st.sampled_from(orders)))
+    elements = list(R.elements())
+    monos = st.lists(st.integers(0, n - 1), max_size=3).map(
+        lambda vs: tuple(vs.count(i) for i in range(n)))
+    term = st.tuples(monos, st.sampled_from(elements))
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=4),
+                         min_size=1, max_size=3))
+    return ring, [ring.poly(dict(g)) for g in gens]
+
+
+def _listed(polys):
+    return [list((m, c.value) for m, c in f.terms.items()) for f in polys]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(systems())
+def test_the_packed_kernel_matches_the_tuple_route(system):
+    """groebner and normal_form on packed monomials and raw values give
+    the reference route's reduced basis and torsion, term for term and in
+    the same term order, over fields and over Z/p^2, in both orders."""
+    ring, gens = system
+    ours, theirs = groebner(gens, ring=ring), groebner_by_tuples(gens, ring)
+    assert _listed(ours.polys) == _listed(theirs.polys)
+    assert _listed(ours.torsion) == _listed(theirs.torsion)
+    f = sum(gens[1:], gens[0] * gens[0])
+    divisors = list(theirs.polys)
+    assert _listed([normal_form(f, ours)]) == \
+        _listed([normal_form_by_tuples(f, divisors)])
+    assert _listed([normal_form(f, divisors[::-1])]) == \
+        _listed([normal_form_by_tuples(f, divisors[::-1])])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(systems(rings=[PrimeField(2), PrimeField(3)], orders=("grevlex",)))
+def test_the_packed_kernel_matches_sympy_over_prime_fields(system):
+    """The kernel's grevlex bases over F_2 and F_3 are sympy's."""
+    ring, gens = system
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return
+    ours = groebner(gens, ring=ring)
+    syms = sympy.symbols(ring.variables)
+    theirs = _sympy_gb_dicts(gens, syms, ring.coeff.p)
+    assert _our_gb_dicts(ours) == theirs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.sampled_from(("grevlex", "homoglocal")),
+    *[st.lists(st.integers(0, 3) | st.integers(0, 300) | st.integers(0, 2**40),
+               min_size=n, max_size=n).map(tuple) for _ in range(2)])))
+def test_the_packing_orders_multiplies_and_divides_as_the_tuples(drawn):
+    """At a width that holds a, b and a*b: the pack is injective and
+    unpacks back, int order is the tuple key's order (and so is ring.key
+    across widths), a product adds packs less the offset, and the guard
+    bits of a difference say whether b divides a, the quotient's pack
+    being the difference plus the offset."""
+    order, a, b = drawn
+    ring = PolyRing(PrimeField(2), tuple(f"x{i}" for i in range(len(a))),
+                    order)
+    key = TUPLE_KEYS[order]
+    ab = mono_mul(a, b)
+    P = ring.packing(sum(ab))
+    pa, pb = P.pack(a), P.pack(b)
+    assert P.unpack(pa) == a and P.unpack(pb) == b
+    assert (pa == pb) == (a == b)
+    assert (pa < pb) == (key(a) < key(b))
+    assert (ring.key(a) < ring.key(b)) == (key(a) < key(b))
+    assert P.pack(ab) == pa + pb - P.offset
+    divides = all(x >= y for x, y in zip(a, b))
+    assert (not (pa - pb) & P.guards) == divides
+    if divides:
+        assert pa - pb + P.offset == P.pack(mono_div(a, b))
+
+
+def test_a_slot_overflow_widens_the_packing_and_refuses_nothing():
+    """Exponents past a slot get a wider packing, and the reference's
+    answers: an input of degree 2^40; an S-polynomial whose y^300 passes
+    the first width; over Z/9 one whose term in p, y^256, passes it
+    though its lcm does not; and a division of a dividend above the width
+    a basis has packed its leads at."""
+    ring = PolyRing(PrimeField(2), ("x", "y"))
+    x, y = ring.gens()
+    zring = PolyRing(PrimeSquareRing(3), ("x", "y"))
+    zx, zy = zring.gens()
+    for gens in ([x**(2**40) + y, y**2 + 1], [x**200 + y**200, x * y**100 + 1],
+                 [zx**2 + 3 * zy**254, zx * zy + 1]):
+        ours, theirs = groebner(gens), groebner_by_tuples(gens)
+        assert _listed(ours.polys) == _listed(theirs.polys)
+        assert _listed(ours.torsion) == _listed(theirs.torsion)
+    gb = groebner([zx**2 + 3 * zy**3, zy**2 - zx])
+    for f in (zx + 1, zx**300 * zy + zx):
+        assert _listed([gb.normal_form(f)]) == \
+            _listed([normal_form_by_tuples(f, list(gb.polys))])
+    assert gb._leads.packing.top >= 301
 
 
 def test_groebner_known_example():
@@ -794,23 +905,22 @@ def test_a_groebner_basis_keeps_its_leads(monkeypatch):
 
 
 def test_groebner_finds_each_lead_once(monkeypatch):
-    """groebner keeps each member's lead beside it: a member's lead is
-    found when it is added, and spoly finds the two of its pair, so the
-    S-pair divisions, the minimalisation and the final sort find none."""
+    """groebner keeps each member's lead beside it, packed: no S-pair
+    division, minimalisation or final sort finds a lead again, so
+    SparsePoly.lead_monomial is never called, over many S-pairs."""
     calls, pairs = [], []
-    real, real_spoly = mpoly.SparsePoly.lead_monomial, mpoly.spoly
+    real, real_reduce = mpoly.SparsePoly.lead_monomial, mpoly._reduce
     monkeypatch.setattr(mpoly.SparsePoly, "lead_monomial",
                         lambda self: calls.append(1) or real(self))
-    monkeypatch.setattr(mpoly, "spoly",
-                        lambda f, g: pairs.append(1) or real_spoly(f, g))
+    monkeypatch.setattr(mpoly, "_reduce",
+                        lambda *args: pairs.append(1) or real_reduce(*args))
     for R in (PrimeField(7), PrimeSquareRing(3)):
         ring = PolyRing(R, ("x", "y", "z"))
         x, y, z = ring.gens()
         gens = [x**2 * y - z**2 + 1, y**2 * z - x + 2, z**2 * x - y**2 + x * y]
         del calls[:], pairs[:]
         gb = groebner(gens)
-        # at most one member is added per input and per S-pair
-        assert len(calls) <= 2 * len(pairs) + len(gens) + len(pairs)
+        assert not calls
         assert len(pairs) > 10 and len(gb.polys) > 5
 
 
