@@ -1,7 +1,7 @@
 """Exact linear algebra: fraction-free elimination over fields and
-quotient domains, and an int64 numpy row space mod p for the brute-force
-oracle.  numpy is imported by ModPSpan alone, so the verdict path never
-loads it."""
+quotient domains, and a row space mod p for the brute-force oracle, on
+int rows by XOR over F_2 and on int64 numpy rows over odd p.  numpy is
+imported by ModPSpan alone, so the verdict path never loads it."""
 
 from __future__ import annotations
 
@@ -58,12 +58,16 @@ def rank_fraction_free(rows, nf):
 
 
 class ModPSpan:
-    """A growing row space over F_p, kept in reduced row-echelon form.
+    """A growing row space over F_p, read as its reduced row-echelon
+    basis, one row per pivot column, pivots ascending.
 
-    Rows are int64 numpy vectors with entries in [0, p), and elimination
-    forms one product of two entries at a time before reducing mod p.
-    For p < 2^31 such a product is below 2^62, so every step is exact;
-    larger primes are refused."""
+    Over F_2 a row is a Python int, bit j its entry in column j; a new row
+    is reduced by XOR with the kept row whose lowest set bit is its own,
+    and pivots and basis are read off the kept rows when asked for.  Over
+    odd p the basis is kept as int64 numpy rows with entries in [0, p)
+    (_gauss_jordan).  Elimination forms one product of two entries at a
+    time before reducing mod p; for p < 2^31 such a product is below
+    2^62, so every step is exact, and larger primes are refused."""
 
     def __init__(self, p, ncols):
         if p >= 1 << 31:
@@ -72,37 +76,77 @@ class ModPSpan:
 
         self.p = p
         self.ncols = ncols
-        self.basis = np.zeros((0, ncols), dtype=np.int64)
-        self.pivots = []
+        self._bits = {}  # over F_2: the kept rows by their lowest set bit
+        self._basis = np.zeros((0, ncols), dtype=np.int64)
+        self._pivots = []
 
     @property
     def rank(self):
-        return len(self.pivots)
+        return len(self._bits) if self.p == 2 else len(self._pivots)
+
+    @property
+    def pivots(self):
+        return sorted(self._bits) if self.p == 2 else self._pivots
+
+    @property
+    def basis(self):
+        if self.p != 2:
+            return self._basis
+        import numpy as np
+
+        rows = {}
+        for col in sorted(self._bits, reverse=True):  # clear later pivots
+            row = self._bits[col]
+            for later, kept in rows.items():
+                if row >> later & 1:
+                    row ^= kept
+            rows[col] = row
+        return np.array([[r >> j & 1 for j in range(self.ncols)]
+                         for r in reversed(rows.values())],
+                        dtype=np.int64).reshape(-1, self.ncols)
 
     def add_rows(self, rows):
-        """Insert rows by Gauss-Jordan on the basis and the rows together,
-        one pivot column at a time, touching only the rows nonzero in it;
-        returns the new rank."""
+        """Insert rows, stopping once the rank is full; returns the new
+        rank."""
         if self.rank == self.ncols:
             return self.rank
         import numpy as np
 
-        p = self.p
-        rows = np.asarray(rows, dtype=np.int64) % p
-        m = np.vstack([self.basis, rows.reshape(-1, self.ncols)])
-        pivots = []
-        for col in np.flatnonzero(m.any(axis=0)):
-            r = len(pivots)
-            below = np.flatnonzero(m[r:, col])
-            if below.size == 0:
-                continue
-            m[[r, r + below[0]]] = m[[r + below[0], r]]
-            m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
-            hit = np.flatnonzero(m[:, col])
-            hit = hit[hit != r]
-            m[hit, col:] = (m[hit, col:]
-                            - np.outer(m[hit, col], m[r, col:])) % p
-            pivots.append(int(col))
-        self.basis = m[:len(pivots)].copy()
-        self.pivots = pivots
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, self.ncols) % self.p
+        if self.p != 2:
+            self._basis, self._pivots = _gauss_jordan(
+                np.vstack([self._basis, rows]), self.p)
+            return self.rank
+        kept = self._bits
+        for row in np.packbits(rows, axis=1, bitorder="little").tolist():
+            row = int.from_bytes(row, "little")
+            while row:
+                low = (row & -row).bit_length() - 1
+                if low not in kept:
+                    kept[low] = row
+                    break
+                row ^= kept[low]
+            if len(kept) == self.ncols:
+                break
         return self.rank
+
+
+def _gauss_jordan(m, p):
+    """(basis, pivots): the reduced row-echelon form of the int64 matrix m,
+    entries in [0, p), by Gauss-Jordan one pivot column at a time, touching
+    only the rows nonzero in it.  m is overwritten."""
+    import numpy as np
+
+    pivots = []
+    for col in np.flatnonzero(m.any(axis=0)):
+        r = len(pivots)
+        below = np.flatnonzero(m[r:, col])
+        if below.size == 0:
+            continue
+        m[[r, r + below[0]]] = m[[r + below[0], r]]
+        m[r, col:] = m[r, col:] * pow(int(m[r, col]), -1, p) % p
+        hit = np.flatnonzero(m[:, col])
+        hit = hit[hit != r]
+        m[hit, col:] = (m[hit, col:] - np.outer(m[hit, col], m[r, col:])) % p
+        pivots.append(int(col))
+    return m[:len(pivots)].copy(), pivots

@@ -406,6 +406,9 @@ def normal_form(f, basis):
     leads = basis._leads if isinstance(basis, GroebnerBasis) else _Leads(basis)
     if not (leads.leads and f.terms):
         return f
+    if len(f.terms) == 1 and not any(all(map(operator.ge, m, lm))
+                                     for m in f.terms for lm in leads.leads):
+        return f  # one term that no lead divides: its own remainder
     P, divisors = leads.packed(f)
     R = f.ring.coeff
     return SparsePoly(f.ring, P.terms(_reduce(P.raw(f), divisors, R, P), R))

@@ -104,12 +104,17 @@ of the relations.  The tree relations map to 0 by the choice of T (and
 R(0, g) = -[0] too), except the one of p*1 when [p] is kept free: the
 [p] row.  What remains is that row, the additive relations off the tree
 and the Leibniz relations D(g_v, g_w): e * s columns instead of e * n.
+Where p*1 != 0, T is filled along the tree, one BFS level at a time,
+with the Witt carries of all tree edges (_tree_coordinates).
 
 When p*1 = 0 (always in characteristic p), [p] is not free and T[p*1] =
 T[0] = 0, so T[z] = T[y] + T[g_w]; with no p-digits and no carries the
 digits of y + g_w are those of y plus e_w, so T[a] = sum_u a_u e_u, a_u
-the digits of a, is additive.  R(a, g) then maps to T[a+g] - T[a] -
-T[g] + P(a, g) T[p*1] = 0: the Leibniz rows alone give the rank.
+the digits of a, is additive.  So no tree is walked and no carry is
+computed there: T[a, u] is read off the digits as the index of a_u * 1
+(_digit_coordinates).  R(a, g) then maps to T[a+g] - T[a] - T[g] +
+P(a, g) T[p*1] = 0: the Leibniz rows alone give the rank, and over F_2
+that rank is XOR on rows held as ints (linalg.ModPSpan).
 
 Finite rings over a Z/p^2 base are enumerated exactly.  Let I be the
 relation ideal, I_1 its image mod p and U = (I : p) mod p, the u with
@@ -442,6 +447,13 @@ def _tree_coordinates(ring: FiniteRing):
     return T, np.nonzero(off_tree)
 
 
+def _digit_coordinates(ring: FiniteRing):
+    """T where p*1 = 0, read off the digits with no tree walked: T[a, u]
+    is the index of a_u * 1, a_u the u-th digit of a (module docstring)."""
+    return ring.int_mult_idx(np.arange(ring.p)[:, None],
+                             ring.one_idx)[ring.digits]
+
+
 def relation_rows(ring: FiniteRing):
     """Yield numpy relation rows of the universal module, in batches.
 
@@ -453,14 +465,18 @@ def relation_rows(ring: FiniteRing):
     off the tree, the [p] row among them; the module docstring shows that
     these span all, and the Leibniz family alone when p*1 = 0.
     """
-    T, (a_all, u_all) = _tree_coordinates(ring)
+    p_zero = ring.p_one_idx == ring.zero_idx
+    if p_zero:
+        T = _digit_coordinates(ring)
+    else:
+        T, (a_all, u_all) = _tree_coordinates(ring)
     gens = np.array(ring.basis_idx, dtype=np.int64)
     one = ring.one_idx
     a, b = (gens[t] for t in np.triu_indices(len(gens)))
     yield _relation_block(ring, T, [(1, ring.mul[a, b], one),
                                     (-1, a, ring.frob[b]),
                                     (-1, b, ring.frob[a])])
-    if ring.p_one_idx == ring.zero_idx:
+    if p_zero:
         return
     step = max(1, 1024 // ring.carrier_dim)
     for lo in range(0, a_all.size, step):
