@@ -175,9 +175,6 @@ class _BaseRing:
                 b = self._mul(b, b)
         return r
 
-    def _is_zero(self, a):
-        return a == self._of_int(0)
-
     def residue_field(self):
         """The residue field: a field is its own; Z/p^2 builds F_p on
         first use and keeps it."""
@@ -219,6 +216,9 @@ class _ModRing(_BaseRing):
 
     def _neg(self, a):
         return (-a) % self.modulus
+
+    def _is_zero(self, a):
+        return a == 0
 
     def _is_unit(self, a):
         return a % self.p != 0

@@ -29,7 +29,9 @@ whole computation into one F_p rank: with e = dim_Fp(A/pA), a free
 module on s symbols has e * s coordinates, each relation contributes e
 rows (one per basis multiplier, products decomposed in the basis), and
 the dimension is e * s minus the rank.  The result is the ground truth
-against which the presentation pipeline is cross-checked.
+against which the presentation pipeline is cross-checked: the presented
+module, its column entries read as elements of the same ring, is ranked
+through the same relation blocks and the same cokernel routine.
 
 Tables in coordinates.  Element i is its digit vector D[i], entries in
 [0, p), over an additive digit basis b_1, .., b_d: in characteristic p
@@ -516,54 +518,42 @@ class UniversalModule:
     span: ModPSpan = field(repr=False)
 
 
+def _cokernel(ring, symbols, blocks):
+    """The span of the row blocks over e * symbols columns, to full rank."""
+    span = ModPSpan(ring.p, ring.carrier_dim * symbols)
+    for batch in blocks:
+        if span.add_rows(batch) == span.ncols:
+            break
+    return span
+
+
 def brute_fw(ring: FiniteRing) -> UniversalModule:
     """The universal module, by one F_p rank in tree coordinates."""
-    ncols = ring.carrier_dim * len(_free_symbols(ring))
-    span = ModPSpan(ring.p, ncols)
-    for batch in relation_rows(ring):
-        span.add_rows(batch)
-        if span.rank == ncols:
-            break
-    return UniversalModule(
-        ring=ring,
-        dimension=ncols - span.rank,
-        ncols=ncols,
-        rank=span.rank,
-        span=span,
-    )
+    span = _cokernel(ring, len(_free_symbols(ring)), relation_rows(ring))
+    return UniversalModule(ring, span.ncols - span.rank, span.ncols,
+                           span.rank, span)
 
 
 # ---------------------------------------------------------------------------
 # cross-checking the presentation pipeline
 
-def presented_fp_dimension(fw: FWPresentation) -> int:
-    """Total F_p-dimension of the presented module, for finite carriers.
-
-    The carrier is expanded as an F_p-space on the digit basis of the
-    oracle's rings, with no p-digits; the module relations are all basis
-    multiples of the presented columns.
-    """
-    gb = fw.ring.carrier_basis()
-    if gb.is_trivial():
-        raise PresentationError("the presented ring is the zero ring")
-    if not gb.is_finite():
-        raise PresentationError("carrier is infinite; no total F_p-dimension")
-    basis, digits_of = _digit_model(gb.ring, standard_monomials(gb),
-                                    [], "the carrier")
-    total = len(basis) * fw.ngens
-    span = ModPSpan(fw.ring.p, total)
-    rows = [[d for entry in col for d in digits_of(gb.normal_form(u * entry))]
-            for col in fw.columns for u in basis]
-    if rows:
-        span.add_rows(np.array(rows, dtype=np.int64))
-    return total - span.rank
+def presented_fp_dimension(fw: FWPresentation, ring: FiniteRing) -> int:
+    """Total F_p-dimension of the presented module over ring, the
+    FiniteRing of fw.ring.  Column entries are normal forms modulo the
+    carrier basis, which the basis lifts of ring reduce to (mod p over
+    Z/p^2), so ring indexes them; the rows are their basis multiples."""
+    C = np.array([[ring.index_of(u) for u in col] for col in fw.columns],
+                 dtype=np.int64).reshape(len(fw.columns), fw.ngens)
+    block = _relation_block(ring, C, [(1, np.arange(len(C)), ring.one_idx)])
+    span = _cokernel(ring, fw.ngens, [block])
+    return span.ncols - span.rank
 
 
 def cross_check(fw: FWPresentation, max_size=None) -> dict:
     """Compare the brute-force dimension with the presented dimension."""
     fr = FiniteRing.from_presentation(fw.ring, max_size=max_size)
     um = brute_fw(fr)
-    pres = presented_fp_dimension(fw)
+    pres = presented_fp_dimension(fw, fr)
     return {
         "ring": fr.label,
         "size": fr.size,

@@ -36,6 +36,7 @@ _BASES = {
     "Fq": (GaloisField, "Fq takes two or three arguments: Fq(p,e[,minpoly])"),
 }
 _DIGITS = "0123456789"
+_MAX_DEPTH = 100  # nested parentheses, well inside the recursion limit
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,7 @@ class _Parser:
     def __init__(self, text, line=1, col=1, ring=None, names=None):
         self.toks = _tokenize(text, line, col)
         self.pos = 0
+        self.depth = 0  # open parentheses
         self.ring = ring
         self.names = names
 
@@ -145,12 +147,13 @@ class _Parser:
         return f
 
     def unary(self):
-        if self.accept("-"):
-            return -self.unary()
+        negate = False
+        while self.accept("-"):
+            negate = not negate
         f = self.atom()
         if self.accept("^"):
             f = f ** self.integer("a nonnegative integer exponent")
-        return f
+        return -f if negate else f
 
     def atom(self):
         if self.peek().kind == "int":
@@ -163,8 +166,12 @@ class _Parser:
                 self.fail(f"unknown variable {t.text}", t)
             return f
         if t.kind == "(":
+            if self.depth == _MAX_DEPTH:  # each level takes four frames
+                self.fail(f"parentheses nested deeper than {_MAX_DEPTH}", t)
+            self.depth += 1
             f = self.expr()
             self.expect(")", "')'")
+            self.depth -= 1
             return f
         self.fail(f"unexpected {t.text!r}" if t.text
                   else "unexpected end of expression", t)

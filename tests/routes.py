@@ -3,9 +3,10 @@ what the library computes another way (Witt carries, the derivation
 axioms on polynomials, twisted Jacobians, cotangent spaces, division with
 quotients, Buchberger on exponent tuples, Krull dimensions by subsets, finite Z/p^2-algebras from the
 syzygies of the reduced relations, the universal module on one symbol per
-element), the Z/p^2 covers of the residue fields they lift through (the
-Galois ring GR(p^2, e) lives here only), random polynomials, and helpers
-that inspect library objects."""
+element, the presented dimension by carrier normal forms), the Z/p^2
+covers of the residue fields they lift through (the Galois ring
+GR(p^2, e) lives here only), random polynomials, and helpers that
+inspect library objects."""
 
 import functools
 import itertools
@@ -56,6 +57,7 @@ from fwdiff.mpoly import (
 from fwdiff.oracle import (
     FiniteRing,
     UniversalModule,
+    _digit_model,
     _label_of,
     _refuse_oversized,
     relation_rows,
@@ -97,6 +99,9 @@ class GaloisRing(_BaseRing):
 
     def _mul(self, a, b):
         return tuple(_upoly_rem(_upoly_mul(a, b), self.minpoly, self.modulus))
+
+    def _is_zero(self, a):
+        return not any(a)
 
 
 @functools.cache
@@ -909,6 +914,28 @@ def element_brute_fw(ring: FiniteRing) -> UniversalModule:
             break
     return UniversalModule(ring=ring, dimension=ncols - span.rank,
                            ncols=ncols, rank=span.rank, span=span)
+
+
+def presented_fp_dimension_by_normal_forms(fw: FWPresentation) -> int:
+    """Total F_p-dimension of the presented module, for finite carriers,
+    with no FiniteRing: the carrier is expanded as an F_p-space on its own
+    digit basis, with no p-digits, and the module relations are all basis
+    multiples of the presented columns, each reduced to its normal form
+    modulo the carrier basis."""
+    gb = fw.ring.carrier_basis()
+    if gb.is_trivial():
+        raise PresentationError("the presented ring is the zero ring")
+    if not gb.is_finite():
+        raise PresentationError("carrier is infinite; no total F_p-dimension")
+    basis, digits_of = _digit_model(gb.ring, standard_monomials(gb),
+                                    [], "the carrier")
+    total = len(basis) * fw.ngens
+    span = ModPSpan(fw.ring.p, total)
+    rows = [[d for entry in col for d in digits_of(gb.normal_form(u * entry))]
+            for col in fw.columns for u in basis]
+    if rows:
+        span.add_rows(np.array(rows, dtype=np.int64))
+    return total - span.rank
 
 
 def brute_fiber_at_point(ring_pres, x: PointSpec, max_size=3**6):

@@ -8,7 +8,8 @@ locus (kind, fiber, residue_p_rank, local_dim).  Coefficients change
 rings along one map, SparsePoly.over, so outside modarith and mpoly no
 module reduces or embeds coefficients by hand.  An FWPresentation keeps
 only its ring, its labels and its columns, and one routine computes a
-column through the w core.  The work bound
+column through the w core.  In the oracle only the ring build divides
+polynomials.  The work bound
 PRODUCT_BOUND has one copy, in modarith, beside _budget, the one counter
 that spends against it.  No routine of the library is there only for the
 tests, and the library stays within its line budget."""
@@ -191,6 +192,19 @@ def test_an_fw_presentation_keeps_its_ring_labels_and_columns():
                for scope, _, _ in _NameSites(tree, {"_w_core"}).found}
     assert callers == {("fwcore.py", "column_of"),
                        ("fwcore.py", "check_axioms")}
+
+
+def test_only_the_oracle_ring_build_divides():
+    """In the oracle, Groebner bases, standard monomials and normal forms
+    are made only by FiniteRing.from_presentation (its canon included):
+    the presented side of cross_check reads its columns through that
+    ring, with no carrier model of its own."""
+    tree = dict(_parsed(SRC))["oracle.py"]
+    found = _NameSites(tree, {"groebner", "standard_monomials",
+                              "normal_form"}).found
+    assert {scope for scope, _, _ in found} == {
+        "FiniteRing.from_presentation",
+        "FiniteRing.from_presentation.canon"}
 
 
 LINE_BUDGET = 3748  # ROADMAP's budget for the lines of src/fwdiff

@@ -572,6 +572,30 @@ def test_front_end_reports_bad_literals_at_their_position(
     assert err.startswith(f"error: line {line}, col {col}: "), err
 
 
+def test_deep_nesting_is_an_input_error(tmp_path):
+    """A chain of minus signs is read by a loop, and a parenthesis opened
+    past 100 levels is an input error at its position, in a ring file and
+    in a locus; 1000 signs and 250 levels ended in an internal error
+    (RecursionError) before."""
+    plain, path = tmp_path / "plain.ring", tmp_path / "deep.ring"
+    plain.write_text(PLANE + "rel: x\n")
+    expected = _run(["present", "-i", str(plain)])
+    assert expected[0] == 0
+    for rel in ["-" * 5000 + "x", "(" * 100 + "x" + ")" * 100]:
+        path.write_text(PLANE + f"rel: {rel}\n")
+        assert _run(["present", "-i", str(path)]) == expected
+    deeper = "(" * 300 + "x" + ")" * 300
+    path.write_text(PLANE + f"rel: {deeper}\n")
+    code, out, err = _run(["present", "-i", str(path)])
+    assert code == 2 and out == ""
+    assert err == "error: line 3, col 106: parentheses nested deeper than 100\n"
+    plain.write_text(PLANE)
+    code, out, err = _run(["regular", "-i", str(plain),
+                           "--point", deeper.replace("x", "0") + ", 0"])
+    assert code == 2 and out == ""
+    assert err == "error: line 1, col 101: parentheses nested deeper than 100\n"
+
+
 @pytest.mark.parametrize("rels", [
     "rel: x^200\nrel: y^200\n",
     "rel: x^1000\nrel: y^1000\n",
