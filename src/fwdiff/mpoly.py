@@ -401,17 +401,25 @@ def normal_form(f, basis):
     terms are divided as over the residue field, and a term in p is
     replaced by terms in p below it, so the division ends.  Each step
     scans the one dividend dict, and subtracts a multiple of b in place:
-    their terms count against PRODUCT_BOUND, and a division that would
-    pass it is refused with SizeRefusalError."""
+    their terms count against PRODUCT_BOUND (but for the first step of a
+    one-term dividend, whose divisor is found on tuples), and a division
+    that would pass it is refused with SizeRefusalError."""
     leads = basis._leads if isinstance(basis, GroebnerBasis) else _Leads(basis)
     if not (leads.leads and f.terms):
         return f
-    if len(f.terms) == 1 and not any(all(map(operator.ge, m, lm))
-                                     for m in f.terms for lm in leads.leads):
-        return f  # one term that no lead divides: its own remainder
+    if len(f.terms) == 1:  # one term: its first divisor, found on tuples
+        (m, c), = f.terms.items()
+        for i, lm in enumerate(leads.leads):
+            if all(map(operator.ge, m, lm)):
+                break
+        else:
+            return f  # no lead divides it: its own remainder
     P, divisors = leads.packed(f)
-    R = f.ring.coeff
-    return SparsePoly(f.ring, P.terms(_reduce(P.raw(f), divisors, R, P), R))
+    R, h = f.ring.coeff, P.raw(f)
+    if len(f.terms) == 1:  # the first step of _reduce, from that divisor
+        blm, binv, b = divisors[i]
+        _addmul_raw(h, b, P.pack(m) - blm, R._neg(R._mul(c.value, binv)), R)
+    return SparsePoly(f.ring, P.terms(h and _reduce(h, divisors, R, P), R))
 
 
 def _reduce(h, divisors, R, P):

@@ -33,7 +33,7 @@ against which the presentation pipeline is cross-checked: the presented
 module, its column entries read as elements of the same ring, is ranked
 through the same relation blocks and the same cokernel routine.
 
-Tables in coordinates.  Element i is its digit vector D[i], entries in
+Arithmetic in coordinates.  Element i is its digit vector D[i], entries in
 [0, p), over an additive digit basis b_1, .., b_d: in characteristic p
 the F_p-basis t^j x^m, m a standard monomial; over Z/p^2 the x^m for
 m in S, then the p x^m for m in stairU (canonical forms, below).  So
@@ -85,17 +85,19 @@ the structure-constant representation of a finite-dimensional algebra
 (W. A. de Graaf, Lie Algebras: Theory and Algorithms, 2000); the check
 takes O(d^5) multiply-adds, with d = 12 at 4096 elements.
 
-Breadth-first search from 0 along a -> a + g_u therefore reaches every
-element z by a tree edge z = y + g_w, y reached earlier.  Along the
-edges x + z = (x + y) + g_w fills the addition table a column at a
-time, then g_u z = g_u y + g_u g_w the products with generators, and
-x z = x y + x g_w the multiplication table.  These are identities of
-the checked ring, so the tables are its tables.
+Generator rows.  g_u x = N(sum_j x_j s_uj) is one contraction with the
+checked structure constants, so one einsum gives the rows mulg[u, x] =
+g_u x, and one digit sum the rows addg[u, a] = a + g_u.  The relations
+below multiply by generators only, but for the powers a^k (k < p) in the
+Witt carries at p >= 3, one product N(sum_ij x_i y_j s_ij) each.
 
-Spanning-tree elimination.  The tree edge z = y + g_w carries the
-relation R(y, g_w): [z] = [y] + [g_w] - P(y, g_w)[p], with [p] the symbol
-of p*1 and [0] = 0.  Keep [g_1], .., [g_g] as free symbols, and [p] too
-unless p*1 is 0 (always in characteristic p) or a generator; then
+Spanning-tree elimination.  The g_u generate A additively, so
+breadth-first search from 0 along a -> a + g_u reaches every element z
+by a tree edge z = y + g_w, y reached earlier.  The tree edge carries
+the relation R(y, g_w): [z] = [y] + [g_w] - P(y, g_w)[p], with [p] the
+symbol of p*1 and [0] = 0.  Keep [g_1], .., [g_g] as free symbols, and
+[p] too unless p*1 is 0 (always in characteristic p); p*1 is never a
+generator, as its generator digits, those of p canon(1), are 0.  Then
 induction along the tree writes every [a] as a vector T[a] of
 coefficients in A on these s = g or g + 1 symbols (Schreier's lemma;
 Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005).
@@ -106,8 +108,9 @@ of the relations.  The tree relations map to 0 by the choice of T (and
 R(0, g) = -[0] too), except the one of p*1 when [p] is kept free: the
 [p] row.  What remains is that row, the additive relations off the tree
 and the Leibniz relations D(g_v, g_w): e * s columns instead of e * n.
-Where p*1 != 0, T is filled along the tree, one BFS level at a time,
-with the Witt carries of all tree edges (_tree_coordinates).
+Where p*1 != 0, T is filled along the tree a BFS level at a time: as
+T[g_w] and T[p*1] are unit vectors, T[z] = T[y] + e_w - P(y, g_w) e_p
+changes two columns of T[y] (_tree_coordinates).
 
 When p*1 = 0 (always in characteristic p), [p] is not free and T[p*1] =
 T[0] = 0, so T[z] = T[y] + T[g_w]; with no p-digits and no carries the
@@ -155,16 +158,15 @@ from .mpoly import groebner, normal_form, standard_monomials
 # |A| caps keeping the relation matrix at desk scale
 DEFAULT_SIZE_CAP = {2: 16, 3: 81, 5: 25}
 
-# bytes the two n x n int64 operation tables may take together; a larger
-# ring is refused before any of its elements is enumerated.  This bounds
-# the tables, not the process: the interpreter, numpy and the gathers
-# that fill the tables come on top
+# bytes that two n x n int64 operation tables would take: it caps the ring
+# at 4096 elements, refused before any is enumerated.  No such table is
+# built; the cap stays until a benchmark tier covers larger rings
 TABLE_MEMORY_BOUND = 1 << 28
 
 
 def _refuse_oversized(p, size, max_size):
-    """Refuse a ring over the size cap, or one whose tables would not fit
-    TABLE_MEMORY_BOUND, before anything of its size is allocated."""
+    """Refuse a ring over the size cap, or one past TABLE_MEMORY_BOUND,
+    before anything of its size is allocated."""
     cap = max_size if max_size is not None else DEFAULT_SIZE_CAP.get(p)
     if cap is None:
         raise SizeRefusalError(
@@ -180,7 +182,7 @@ def _refuse_oversized(p, size, max_size):
 
 
 class FiniteRing:
-    """A finite ring of p-power order with checked operation tables.
+    """A finite ring of p-power order, checked on its structure constants.
 
     Element i is the digit vector digits[i] over digit_basis whose base-p
     key, most significant digit first, is i; the first carrier_dim basis
@@ -190,9 +192,8 @@ class FiniteRing:
     else.  canon runs only for the carries, the generator products and
     canon(1); the structure constants they give pass the check that
     makes the digit vectors a ring with identity canon(1) (module
-    docstring), and then both tables are filled by gathers along a
-    breadth-first tree from zero.  The tree edges are kept in steps, one
-    row (z, y, w) per element z = y + g_w other than zero, in BFS order.
+    docstring).  The ring keeps its generator rows, mulg[u, x] = g_u x
+    and addg[u, x] = x + g_u, and no table of all products or sums.
     """
 
     def __init__(self, p, digit_basis, ngens, canon, digits_of, label):
@@ -213,17 +214,11 @@ class FiniteRing:
             raise PresentationError("basis lifts are not unit digit vectors")
         self.one_idx = self.index_of(canon(self.digit_basis[0].ring.one()))
         self._carries, prods = self._closures()
-        self._check_ring(prods)
-        addg = self._index(self.digits + self.digits[self.basis_idx][:, None])
-        self.add, self.mul = self._tables(addg, prods @ self._weights)
+        s = self._consts = self._check_ring(prods)
+        self.mulg = self._index(np.einsum("xj,ujk->uxk", self.digits,
+                                          s[:ngens]))
+        self.addg = self.plus(np.c_[self.basis_idx], np.arange(self.size))
         self.p_one_idx = int(self.int_mult_idx(p, self.one_idx))
-        # pows[k, a] = a^k for k <= p: the Frobenius and the Witt carries
-        self.pows = np.empty((p + 1, self.size), dtype=np.int64)
-        self.pows[0] = self.one_idx
-        self.pows[1] = np.arange(self.size)
-        for k in range(2, p + 1):
-            self.pows[k] = self.mul[self.pows[k - 1], self.pows[1]]
-        self.frob = self.pows[p]
         self.reduce_mat = self.digits[:, :ngens]
 
     def index_of(self, poly):
@@ -256,8 +251,8 @@ class FiniteRing:
         return carries, prods.reshape(len(gens), len(gens), d)
 
     def _check_ring(self, prods):
-        """Checks (s), (l), (a) and (1) of the module docstring on the
-        structure constants that the generator products prods give."""
+        """The structure constants s that the generator products prods give,
+        once they pass (s), (l), (a) and (1) of the module docstring."""
         p, g, d = self.p, self.carrier_dim, len(self.digit_basis)
         eye = np.eye(d, dtype=np.int64)
         # match[u, v - g]: the carry of g_u is the p-digit v
@@ -281,43 +276,30 @@ class FiniteRing:
             raise PresentationError(
                 f"the structure constants of {self.label} violate the ring "
                 "axioms")
+        return s
 
-    def _tables(self, addg, prods):
-        """Both tables from the generator tables, addg[u, a] = a + g_u and
-        prods[u, w] = g_u g_w, along the BFS tree; sets steps on the way."""
-        n, zero = self.size, self.zero_idx
-        steps, seen = [(zero, None, None)], {zero}
-        for y, _, _ in steps:  # breadth-first: steps grows as it is read
-            for u in range(len(addg)):
-                z = int(addg[u, y])
-                if z not in seen:
-                    seen.add(z)
-                    steps.append((z, y, u))
-        tree = steps[1:]
-        self.steps = np.array(tree, dtype=np.int64).reshape(-1, 3)
-        add, mul = np.empty((2, n, n), dtype=np.int64)
-        mulg = np.empty((len(addg), n), dtype=np.int64)  # mulg[u, x] = g_u x
-        add[:, zero] = np.arange(n)
-        mulg[:, zero] = mul[:, zero] = zero
-        for z, y, w in tree:
-            add[:, z] = addg[w, add[:, y]]
-        for z, y, w in tree:
-            mulg[:, z] = add[mulg[:, y], prods[:, w]]
-        for z, y, w in tree:
-            mul[:, z] = add[mul[:, y], mulg[w]]
-        return add, mul
+    def plus(self, i, j):
+        """Index of a_i + a_j, by a digit sum."""
+        return self._index(self.digits[i] + self.digits[j])
+
+    def product(self, i, j):
+        """Index of a_i a_j, through the structure constants."""
+        return self._index(np.einsum("...i,...j,ijk->...k", self.digits[i],
+                                     self.digits[j], self._consts))
 
     def int_mult_idx(self, c, i):
         """Index of c*a for an integer c."""
         return self._index(c * self.digits[i])
 
-    def witt_carry_idx(self, i, j):
-        """Index of P(a_i, a_j) = sum binom(p,k)/p a_i^k a_j^(p-k)."""
-        p = self.p
-        return self._index(sum(
-            math.comb(p, k) // p
-            * self.digits[self.mul[self.pows[k, i], self.pows[p - k, j]]]
-            for k in range(1, p)))
+    def witt_carry_gen(self, i, u):
+        """Index of P(a_i, g_u) = sum binom(p,k)/p a_i^k g_u^(p-k), by
+        Horner's rule in g_u: a product by g_u is a step along its row."""
+        p, power, total = self.p, i, i  # binom(p, 1)/p = 1
+        for k in range(2, p):
+            power = self.product(power, i)
+            total = self._index(self.digits[self.mulg[u, total]]
+                                + math.comb(p, k) // p * self.digits[power])
+        return self.mulg[u, total]
 
     @classmethod
     def from_presentation(cls, ring_pres: RingPresentation, max_size=None):
@@ -335,7 +317,7 @@ class FiniteRing:
             raise PresentationError("the presented ring is the zero ring")
         if not gb.is_finite():
             raise SizeRefusalError("the presented ring is infinite")
-        # the most digits d whose p^d-element tables fit TABLE_MEMORY_BOUND
+        # the most digits d that TABLE_MEMORY_BOUND allows p^d elements
         # (12 at p = 2); a longer staircase is refused before it is listed
         top = 0
         while 16 * p ** (2 * top + 2) <= TABLE_MEMORY_BOUND:
@@ -414,11 +396,9 @@ def _label_of(ring_pres):
 
 def _free_symbols(ring: FiniteRing):
     """Elements whose symbols stay free: the generators, and p*1 unless it
-    is 0 or a generator."""
-    free = list(ring.basis_idx)
-    if ring.p_one_idx != ring.zero_idx and ring.p_one_idx not in free:
-        free.append(ring.p_one_idx)
-    return free
+    is 0 (it is never a generator; module docstring)."""
+    return ring.basis_idx + [ring.p_one_idx] * (ring.p_one_idx
+                                                != ring.zero_idx)
 
 
 def _tree_coordinates(ring: FiniteRing):
@@ -426,25 +406,31 @@ def _tree_coordinates(ring: FiniteRing):
     (element, generator) pairs whose additive relation is not a tree row.
 
     T[a] lists the coefficients of [a], as element indices, on the free
-    symbols (module docstring).  The Witt carries of all tree edges come
-    in one call; a BFS level is filled from the ones before it."""
-    gens = np.array(ring.basis_idx, dtype=np.int64)
+    symbols (module docstring), filled a BFS level at a time; the Witt
+    carries of all tree edges come in one call."""
+    g, addg = ring.carrier_dim, ring.addg.tolist()
     free = _free_symbols(ring)
+    edges, ends, level, seen = [], [0], [ring.zero_idx], {ring.zero_idx}
+    while level:
+        for y in level:
+            for u, row in enumerate(addg):
+                if row[y] not in seen:
+                    seen.add(row[y])
+                    edges.append((row[y], y, u))
+        level = [z for z, _, _ in edges[ends[-1]:]]
+        ends.append(len(edges))
+    z, y, w = np.array(edges, dtype=np.int64).reshape(-1, 3).T
     T = np.full((ring.size, len(free)), ring.zero_idx, dtype=np.int64)
     T[free, np.arange(len(free))] = ring.one_idx
-    depth = np.zeros(ring.size, dtype=np.int64)
-    for z, y, _ in ring.steps.tolist():
-        depth[z] = depth[y] + 1
-    z, y, w = ring.steps.T
-    inner = ~np.isin(z, free)
-    carry = ring.int_mult_idx(-1, ring.witt_carry_idx(y, gens[w]))
-    for d in range(1, int(depth.max()) + 1):
-        at = inner & (depth[z] == d)
-        zz, yy, gw = z[at], y[at], gens[w[at]]
-        T[zz] = ring.add[ring.add[T[yy], T[gw]],
-                         ring.mul[carry[at][:, None], T[ring.p_one_idx]]]
-    off_tree = np.ones((ring.size, gens.size), dtype=bool)
     tree = z != ring.p_one_idx  # the tree row of p*1 is the [p] row
+    carry = ring.int_mult_idx(-1, ring.witt_carry_gen(y, w))
+    for lo, hi in zip(ends, ends[1:]):  # T[g_u] = T[0] + e_u, as P(0, g) = 0
+        at = lo + np.flatnonzero(tree[lo:hi])
+        zz, yy, ww = z[at], y[at], w[at]
+        T[zz] = T[yy]
+        T[zz, ww] = ring.plus(T[yy, ww], ring.one_idx)
+        T[zz, g:] = ring.plus(T[yy, g:], carry[at, None])  # [p], if free
+    off_tree = np.ones((ring.size, g), dtype=bool)
     off_tree[y[tree], w[tree]] = False
     return T, np.nonzero(off_tree)
 
@@ -456,13 +442,21 @@ def _digit_coordinates(ring: FiniteRing):
                              ring.one_idx)[ring.digits]
 
 
+def _frobenius_of_generators(ring: FiniteRing):
+    """The indices of g_u^p, p steps from 1 along the row of each g_u."""
+    rows, frob = np.arange(ring.carrier_dim), ring.one_idx
+    for _ in range(ring.p):
+        frob = ring.mulg[rows, frob]
+    return frob
+
+
 def relation_rows(ring: FiniteRing):
     """Yield numpy relation rows of the universal module, in batches.
 
     Columns are tree coordinates: one block of e coordinates, e = dim of
-    A/pA, per free symbol.  Each relation is instantiated once per
-    A/pA-basis multiplier beta_k: a term c*[x] of the relation places the
-    basis decompositions of beta_k * c * T[x] into the blocks.  The Leibniz family runs over the generator pairs
+    A/pA, per free symbol.  A relation sum c [x] is its coefficient row,
+    sum c T[x], and is instantiated once per A/pA-basis multiplier beta_k
+    (_relation_block).  The Leibniz family runs over the generator pairs
     g <= h, then, unless p*1 = 0, the additive family over the pairs (a, g)
     off the tree, the [p] row among them; the module docstring shows that
     these span all, and the Leibniz family alone when p*1 = 0.
@@ -472,36 +466,31 @@ def relation_rows(ring: FiniteRing):
         T = _digit_coordinates(ring)
     else:
         T, (a_all, u_all) = _tree_coordinates(ring)
+    g, cols = ring.carrier_dim, np.arange(T.shape[1])
     gens = np.array(ring.basis_idx, dtype=np.int64)
-    one = ring.one_idx
-    a, b = (gens[t] for t in np.triu_indices(len(gens)))
-    yield _relation_block(ring, T, [(1, ring.mul[a, b], one),
-                                    (-1, a, ring.frob[b]),
-                                    (-1, b, ring.frob[a])])
+    frob = _frobenius_of_generators(ring)
+    ua, ub = np.triu_indices(g)
+    # c [x], x free, is c in the column of [x] and 0 (zero_idx) elsewhere
+    yield _relation_block(ring, [(1, T[ring.mulg[ua, gens[ub]]]),
+                                 (-1, (ua[:, None] == cols) * frob[ub, None]),
+                                 (-1, (ub[:, None] == cols) * frob[ua, None])])
     if p_zero:
         return
-    step = max(1, 1024 // ring.carrier_dim)
+    step = max(1, 1024 // g)
     for lo in range(0, a_all.size, step):
-        a, b = a_all[lo:lo + step], gens[u_all[lo:lo + step]]
-        yield _relation_block(ring, T, [(1, ring.add[a, b], one),
-                                        (-1, a, one),
-                                        (-1, b, one),
-                                        (1, ring.p_one_idx,
-                                         ring.witt_carry_idx(a, b))])
+        a, u = a_all[lo:lo + step], u_all[lo:lo + step]
+        carry = ring.witt_carry_gen(a, u)
+        yield _relation_block(ring, [(1, T[ring.addg[u, a]]), (-1, T[a]),
+                                     (-1, T[gens[u]]),
+                                     (1, (cols == g) * carry[:, None])])
 
 
-def _relation_block(ring, T, terms):
-    """e rows per relation, one relation per entry of the index arrays:
-    a term (sign, x, c) adds sign * (beta_k * c * T[x]) to every block."""
-    e = ring.carrier_dim
-    m, s = np.size(terms[0][1]), T.shape[1]
-    beta = np.array(ring.basis_idx, dtype=np.int64)[None, :, None]
-    out = np.zeros((m, e, s, e), dtype=np.int64)
-    for sign, x, c in terms:
-        x, c = np.broadcast_to(x, (m,)), np.broadcast_to(c, (m,))
-        coeff = ring.mul[c[:, None], T[x]]
-        out += sign * ring.reduce_mat[ring.mul[beta, coeff[:, None, :]]]
-    return (out % ring.p).reshape(m * e, s * e)
+def _relation_block(ring, terms):
+    """e rows per relation, one per row of the coefficient arrays: a term
+    (sign, C) adds sign * (beta_k C) to every block, beta_k the generators."""
+    out = sum(sign * ring.reduce_mat[ring.mulg[:, c]] for sign, c in terms)
+    e, m, s, _ = out.shape
+    return (out % ring.p).swapaxes(0, 1).reshape(m * e, s * e)
 
 
 @dataclass
@@ -544,7 +533,7 @@ def presented_fp_dimension(fw: FWPresentation, ring: FiniteRing) -> int:
     Z/p^2), so ring indexes them; the rows are their basis multiples."""
     C = np.array([[ring.index_of(u) for u in col] for col in fw.columns],
                  dtype=np.int64).reshape(len(fw.columns), fw.ngens)
-    block = _relation_block(ring, C, [(1, np.arange(len(C)), ring.one_idx)])
+    block = _relation_block(ring, [(1, C)])
     span = _cokernel(ring, fw.ngens, [block])
     return span.ncols - span.rank
 

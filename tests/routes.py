@@ -2,7 +2,8 @@
 what the library computes another way (Witt carries, the derivation
 axioms on polynomials, twisted Jacobians, cotangent spaces, division with
 quotients, Buchberger on exponent tuples, Krull dimensions by subsets, finite Z/p^2-algebras from the
-syzygies of the reduced relations, the universal module on one symbol per
+syzygies of the reduced relations, the operation tables of a finite ring
+by gathers along a tree, the universal module on one symbol per
 element, the presented dimension by carrier normal forms), the Z/p^2
 covers of the residue fields they lift through (the Galois ring
 GR(p^2, e) lives here only), random polynomials, and helpers that
@@ -836,20 +837,84 @@ def element_polys(fr: FiniteRing):
             for row in fr.digits.tolist()]
 
 
-def pow_idx(fr: FiniteRing, i, k):
+def fill_tables(zero, addg, prods):
+    """Both operation tables from the generator tables, addg[u, a] = a + g_u
+    and prods[u, w] = g_u g_w, by gathers along the breadth-first tree from
+    zero.  Along its edges z = y + g_w,
+    x + z = (x + y) + g_w fills the addition table a column at a time, then
+    g_u z = g_u y + g_u g_w the products with generators, and x z = x y +
+    x g_w the multiplication table: identities of any commutative ring
+    that the g_u generate additively.  Elements the tree does not reach
+    are left unfilled."""
+    n = addg.shape[1]
+    steps, seen = [(zero, None, None)], {zero}
+    for y, _, _ in steps:  # breadth-first: steps grows as it is read
+        for u in range(len(addg)):
+            z = int(addg[u, y])
+            if z not in seen:
+                seen.add(z)
+                steps.append((z, y, u))
+    tree = steps[1:]
+    add, mul = np.empty((2, n, n), dtype=np.int64)
+    mulg = np.empty((len(addg), n), dtype=np.int64)  # mulg[u, x] = g_u x
+    add[:, zero] = np.arange(n)
+    mulg[:, zero] = mul[:, zero] = zero
+    for z, y, w in tree:
+        add[:, z] = addg[w, add[:, y]]
+    for z, y, w in tree:
+        mulg[:, z] = add[mulg[:, y], prods[:, w]]
+    for z, y, w in tree:
+        mul[:, z] = add[mul[:, y], mulg[w]]
+    return add, mul
+
+
+class OperationTables:
+    """The n x n tables add and mul of a FiniteRing fr, and its table of
+    powers pows[k, a] = a^k for k <= p, with frob = pows[p]."""
+
+    def __init__(self, fr, add, mul):
+        self.ring, self.add, self.mul = fr, add, mul
+        self.pows = np.empty((fr.p + 1, fr.size), dtype=np.int64)
+        self.pows[0] = fr.one_idx
+        self.pows[1] = np.arange(fr.size)
+        for k in range(2, fr.p + 1):
+            self.pows[k] = mul[self.pows[k - 1], self.pows[1]]
+        self.frob = self.pows[fr.p]
+
+    def witt_carry_idx(self, i, j):
+        """Index of P(a_i, a_j) = sum binom(p,k)/p a_i^k a_j^(p-k)."""
+        fr, p = self.ring, self.ring.p
+        return fr._index(sum(
+            math.comb(p, k) // p
+            * fr.digits[self.mul[self.pows[k, i], self.pows[p - k, j]]]
+            for k in range(1, p)))
+
+
+def operation_tables(fr: FiniteRing):
+    """The reference tables of fr, filled along the tree (fill_tables) from
+    a + g_u by digit sums and from the closures canon(g_u g_w), with no
+    use of fr's generator rows or structure constants."""
+    _, prods = fr._closures()
+    addg = fr._index(fr.digits + fr.digits[fr.basis_idx][:, None])
+    return OperationTables(fr, *fill_tables(fr.zero_idx, addg,
+                                            prods @ fr._weights))
+
+
+def pow_idx(t: OperationTables, i, k):
     """Index of a_i^k, by k - 1 multiplications in the table."""
     total = i
     for _ in range(k - 1):
-        total = fr.mul[total, i]
+        total = t.mul[total, i]
     return total
 
 
-def verify_axioms(fr: FiniteRing):
-    """Commutativity, inverses, associativity and distributivity; the
-    n^3 laws run on slabs of the first index, ~2^20 entries a slab."""
-    add, mul, n = fr.add, fr.mul, fr.size
+def verify_axioms(t: OperationTables):
+    """Commutativity, inverses, associativity and distributivity of the
+    tables; the n^3 laws run on slabs of the first index, ~2^20 entries a
+    slab."""
+    add, mul, n = t.add, t.mul, t.ring.size
     ok = ((add == add.T).all() and (mul == mul.T).all()
-          and (add == fr.zero_idx).any(axis=1).all())
+          and (add == t.ring.zero_idx).any(axis=1).all())
     step = max(1, (1 << 20) // (n * n))
     for lo in range(0, n, step):
         a, m = add[lo:lo + step], mul[lo:lo + step]
@@ -859,7 +924,7 @@ def verify_axioms(fr: FiniteRing):
                                            m[:, None, :]]).all())
     if not ok:
         raise PresentationError(
-            f"operation tables of {fr.label} violate the ring axioms")
+            f"operation tables of {t.ring.label} violate the ring axioms")
 
 
 def element_relation_rows(ring: FiniteRing, families=("add", "mul")):
@@ -870,36 +935,39 @@ def element_relation_rows(ring: FiniteRing, families=("add", "mul")):
     term c*[x] of the relation places the basis decomposition of
     beta_k * c into the block of x.  The Leibniz family runs over the
     generator pairs g <= h and the additive family over the pairs
-    (a, g), a in A.
+    (a, g), a in A; products, sums and carries come from the reference
+    tables.
     """
+    t = operation_tables(ring)
     gens = np.array(ring.basis_idx, dtype=np.int64)
     if "mul" in families:
-        a, b = (gens[t] for t in np.triu_indices(len(gens)))
-        yield _element_block(ring, [(1, ring.mul[a, b], ring.one_idx),
-                                    (-1, a, ring.frob[b]),
-                                    (-1, b, ring.frob[a])])
+        a, b = (gens[i] for i in np.triu_indices(len(gens)))
+        yield _element_block(t, [(1, t.mul[a, b], ring.one_idx),
+                                 (-1, a, t.frob[b]),
+                                 (-1, b, t.frob[a])])
     if "add" in families:
         step = max(1, 1024 // (ring.carrier_dim * len(gens)))
         for lo in range(0, ring.size, step):
             a = np.repeat(np.arange(lo, min(lo + step, ring.size)), len(gens))
             b = np.resize(gens, a.size)
-            yield _element_block(ring, [(1, ring.add[a, b], ring.one_idx),
-                                        (-1, a, ring.one_idx),
-                                        (-1, b, ring.one_idx),
-                                        (1, ring.p_one_idx,
-                                         ring.witt_carry_idx(a, b))])
+            yield _element_block(t, [(1, t.add[a, b], ring.one_idx),
+                                     (-1, a, ring.one_idx),
+                                     (-1, b, ring.one_idx),
+                                     (1, ring.p_one_idx,
+                                      t.witt_carry_idx(a, b))])
 
 
-def _element_block(ring, terms):
+def _element_block(t, terms):
     """e rows per relation, one relation per entry of the index arrays:
     a term (sign, x, c) adds sign * (beta_k * c) to the block of x."""
+    ring = t.ring
     e, n = ring.carrier_dim, ring.size
     m = np.size(terms[0][1])
     out = np.zeros((m, e, n, e), dtype=np.int64)
     pair, k = np.arange(m)[:, None], np.arange(e)[None, :]
     for sign, x, c in terms:
         x, c = np.broadcast_to(x, (m,)), np.broadcast_to(c, (m,))
-        coeff = ring.reduce_mat[ring.mul[ring.basis_idx, c[:, None]]]
+        coeff = ring.reduce_mat[t.mul[ring.basis_idx, c[:, None]]]
         np.add.at(out, (pair, k, x[:, None]), sign * coeff)
     return (out % ring.p).reshape(m * e, n * e)
 
@@ -1006,10 +1074,10 @@ def action_matrix(um, r_idx):
     """Matrix of multiplication by a ring element on the free coords of
     a module from element_brute_fw."""
     free = free_coords(um)
-    e = um.ring.carrier_dim
+    e, mul = um.ring.carrier_dim, operation_tables(um.ring).mul
     cols = []
     for a, k in free:
-        prod = um.ring.mul[r_idx, um.ring.basis_idx[k]]
+        prod = mul[r_idx, um.ring.basis_idx[k]]
         vec = np.zeros(um.ncols, dtype=np.int64)
         vec[a * e:(a + 1) * e] = um.ring.reduce_mat[prod]
         vec = span_reduce(um.span, vec)[0]

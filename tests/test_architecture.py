@@ -9,7 +9,7 @@ rings along one map, SparsePoly.over, so outside modarith and mpoly no
 module reduces or embeds coefficients by hand.  An FWPresentation keeps
 only its ring, its labels and its columns, and one routine computes a
 column through the w core.  In the oracle only the ring build divides
-polynomials.  The work bound
+polynomials, and a finite ring keeps no n x n table.  The work bound
 PRODUCT_BOUND has one copy, in modarith, beside _budget, the one counter
 that spends against it.  No routine of the library is there only for the
 tests, and the library stays within its line budget."""
@@ -205,6 +205,31 @@ def test_only_the_oracle_ring_build_divides():
     assert {scope for scope, _, _ in found} == {
         "FiniteRing.from_presentation",
         "FiniteRing.from_presentation.canon"}
+
+
+
+def test_the_oracle_ring_keeps_no_n_by_n_table(monkeypatch):
+    """FiniteRing multiplies by generators only: after a cross_check on
+    an 81-element ring none of its numpy arrays has n^2 entries or more,
+    and it defines no table fill, tables or table of powers."""
+    import numpy as np
+
+    from fwdiff import oracle
+    from fwdiff.fwcore import present_fw
+    from fwdiff.ringfile import parse_ring
+
+    built, build = [], oracle.FiniteRing.from_presentation
+    monkeypatch.setattr(oracle.FiniteRing, "from_presentation", lambda *a, **k:
+                        built.append(build(*a, **k)) or built[-1])
+    fw = present_fw(parse_ring("base: Zp2(3)\nvars: x\nrel: x^2\n"))
+    assert oracle.cross_check(fw)["match"]
+    (fr,) = built
+    assert fr.size == 81
+    big = [name for name, v in vars(fr).items()
+           if isinstance(v, np.ndarray) and v.size >= fr.size ** 2]
+    assert not big, big
+    tables = {"_tables", "add", "mul", "pows", "frob", "steps"}
+    assert not tables & (set(vars(fr)) | set(dir(oracle.FiniteRing)))
 
 
 LINE_BUDGET = 3748  # ROADMAP's budget for the lines of src/fwdiff

@@ -178,9 +178,9 @@ def test_characteristic_p_rings_compute_no_witt_carry(finite_rings,
     Witt carry; a Z/p^2 ring with p*1 != 0 still does, for its tree and
     its additive rows."""
     calls = []
-    real = FiniteRing.witt_carry_idx
-    monkeypatch.setattr(FiniteRing, "witt_carry_idx", lambda ring, i, j:
-                        calls.append(ring.label) or real(ring, i, j))
+    real = FiniteRing.witt_carry_gen
+    monkeypatch.setattr(FiniteRing, "witt_carry_gen", lambda ring, i, u:
+                        calls.append(ring.label) or real(ring, i, u))
     charp = 0
     for name, pres, fr in finite_rings:
         before = len(calls)

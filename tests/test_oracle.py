@@ -2,16 +2,17 @@
 
 The oracle lists every element as a digit vector, checks the structure
 constants that the carries and the closure products of the additive
-generators give, tabulates the operations along a breadth-first tree,
-eliminates every symbol along that tree, and row-reduces the remaining
-relations in tree coordinates.  The tests here check the oracle against itself
-(permutation invariance), against the exhaustive axiom check and the
-per-element module of tests/routes.py (span memberships forced by the
-axioms, the action on the quotient), against an all-pairs reference
-built here from the definition (closures on every pair of element
-polynomials, both relation families on every pair), on fixed and on
-generated rings, and pin the dimensions it must report on the standard
-small rings.
+generators give, keeps the products and sums by each generator,
+eliminates every symbol along a breadth-first tree, and row-reduces the
+remaining relations in tree coordinates.  The tests here check the oracle
+against itself (permutation invariance), against the operation tables
+that tests/routes.py fills along a tree, the exhaustive axiom check on
+them and the per-element module of tests/routes.py (span memberships
+forced by the axioms, the action on the quotient), against an all-pairs
+reference built here from the definition (closures on every pair of
+element polynomials, both relation families on every pair), on fixed and
+on generated rings, and pin the dimensions it must report on the
+standard small rings.
 """
 
 import itertools
@@ -50,7 +51,10 @@ from routes import (
     element_brute_fw,
     element_polys,
     element_relation_rows,
+    fill_tables,
     finite_ring_zp2_by_syzygies,
+    OperationTables,
+    operation_tables,
     pow_idx,
     presented_fp_dimension_by_normal_forms,
     rebuilt,
@@ -98,12 +102,13 @@ def test_table_construction_and_axioms():
     assert fr.size == 8
     assert fr.carrier_dim == 2  # carrier F_2[x]/(x^2) has basis 1, x
     # the structure constants went through the check in the constructor;
-    # run the exhaustive one on the tables, spot-check commutativity and
-    # the frobenius
-    verify_axioms(fr)
-    assert (fr.add == fr.add.T).all()
+    # run the exhaustive one on the reference tables, spot-check
+    # commutativity and the squares, by the table and by the library
+    t = operation_tables(fr)
+    verify_axioms(t)
+    assert (t.add == t.add.T).all()
     for i in range(fr.size):
-        assert fr.frob[i] == pow_idx(fr, i, 2)
+        assert t.frob[i] == pow_idx(t, i, 2) == fr.product(i, i)
 
 
 @pytest.mark.parametrize("pres", [Z4, Z9, F4, Z4_MIXED])
@@ -112,6 +117,7 @@ def test_p_multiples_lie_in_additive_span(pres):
     vector [w(p*a)] + (sum_j P(ja,a)) [w(p)] must already lie in the span
     of the Add family alone, for every element and basis multiplier."""
     fr = FiniteRing.from_presentation(pres)
+    t = operation_tables(fr)
     p, n, e = fr.p, fr.size, fr.carrier_dim
     span = ModPSpan(p, e * n)
     for batch in element_relation_rows(fr, families=("add",)):
@@ -121,12 +127,12 @@ def test_p_multiples_lie_in_additive_span(pres):
         carry = fr.zero_idx
         for j in range(1, p):
             ja = fr.int_mult_idx(j, a)
-            carry = fr.add[carry, fr.witt_carry_idx(ja, a)]
+            carry = t.add[carry, t.witt_carry_idx(ja, a)]
         for beta in fr.basis_idx:
             vec = np.zeros(e * n, dtype=np.int64)
             vec[pa * e:(pa + 1) * e] += fr.reduce_mat[beta]
             vec[fr.p_one_idx * e:(fr.p_one_idx + 1) * e] += \
-                fr.reduce_mat[fr.mul[beta, carry]]
+                fr.reduce_mat[t.mul[beta, carry]]
             assert span_contains(span, vec % p), (pres.describe(), a)
 
 
@@ -139,9 +145,10 @@ def test_action_matrix_sanity():
     assert (ident == np.eye(d, dtype=np.int64)).all()
     zero = action_matrix(um, fr.zero_idx)
     assert not zero.any()
+    add = operation_tables(fr).add
     for a in range(fr.size):
         for b in range(fr.size):
-            lhs = action_matrix(um, fr.add[a, b])
+            lhs = action_matrix(um, add[a, b])
             rhs = (action_matrix(um, a) + action_matrix(um, b)) % fr.p
             assert (lhs == rhs).all()
 
@@ -246,7 +253,7 @@ def test_more_zp2_quotients_cross_check():
 
 
 def test_table_build_memory_is_bounded():
-    """At 243 elements the two tables take 0.9 MB and the check a few
+    """At 243 elements the generator rows take 4 kB and the check a few
     d^4 arrays, where the n x n x n array of an exhaustive check alone
     would be 115 MB."""
     big = ring_of(PrimeField(3), ("x",), ["x^5"])
@@ -292,6 +299,26 @@ def test_cross_check_at_729_elements():
         tracemalloc.stop()
     assert rep["match"] and rep["size"] == 729 and rep["brute_dim"] == 6
     assert peak < 100 * 2**20, peak
+
+
+
+@pytest.mark.parametrize("pres", [
+    ring_of(PrimeField(2), ("x",), ["x^12"]),
+    ring_of(PrimeSquareRing(2), ("x",), ["x^6"]),
+], ids=["F2[x]/(x^12)", "Z4[x]/(x^6)"])
+def test_cross_check_at_4096_elements_builds_no_table(pres):
+    """At 4096 elements two n x n tables would take 256 MB; the oracle
+    multiplies by generators only, through g x n rows, so the whole
+    cross-check stays a small fraction of that."""
+    fw = present_fw(pres)
+    tracemalloc.start()
+    try:
+        rep = cross_check(fw, max_size=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["match"] and rep["size"] == 4096 and rep["brute_dim"] == 12
+    assert peak < 32 * 2**20, peak
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +399,24 @@ def _all_pairs_tables(fr):
         for fn in (operator.add, operator.mul))
 
 
+def _check_tables(fr):
+    """The reference tables equal the all-pairs closure tables, and so do
+    fr's digit sums and structure-constant products on all n^2 pairs;
+    returns the reference tables."""
+    add, mul = _all_pairs_tables(fr)
+    t = operation_tables(fr)
+    i, j = np.ogrid[:fr.size, :fr.size]
+    assert (t.add == add).all() and (t.mul == mul).all()
+    assert (fr.plus(i, j) == add).all() and (fr.product(i, j) == mul).all()
+    return t
+
+
 def _all_pairs_rank(fr):
     """Rank of both relation families over every pair a <= b, one row
     per basis multiplier, assembled term by term."""
     p, n, e = fr.p, fr.size, fr.carrier_dim
     one = fr.one_idx
+    t = operation_tables(fr)
     span = ModPSpan(p, e * n)
     rows = []
 
@@ -384,15 +424,15 @@ def _all_pairs_rank(fr):
         for beta in fr.basis_idx:
             row = np.zeros(e * n, dtype=np.int64)
             for sign, x, c in terms:
-                row[x * e:(x + 1) * e] += sign * fr.reduce_mat[fr.mul[beta, c]]
+                row[x * e:(x + 1) * e] += sign * fr.reduce_mat[t.mul[beta, c]]
             rows.append(row % p)
 
     for a in range(n):
         for b in range(a, n):
-            relation([(1, fr.add[a, b], one), (-1, a, one), (-1, b, one),
-                      (1, fr.p_one_idx, fr.witt_carry_idx(a, b))])
-            relation([(1, fr.mul[a, b], one), (-1, a, fr.frob[b]),
-                      (-1, b, fr.frob[a])])
+            relation([(1, t.add[a, b], one), (-1, a, one), (-1, b, one),
+                      (1, fr.p_one_idx, t.witt_carry_idx(a, b))])
+            relation([(1, t.mul[a, b], one), (-1, a, t.frob[b]),
+                      (-1, b, t.frob[a])])
             if len(rows) >= 1024:
                 span.add_rows(np.array(rows))
                 rows = []
@@ -439,9 +479,7 @@ def _ring_id(pres):
                          ids=[_ring_id(pres) for pres, _ in REFERENCE_RINGS])
 def test_generator_oracle_matches_all_pairs_reference(pres, max_size):
     fr = FiniteRing.from_presentation(pres, max_size=max_size)
-    add, mul = _all_pairs_tables(fr)
-    assert (fr.add == add).all() and (fr.mul == mul).all()
-    verify_axioms(fr)
+    verify_axioms(_check_tables(fr))
     um = brute_fw(fr)
     # Leibniz rows on generator pairs, and when p*1 != 0 the additive rows
     # off the tree and the [p] row; e rows each, e per free symbol wide
@@ -465,10 +503,40 @@ BENCH_RINGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir,
 def test_generator_oracle_matches_references_on_bench_rings(name):
     with open(os.path.join(BENCH_RINGS_DIR, name), encoding="utf-8") as fh:
         fr = FiniteRing.from_presentation(parse_ring(fh.read()))
-    add, mul = _all_pairs_tables(fr)
-    assert (fr.add == add).all() and (fr.mul == mul).all()
-    verify_axioms(fr)
+    verify_axioms(_check_tables(fr))
     assert brute_fw(fr).dimension == element_brute_fw(fr).dimension
+
+
+def test_generator_rows_match_the_reference_tables():
+    """On every ring that builds from rings/ and fwbench/rings/oracle/
+    within 4096 elements, the generator rows, the structure-constant
+    products and the digit sums of all n^2 pairs, the Frobenius of each
+    generator and the Witt carries P(a, g_u) agree with the tables that
+    tests/routes.py fills along a tree.  p*1 has no generator digit, so
+    it is never a generator."""
+    built = 0
+    for path in sorted(os.path.join(folder, name)
+                       for folder in (RINGS_DIR, BENCH_RINGS_DIR)
+                       for name in os.listdir(folder)):
+        with open(path, encoding="utf-8") as fh:
+            pres = parse_ring(fh.read())
+        try:
+            fr = FiniteRing.from_presentation(pres, max_size=4096)
+        except SizeRefusalError:  # infinite
+            continue
+        t = operation_tables(fr)
+        gens = np.array(fr.basis_idx)
+        i, j = np.ogrid[:fr.size, :fr.size]
+        assert (fr.mulg == t.mul[gens]).all(), path
+        assert (fr.addg == t.add[gens]).all(), path
+        assert (fr.product(i, j) == t.mul).all(), path
+        assert (fr.plus(i, j) == t.add).all(), path
+        assert (oracle._frobenius_of_generators(fr) == t.frob[gens]).all()
+        a, u = np.ogrid[:fr.size, :gens.size]
+        assert (fr.witt_carry_gen(a, u) == t.witt_carry_idx(a, gens[u])).all()
+        assert not fr.digits[fr.p_one_idx, :gens.size].any(), path
+        built += 1
+    assert built == 42
 
 
 def _rows_sent(monkeypatch):
@@ -523,23 +591,25 @@ def test_zp2_rings_keep_their_additive_rows(monkeypatch, pres, leibniz_rank,
     assert um.dimension == presented_fp_dimension(present_fw(pres), fr) == dim
 
 
-class _Unreached(Exception):
-    """Stops a probe ring whose generators miss elements: it has no tables."""
+class _Judged(Exception):
+    """Stops a probe ring once its structure constants are judged."""
 
 
 def _check_both_ways(fr, corrupt):
     """(refusal, reference) for fr rebuilt with corrupt applied to its
     carries and generator products: the structure-constant check's
     refusal message (None when it accepts), and the reference verdict on
-    the tables the fill then computes, namely the identity element when
-    they satisfy every ring axiom (verify_axioms) and have one, else
-    False.  reference is None when the generators do not reach every
-    element, so that there are no tables."""
+    the tables that tests/routes.py fills from the corrupted sums and
+    products, namely the identity element when they satisfy every ring
+    axiom (verify_axioms) and have one, else False.  reference is None
+    when the generators do not reach every element, so that there are
+    no tables."""
 
     class Probe(FiniteRing):
         def _closures(self):
             carries, prods = super()._closures()
             corrupt(carries, prods)
+            self.prods = prods
             return carries, prods
 
         def _check_ring(self, prods):
@@ -548,25 +618,25 @@ def _check_both_ways(fr, corrupt):
                 self.refusal = None
             except PresentationError as e:
                 self.refusal = str(e)
+            raise _Judged(self)
 
-        def _tables(self, addg, prods):
-            reached = np.array([self.zero_idx])
-            while reached.size < self.size:
-                grown = np.union1d(reached, addg[:, reached])
-                if grown.size == reached.size:
-                    raise _Unreached(self.refusal)
-                reached = grown
-            return super()._tables(addg, prods)
-
+    with pytest.raises(_Judged) as judged:
+        rebuilt(fr, cls=Probe)
+    probe, = judged.value.args
+    addg = probe._index(probe.digits + probe.digits[probe.basis_idx][:, None])
+    reached = np.array([probe.zero_idx])
+    while reached.size < probe.size:
+        grown = np.union1d(reached, addg[:, reached])
+        if grown.size == reached.size:
+            return probe.refusal, None
+        reached = grown
+    t = OperationTables(probe, *fill_tables(probe.zero_idx, addg,
+                                            probe.prods @ probe._weights))
     try:
-        probe = rebuilt(fr, cls=Probe)
-    except _Unreached as stop:
-        return stop.args[0], None
-    try:
-        verify_axioms(probe)
+        verify_axioms(t)
     except PresentationError:
         return probe.refusal, False
-    ident = np.flatnonzero((probe.mul == np.arange(probe.size)).all(axis=1))
+    ident = np.flatnonzero((t.mul == np.arange(probe.size)).all(axis=1))
     return probe.refusal, (int(ident[0]) if ident.size else False)
 
 
@@ -583,7 +653,7 @@ def _corruptions(fr):
             if new != carry:
                 out.append(("carries", [u], new))
         for w in range(g):
-            old = fr.digits[fr.mul[fr.basis_idx[u], fr.basis_idx[w]]]
+            old = fr.digits[fr.mulg[u, fr.basis_idx[w]]]
             for new in map(list, itertools.product(range(p), repeat=d)):
                 if new != old.tolist():
                     out.append(("prods", [(u, w)], new))
@@ -708,8 +778,7 @@ def test_generated_rings_match_the_references(pres):
         return
     fr = FiniteRing.from_presentation(pres, max_size=GENERATED_LIMIT)
     if fr.size <= 27:
-        add, mul = _all_pairs_tables(fr)
-        assert (fr.add == add).all() and (fr.mul == mul).all()
+        _check_tables(fr)
     rep = cross_check(present_fw(pres), max_size=GENERATED_LIMIT)
     assert rep["match"] and rep["size"] == fr.size, rep
 
