@@ -58,16 +58,15 @@ def rank_fraction_free(rows, nf):
 
 
 class ModPSpan:
-    """A growing row space over F_p, read as its reduced row-echelon
-    basis, one row per pivot column, pivots ascending.
+    """A growing row space over F_p, read as its rank.
 
     Over F_2 a row is a Python int, bit j its entry in column j; a new row
-    is reduced by XOR with the kept row whose lowest set bit is its own,
-    and pivots and basis are read off the kept rows when asked for.  Over
-    odd p the basis is kept as int64 numpy rows with entries in [0, p)
-    (_gauss_jordan).  Elimination forms one product of two entries at a
-    time before reducing mod p; for p < 2^31 such a product is below
-    2^62, so every step is exact, and larger primes are refused."""
+    is reduced by XOR with the kept row whose lowest set bit is its own.
+    Over odd p the reduced row-echelon basis is kept as int64 numpy rows
+    with entries in [0, p), with its pivot columns (_gauss_jordan).
+    Elimination forms one product of two entries at a time before
+    reducing mod p; for p < 2^31 such a product is below 2^62, so every
+    step is exact, and larger primes are refused."""
 
     def __init__(self, p, ncols):
         if p >= 1 << 31:
@@ -83,27 +82,6 @@ class ModPSpan:
     @property
     def rank(self):
         return len(self._bits) if self.p == 2 else len(self._pivots)
-
-    @property
-    def pivots(self):
-        return sorted(self._bits) if self.p == 2 else self._pivots
-
-    @property
-    def basis(self):
-        if self.p != 2:
-            return self._basis
-        import numpy as np
-
-        rows = {}
-        for col in sorted(self._bits, reverse=True):  # clear later pivots
-            row = self._bits[col]
-            for later, kept in rows.items():
-                if row >> later & 1:
-                    row ^= kept
-            rows[col] = row
-        return np.array([[r >> j & 1 for j in range(self.ncols)]
-                         for r in reversed(rows.values())],
-                        dtype=np.int64).reshape(-1, self.ncols)
 
     def add_rows(self, rows):
         """Insert rows, stopping once the rank is full; returns the new

@@ -158,27 +158,21 @@ from .mpoly import groebner, normal_form, standard_monomials
 # |A| caps keeping the relation matrix at desk scale
 DEFAULT_SIZE_CAP = {2: 16, 3: 81, 5: 25}
 
-# bytes that two n x n int64 operation tables would take: it caps the ring
-# at 4096 elements, refused before any is enumerated.  No such table is
-# built; the cap stays until a benchmark tier covers larger rings
-TABLE_MEMORY_BOUND = 1 << 28
+# |A| past which a ring is refused whatever the size cap, before any
+# element is enumerated; it stays until a benchmark tier covers larger rings
+MAX_RING_SIZE = 4096
 
 
 def _refuse_oversized(p, size, max_size):
-    """Refuse a ring over the size cap, or one past TABLE_MEMORY_BOUND,
-    before anything of its size is allocated."""
+    """Refuse a ring over the size cap or past MAX_RING_SIZE, before
+    anything of its size is allocated."""
     cap = max_size if max_size is not None else DEFAULT_SIZE_CAP.get(p)
     if cap is None:
         raise SizeRefusalError(
             f"no default oracle bound for p = {p}; pass an explicit max size")
+    cap = min(cap, MAX_RING_SIZE)
     if size > cap:
         raise SizeRefusalError(f"ring has {size} elements, over the bound {cap}")
-    need = 16 * size * size
-    if need > TABLE_MEMORY_BOUND:
-        raise SizeRefusalError(
-            f"ring has {size} elements: its operation tables need "
-            f"{need >> 20} MB, over the oracle's {TABLE_MEMORY_BOUND >> 20} MB "
-            "table bound")
 
 
 class FiniteRing:
@@ -317,17 +311,16 @@ class FiniteRing:
             raise PresentationError("the presented ring is the zero ring")
         if not gb.is_finite():
             raise SizeRefusalError("the presented ring is infinite")
-        # the most digits d that TABLE_MEMORY_BOUND allows p^d elements
-        # (12 at p = 2); a longer staircase is refused before it is listed
+        # the most digits d with p^d <= MAX_RING_SIZE (12 at p = 2); a
+        # longer staircase is refused before it is listed
         top = 0
-        while 16 * p ** (2 * top + 2) <= TABLE_MEMORY_BOUND:
+        while p ** (top + 1) <= MAX_RING_SIZE:
             top += 1
         S = standard_monomials(gb, limit=top)
         if len(S) > top:
             raise SizeRefusalError(
-                f"ring has more than {p}^{top} elements: its operation "
-                f"tables would pass the oracle's {TABLE_MEMORY_BOUND >> 20} "
-                "MB table bound")
+                f"ring has more than {p}^{top} elements, over the bound "
+                f"{MAX_RING_SIZE}")
         canon, stairU = gb.normal_form, []
         if not ring_pres.is_charp:
             zring, cring = gb.ring, ring_pres.carrier_ring

@@ -254,8 +254,6 @@ def parse_ring(text) -> RingPresentation:
         if head == "base":
             if base is not None:
                 raise RingFileError("duplicate base line", lineno, col)
-            if variables is not None or rel_lines:
-                raise RingFileError("base line must come first", lineno, col)
             base = _Parser(rest, lineno, rest_col).base()
         elif head == "vars":
             if base is None:

@@ -711,12 +711,31 @@ def check_split_sequence(ring_pres: RingPresentation, quotient_rels, x,
 # ---------------------------------------------------------------------------
 # membership in a row space or an ideal
 
+def span_rref(span):
+    """(pivots, basis) of a ModPSpan: its reduced row-echelon basis as
+    int64 rows, one per pivot column, pivots ascending.  Over F_2 it is
+    rebuilt from the kept int rows, each cleared of the later pivots."""
+    if span.p != 2:
+        return span._pivots, span._basis
+    rows = {}
+    for col in sorted(span._bits, reverse=True):
+        row = span._bits[col]
+        for later, kept in rows.items():
+            if row >> later & 1:
+                row ^= kept
+        rows[col] = row
+    basis = np.array([[r >> j & 1 for j in range(span.ncols)]
+                      for r in reversed(rows.values())],
+                     dtype=np.int64).reshape(-1, span.ncols)
+    return sorted(rows), basis
+
+
 def span_reduce(span, rows):
     """Reduce rows against the basis of a ModPSpan; returns the array."""
     rows = np.asarray(rows, dtype=np.int64) % span.p
     if rows.ndim == 1:
         rows = rows[None, :]
-    for piv, brow in zip(span.pivots, span.basis):
+    for piv, brow in zip(*span_rref(span)):
         rows = (rows - np.outer(rows[:, piv], brow)) % span.p
     return rows
 
@@ -1056,7 +1075,7 @@ def brute_fiber_at_point(ring_pres, x: PointSpec, max_size=3**6):
 def free_coords(um):
     """Coordinates (element index, basis index) spanning the quotient of
     a module from element_brute_fw."""
-    taken = set(um.span.pivots)
+    taken = set(span_rref(um.span)[0])
     e = um.ring.carrier_dim
     return [(c // e, c % e) for c in range(um.ncols) if c not in taken]
 

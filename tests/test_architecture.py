@@ -12,7 +12,9 @@ column through the w core.  In the oracle only the ring build divides
 polynomials, and a finite ring keeps no n x n table.  The work bound
 PRODUCT_BOUND has one copy, in modarith, beside _budget, the one counter
 that spends against it.  No routine of the library is there only for the
-tests, and the library stays within its line budget."""
+tests, and a method of a class the package does not export counts as
+used only where it is read as an attribute, not where a local variable
+shares its name.  The library stays within its line budget."""
 
 import ast
 import os
@@ -157,6 +159,26 @@ def test_every_library_routine_has_a_library_caller_or_is_public():
               and not (n.name.startswith("__") and n.name.endswith("__"))
               and n.name not in named and n.name not in fwdiff.__all__]
     assert not unused, "\n".join(unused)
+
+
+def test_every_method_of_an_internal_class_is_read_as_an_attribute():
+    """A method or property of a class that fwdiff.__all__ does not
+    export, dunders aside, is named as an attribute (x.name) in
+    src/fwdiff or scripts/: a local variable of the same name does not
+    call it."""
+    import fwdiff
+
+    library = list(_parsed(SRC))
+    read = {n.attr for _, tree in library + list(_parsed(SCRIPTS))
+            for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    unread = [f"{mod}:{f.lineno} {c.name}.{f.name}" for mod, tree in library
+              for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+              and c.name not in fwdiff.__all__
+              for f in c.body if isinstance(f, defs)
+              and not (f.name.startswith("__") and f.name.endswith("__"))
+              and f.name not in read]
+    assert not unread, "\n".join(unread)
 
 
 def test_the_product_bound_and_its_counter_live_in_modarith():

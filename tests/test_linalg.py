@@ -11,7 +11,7 @@ from fwdiff.errors import FWDiffError, ZeroDivisorError
 from fwdiff.linalg import ModPSpan, rank_fraction_free
 from fwdiff.modarith import PrimeField
 from fwdiff.mpoly import PolyRing, groebner
-from routes import field_rank, span_contains
+from routes import field_rank, span_contains, span_rref
 
 
 def _random_matrix(rng, k, nrows, ncols):
@@ -51,8 +51,9 @@ def test_span_incremental_and_contains():
     assert span_contains(span, np.array([1, 0, 1, 1]))  # r1 + r2 mod 3
     assert not span_contains(span, np.array([0, 0, 0, 1]))
     # basis stays in reduced echelon form: pivot columns are unit vectors
-    for i, piv in enumerate(span.pivots):
-        col = span.basis[:, piv]
+    pivots, basis = span_rref(span)
+    for i, piv in enumerate(pivots):
+        col = basis[:, piv]
         assert col[i] == 1 and col.sum() == 1
 
 

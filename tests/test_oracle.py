@@ -193,6 +193,29 @@ def test_non_canonical_closure_results_are_refused():
         fr.index_of(fr.digit_basis[1] * 2)
 
 
+def _z4_read_by(misread):
+    """Z/4, digit basis 1, 2, rebuilt with the digit reader
+    f -> misread(fr, f), fr the ring as built."""
+    fr = FiniteRing.from_presentation(Z4)
+    return FiniteRing(fr.p, fr.digit_basis, fr.carrier_dim, fr.canon,
+                      lambda f: misread(fr, f), fr.label)
+
+
+def test_basis_lifts_off_their_unit_digit_vectors_are_refused():
+    """Digits of Z/4 read reversed put the basis lift 1 at the digit
+    vector of 2; the ring is refused before any closure runs."""
+    with pytest.raises(PresentationError, match="not unit digit vectors"):
+        _z4_read_by(lambda fr, f: fr.digits_of(f)[::-1])
+
+
+def test_a_carry_with_a_generator_digit_is_refused():
+    """canon(2) of Z/4 read as 1 + 2 gives the carry c_u = digits(p g_u)
+    of the generator 1 a generator digit."""
+    with pytest.raises(PresentationError, match="has a generator digit"):
+        _z4_read_by(lambda fr, f: [1, 1] if f == fr.canon(
+            fr.digit_basis[0] * 2) else fr.digits_of(f))
+
+
 def test_charp_rings_reuse_the_carrier_basis(monkeypatch):
     """In characteristic p the builder reads its digit basis off the
     carrier basis the presentation keeps, canon is that basis's normal
@@ -268,20 +291,29 @@ def test_table_build_memory_is_bounded():
 
 
 def test_oversized_tables_are_refused_before_enumeration():
-    """F_3[x]/(x^10) has 59049 elements: its two tables alone would take
-    55.8 GB, so the refusal comes before any element is built."""
+    """F_3[x]/(x^10) has 59049 elements, past MAX_RING_SIZE = 4096, so the
+    refusal comes before any element is built, whatever the size cap; the
+    staircase is cut at the most digits d with p^d <= 4096."""
     huge = ring_of(PrimeField(3), ("x",), ["x^10"])
     tracemalloc.start()
     try:
-        with pytest.raises(SizeRefusalError, match="operation tables"):
+        with pytest.raises(SizeRefusalError, match=r"more than 3\^7 "
+                           "elements, over the bound 4096"):
             FiniteRing.from_presentation(huge, max_size=59049)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+    for p, top in ((2, 12), (5, 5)):
+        with pytest.raises(SizeRefusalError,
+                           match=rf"more than {p}\^{top} elements"):
+            FiniteRing.from_presentation(
+                ring_of(PrimeField(p), ("x",), [f"x^{top + 1}"]),
+                max_size=10**5)
     for size in (729, 2187, 4096):  # at most the bound
         _refuse_oversized(3, size, size)
-    with pytest.raises(SizeRefusalError, match="operation tables"):
+    with pytest.raises(SizeRefusalError,
+                       match="4097 elements, over the bound 4096"):
         _refuse_oversized(3, 4097, 4097)
     with pytest.raises(SizeRefusalError, match="over the bound 81"):
         _refuse_oversized(3, 729, None)

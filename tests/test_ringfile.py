@@ -150,6 +150,9 @@ def test_every_base_round_trips_through_its_tag(tag):
     ("vars: x\nbase: Fp(5)\n", 1, 1),             # vars before base
     ("base: Fp(5)\nbase: Fp(5)\nvars: x\n", 2, 1),
     ("base: Fp(5)\nrel: x\nvars: x\n", 2, 1),
+    ("base: Fp(5)\nvars: x\nvars: y\n", 3, 1),    # duplicate vars line
+    ("base: Fp(5,2)\nvars: x\n", 1, 7),           # Fp arity
+    ("base: Fq(3,2,2*t^2+1)\nvars: x\n", 1, 7),   # minpoly not monic
     ("flavor: vanilla\n", 1, 1),                  # unknown head
 ])
 def test_file_errors_carry_positions(text, line, col):

@@ -38,7 +38,8 @@ GUARDS = textwrap.dedent("""
     from fwdiff import (GaloisField, PointSpec, PolyRing,
                         PresentationError, PresentationMorphism, PrimeField,
                         PrimeSpec, PrimeSquareRing, RingPresentation,
-                        fiber_dim, groebner, present_fw, residue_p_rank)
+                        fiber_dim, groebner, present_fw, residue_p_rank,
+                        w_base)
     from fwdiff.modarith import default_minpoly
     from fwdiff.mpoly import homogenize, standard_monomials, witt_P_pair
 
@@ -64,6 +65,7 @@ GUARDS = textwrap.dedent("""
         # x^9 + x^4 + 1 is irreducible over F_2: only the degree bound refuses
         "extension degree of a field": lambda: GaloisField(
             2, 9, (1, 0, 0, 0, 1, 0, 0, 0, 0, 1)),
+        "w_base of a field element": lambda: w_base(k.of_int(2)),
         "Witt carry over an extension field": lambda: witt_P_pair(
             *PolyRing(GaloisField(3, 2), ("x",)).gens() * 2),
         "carry of two rings": lambda: witt_P_pair(x, zring.gen(0)),
@@ -108,7 +110,7 @@ def test_input_guards_hold_without_asserts():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
-    assert len(lines) == 28 and all(
+    assert len(lines) == 29 and all(
         line.startswith("raised:") for line in lines), r.stdout
 
 
