@@ -83,7 +83,7 @@ def build_parser():
     p = sub.add_parser("oracle", help="brute-force cross-check")
     ring_flags(p)
     p.add_argument("--max-size", type=int_at_least(1), default=None,
-                   help="override the ring-size bound for the brute force")
+                   help="lower the ring-size limit of the brute force")
     p = sub.add_parser("axioms", help="randomized derivation-axiom check")
     p.add_argument("--p", type=int, required=True, help="the prime")
     p.add_argument("--nvars", type=int_at_least(0), default=2,

@@ -83,11 +83,11 @@ canon(1): the ring that the closures describe.  The g_u generate it
 additively, as e_v = p e_u - (p e_u - e_v) for each p-digit.  This is
 the structure-constant representation of a finite-dimensional algebra
 (W. A. de Graaf, Lie Algebras: Theory and Algorithms, 2000); the check
-takes O(d^5) multiply-adds, with d = 12 at 4096 elements.
+takes O(d^5) multiply-adds, with d = 16 at 2^16 elements over F_2.
 
 Generator rows.  g_u x = N(sum_j x_j s_uj) is one contraction with the
-checked structure constants, so one einsum gives the rows mulg[u, x] =
-g_u x, and one digit sum the rows addg[u, a] = a + g_u.  The relations
+checked structure constants, so a matrix product per generator gives
+mulg[u, x] = g_u x, and a digit sum addg[u, a] = a + g_u.  The relations
 below multiply by generators only, but for the powers a^k (k < p) in the
 Witt carries at p >= 3, one product N(sum_ij x_i y_j s_ij) each.
 
@@ -155,22 +155,16 @@ from .fwcore import FWPresentation, RingPresentation
 from .linalg import ModPSpan
 from .mpoly import groebner, normal_form, standard_monomials
 
-# |A| caps keeping the relation matrix at desk scale
-DEFAULT_SIZE_CAP = {2: 16, 3: 81, 5: 25}
+# |A| past which a ring is refused before any element is enumerated: the
+# oracle's one size limit, which --max-size can only lower.  Measured, a
+# cross-check's tracemalloc peak is at most 64 n (g + d + 4) bytes + 1 MiB
+# (n = |A|, g generators, d digits; 56 MiB of 145 at F_2[x]/(x^16))
+MAX_RING_SIZE = 2 ** 16
 
-# |A| past which a ring is refused whatever the size cap, before any
-# element is enumerated; it stays until a benchmark tier covers larger rings
-MAX_RING_SIZE = 4096
 
-
-def _refuse_oversized(p, size, max_size):
-    """Refuse a ring over the size cap or past MAX_RING_SIZE, before
-    anything of its size is allocated."""
-    cap = max_size if max_size is not None else DEFAULT_SIZE_CAP.get(p)
-    if cap is None:
-        raise SizeRefusalError(
-            f"no default oracle bound for p = {p}; pass an explicit max size")
-    cap = min(cap, MAX_RING_SIZE)
+def _refuse_oversized(size, cap):
+    """Refuse a ring of more than cap elements, before anything of its
+    size is allocated."""
     if size > cap:
         raise SizeRefusalError(f"ring has {size} elements, over the bound {cap}")
 
@@ -209,9 +203,10 @@ class FiniteRing:
         self.one_idx = self.index_of(canon(self.digit_basis[0].ring.one()))
         self._carries, prods = self._closures()
         s = self._consts = self._check_ring(prods)
-        self.mulg = self._index(np.einsum("xj,ujk->uxk", self.digits,
-                                          s[:ngens]))
-        self.addg = self.plus(np.c_[self.basis_idx], np.arange(self.size))
+        self.mulg = np.stack([self._index(self.digits @ s[u])
+                              for u in range(ngens)])
+        self.addg = np.stack([self._index(self.digits + self.digits[b])
+                              for b in self.basis_idx])
         self.p_one_idx = int(self.int_mult_idx(p, self.one_idx))
         self.reduce_mat = self.digits[:, :ngens]
 
@@ -287,12 +282,14 @@ class FiniteRing:
 
     def witt_carry_gen(self, i, u):
         """Index of P(a_i, g_u) = sum binom(p,k)/p a_i^k g_u^(p-k), by
-        Horner's rule in g_u: a product by g_u is a step along its row."""
+        Horner's rule in g_u: a product by g_u is a step along its row,
+        and binom(p,k)/p is taken mod p^2, which annihilates A."""
         p, power, total = self.p, i, i  # binom(p, 1)/p = 1
         for k in range(2, p):
             power = self.product(power, i)
             total = self._index(self.digits[self.mulg[u, total]]
-                                + math.comb(p, k) // p * self.digits[power])
+                                + math.comb(p, k) // p % (p * p)
+                                * self.digits[power])
         return self.mulg[u, total]
 
     @classmethod
@@ -311,16 +308,17 @@ class FiniteRing:
             raise PresentationError("the presented ring is the zero ring")
         if not gb.is_finite():
             raise SizeRefusalError("the presented ring is infinite")
-        # the most digits d with p^d <= MAX_RING_SIZE (12 at p = 2); a
+        cap = (MAX_RING_SIZE if max_size is None
+               else min(max_size, MAX_RING_SIZE))
+        # the most digits d with p^d <= cap (16 at p = 2 by default); a
         # longer staircase is refused before it is listed
         top = 0
-        while p ** (top + 1) <= MAX_RING_SIZE:
+        while p ** (top + 1) <= cap:
             top += 1
         S = standard_monomials(gb, limit=top)
         if len(S) > top:
             raise SizeRefusalError(
-                f"ring has more than {p}^{top} elements, over the bound "
-                f"{MAX_RING_SIZE}")
+                f"ring has more than {p}^{top} elements, over the bound {cap}")
         canon, stairU = gb.normal_form, []
         if not ring_pres.is_charp:
             zring, cring = gb.ring, ring_pres.carrier_ring
@@ -338,7 +336,7 @@ class FiniteRing:
 
         label = _label_of(ring_pres)
         basis, digits_of = _digit_model(gb.ring, S, stairU, label)
-        _refuse_oversized(p, p ** len(basis), max_size)
+        _refuse_oversized(p ** len(basis), cap)
         return cls(p, basis, len(basis) - len(stairU), canon, digits_of,
                    label)
 

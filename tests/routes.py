@@ -56,6 +56,7 @@ from fwdiff.mpoly import (
     standard_monomials,
 )
 from fwdiff.oracle import (
+    MAX_RING_SIZE,
     FiniteRing,
     UniversalModule,
     _digit_model,
@@ -806,7 +807,7 @@ def finite_ring_zp2_by_syzygies(ring_pres, max_size, cls=FiniteRing):
     S = standard_monomials(gb1)
     stairU = [] if gbU.is_trivial() else standard_monomials(gbU)
     size = p ** (len(S) + len(stairU))
-    _refuse_oversized(p, size, max_size)
+    _refuse_oversized(size, min(max_size, MAX_RING_SIZE))
 
     def canonicalize(g):
         gbar = g.map_coeffs(kfield, reduce_mod_p)

@@ -165,7 +165,7 @@ def test_locus_flag_rules():
 
 def test_refusals_exit_one(tmp_path):
     big = tmp_path / "big.ring"
-    big.write_text("base: Fp(2)\nvars: x\nrel: x^5\n")
+    big.write_text("base: Fp(2)\nvars: x\nrel: x^17\n")
     code, _, err = _run(["oracle", "-i", str(big)])
     assert code == 1 and "refused:" in err
     plane = tmp_path / "plane.ring"
@@ -306,9 +306,9 @@ def test_empty_point_names_the_point_of_a_ring_without_variables():
 
 def test_oracle_refuses_tables_past_the_memory_bound(tmp_path):
     huge = tmp_path / "huge.ring"
-    huge.write_text("base: Fp(3)\nvars: x\nrel: x^10\n")
-    code, _, err = _run(["oracle", "-i", str(huge), "--max-size", "59049"])
-    assert code == 1 and "refused:" in err and "over the bound 4096" in err
+    huge.write_text("base: Fp(3)\nvars: x\nrel: x^11\n")
+    code, _, err = _run(["oracle", "-i", str(huge), "--max-size", "177147"])
+    assert code == 1 and "refused:" in err and "over the bound 65536" in err
 
 
 def test_oracle_command_on_small_rings(tmp_path):
@@ -323,8 +323,11 @@ def test_oracle_command_on_small_rings(tmp_path):
 def test_oracle_max_size_flag(tmp_path):
     big = tmp_path / "big.ring"
     big.write_text("base: Fp(2)\nvars: x\nrel: x^5\n")
-    code, out, _ = _run(["oracle", "-i", str(big), "--max-size", "32"])
-    assert code == 0 and "match: yes" in out
+    for flags in ([], ["--max-size", "32"]):
+        code, out, _ = _run(["oracle", "-i", str(big)] + flags)
+        assert code == 0 and "match: yes" in out
+    code, out, err = _run(["oracle", "-i", str(big), "--max-size", "16"])
+    assert code == 1 and out == "" and "over the bound 16" in err
 
 
 def _count_presentations(monkeypatch):
@@ -606,7 +609,7 @@ def test_oracle_refuses_a_long_staircase_before_listing_it(tmp_path, rels):
     path = tmp_path / "long.ring"
     path.write_text("base: Fp(2)\nvars: x, y\n" + rels)
     code, err, seconds = _fwdiff(["oracle", "-i", str(path)])
-    assert code == 1 and err.startswith("refused: ring has more than 2^12 ")
+    assert code == 1 and err.startswith("refused: ring has more than 2^16 ")
     assert seconds < 2.0
 
 

@@ -37,6 +37,7 @@ from fwdiff.modarith import (
 )
 from fwdiff.mpoly import PolyRing, groebner
 from fwdiff.oracle import (
+    MAX_RING_SIZE,
     FiniteRing,
     _refuse_oversized,
     brute_fw,
@@ -236,15 +237,13 @@ def test_charp_rings_reuse_the_carrier_basis(monkeypatch):
 # refusals
 
 def test_size_cap_refusals():
-    big = ring_of(PrimeField(2), ("x",), ["x^5"])  # 32 elements > 16
-    with pytest.raises(SizeRefusalError):
-        FiniteRing.from_presentation(big)
-    # explicit cap overrides
-    fr = FiniteRing.from_presentation(big, max_size=32)
-    assert fr.size == 32
-    with pytest.raises(SizeRefusalError):  # no default bound for p = 7
-        FiniteRing.from_presentation(ring_of(PrimeField(7), (), []))
-    rep = cross_check(present_fw(ring_of(PrimeField(7), (), [])), max_size=7)
+    """Without max_size every prime gets the one limit, MAX_RING_SIZE;
+    max_size only lowers it."""
+    big = ring_of(PrimeField(2), ("x",), ["x^5"])  # 32 elements
+    assert FiniteRing.from_presentation(big).size == 32
+    with pytest.raises(SizeRefusalError, match="over the bound 16"):
+        FiniteRing.from_presentation(big, max_size=16)
+    rep = cross_check(present_fw(ring_of(PrimeField(7), (), [])))
     assert rep["match"] and rep["brute_dim"] == 0
 
 
@@ -291,32 +290,34 @@ def test_table_build_memory_is_bounded():
 
 
 def test_oversized_tables_are_refused_before_enumeration():
-    """F_3[x]/(x^10) has 59049 elements, past MAX_RING_SIZE = 4096, so the
-    refusal comes before any element is built, whatever the size cap; the
-    staircase is cut at the most digits d with p^d <= 4096."""
-    huge = ring_of(PrimeField(3), ("x",), ["x^10"])
+    """F_3[x]/(x^11) has 177147 elements, past MAX_RING_SIZE = 2^16, so
+    the refusal comes before any element is built, whatever max_size
+    asks; the staircase is cut at the most digits d with p^d <= 2^16."""
+    huge = ring_of(PrimeField(3), ("x",), ["x^11"])
     tracemalloc.start()
     try:
-        with pytest.raises(SizeRefusalError, match=r"more than 3\^7 "
-                           "elements, over the bound 4096"):
-            FiniteRing.from_presentation(huge, max_size=59049)
+        with pytest.raises(SizeRefusalError, match=r"more than 3\^10 "
+                           "elements, over the bound 65536"):
+            FiniteRing.from_presentation(huge, max_size=177147)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
-    for p, top in ((2, 12), (5, 5)):
+    for p, top in ((2, 16), (5, 6)):
         with pytest.raises(SizeRefusalError,
                            match=rf"more than {p}\^{top} elements"):
             FiniteRing.from_presentation(
                 ring_of(PrimeField(p), ("x",), [f"x^{top + 1}"]),
-                max_size=10**5)
-    for size in (729, 2187, 4096):  # at most the bound
-        _refuse_oversized(3, size, size)
+                max_size=10**6)
+    for size in (729, 59049, 65536):  # at most the bound
+        _refuse_oversized(size, MAX_RING_SIZE)
     with pytest.raises(SizeRefusalError,
-                       match="4097 elements, over the bound 4096"):
-        _refuse_oversized(3, 4097, 4097)
-    with pytest.raises(SizeRefusalError, match="over the bound 81"):
-        _refuse_oversized(3, 729, None)
+                       match="65537 elements, over the bound 65536"):
+        _refuse_oversized(65537, MAX_RING_SIZE)
+    with pytest.raises(SizeRefusalError,  # max_size lowers the cut
+                       match=r"more than 3\^5 elements, over the bound 243"):
+        FiniteRing.from_presentation(ring_of(PrimeField(3), ("x",), ["x^6"]),
+                                     max_size=243)
 
 
 def test_cross_check_at_729_elements():
@@ -351,6 +352,33 @@ def test_cross_check_at_4096_elements_builds_no_table(pres):
         tracemalloc.stop()
     assert rep["match"] and rep["size"] == 4096 and rep["brute_dim"] == 12
     assert peak < 32 * 2**20, peak
+
+
+@pytest.mark.parametrize("pres", [
+    ring_of(PrimeField(2), ("x",), ["x^16"]),
+    ring_of(PrimeField(3), ("x",), ["x^10"]),
+], ids=["F2[x]/(x^16)", "F3[x]/(x^10)"])
+def test_cross_check_at_the_size_limit_stays_in_bounded_memory(pres):
+    """At the limit the generator rows are built one generator at a time:
+    at F_2[x]/(x^16) a g x n x d digit array alone would take 128 MiB."""
+    fw = present_fw(pres)
+    tracemalloc.start()
+    try:
+        rep = cross_check(fw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["match"] and rep["size"] <= MAX_RING_SIZE
+    assert peak < 96 * 2**20, peak
+
+
+@pytest.mark.parametrize("p", [67, 71, 73])
+def test_witt_carries_of_large_primes_stay_exact(p):
+    """From p = 67 on, binom(p, k)/p times a digit passes 2^63: taken
+    unreduced, it wrapped int64 at 67 and 71 (a wrong dimension 0) and
+    did not fit int64 at all at 73 (OverflowError)."""
+    rep = cross_check(present_fw(ring_of(PrimeSquareRing(p), (), [])))
+    assert rep["match"] and rep["size"] == p * p and rep["brute_dim"] == 1
 
 
 # ---------------------------------------------------------------------------
