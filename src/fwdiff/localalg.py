@@ -10,7 +10,10 @@ is its transcendence degree.
 A locus, a PointSpec or a PrimeSpec, answers the criterion's questions
 itself: its kind, fiber(M) (the fiber dimension with the matrix it was
 read from), residue_p_rank() and local_dim() (d and whether it is
-exact); regularity and fiber_dim ask it and never test its class.
+exact); regularity and fiber_dim ask it and never test its class.  Both
+fibers are ranked by rank_fraction_free, over the residue field at a
+point and over the fraction field of carrier/P at a prime, with no
+numpy.
 
 Local dimension at a point is computed through the tangent cone: the
 relations are translated so the point is the origin, homogenized with a
@@ -36,9 +39,9 @@ from .errors import (
     PresentationError,
     SizeRefusalError,
     UnsupportedClassError,
+    ZeroDivisorError,
 )
 from .fwcore import FWPresentation, RingPresentation
-from .linalg import rank_fraction_free
 from .modarith import Residue, _budget, embed
 from .mpoly import (
     PolyRing,
@@ -277,6 +280,55 @@ def _point_matrix(M: FWPresentation, x: PointSpec):
     fld = x.field
     return [[col[i].evaluate(x.coordinates, fld) for col in M.columns]
             for i in range(M.ngens)]
+
+
+def rank_fraction_free(rows, nf):
+    """Rank over the fraction field of a quotient domain.
+
+    Entries are polynomials read modulo a Groebner basis through nf and
+    must already be normal forms under nf; the rows passed in are left as
+    they are.  A residue is treated as zero exactly when it vanishes, and
+    as invertible otherwise.  Elimination is by cross-multiplication, so
+    no inverses are ever formed.  If two nonzero residues multiply to
+    zero, the quotient was not a domain and ZeroDivisorError names them.
+    Over a field, pass the identity as nf: cross-multiplication is exact
+    there and no zero divisor exists.
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+
+    def checked_mul(a, b):
+        v = nf(a * b)
+        if v.is_zero() and not a.is_zero() and not b.is_zero():
+            raise ZeroDivisorError(a, b)
+        return v
+
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if not rows[r][col].is_zero():
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        a = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            b = rows[r][col]
+            if b.is_zero():
+                continue
+            rows[r] = [
+                nf(checked_mul(a, rows[r][j]) - checked_mul(b, rows[rank][j]))
+                for j in range(ncols)
+            ]
+            assert rows[r][col].is_zero()  # internal invariant, not input
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def fiber_dim(M: FWPresentation, locus) -> int:

@@ -36,10 +36,11 @@ one p-th power modulo p^3 (the argument is in its docstring).  The
 carries take int values, of Z/p^2 or F_p: every product goes through one
 loop, _raw_mul, which adds each c1 * c2 into its key unreduced, and its
 caller reduces each value of the result once, mod p^3 or the modulus of
-the ring.  witt_Q, witt_P_pair and SparsePoly products and powers count
-the value products of each sparse product before taking it, and
-normal_form the terms of each division step, and all refuse once the
-count would pass PRODUCT_BOUND, through modarith's one counter, _budget.
+the ring.  witt_Q, witt_P_pair and SparsePoly products (by a scalar too)
+and powers count the value products of each sparse product before taking
+it, and normal_form the terms of every division step, and all refuse once
+the count would pass PRODUCT_BOUND, through modarith's one counter,
+_budget.
 """
 
 from __future__ import annotations
@@ -233,13 +234,10 @@ class SparsePoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        out = {}
-        if isinstance(other, (int, Residue)):
-            _addmul(out, self.terms, None, self.ring.coeff.coerce(other))
-            return SparsePoly(self.ring, out)
         other = self._coerce(other)
         _budget("a product of {} and {} terms", len(self.terms),
                 len(other.terms))(len(self.terms) * len(other.terms))
+        out = {}
         for m, c in self.terms.items():
             _addmul(out, other.terms, m, c)
         return SparsePoly(self.ring, out)
@@ -401,25 +399,18 @@ def normal_form(f, basis):
     terms are divided as over the residue field, and a term in p is
     replaced by terms in p below it, so the division ends.  Each step
     scans the one dividend dict, and subtracts a multiple of b in place:
-    their terms count against PRODUCT_BOUND (but for the first step of a
-    one-term dividend, whose divisor is found on tuples), and a division
-    that would pass it is refused with SizeRefusalError."""
+    their terms count against PRODUCT_BOUND, and a division that would
+    pass it is refused with SizeRefusalError."""
     leads = basis._leads if isinstance(basis, GroebnerBasis) else _Leads(basis)
     if not (leads.leads and f.terms):
         return f
-    if len(f.terms) == 1:  # one term: its first divisor, found on tuples
-        (m, c), = f.terms.items()
-        for i, lm in enumerate(leads.leads):
-            if all(map(operator.ge, m, lm)):
-                break
-        else:
-            return f  # no lead divides it: its own remainder
+    if len(f.terms) == 1:  # one term no lead divides: its own remainder
+        m, = f.terms
+        if not any(all(map(operator.ge, m, lm)) for lm in leads.leads):
+            return f
     P, divisors = leads.packed(f)
-    R, h = f.ring.coeff, P.raw(f)
-    if len(f.terms) == 1:  # the first step of _reduce, from that divisor
-        blm, binv, b = divisors[i]
-        _addmul_raw(h, b, P.pack(m) - blm, R._neg(R._mul(c.value, binv)), R)
-    return SparsePoly(f.ring, P.terms(h and _reduce(h, divisors, R, P), R))
+    R = f.ring.coeff
+    return SparsePoly(f.ring, P.terms(_reduce(P.raw(f), divisors, R, P), R))
 
 
 def _reduce(h, divisors, R, P):

@@ -25,8 +25,8 @@ from fwdiff.fwcore import (
     RingPresentation,
     present_fw,
 )
-from fwdiff.linalg import ModPSpan, rank_fraction_free
-from fwdiff.localalg import PointSpec, fiber_dim, regularity
+from fwdiff.linalg import ModPSpan
+from fwdiff.localalg import PointSpec, fiber_dim, rank_fraction_free, regularity
 from fwdiff.modarith import (
     GaloisField,
     PrimeField,

@@ -14,7 +14,9 @@ PRODUCT_BOUND has one copy, in modarith, beside _budget, the one counter
 that spends against it.  No routine of the library is there only for the
 tests, and a method of a class the package does not export counts as
 used only where it is read as an attribute, not where a local variable
-shares its name.  The library stays within its line budget."""
+shares its name.  numpy is imported once per module, at module level,
+and only by linalg and the oracle.  The library stays within its line
+budget."""
 
 import ast
 import os
@@ -252,6 +254,36 @@ def test_the_oracle_ring_keeps_no_n_by_n_table(monkeypatch):
     assert not big, big
     tables = {"_tables", "add", "mul", "pows", "frob", "steps"}
     assert not tables & (set(vars(fr)) | set(dir(oracle.FiniteRing)))
+
+
+def _imports(tree):
+    """(is it at module level, line, the module) for every import of the
+    tree; `from . import m` imports m."""
+    top = set(map(id, tree.body))
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.module:
+            names = [n.module]
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in n.names]
+        else:
+            continue
+        yield from ((id(n) in top, n.lineno, name) for name in names)
+
+
+def test_numpy_is_imported_once_at_module_level_and_off_the_verdict_path():
+    """numpy is imported at module level, by linalg (the oracle's row
+    space) and the oracle alone, never inside a function; localalg, which
+    ranks the fibers, imports nothing from linalg.  test_surface's
+    test_verdicts_do_not_load_numpy checks the same at run time."""
+    numpy, linalg = [], []
+    for mod, tree in _parsed(SRC):
+        for top, line, name in _imports(tree):
+            if name.split(".")[0] == "numpy":
+                numpy.append((mod, top))
+            if mod == "localalg.py" and name.split(".")[-1] == "linalg":
+                linalg.append(f"localalg.py:{line}")
+    assert sorted(numpy) == [("linalg.py", True), ("oracle.py", True)]
+    assert not linalg, linalg
 
 
 LINE_BUDGET = 3748  # ROADMAP's budget for the lines of src/fwdiff

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from fwdiff.errors import FWDiffError, ZeroDivisorError
-from fwdiff.linalg import ModPSpan, rank_fraction_free
+from fwdiff.linalg import ModPSpan
+from fwdiff.localalg import rank_fraction_free
 from fwdiff.modarith import PrimeField
 from fwdiff.mpoly import PolyRing, groebner
 from routes import field_rank, span_contains, span_rref

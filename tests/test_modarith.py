@@ -197,10 +197,12 @@ def test_galois_field_products_match_sympy(p, e, pairs):
 
 def test_lowering_the_one_product_bound_bounds_every_loop(monkeypatch):
     """PRODUCT_BOUND has one copy, modarith's: lowered there alone it
-    refuses a power, a division, a Witt carry, a staircase search, a point
-    enumeration, a minimal-polynomial search and an axiom block, with no
-    variables too, each of which passes at the default bound; each refusal
-    names the unit its loop counts."""
+    refuses a power, a product by a scalar, a division, a one-term
+    division, a Witt carry, a staircase search, a point enumeration, a
+    minimal-polynomial search and an axiom block, with no variables too,
+    each of which passes at the default bound; each refusal begins with
+    its own loop's phrase and names the unit that loop counts.  The
+    one-term dividend is counted from its own first step on."""
     from fwdiff import modarith
     from fwdiff.localalg import rational_points
     from fwdiff.mpoly import (PolyRing, groebner, normal_form, staircase_dim,
@@ -210,6 +212,8 @@ def test_lowering_the_one_product_bound_bounds_every_loop(monkeypatch):
     x, y = PolyRing(PrimeField(5), ("x", "y")).gens()
     gb = groebner([x**2 - y, y**3 - x - 1])
     f = (x + y + 2) ** 9
+    g = (x + y + 1) ** 4
+    square = sum((x**i * y**j for i in range(3) for j in range(3)), 0)
     u, v = PolyRing(PrimeSquareRing(5), ("u", "v")).gens()
     cycle = [tuple(int(i in (j, (j + 1) % 12)) for i in range(12))
              for j in range(12)]
@@ -220,23 +224,36 @@ def test_lowering_the_one_product_bound_bounds_every_loop(monkeypatch):
         return default_minpoly(5, 4)
 
     loops = {
-        "power": (lambda: (x + 1) ** 20, "value products"),
-        "division": (lambda: normal_form(f, gb), "terms"),
-        "witt_Q": (lambda: witt_Q(u + v + 1), "value products"),
-        "staircase_dim": (lambda: staircase_dim(cycle, 12), "search nodes"),
-        "rational_points": (lambda: rational_points(cusp), "candidates"),
-        "default_minpoly": (minpoly, "trial divisions"),
-        "check_axioms": (lambda: check_axioms(3, 2, trials=20), "key digits"),
+        "power": (lambda: (x + 1) ** 20, "the power 20 of 2 terms",
+                  "value products"),
+        "scalar product": (lambda: g * 3, "a product of 15 and 1 terms",
+                           "value products"),
+        "division": (lambda: normal_form(f, gb), "the division of 45 terms",
+                     "terms"),
+        "one-term division": (lambda: normal_form(x**2 * y**2, [square]),
+                              "the division of 1 terms", "terms"),
+        "witt_Q": (lambda: witt_Q(u + v + 1), "the Witt carry Q",
+                   "value products"),
+        "staircase_dim": (lambda: staircase_dim(cycle, 12),
+                          "the Krull dimension", "search nodes"),
+        "rational_points": (lambda: rational_points(cusp), "enumerating",
+                            "candidates"),
+        "default_minpoly": (minpoly, "finding an irreducible polynomial",
+                            "trial divisions"),
+        "check_axioms": (lambda: check_axioms(3, 2, trials=20),
+                         "checking the axioms", "key digits"),
         "check_axioms, no variables": (
-            lambda: check_axioms(3, 0, trials=20), "key digits"),
+            lambda: check_axioms(3, 0, trials=20), "checking the axioms",
+            "key digits"),
     }
-    for run, _ in loops.values():
+    for run, _, _ in loops.values():
         run()
     monkeypatch.setattr(modarith, "PRODUCT_BOUND", 10)
-    for name, (run, unit) in loops.items():
+    for name, (run, phrase, unit) in loops.items():
         with pytest.raises(SizeRefusalError) as refused:
             run()
             pytest.fail(f"{name} ran past a bound of 10")
+        assert str(refused.value).startswith(phrase + " "), name
         assert str(refused.value).endswith(f"more than 10 {unit}"), name
     monkeypatch.undo()
     default_minpoly.cache_clear()
