@@ -179,6 +179,11 @@ def _reduced_column(gb, f):
     return tuple(gb.normal_form(e) for e in column_of(f))
 
 
+def _mod(raw, n):
+    """raw with its values reduced mod n, the terms n divides dropped."""
+    return {m: c % n for m, c in raw.items() if c % n}
+
+
 def _w_core(R, k, n, B):
     """The one w core: w(raw), for packed raw polynomials over R in n
     variables whose exponents p*m stay below B, gives w as one vector packed
@@ -187,6 +192,9 @@ def _w_core(R, k, n, B):
     stays inside its slot.  A term c X^m gives the twisted derivatives
     (e c mod p)^p X^(p(m - e_j)) at key p*key - shifts[j], for e = m_j prime
     to p, and w_base(c) X^(p m) on w(p), where Q mod p is then subtracted.
+    Mod p, Q depends only on raw mod p: each monomial of it, an integer
+    polynomial in the coefficients, holds each of them to a positive power.
+    So the carry is taken of raw mod p, without the terms p divides (_mod).
     Over a field (R = k) the w(p) coordinate is left out (module docstring),
     so it is computed only over Z/p^2, on ints.  w splits a key into its
     digits the first time it sees it; over F_p and Z/p^2 it computes the
@@ -214,7 +222,7 @@ def _w_core(R, k, n, B):
             if wp:  # w_base(c) = (c - c^p)/p mod p
                 out[p * key + at_wp] = (c - pow(c, p, q)) // p % p
         if wp:
-            for key, v in _witt_Q_raw(raw, p).items():
+            for key, v in _witt_Q_raw(_mod(raw, p), p).items():
                 key += at_wp
                 out[key] = (out.get(key, 0) - v) % p
         return out
@@ -289,15 +297,25 @@ def check_axioms(p, nvars, trials=500, seed=0):
     stays inside its slot: an identity is one accumulation of its other
     terms into the fresh vector w(f+g) or w(fg), P entering at the w(p)
     slot, tested to vanish mod p.  Sums and products are taken on integers
-    and read mod p^2 or p, through the ring maps Z -> Z/p^2 -> F_p;
-    polynomials are built only to report a failure.  About half the pairs
-    have f = 0 or g = 0, where both identities hold by construction
-    (w(0) = 0 and P(0, h) = 0): they pass without the core.  Keys grow as
-    trials * nvars^2, spent first as key digits, with nvars read as 1 when
-    it is 0 so that trials stay bounded: 500 trials allow 44 variables.
+    and read through the ring maps Z -> Z/p^2 -> F_p: w reduces f + g and
+    fg mod p^2, P is taken of f and g mod p at modulus p (only P mod p
+    enters, and like Q in _w_core it depends only on f and g mod p), and
+    each identity is tested mod p; polynomials are built only to report a
+    failure.  The draws are randrange's, taken through getrandbits.  About
+    half the pairs have f = 0 or g = 0, where both identities hold by
+    construction (w(0) = 0 and P(0, h) = 0): they pass without the core.
+    Keys grow as trials * nvars^2, spent first as key digits, with nvars
+    read as 1 when it is 0 so that trials stay bounded: 500 trials allow
+    44 variables.
     """
-    rng = random.Random(seed)
-    draw = rng.randrange
+    getrandbits = random.Random(seed).getrandbits
+
+    def draw(n):  # = randrange(n) for n > 0 (_randbelow_with_getrandbits)
+        r = getrandbits(n.bit_length())
+        while r >= n:
+            r = getrandbits(n.bit_length())
+        return r
+
     base = PrimeSquareRing(p)
     _budget("checking the axioms on {} trials in {} variables", trials,
             nvars, unit="key digits")(trials * max(nvars, 1) ** 2)
@@ -317,7 +335,7 @@ def check_axioms(p, nvars, trials=500, seed=0):
         return {m: c for m, c in terms.items() if c}
 
     def w(h):  # the coordinates of w(h mod q), a fresh dict; w(0) = 0
-        h = {m: c % q for m, c in h.items() if c % q}
+        h = _mod(h, q)
         return w_core(h) if h else {}
 
     report = AxiomReport(p=p, nvars=nvars, trials=trials, seed=seed)
@@ -335,7 +353,7 @@ def check_axioms(p, nvars, trials=500, seed=0):
         for wh in (wf, wg):
             for key, v in wh.items():
                 acc[key] = get(key, 0) - v
-        for key, v in _witt_P_raw(f, g, p, q).items():
+        for key, v in _witt_P_raw(_mod(f, p), _mod(g, p), p, p).items():
             key += at_wp
             acc[key] = get(key, 0) + v
         ok_add = not any(c % p for c in acc.values())

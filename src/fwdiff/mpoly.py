@@ -36,11 +36,12 @@ one p-th power modulo p^3 (the argument is in its docstring).  The
 carries take int values, of Z/p^2 or F_p: every product goes through one
 loop, _raw_mul, which adds each c1 * c2 into its key unreduced, and its
 caller reduces each value of the result once, mod p^3 or the modulus of
-the ring.  witt_Q, witt_P_pair and SparsePoly products (by a scalar too)
-and powers count the value products of each sparse product before taking
-it, and normal_form the terms of every division step, and all refuse once
-the count would pass PRODUCT_BOUND, through modarith's one counter,
-_budget.
+the ring (the last product of witt_Q's ladder only after the c^p are
+subtracted).  witt_Q, witt_P_pair and SparsePoly products (by a scalar
+too) and powers count the value products of each sparse product before
+taking it, and normal_form the terms of every division step, and all
+refuse once the count would pass PRODUCT_BOUND, through modarith's one
+counter, _budget.
 """
 
 from __future__ import annotations
@@ -759,17 +760,21 @@ def frobenius_twist(f):
 def _witt_Q_raw(raw, p):
     """Q of a packed raw polynomial over Z/p^2, packed alike, read off its
     p-th power mod p^3 in a radix where p times every exponent stays one
-    digit (witt_Q)."""
+    digit (witt_Q).  The last of the p - 1 products is reduced only after
+    each c^p is subtracted in place, at its key p*m, which _raw_mul keeps."""
     t, M = len(raw), p**3
     if t < 2:
         return {}
     spend = _budget("the Witt carry Q of {} terms at p = {}", t, p)
     power = raw
-    for _ in range(p - 1):
+    for _ in range(p - 2):
         spend(len(power) * t)
         power = {m: v % M for m, v in _raw_mul(power, raw).items()}
-    get = {p * m: pow(c, p, M) for m, c in raw.items()}.get
-    return {m: (v - get(m, 0)) % M // p for m, v in power.items()}
+    spend(len(power) * t)
+    power = _raw_mul(power, raw)
+    for m, c in raw.items():
+        power[p * m] -= pow(c, p, M)
+    return {m: v % M // p for m, v in power.items()}
 
 
 def witt_Q(f):

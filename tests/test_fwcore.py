@@ -1,6 +1,7 @@
 """The derivation presentation: w_poly, axiom fuzzing, functoriality,
 base change, and the twisted-Kaehler cross-route for relative cokernels."""
 
+import io
 import itertools
 import random
 import time
@@ -8,7 +9,9 @@ from dataclasses import replace
 
 import pytest
 
-from fwdiff import fwcore
+import routes
+from fwdiff import fwcore, modarith
+from fwdiff.cli import run
 from fwdiff.errors import OffSchemeError, PresentationError
 from fwdiff.fwcore import (
     PresentationMorphism,
@@ -76,6 +79,52 @@ def test_charp_columns_compute_no_witt_carry(monkeypatch):
     assert calls == []
     present_fw(ring_of(PrimeSquareRing(3), ["x"], ["x^2 + 3*x"]))
     assert len(calls) == 1
+
+
+def test_the_witt_carries_read_f_mod_p(monkeypatch):
+    """Q(f) and P(f, g) are integer polynomials in the coefficients, each
+    monomial holding each of its coefficients to a positive power, so mod
+    p they depend only on f and g mod p, and a term that p divides adds
+    nothing to them.  The w core, which reads Q mod p, hands _witt_Q_raw f
+    mod p without such terms, and check_axioms hands _witt_P_raw f and g
+    so reduced, at modulus p: every value lies in 1..p-1."""
+    calls = {"_witt_Q_raw": [], "_witt_P_raw": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(fwcore, name, lambda *args, real=getattr(
+            fwcore, name), seen=seen: seen.append(args) or real(*args))
+    (f,) = ring_of(PrimeSquareRing(3), ["x", "y"],
+                   ["3*x^2*y + 4*x*y + 6*y^2 + 2*x + 5"]).relations
+    column_of(f)
+    assert sorted(calls["_witt_Q_raw"][0][0].values()) == [1, 2, 2]
+    assert check_axioms(3, 2, trials=40, seed=7).passed
+    assert len(calls["_witt_Q_raw"]) > 1 and calls["_witt_P_raw"]
+    for raw, p in calls["_witt_Q_raw"]:
+        assert all(0 < c < p for c in raw.values())
+    for a, b, p, modulus in calls["_witt_P_raw"]:
+        assert modulus == p
+        assert all(0 < c < p for c in (*a.values(), *b.values()))
+
+
+@pytest.mark.parametrize("p,e", [(5, 10), (7, 14)])
+def test_present_answers_relations_sparse_mod_p(tmp_path, monkeypatch, p, e):
+    """(x+y+z+1)^(2p) over Z/p^2 has 218 terms at p = 5 and 474 at p = 7,
+    but only 10 mod p, where it is (x^p+y^p+z^p+1)^2.  Its Witt carry Q
+    over every term was refused at PRODUCT_BOUND; read on f mod p it is
+    answered.  At p = 5 the column is that of the full-coefficient route:
+    the public witt_Q of every term, under a raised bound."""
+    text = f"base: Zp2({p})\nvars: x, y, z\nrel: (x+y+z+1)^{e}\n"
+    path = tmp_path / "sparse.ring"
+    path.write_text(text)
+    err = io.StringIO()
+    assert run(["present", "-i", str(path)], out=io.StringIO(), err=err) == 0
+    assert err.getvalue() == ""
+    if p == 5:
+        (f,) = parse_ring(text).relations
+        got = column_of(f)
+        monkeypatch.setattr(modarith, "PRODUCT_BOUND", 10**8)
+        monkeypatch.setattr(routes, "witt_Q_multinomial", witt_Q)
+        assert [v.terms for v in got] == \
+            [v.terms for v in w_poly_by_polys(f)]
 
 
 def test_w_of_square_p3():
@@ -260,6 +309,37 @@ def test_axioms_take_w_of_zero_and_of_f_plus_zero_without_the_core(
             want += [h for h in (f, g, f + g, f * g) if not h.is_zero()]
     assert all(calls)
     assert len(calls) == len(want) < 3 * trials
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 1000003])
+def test_axioms_draw_the_samples_of_randrange(monkeypatch, p):
+    """check_axioms draws through getrandbits as Random.randrange draws:
+    the inputs of its w core and its carry calls are, in order, those that
+    random_poly's samples from the same seed give, drawn by randint and
+    randrange at each bound the sampler uses: 4 (terms), 3 (exponents) and
+    p^2 (coefficients).  The core and the carry are stubs here, so the
+    draws are pinned also at p = 1000003, where each carry is refused."""
+    log, radix = [], []
+    monkeypatch.setattr(fwcore, "_w_core", lambda R, k, n, B: radix.append(
+        B) or (lambda raw: log.append(raw) or {}))
+    monkeypatch.setattr(fwcore, "_witt_P_raw",
+                        lambda *args: log.append("P") or {})
+    nvars, trials, seed = 2, 60, 11
+    check_axioms(p, nvars, trials=trials, seed=seed)
+    (B,) = radix
+    ring = PolyRing(PrimeSquareRing(p), ("x1", "x2"))
+
+    def packed(*hs):
+        return [{m[0] + m[1] * B: c.value for m, c in h.terms.items()}
+                for h in hs if not h.is_zero()]
+
+    rng, want = random.Random(seed), []
+    for _ in range(trials):
+        f, g = random_poly(rng, ring), random_poly(rng, ring)
+        if not (f.is_zero() or g.is_zero()):
+            want += packed(f, g, f + g) + ["P"] + packed(f * g)
+    assert log == want
+    assert want.count("P") > trials // 4
 
 
 @pytest.mark.parametrize("core", ["_witt_Q_raw", "_witt_P_raw"])

@@ -748,6 +748,41 @@ def test_witt_routines_at_large_p_match_references(R):
     assert witt_P_pair(f, g).terms == witt_P_pair_by_powers(f, g).terms
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_witt_carries_of_the_reductions_mod_p_agree_mod_p(p):
+    """Mod p, Q(f) and P(f, g) depend only on f and g mod p, without the
+    terms that p divides (every monomial of them holds each coefficient
+    to a positive power): _witt_Q_raw of f so reduced agrees mod p, key by
+    key, with _witt_Q_raw of f, and _witt_P_raw of the reductions at
+    modulus p with _witt_P_raw at p^2, a missing key counting as 0.  Some
+    coefficients are multiples of p, and some polynomials vanish mod p."""
+    rng, R, q = random.Random(p), PrimeSquareRing(p), p * p
+
+    def reduced(raw, modulus):
+        return {m: c % modulus for m, c in raw.items() if c % modulus}
+
+    def agree(got, want):
+        return reduced(got, p) == reduced(want, p)
+
+    for _ in range(60):
+        nvars = rng.randint(0, 3)
+        ring = PolyRing(R, tuple(f"x{i}" for i in range(nvars)))
+        box = list(itertools.product(range(3 if p < 13 else 2), repeat=nvars))
+
+        def poly():
+            vanish, terms = rng.random() < 0.25, {}
+            for _ in range(rng.randint(0, 9)):
+                c = p * rng.randrange(p) if vanish or rng.random() < 0.3 \
+                    else rng.randrange(q)
+                terms[rng.choice(box)] = R.of_int(c)
+            return ring.poly(terms)
+
+        _, (a, b) = mpoly._pack(p, poly(), poly())
+        assert agree(mpoly._witt_Q_raw(reduced(a, p), p), mpoly._witt_Q_raw(a, p))
+        assert agree(mpoly._witt_P_raw(reduced(a, p), reduced(b, p), p, p),
+                     mpoly._witt_P_raw(a, b, p, q))
+
+
 @pytest.mark.parametrize("k", [PrimeField(5), GaloisField(3, 2), GaloisField(2, 3)],
                          ids=lambda k: k.tag())
 def test_charp_column_is_the_twisted_gradient(k):
